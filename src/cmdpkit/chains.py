@@ -2,9 +2,15 @@
 
 Recurrent classes are the closed strongly connected components of the
 support graph; everything else is transient. Stationary distributions and
-absorption probabilities come from exact Gaussian elimination over
-rationals, so periodic classes are handled through their unique invariant
-(Cesaro frequency) vector with no aperiodicity requirement.
+absorption probabilities are exact rationals from sparse elimination:
+
+- the invariant vector of a class comes from one sparse solve of the
+  class's size, so periodic classes are handled through their unique
+  invariant (Cesaro frequency) vector with no aperiodicity requirement;
+- absorption probabilities are solved along the DAG of strongly connected
+  transient components, sink components first (Tarjan order), so each
+  component is a small system of its own and a singleton needs only back
+  substitution.
 
 All functions are pure over immutable inputs and memoized where repeated
 audit passes would otherwise recompute the same decomposition.
@@ -19,6 +25,8 @@ from functools import lru_cache
 from cmdpkit.model import Mdp, Policy, induced_chain
 
 Matrix = tuple[tuple[Fraction, ...], ...]
+
+ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -124,26 +132,65 @@ def decompose(matrix: Matrix) -> ChainDecomposition:
     return closed_classes(support_adjacency(matrix))
 
 
-def _solve_linear(a: list[list[Fraction]], rhs: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Exact Gauss-Jordan solve of a X = rhs for multiple right-hand columns.
+def _sparse_solve(
+    rows: list[dict[int, Fraction]], rhs: list[list[Fraction]]
+) -> list[list[Fraction]]:
+    """Exact solve of A X = rhs, A given as sparse rows {column: coefficient}.
 
-    Raises ValueError on a singular system.
+    The unknowns are the columns 0..len(rows)-1. Each column is pivoted on
+    the remaining row with the fewest nonzeros, which keeps fill-in low;
+    forward elimination is followed by back substitution. ``rows`` and
+    ``rhs`` are consumed. Raises ValueError on a singular system.
     """
-    n = len(a)
-    width = len(rhs[0]) if rhs else 0
-    aug = [list(a[i]) + list(rhs[i]) for i in range(n)]
+    n = len(rows)
+    holders: list[set[int]] = [set() for _ in range(n)]
+    for r, row in enumerate(rows):
+        for c in row:
+            holders[c].add(r)
+    order: list[tuple[int, int]] = []
     for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
+        candidates = holders[col]
+        if not candidates:
             raise ValueError("singular linear system")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:n + width] for row in aug]
+        pivot = min(candidates, key=lambda r: (len(rows[r]), r))
+        candidates.discard(pivot)
+        pivot_row = rows[pivot]
+        for c in pivot_row:
+            holders[c].discard(pivot)
+        pivot_rhs = rhs[pivot]
+        head = pivot_row[col]
+        for r in candidates:
+            row = rows[r]
+            factor = row.pop(col) / head
+            for c, v in pivot_row.items():
+                if c == col:
+                    continue
+                updated = row.get(c, ZERO) - factor * v
+                if updated:
+                    if c not in row:
+                        holders[c].add(r)
+                    row[c] = updated
+                elif c in row:
+                    del row[c]
+                    holders[c].discard(r)
+            target = rhs[r]
+            for k, v in enumerate(pivot_rhs):
+                if v:
+                    target[k] -= factor * v
+        order.append((col, pivot))
+
+    solution: list[list[Fraction]] = [[] for _ in range(n)]
+    for col, pivot in reversed(order):
+        row = rows[pivot]
+        values = rhs[pivot]
+        for c, v in row.items():
+            if c != col:
+                for k, x in enumerate(solution[c]):
+                    if x:
+                        values[k] -= v * x
+        head = row[col]
+        solution[col] = [v / head for v in values]
+    return solution
 
 
 @lru_cache(maxsize=4096)
@@ -153,65 +200,99 @@ def stationary_distribution(matrix: Matrix, cls: tuple[int, ...]) -> tuple[Fract
     The class must be closed and strongly connected under the chain;
     all returned entries are positive and sum to exactly 1.
     """
-    members = set(cls)
+    position = {s: i for i, s in enumerate(cls)}
+    support = []
     for s in cls:
-        for j, p in enumerate(matrix[s]):
-            if p > 0 and j not in members:
+        entries = [(j, p) for j, p in enumerate(matrix[s]) if p]
+        for j, p in entries:
+            if p > 0 and j not in position:
                 raise ValueError(f"class is not closed: state {s} leaks to {j}")
+        support.append(entries)
     decomposition = closed_classes(
-        tuple(
-            tuple(cls.index(j) for j, p in enumerate(matrix[s]) if p > 0)
-            for s in cls
-        )
+        tuple(tuple(position[j] for j, p in entries if p > 0) for entries in support)
     )
     if len(decomposition.recurrent_classes) != 1 or decomposition.transient_states:
         raise ValueError("class is not strongly connected")
 
     k = len(cls)
-    # p (M - I) = 0 with one equation replaced by the normalization sum p = 1.
-    a = [[matrix[cls[j]][cls[i]] - (1 if i == j else 0) for j in range(k)]
-         for i in range(k)]
-    a[0] = [Fraction(1)] * k
-    rhs = [[Fraction(1)] if i == 0 else [Fraction(0)] for i in range(k)]
-    solution = _solve_linear(a, rhs)
-    return tuple(row[0] for row in solution)
+    if k == 1:
+        return (Fraction(1),)
+    # p (M - I) = 0 has rank k - 1: fix p[0] = 1 and drop the equation of
+    # column 0. Row and unknown i - 1 belong to column and member i.
+    rows: list[dict[int, Fraction]] = [{} for _ in range(k - 1)]
+    rhs = [[ZERO] for _ in range(k - 1)]
+    for i, entries in enumerate(support):
+        for j, p in entries:
+            column = position[j]
+            if column == 0:
+                continue
+            if i == 0:
+                rhs[column - 1][0] -= p
+            else:
+                row = rows[column - 1]
+                row[i - 1] = row.get(i - 1, ZERO) + p
+    for i, row in enumerate(rows):
+        diagonal = row.get(i, ZERO) - 1
+        if diagonal:
+            row[i] = diagonal
+        else:
+            del row[i]
+    weights = [Fraction(1)] + [x[0] for x in _sparse_solve(rows, rhs)]
+    total = sum(weights, ZERO)
+    return tuple(w / total for w in weights)
 
 
 @lru_cache(maxsize=2048)
 def absorption_map(matrix: Matrix) -> AbsorptionMap:
-    """Hitting probabilities of every recurrent class from every state."""
+    """Hitting probabilities of every recurrent class from every state.
+
+    Transient states are solved one strongly connected component at a time,
+    sink components first, so the states a component leaks to are already
+    solved. A singleton component needs only back substitution; a larger
+    one is a sparse solve of its own size.
+    """
     decomposition = decompose(matrix)
     classes = decomposition.recurrent_classes
     transient = decomposition.transient_states
-    n = len(matrix)
-    class_of = {}
+    width = len(classes)
+    rows: list[tuple[Fraction, ...]] = [()] * len(matrix)
     for c, cls in enumerate(classes):
+        unit = tuple(Fraction(1) if k == c else ZERO for k in range(width))
         for s in cls:
-            class_of[s] = c
+            rows[s] = unit
 
-    rows: list[list[Fraction]] = [[Fraction(0)] * len(classes) for _ in range(n)]
-    for s in range(n):
-        if s in class_of:
-            rows[s][class_of[s]] = Fraction(1)
+    local = {s: i for i, s in enumerate(transient)}
+    support = [[(j, p) for j, p in enumerate(matrix[s]) if p] for s in transient]
+    components = _strongly_connected_components(
+        tuple(tuple(local[j] for j, _ in entries if j in local) for entries in support)
+    )
+    for component in components:
+        members = {transient[i]: m for m, i in enumerate(component)}
+        # First-step equations: (I - Q) h = one-step mass into solved states.
+        coefficients: list[dict[int, Fraction]] = []
+        rhs: list[list[Fraction]] = []
+        for m, i in enumerate(component):
+            coefficient = {m: Fraction(1)}
+            mass = [ZERO] * width
+            for j, p in support[i]:
+                if j in members:
+                    other = members[j]
+                    coefficient[other] = coefficient.get(other, ZERO) - p
+                else:
+                    for k, h in enumerate(rows[j]):
+                        if h:
+                            mass[k] += p * h
+            coefficients.append(coefficient)
+            rhs.append(mass)
+        if len(component) == 1:
+            head = coefficients[0][0]
+            solution = [[v / head for v in rhs[0]]]
+        else:
+            solution = _sparse_solve(coefficients, rhs)
+        for m, i in enumerate(component):
+            rows[transient[i]] = tuple(solution[m])
 
-    if transient:
-        t_index = {s: i for i, s in enumerate(transient)}
-        # First-step equations: (I - Q) h_C = one-step mass into C.
-        a = [[(1 if i == j else 0) - matrix[s][sp]
-              for j, sp in enumerate(transient)]
-             for i, s in enumerate(transient)]
-        rhs = []
-        for s in transient:
-            entry = [Fraction(0)] * len(classes)
-            for sp, p in enumerate(matrix[s]):
-                if p > 0 and sp in class_of:
-                    entry[class_of[sp]] += p
-            rhs.append(entry)
-        solution = _solve_linear([[Fraction(x) for x in row] for row in a], rhs)
-        for s, i in t_index.items():
-            rows[s] = solution[i]
-
-    return AbsorptionMap(probs=tuple(tuple(row) for row in rows))
+    return AbsorptionMap(probs=tuple(rows))
 
 
 def absorption_probabilities(matrix: Matrix, start: int) -> tuple[Fraction, ...]:
@@ -219,25 +300,36 @@ def absorption_probabilities(matrix: Matrix, start: int) -> tuple[Fraction, ...]
     return absorption_map(matrix).row(start)
 
 
+MAX_TIME = 10_000
+
+
+class TimeLimitError(ValueError):
+    """Raised when a requested time exceeds ``MAX_TIME``."""
+
+
 @lru_cache(maxsize=16384)
 def state_distribution_at(matrix: Matrix, start: int, t: int) -> tuple[Fraction, ...]:
-    """Exact distribution of X_t given X_0 = start: row of matrix**t."""
+    """Exact distribution of X_t given X_0 = start: row of matrix**t.
+
+    Computed by t forward steps over the support of the occupied rows.
+    Times above ``MAX_TIME`` raise TimeLimitError.
+    """
     if t < 0:
         raise ValueError("time must be nonnegative")
-    if t == 0:
-        return tuple(
-            Fraction(1) if j == start else Fraction(0) for j in range(len(matrix))
-        )
-    prev = state_distribution_at(matrix, start, t - 1)
-    n = len(matrix)
-    out = [Fraction(0)] * n
-    for i, mass in enumerate(prev):
-        if mass != 0:
-            row = matrix[i]
-            for j in range(n):
-                if row[j] != 0:
-                    out[j] += mass * row[j]
-    return tuple(out)
+    if t > MAX_TIME:
+        raise TimeLimitError(f"time {t} exceeds the limit of {MAX_TIME} steps")
+    support: dict[int, list[tuple[int, Fraction]]] = {}
+    current = {start: Fraction(1)}
+    for _ in range(t):
+        following: dict[int, Fraction] = {}
+        for i, mass in current.items():
+            entries = support.get(i)
+            if entries is None:
+                entries = support[i] = [(j, p) for j, p in enumerate(matrix[i]) if p]
+            for j, p in entries:
+                following[j] = following.get(j, ZERO) + mass * p
+        current = following
+    return tuple(current.get(j, ZERO) for j in range(len(matrix)))
 
 
 def reachable_states(mdp: Mdp, policy: Policy | None, x: str) -> tuple[str, ...]:

@@ -21,7 +21,7 @@ from cmdpkit import certificate as certificate_mod
 from cmdpkit import residual as residual_mod
 from cmdpkit import samplepath as samplepath_mod
 from cmdpkit.certificate import Certificate, CertificateUnsat, MissingPotentialError
-from cmdpkit.chains import reachable_states
+from cmdpkit.chains import MAX_TIME, TimeLimitError, reachable_states
 from cmdpkit.evaluation import evaluate
 from cmdpkit.model import (
     InstanceFormatError,
@@ -126,7 +126,10 @@ def _build_parser() -> _Parser:
 
     p = cmd("residual", help="residual slackness at a reachable state")
     p.add_argument("--to", required=True, help="target state")
-    p.add_argument("--time", type=int, help="reaching time (default: smallest)")
+    p.add_argument(
+        "--time", type=int,
+        help=f"reaching time (default: smallest; at most {MAX_TIME})",
+    )
 
     p = cmd("certify", help="check or search an optimality certificate")
     p.add_argument("--policy", required=True)
@@ -459,6 +462,7 @@ def run(argv: list[str]) -> CommandOutcome:
         PolicyError,
         MissingPotentialError,
         residual_mod.UnreachableStateError,
+        TimeLimitError,
         EnumerationCapExceeded,
         FileNotFoundError,
         IsADirectoryError,

@@ -13,6 +13,7 @@ downstream modules rely on that for memoized chain analysis.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -27,18 +28,38 @@ class PolicyError(ValueError):
     """Raised when a policy is not a valid total choice map for a model."""
 
 
+# Bounds on one numeric literal. Without them "1e-2000000" alone costs a
+# power of ten with millions of digits.
+MAX_LITERAL_LENGTH = 1000
+MAX_DECIMAL_EXPONENT = 1000
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q", decimal ("0.125") or integer ("5") strings exactly.
 
     Decimal literals become exact decimal fractions (0.125 -> 1/8), never
-    binary floats.
+    binary floats. Literals longer than MAX_LITERAL_LENGTH characters, or
+    with a decimal exponent above MAX_DECIMAL_EXPONENT in magnitude, raise
+    InstanceFormatError.
     """
     if not isinstance(text, str):
         raise InstanceFormatError(
             f"numbers must be strings to stay exact, got {type(text).__name__}: {text!r}"
         )
+    literal = text.strip()
+    if len(literal) > MAX_LITERAL_LENGTH:
+        raise InstanceFormatError(
+            f"rational literal longer than {MAX_LITERAL_LENGTH} characters: "
+            f"{literal[:20]!r}..."
+        )
+    exponent = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\Z", literal)
+    if exponent and abs(int(exponent.group(1))) > MAX_DECIMAL_EXPONENT:
+        raise InstanceFormatError(
+            f"decimal exponent above {MAX_DECIMAL_EXPONENT} in magnitude: "
+            f"{literal[:20]!r}"
+        )
     try:
-        return Fraction(text.strip())
+        return Fraction(literal)
     except (ValueError, ZeroDivisionError) as exc:
         raise InstanceFormatError(f"not a rational literal: {text!r} ({exc})") from None
 

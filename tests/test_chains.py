@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmdpkit.chains import (
+    MAX_TIME,
+    TimeLimitError,
     absorption_map,
     absorption_probabilities,
     decompose,
@@ -130,6 +132,13 @@ def test_distribution_two_cycle_periodicity():
 def test_distribution_rejects_negative_time():
     with pytest.raises(ValueError):
         state_distribution_at(CYCLE2, 0, -1)
+
+
+def test_distribution_far_beyond_the_recursion_limit():
+    assert state_distribution_at(CYCLE2, 0, MAX_TIME) == (1, 0)
+    assert state_distribution_at(CYCLE2, 0, MAX_TIME - 1) == (0, 1)
+    with pytest.raises(TimeLimitError):
+        state_distribution_at(CYCLE2, 0, MAX_TIME + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,29 @@ def test_residual_unreachable_target_is_input_error(instances_dir):
     assert "c3_0" in out.error
 
 
+def test_residual_deep_time(instances_dir):
+    # c1_4 is occupied at every time t = 5k under the optimal policy, and W
+    # is constant on each class, so the slack at t = 5000 is that at t = 5.
+    deep = invoke("residual", haviv_path(instances_dir), "--to", "c1_4", "--time", "5000")
+    assert deep.exit_code == 0
+    shallow = invoke("residual", haviv_path(instances_dir), "--to", "c1_4", "--time", "5")
+    doc, ref = json.loads(deep.report), json.loads(shallow.report)
+    assert doc.pop("time") == 5000
+    ref.pop("time")
+    assert doc == ref
+    empty = invoke("residual", haviv_path(instances_dir), "--to", "c1_0", "--time", "5000")
+    assert empty.exit_code == 2
+    assert "probability zero at time 5000" in empty.error
+
+
+def test_residual_time_above_limit_is_input_error(instances_dir):
+    for t in ("10001", str(10**12)):
+        out = invoke("residual", haviv_path(instances_dir), "--to", "c1_0", "--time", t)
+        assert out.exit_code == 2
+        assert out.report == ""
+        assert "exceeds the limit of 10000 steps" in out.error
+
+
 def test_evaluate_policy_b(instances_dir):
     out = invoke(
         "evaluate", haviv_path(instances_dir), "--policy", "y=b", "--start", "y"

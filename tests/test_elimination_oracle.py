@@ -1,0 +1,128 @@
+"""Sparse elimination in cmdpkit.chains against the dense reference.
+
+Chains mix random rows with lazy self-loops, which keeps states transient
+while they cycle among themselves, so transient components with several
+states occur alongside singletons.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import dense_oracle
+from cmdpkit.chains import (
+    _sparse_solve,
+    _strongly_connected_components,
+    absorption_map,
+    decompose,
+    stationary_distribution,
+)
+from randmdp import random_row
+
+
+def lazy_chain(rng, size):
+    rows = []
+    for i in range(size):
+        row = random_row(rng, size)
+        if rng.random() < 0.5:
+            alpha = Fraction(rng.randint(1, 9), 10)
+            row = tuple(
+                (1 - alpha) * p + (alpha if j == i else 0) for j, p in enumerate(row)
+            )
+        rows.append(row)
+    return tuple(rows)
+
+
+@st.composite
+def lazy_chains(draw):
+    rng = random.Random(draw(st.integers(0, 10**9)))
+    return lazy_chain(rng, draw(st.integers(1, 24))), rng
+
+
+def all_fractions(values):
+    return all(type(v) is Fraction for v in values)
+
+
+def test_lazy_chains_have_multi_state_transient_components():
+    rng = random.Random(0)
+    sizes = []
+    for _ in range(50):
+        chain = lazy_chain(rng, 24)
+        transient = decompose(chain).transient_states
+        local = {s: i for i, s in enumerate(transient)}
+        components = _strongly_connected_components(tuple(
+            tuple(local[j] for j, p in enumerate(chain[s]) if p and j in local)
+            for s in transient
+        ))
+        sizes.extend(len(c) for c in components)
+    assert 1 in sizes
+    assert max(sizes) > 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(lazy_chains())
+def test_stationary_and_absorption_equal_dense(drawn):
+    chain, _ = drawn
+    for cls in decompose(chain).recurrent_classes:
+        pi = stationary_distribution(chain, cls)
+        assert pi == dense_oracle.stationary_distribution(chain, cls)
+        assert all_fractions(pi)
+    probs = absorption_map(chain).probs
+    assert probs == dense_oracle.absorption_probs(chain)
+    assert all(all_fractions(row) for row in probs)
+
+
+def class_check_outcome(solve, chain, cls):
+    try:
+        return solve(chain, cls)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lazy_chains())
+def test_class_checks_equal_dense(drawn):
+    chain, rng = drawn
+    classes = decompose(chain).recurrent_classes
+    subset = tuple(sorted(rng.sample(range(len(chain)), rng.randint(1, len(chain)))))
+    candidates = [subset]
+    if len(classes) >= 2:
+        union = tuple(sorted(classes[0] + classes[1]))
+        candidates.append(union)
+        with pytest.raises(ValueError, match="class is not strongly connected"):
+            stationary_distribution(chain, union)
+    for cls in candidates:
+        assert class_check_outcome(stationary_distribution, chain, cls) == (
+            class_check_outcome(dense_oracle.stationary_distribution, chain, cls)
+        )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                 min_size=n, max_size=n),
+        st.lists(st.lists(st.integers(-3, 3), min_size=2, max_size=2),
+                 min_size=n, max_size=n),
+    ))
+)
+def test_sparse_solve_equals_dense_or_both_singular(system):
+    a, b = system
+    dense_a = [[Fraction(x) for x in row] for row in a]
+    rhs = [[Fraction(x) for x in row] for row in b]
+    try:
+        expected = dense_oracle.solve_linear(dense_a, rhs)
+    except ValueError as exc:
+        assert str(exc) == "singular linear system"
+        expected = None
+    rows = [{c: Fraction(x) for c, x in enumerate(row) if x} for row in a]
+    if expected is None:
+        with pytest.raises(ValueError, match="singular linear system"):
+            _sparse_solve(rows, [list(row) for row in rhs])
+    else:
+        solution = _sparse_solve(rows, [list(row) for row in rhs])
+        assert solution == expected
+        assert all(all_fractions(row) for row in solution)

@@ -32,10 +32,21 @@ def test_parse_rational_ratio_and_integer():
     assert parse_rational(" 2/3 ") == Fraction(2, 3)
 
 
-@pytest.mark.parametrize("bad", ["abc", "1/0", "", "1/2/3"])
+@pytest.mark.parametrize("bad", [
+    "abc", "1/0", "", "1/2/3",
+    "1e-2000000", "1e2000000", "1.5E+1001",
+    pytest.param("1e" + "9" * 500, id="exponent-of-500-digits"),
+    pytest.param("1" * 1001, id="literal-of-1001-chars"),
+])
 def test_parse_rational_rejects_garbage(bad):
     with pytest.raises(InstanceFormatError):
         parse_rational(bad)
+
+
+def test_parse_rational_accepts_literals_at_the_caps():
+    assert parse_rational("1e-1000") == Fraction(1, 10**1000)
+    assert parse_rational("2.5E+1000") == Fraction(25 * 10**999)
+    assert parse_rational(" " + "1" * 1000 + " ") == Fraction(int("1" * 1000))
 
 
 def test_parse_rational_rejects_non_strings():
