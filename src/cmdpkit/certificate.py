@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from cmdpkit import chains, lp
-from cmdpkit.evaluation import evaluate, _policy_analysis
+from cmdpkit.evaluation import PolicyAnalysis, analyse_policy, evaluate
 from cmdpkit.model import Mdp, Policy, validate_policy
 from cmdpkit.solver import EnumerationCapExceeded
 
@@ -136,13 +136,24 @@ def check_certificate(
             f"multiplier has length {len(cert.mu)}, "
             f"model constraint_dim is {mdp.constraint_dim}"
         )
+    return _check(
+        mdp, policy, cert, evaluate(mdp, policy, x).W,
+        chains.reachable_states(mdp, policy, x),
+    )
 
-    report = evaluate(mdp, policy, x)
-    a1 = all(w >= 0 for w in report.W)
+
+def _check(
+    mdp: Mdp,
+    policy: Policy,
+    cert: Certificate,
+    w: tuple[Fraction, ...],
+    reachable: tuple[str, ...],
+) -> CertificateReport:
+    """check_certificate given the policy's W(x) and its states reachable from x."""
+    a1 = all(c >= 0 for c in w)
     a2 = all(m >= 0 for m in cert.mu)
-    a3 = sum((m * w for m, w in zip(cert.mu, report.W)), ZERO) == 0
+    a3 = sum((m * c for m, c in zip(cert.mu, w)), ZERO) == 0
 
-    reachable = chains.reachable_states(mdp, policy, x)
     potential = dict(cert.potential)
     missing = [s for s in _required_states(mdp, reachable) if s not in potential]
     if missing:
@@ -176,11 +187,11 @@ def check_certificate(
 
 
 def _class_equations(
-    mdp: Mdp, policy: Policy, x: str
+    analysis: PolicyAnalysis, start: int
 ) -> tuple[ClassGainEquation, ...]:
-    """Gain equations of the recurrent classes reachable from x under policy."""
-    _, gains, absorption = _policy_analysis(mdp, policy)
-    row = absorption.row(mdp.state_index(x))
+    """Gain equations of the recurrent classes reachable from a start index."""
+    row = analysis.absorption[start]
+    gains = analysis.class_gains
     return tuple(
         ClassGainEquation(
             states=gain.states,
@@ -225,13 +236,15 @@ def find_certificate(
     program has no solution.
     """
     validate_policy(mdp, policy)
-    report = evaluate(mdp, policy, x)
-    equations = _class_equations(mdp, policy, x)
-    if any(w < 0 for w in report.W):
+    analysis = analyse_policy(mdp, policy)
+    start = mdp.state_index(x)
+    _, w = analysis.values_at(start)
+    equations = _class_equations(analysis, start)
+    if any(c < 0 for c in w):
         return CertificateUnsat(
             stage="feasibility",
             reason="policy violates the constraint at the start state (A1)",
-            W=report.W,
+            W=w,
             class_equations=equations,
             conflict=None,
         )
@@ -242,7 +255,7 @@ def find_certificate(
             f"reachable closure has {len(closure)} states, cap is {closure_cap}"
         )
 
-    free_mu = [i for i, w in enumerate(report.W) if w == 0]
+    free_mu = [i for i, c in enumerate(w) if c == 0]
     if not _class_system_feasible(equations, free_mu):
         conflict = None
         for a in range(len(equations)):
@@ -260,14 +273,15 @@ def find_certificate(
                 "reachable recurrent classes admit no common Lagrangian gain "
                 "with nonnegative multipliers"
             ),
-            W=report.W,
+            W=w,
             class_equations=equations,
             conflict=conflict,
         )
 
     # The closure is closed under every action, so it is exactly the
     # domain the Bellman rows need.
-    reachable = set(chains.reachable_states(mdp, policy, x))
+    reachable = chains.reachable_states(mdp, policy, x)
+    reached = set(reachable)
     var_of_state = {s: len(free_mu) + 1 + k for k, s in enumerate(closure)}
     gain_var = len(free_mu)
     num_vars = len(free_mu) + 1 + len(closure)
@@ -285,7 +299,7 @@ def find_certificate(
                     coeffs[v] = coeffs.get(v, ZERO) - p
             for k, comp in enumerate(free_mu):
                 coeffs[k] = coeffs.get(k, ZERO) - mdp.constraints[i][j][comp]
-            sense = lp.EQ if (state in reachable and action == chosen) else lp.GE
+            sense = lp.EQ if (state in reached and action == chosen) else lp.GE
             constraints.append(
                 lp.LinearConstraint.of(coeffs, sense, mdp.rewards[i][j])
             )
@@ -299,7 +313,7 @@ def find_certificate(
         return CertificateUnsat(
             stage="bellman",
             reason="the closure-wide Bellman feasibility program is infeasible",
-            W=report.W,
+            W=w,
             class_equations=equations,
             conflict=None,
         )
@@ -310,7 +324,7 @@ def find_certificate(
     potential = {s: point[var_of_state[s]] for s in closure}
     cert = Certificate(mu=tuple(mu), gain=point[gain_var], potential=potential)
 
-    verification = check_certificate(mdp, x, policy, cert)
+    verification = _check(mdp, policy, cert, w, reachable)
     if verification.verdict != "pass":
         raise AssertionError(
             f"internal error: searched certificate fails {verification.first_failure}"

@@ -12,15 +12,17 @@ absorption probabilities are exact rationals from sparse elimination:
   component is a small system of its own and a singleton needs only back
   substitution.
 
-All functions are pure over immutable inputs and memoized where repeated
-audit passes would otherwise recompute the same decomposition.
+All functions are pure over immutable inputs and keep no state between
+calls; callers that need a chain's analysis more than once hold on to it
+(``evaluation.analyse_policy``).
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from typing import Iterator
 
 from cmdpkit.model import Mdp, Policy, induced_chain
 
@@ -40,16 +42,6 @@ class ChainDecomposition:
 
     recurrent_classes: tuple[tuple[int, ...], ...]
     transient_states: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class AbsorptionMap:
-    """Exact hitting probabilities probs[state][class] of each recurrent class."""
-
-    probs: tuple[tuple[Fraction, ...], ...]
-
-    def row(self, state: int) -> tuple[Fraction, ...]:
-        return self.probs[state]
 
 
 def _strongly_connected_components(adjacency: tuple[tuple[int, ...], ...]) -> list[list[int]]:
@@ -105,6 +97,14 @@ def support_adjacency(matrix: Matrix) -> tuple[tuple[int, ...], ...]:
     )
 
 
+def union_adjacency(mdp: Mdp) -> tuple[tuple[int, ...], ...]:
+    """Successors of each state under any of its actions, ascending."""
+    return tuple(
+        tuple(sorted({j for row in rows for j, p in enumerate(row) if p > 0}))
+        for rows in mdp.kernel
+    )
+
+
 def closed_classes(adjacency: tuple[tuple[int, ...], ...]) -> ChainDecomposition:
     """Closed SCCs of an adjacency structure, rest transient."""
     components = _strongly_connected_components(adjacency)
@@ -126,7 +126,6 @@ def closed_classes(adjacency: tuple[tuple[int, ...], ...]) -> ChainDecomposition
     )
 
 
-@lru_cache(maxsize=4096)
 def decompose(matrix: Matrix) -> ChainDecomposition:
     """Recurrent classes and transient states of a row-stochastic matrix."""
     return closed_classes(support_adjacency(matrix))
@@ -193,7 +192,6 @@ def _sparse_solve(
     return solution
 
 
-@lru_cache(maxsize=4096)
 def stationary_distribution(matrix: Matrix, cls: tuple[int, ...]) -> tuple[Fraction, ...]:
     """Unique invariant vector of a recurrent class, aligned with ``cls``.
 
@@ -242,16 +240,20 @@ def stationary_distribution(matrix: Matrix, cls: tuple[int, ...]) -> tuple[Fract
     return tuple(w / total for w in weights)
 
 
-@lru_cache(maxsize=2048)
-def absorption_map(matrix: Matrix) -> AbsorptionMap:
-    """Hitting probabilities of every recurrent class from every state.
+def absorption_map(
+    matrix: Matrix, decomposition: ChainDecomposition | None = None
+) -> Matrix:
+    """Hitting probabilities rows[state][class] of every recurrent class.
 
-    Transient states are solved one strongly connected component at a time,
-    sink components first, so the states a component leaks to are already
-    solved. A singleton component needs only back substitution; a larger
-    one is a sparse solve of its own size.
+    Classes are in the order of ``decompose(matrix)``, which is computed
+    here unless the caller passes it. Transient states are solved one
+    strongly connected component at a time, sink components first, so the
+    states a component leaks to are already solved. A singleton component
+    needs only back substitution; a larger one is a sparse solve of its own
+    size. Every row sums to exactly 1.
     """
-    decomposition = decompose(matrix)
+    if decomposition is None:
+        decomposition = decompose(matrix)
     classes = decomposition.recurrent_classes
     transient = decomposition.transient_states
     width = len(classes)
@@ -292,35 +294,43 @@ def absorption_map(matrix: Matrix) -> AbsorptionMap:
         for m, i in enumerate(component):
             rows[transient[i]] = tuple(solution[m])
 
-    return AbsorptionMap(probs=tuple(rows))
-
-
-def absorption_probabilities(matrix: Matrix, start: int) -> tuple[Fraction, ...]:
-    """Absorption row from one start state (class order of decompose)."""
-    return absorption_map(matrix).row(start)
+    return tuple(rows)
 
 
 MAX_TIME = 10_000
 
 
 class TimeLimitError(ValueError):
-    """Raised when a requested time exceeds ``MAX_TIME``."""
+    """Raised when a requested time exceeds ``MAX_TIME`` or the size bound."""
 
 
-@lru_cache(maxsize=16384)
-def state_distribution_at(matrix: Matrix, start: int, t: int) -> tuple[Fraction, ...]:
-    """Exact distribution of X_t given X_0 = start: row of matrix**t.
+def max_denominator_bits() -> int:
+    """Size bound on the denominators of an exact time-t distribution.
 
-    Computed by t forward steps over the support of the occupied rows.
-    Times above ``MAX_TIME`` raise TimeLimitError.
+    The bound in bits equals the interpreter's limit on decimal digits in
+    an int-to-str conversion (``sys.get_int_max_str_digits()``, or its
+    default 4300 when the limit is off). A number below 2**b has at most
+    0.302 b + 1 decimal digits, so the distribution, and the residual slack
+    formed from it with a few products and one quotient, still print.
     """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    if t > MAX_TIME:
-        raise TimeLimitError(f"time {t} exceeds the limit of {MAX_TIME} steps")
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
+def forward_distributions(
+    matrix: Matrix, start: int, horizon: int
+) -> Iterator[dict[int, Fraction]]:
+    """Exact distributions of X_0 .. X_horizon given X_0 = start.
+
+    One forward sweep over the support of the occupied rows, yielding the
+    sparse distribution {state: positive mass} at t = 0, 1, .., horizon;
+    callers must not modify it. Raises TimeLimitError as soon as a
+    denominator exceeds ``max_denominator_bits()``.
+    """
+    bound = max_denominator_bits()
     support: dict[int, list[tuple[int, Fraction]]] = {}
     current = {start: Fraction(1)}
-    for _ in range(t):
+    yield current
+    for t in range(1, horizon + 1):
         following: dict[int, Fraction] = {}
         for i, mass in current.items():
             entries = support.get(i)
@@ -328,7 +338,28 @@ def state_distribution_at(matrix: Matrix, start: int, t: int) -> tuple[Fraction,
                 entries = support[i] = [(j, p) for j, p in enumerate(matrix[i]) if p]
             for j, p in entries:
                 following[j] = following.get(j, ZERO) + mass * p
+        if max(m.denominator.bit_length() for m in following.values()) > bound:
+            raise TimeLimitError(
+                f"the exact distribution at time {t} has a denominator above "
+                f"{bound} bits; ask for an earlier time"
+            )
         current = following
+        yield current
+
+
+def state_distribution_at(matrix: Matrix, start: int, t: int) -> tuple[Fraction, ...]:
+    """Exact distribution of X_t given X_0 = start: row of matrix**t.
+
+    Computed by t forward steps (``forward_distributions``). Times above
+    ``MAX_TIME``, and times whose distribution outgrows
+    ``max_denominator_bits()``, raise TimeLimitError.
+    """
+    if t < 0:
+        raise ValueError("time must be nonnegative")
+    if t > MAX_TIME:
+        raise TimeLimitError(f"time {t} exceeds the limit of {MAX_TIME} steps")
+    for current in forward_distributions(matrix, start, t):
+        pass
     return tuple(current.get(j, ZERO) for j in range(len(matrix)))
 
 
@@ -342,17 +373,9 @@ def reachable_states(mdp: Mdp, policy: Policy | None, x: str) -> tuple[str, ...]
     """
     start = mdp.state_index(x)
     if policy is None:
-        adjacency = []
-        for i in range(mdp.num_states):
-            targets: set[int] = set()
-            for row in mdp.kernel[i]:
-                targets.update(j for j, p in enumerate(row) if p > 0)
-            adjacency.append(tuple(sorted(targets)))
+        adjacency = union_adjacency(mdp)
     else:
-        adjacency = [
-            tuple(j for j, p in enumerate(row) if p > 0)
-            for row in induced_chain(mdp, policy)
-        ]
+        adjacency = support_adjacency(induced_chain(mdp, policy))
     seen = {start}
     frontier = [start]
     while frontier:

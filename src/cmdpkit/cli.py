@@ -34,7 +34,7 @@ from cmdpkit.model import (
     parse_rational,
     serialize_instance,
 )
-from cmdpkit.solver import EnumerationCapExceeded, SolveResult, solve
+from cmdpkit.solver import EnumerationCapExceeded, PolicyTable, SolveResult, solve
 
 
 @dataclass(frozen=True)
@@ -210,7 +210,9 @@ def _cmd_evaluate(args) -> CommandOutcome:
 
 def _cmd_residual(args) -> CommandOutcome:
     mdp = load_instance(args.file)
-    base = solve(mdp)
+    # A target reached under the optimum lies in the start's closure.
+    table = PolicyTable(mdp, reachable_states(mdp, None, mdp.initial_state))
+    base = table.solve(mdp.initial_state)
     if base.status != "optimal":
         return CommandOutcome(1, _render(_solve_doc(mdp, base)))
     spec = residual_mod.residual_slack(
@@ -228,7 +230,7 @@ def _cmd_residual(args) -> CommandOutcome:
             action: _rats(shifted.constraints[i][j])
             for j, action in enumerate(shifted.actions[i])
         },
-        "residual_solve": _solve_doc(shifted, solve(shifted)),
+        "residual_solve": _solve_doc(mdp, table.solve(spec.target, spec.slack)),
     }
     return CommandOutcome(0, _render(doc))
 
@@ -300,10 +302,10 @@ def _cmd_certify(args) -> CommandOutcome:
 
 def _cmd_audit(args) -> CommandOutcome:
     mdp = load_instance(args.file)
-    base = solve(mdp)
-    if base.status != "optimal":
-        return CommandOutcome(1, _render(_solve_doc(mdp, base)))
-    report = residual_mod.audit_time_consistency(mdp, all_times=args.all_times)
+    try:
+        report = residual_mod.audit_time_consistency(mdp, all_times=args.all_times)
+    except residual_mod.InfeasibleStartError as exc:
+        return CommandOutcome(1, _render(_solve_doc(mdp, exc.result)))
     entries = []
     for e in report.entries:
         entries.append({
@@ -358,13 +360,14 @@ def _cmd_samplepath(args) -> CommandOutcome:
 
 def _cmd_decompose(args) -> CommandOutcome:
     mdp = load_instance(args.file)
+    table = PolicyTable(mdp, (mdp.initial_state,))
     try:
-        structure = samplepath_mod.trans_policy_decomposition(mdp)
-        control = samplepath_mod.controllable_classes(mdp, mdp.initial_state)
+        structure = samplepath_mod.trans_policy_decomposition(mdp, table)
+        control = samplepath_mod.controllable_classes(mdp, mdp.initial_state, table)
         if args.selective:
-            converted = samplepath_mod.selective_convert(mdp, mdp.initial_state)
+            converted = samplepath_mod.selective_convert(mdp, mdp.initial_state, table)
         else:
-            converted = samplepath_mod.convert_to_expected(mdp, mdp.initial_state)
+            converted = samplepath_mod.convert_to_expected(mdp, mdp.initial_state, table)
     except samplepath_mod.NotDecomposableError as exc:
         return CommandOutcome(1, _render({"decomposable": False, "error": str(exc)}))
     doc = {
@@ -392,7 +395,7 @@ def _cmd_decompose(args) -> CommandOutcome:
 def _cmd_simulate(args) -> CommandOutcome:
     mdp = load_instance(args.file)
     policy = _parse_policy(mdp, args.policy)
-    _, report = samplepath_mod.simulate(
+    report = samplepath_mod.simulation_report(
         mdp, policy, mdp.initial_state, args.steps, args.seed
     )
     doc = {

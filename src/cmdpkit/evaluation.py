@@ -11,13 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 from cmdpkit import chains
 from cmdpkit.model import Mdp, Policy, Trajectory, induced_chain
 
 Matrix = chains.Matrix
+
+ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -46,57 +47,82 @@ class EvaluationReport:
 def class_gain(matrix: Matrix, cls: tuple[int, ...], values: Sequence[Fraction]) -> Fraction:
     """Stationary average of a per-state value over a recurrent class."""
     stationary = chains.stationary_distribution(matrix, cls)
-    return sum(
-        (p * values[s] for p, s in zip(stationary, cls)), Fraction(0)
-    )
+    return sum((p * values[s] for p, s in zip(stationary, cls)), ZERO)
 
 
-def class_gain_vector(
-    matrix: Matrix, cls: tuple[int, ...], values: Sequence[Sequence[Fraction]]
-) -> tuple[Fraction, ...]:
-    """Componentwise stationary average of per-state vectors over a class."""
-    stationary = chains.stationary_distribution(matrix, cls)
-    width = len(values[cls[0]]) if cls else 0
-    out = [Fraction(0)] * width
-    for p, s in zip(stationary, cls):
-        for k in range(width):
-            out[k] += p * values[s][k]
-    return tuple(out)
+@dataclass(frozen=True)
+class PolicyAnalysis:
+    """A policy's induced chain and everything its V and W are mixed from.
+
+    ``stationary[c]`` is the invariant vector of
+    ``decomposition.recurrent_classes[c]`` (aligned with its members) and
+    ``class_gains[c]`` the reward and constraint averages under it;
+    ``absorption[s][c]`` is the probability of being absorbed into class c
+    from state index s.
+    """
+
+    chain: Matrix
+    decomposition: chains.ChainDecomposition
+    stationary: tuple[tuple[Fraction, ...], ...]
+    class_gains: tuple[ClassGain, ...]
+    absorption: Matrix
+
+    def values_at(self, s: int) -> tuple[Fraction, tuple[Fraction, ...]]:
+        """V and W from state index s."""
+        v = ZERO
+        w = [ZERO] * len(self.class_gains[0].constraint_gain)
+        for p, gain in zip(self.absorption[s], self.class_gains):
+            if p:
+                v += p * gain.reward_gain
+                for k, g in enumerate(gain.constraint_gain):
+                    w[k] += p * g
+        return v, tuple(w)
 
 
-@lru_cache(maxsize=2048)
-def _policy_analysis(
-    mdp: Mdp, policy: Policy
-) -> tuple[Matrix, tuple[ClassGain, ...], chains.AbsorptionMap]:
+def analyse_policy(mdp: Mdp, policy: Policy) -> PolicyAnalysis:
+    """Induced chain, decomposition, class gains and absorption of a policy.
+
+    Each recurrent class gets one stationary vector, shared by the reward
+    and the constraint gains. Nothing is cached: callers that need several
+    start states read them all from the one analysis.
+    """
     chain = induced_chain(mdp, policy)
     decomposition = chains.decompose(chain)
-    rewards = []
-    constraint_rows = []
-    for i, state in enumerate(mdp.states):
-        j = mdp.actions[i].index(policy.action_for(state))
-        rewards.append(mdp.rewards[i][j])
-        constraint_rows.append(mdp.constraints[i][j])
-    gains = tuple(
-        ClassGain(
+    stationary = []
+    gains = []
+    for cls in decomposition.recurrent_classes:
+        pi = chains.stationary_distribution(chain, cls)
+        reward = ZERO
+        constraint = [ZERO] * mdp.constraint_dim
+        for p, s in zip(pi, cls):
+            j = mdp.actions[s].index(policy.action_for(mdp.states[s]))
+            reward += p * mdp.rewards[s][j]
+            for k, c in enumerate(mdp.constraints[s][j]):
+                constraint[k] += p * c
+        stationary.append(pi)
+        gains.append(ClassGain(
             states=tuple(mdp.states[s] for s in cls),
-            reward_gain=class_gain(chain, cls, rewards),
-            constraint_gain=class_gain_vector(chain, cls, constraint_rows),
-        )
-        for cls in decomposition.recurrent_classes
+            reward_gain=reward,
+            constraint_gain=tuple(constraint),
+        ))
+    return PolicyAnalysis(
+        chain=chain,
+        decomposition=decomposition,
+        stationary=tuple(stationary),
+        class_gains=tuple(gains),
+        absorption=chains.absorption_map(chain, decomposition),
     )
-    return chain, gains, chains.absorption_map(chain)
 
 
 def evaluate(mdp: Mdp, policy: Policy, x: str) -> EvaluationReport:
     """Exact V and W of a policy from start state x."""
-    _, gains, absorption = _policy_analysis(mdp, policy)
-    row = absorption.row(mdp.state_index(x))
-    v = sum((p * g.reward_gain for p, g in zip(row, gains)), Fraction(0))
-    w = [Fraction(0)] * mdp.constraint_dim
-    for p, g in zip(row, gains):
-        for k in range(mdp.constraint_dim):
-            w[k] += p * g.constraint_gain[k]
-    return EvaluationReport(V=v, W=tuple(w), class_gains=gains, absorption=row)
+    analysis = analyse_policy(mdp, policy)
+    start = mdp.state_index(x)
+    v, w = analysis.values_at(start)
+    return EvaluationReport(
+        V=v, W=w, class_gains=analysis.class_gains,
+        absorption=analysis.absorption[start],
+    )
 
 
 def finite_horizon_averages(

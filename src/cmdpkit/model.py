@@ -6,17 +6,18 @@ constraint vector per (state, action). Every numeric quantity is a
 ``fractions.Fraction``; instance documents carry numbers as strings
 ("0.125" or "1/8") so that no binary float is ever involved.
 
-All types here are frozen dataclasses built from tuples, hence hashable;
-downstream modules rely on that for memoized chain analysis.
+All types here are frozen dataclasses built from tuples. ``Mdp`` and
+``Policy`` each build their label lookup map once, at construction, in a
+field that equality and hashing ignore; no analysis is keyed by hashing a
+model.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from pathlib import Path
 
 
@@ -86,10 +87,16 @@ class Mdp:
     constraints: tuple[tuple[tuple[Fraction, ...], ...], ...]
     constraint_dim: int
     initial_state: str
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "_index", {label: i for i, label in enumerate(self.states)}
+        )
 
     def state_index(self, label: str) -> int:
         try:
-            return _state_index_map(self)[label]
+            return self._index[label]
         except KeyError:
             raise KeyError(f"unknown state {label!r}") from None
 
@@ -109,11 +116,6 @@ class Mdp:
         return len(self.states)
 
 
-@lru_cache(maxsize=4096)
-def _state_index_map(mdp: Mdp) -> dict[str, int]:
-    return {label: i for i, label in enumerate(mdp.states)}
-
-
 @dataclass(frozen=True)
 class Policy:
     """Deterministic stationary policy: one action label per state.
@@ -122,10 +124,14 @@ class Policy:
     """
 
     choice: tuple[tuple[str, str], ...]
+    _action: dict[str, str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_action", dict(self.choice))
 
     def action_for(self, state: str) -> str:
         try:
-            return _choice_map(self)[state]
+            return self._action[state]
         except KeyError:
             raise PolicyError(f"policy does not cover state {state!r}") from None
 
@@ -156,11 +162,6 @@ class Policy:
         policy = Policy(choice=tuple(pairs))
         validate_policy(mdp, policy)
         return policy
-
-
-@lru_cache(maxsize=16384)
-def _choice_map(policy: Policy) -> dict[str, str]:
-    return dict(policy.choice)
 
 
 def validate_policy(mdp: Mdp, policy: Policy) -> None:

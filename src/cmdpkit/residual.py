@@ -5,26 +5,43 @@ part of the constraint budget. The residual slackness quantifies that
 exactly: it is the negated expected constraint value over the complementary
 time-t event, rescaled by the odds of reaching y. The original policy is
 feasible, and optimal under certificate hypotheses, for the shifted problem
-that starts at y; the audit re-solves both the unmodified and the shifted
-problem at every reachable state and reports where plain optimality breaks.
+that starts at y, in which every constraint vector is shifted by -slack.
+
+The audit answers, at every reachable state y, both the unmodified problem
+started at y and the shifted one, and reports where plain optimality
+breaks. It enumerates the policies once: a ``PolicyTable`` over the states
+reachable from the start holds V and W of every policy, and the shifted
+problem needs no model of its own, because a uniform shift moves every W
+by exactly -slack (stationary vectors and absorption rows each sum to 1)
+and leaves V unchanged. So a policy is feasible in the shifted problem at
+y exactly when W(y) - slack >= 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import Callable
 
 from cmdpkit import chains
 from cmdpkit.certificate import Certificate, find_certificate
-from cmdpkit.evaluation import evaluate
+from cmdpkit.evaluation import analyse_policy
 from cmdpkit.model import Mdp, Policy, induced_chain, validate_policy
-from cmdpkit.solver import solve
+from cmdpkit.solver import PolicyTable, SolveResult
 
 ZERO = Fraction(0)
 
 
 class UnreachableStateError(ValueError):
     """Target state has probability zero at the requested time."""
+
+
+class InfeasibleStartError(ValueError):
+    """No policy is feasible at the start state; ``result`` says so."""
+
+    def __init__(self, start: str, result: SolveResult):
+        super().__init__(f"no feasible policy from {start!r}; nothing to audit")
+        self.result = result
 
 
 @dataclass(frozen=True)
@@ -42,6 +59,24 @@ class ResidualSpec:
     slack: tuple[Fraction, ...]
 
 
+def _slack(
+    distribution: dict[int, Fraction],
+    target: int,
+    w_at: Callable[[int], tuple[Fraction, ...]],
+    dim: int,
+) -> tuple[Fraction, ...]:
+    """-(sum over s != target of Pr{X_t = s} W(s)) / Pr{X_t = target}."""
+    slack = [ZERO] * dim
+    for s, mass in distribution.items():
+        if s == target:
+            continue
+        w = w_at(s)
+        for k in range(dim):
+            slack[k] -= mass * w[k]
+    prob = distribution[target]
+    return tuple(component / prob for component in slack)
+
+
 def residual_slack(
     mdp: Mdp, policy: Policy, x: str, y: str, t: int | None = None
 ) -> ResidualSpec:
@@ -57,37 +92,32 @@ def residual_slack(
     target = mdp.state_index(y)
 
     if t is None:
-        t = next(
-            (
-                step
-                for step in range(mdp.num_states + 1)
-                if chains.state_distribution_at(chain, start, step)[target] > 0
-            ),
-            None,
+        sweep = chains.forward_distributions(chain, start, mdp.num_states)
+        found = next(
+            ((step, d) for step, d in enumerate(sweep) if target in d), None
         )
-        if t is None:
+        if found is None:
             raise UnreachableStateError(
                 f"state {y!r} is not reachable from {x!r} under the policy"
             )
+        t, distribution = found
     elif t < 0:
         raise ValueError("time must be nonnegative")
+    else:
+        dense = chains.state_distribution_at(chain, start, t)
+        distribution = {s: mass for s, mass in enumerate(dense) if mass}
+        if target not in distribution:
+            raise UnreachableStateError(
+                f"state {y!r} has probability zero at time {t} from {x!r}"
+            )
 
-    distribution = chains.state_distribution_at(chain, start, t)
-    prob = distribution[target]
-    if prob == 0:
-        raise UnreachableStateError(
-            f"state {y!r} has probability zero at time {t} from {x!r}"
-        )
-
-    slack = [ZERO] * mdp.constraint_dim
-    for s, mass in enumerate(distribution):
-        if mass == 0 or s == target:
-            continue
-        w = evaluate(mdp, policy, mdp.states[s]).W
-        for k in range(mdp.constraint_dim):
-            slack[k] -= mass * w[k]
-    slack = [component / prob for component in slack]
-    return ResidualSpec(source=x, target=y, time=t, prob_to=prob, slack=tuple(slack))
+    analysis = analyse_policy(mdp, policy)
+    slack = _slack(
+        distribution, target, lambda s: analysis.values_at(s)[1], mdp.constraint_dim
+    )
+    return ResidualSpec(
+        source=x, target=y, time=t, prob_to=distribution[target], slack=slack
+    )
 
 
 def build_residual_problem(mdp: Mdp, spec: ResidualSpec) -> Mdp:
@@ -151,22 +181,6 @@ class ConsistencyAuditReport:
         return all(entry.consistent for entry in self.entries)
 
 
-def _reachable_times(
-    mdp: Mdp, chain, start: int, all_times: bool
-) -> list[tuple[int, int]]:
-    """(time, state index) pairs to audit, ordered by time then model order."""
-    horizon = mdp.num_states
-    pairs: list[tuple[int, int]] = []
-    seen: set[int] = set()
-    for t in range(horizon + 1):
-        distribution = chains.state_distribution_at(chain, start, t)
-        for s, mass in enumerate(distribution):
-            if mass > 0 and (all_times or s not in seen):
-                pairs.append((t, s))
-                seen.add(s)
-    return pairs
-
-
 def audit_time_consistency(
     mdp: Mdp, x: str | None = None, all_times: bool = False
 ) -> ConsistencyAuditReport:
@@ -177,67 +191,77 @@ def audit_time_consistency(
     certificate value identity V(y) = gain - mu . C_y(x) is checked only
     when a certificate exists at x; otherwise it is reported as
     not-applicable and residual optimality is still re-verified directly.
+    Raises InfeasibleStartError when no policy is feasible at x.
     """
     start_label = mdp.initial_state if x is None else x
-    base = solve(mdp, start_label)
+    table = PolicyTable(mdp, chains.reachable_states(mdp, None, start_label))
+    base = table.solve(start_label)
     if base.status != "optimal":
-        raise ValueError(f"no feasible policy from {start_label!r}; nothing to audit")
+        raise InfeasibleStartError(start_label, base)
     policy = base.policy
     assert policy is not None and base.value is not None
+    row = table.row_of(policy)
+
+    def w_at(s: int) -> tuple[Fraction, ...]:
+        return row.W[table.column(mdp.states[s])]
 
     cert = find_certificate(mdp, start_label, policy)
     cert_found = isinstance(cert, Certificate)
 
     chain = induced_chain(mdp, policy)
     start = mdp.state_index(start_label)
+    sweep = chains.forward_distributions(chain, start, mdp.num_states)
+    seen: set[int] = set()
     entries: list[AuditEntry] = []
-    for t, s in _reachable_times(mdp, chain, start, all_times):
-        y = mdp.states[s]
-        spec = residual_slack(mdp, policy, start_label, y, t)
+    for t, distribution in enumerate(sweep):
+        for s in sorted(distribution):
+            if s in seen and not all_times:
+                continue
+            seen.add(s)
+            y = mdp.states[s]
+            slack = _slack(distribution, s, w_at, mdp.constraint_dim)
 
-        here = evaluate(mdp, policy, y)
-        feasible_here = all(w >= 0 for w in here.W)
-        unmodified = solve(mdp, y)
-        consistent = unmodified.status != "optimal" or (
-            feasible_here and unmodified.value == here.V
-        )
-
-        residual_mdp = build_residual_problem(mdp, spec)
-        residual = solve(residual_mdp, y)
-        shifted = evaluate(residual_mdp, policy, y)
-        feasible_residual = all(w >= 0 for w in shifted.W)
-        optimal_residual = (
-            feasible_residual
-            and residual.status == "optimal"
-            and residual.value == shifted.V
-        )
-
-        if cert_found:
-            predicted = cert.gain - sum(
-                (m * c for m, c in zip(cert.mu, spec.slack)), ZERO
+            value_here = row.V[table.column(y)]
+            feasible_here = all(w >= 0 for w in w_at(s))
+            unmodified = table.solve(y)
+            consistent = unmodified.status != "optimal" or (
+                feasible_here and unmodified.value == value_here
             )
-            identity = "verified" if here.V == predicted else "failed"
-        else:
-            identity = "not-applicable-no-certificate"
 
-        entries.append(AuditEntry(
-            state=y,
-            time=t,
-            prob=spec.prob_to,
-            slack=spec.slack,
-            policy_value_here=here.V,
-            policy_feasible_here=feasible_here,
-            unmodified_status=unmodified.status,
-            unmodified_value=unmodified.value,
-            unmodified_policy=unmodified.policy,
-            consistent=consistent,
-            residual_status=residual.status,
-            residual_value=residual.value,
-            residual_policy=residual.policy,
-            policy_feasible_residual=feasible_residual,
-            policy_optimal_residual=optimal_residual,
-            identity=identity,
-        ))
+            residual = table.solve(y, slack)
+            feasible_residual = all(w >= c for w, c in zip(w_at(s), slack))
+            optimal_residual = (
+                feasible_residual
+                and residual.status == "optimal"
+                and residual.value == value_here
+            )
+
+            if cert_found:
+                predicted = cert.gain - sum(
+                    (m * c for m, c in zip(cert.mu, slack)), ZERO
+                )
+                identity = "verified" if value_here == predicted else "failed"
+            else:
+                identity = "not-applicable-no-certificate"
+
+            entries.append(AuditEntry(
+                state=y,
+                time=t,
+                prob=distribution[s],
+                slack=slack,
+                policy_value_here=value_here,
+                policy_feasible_here=feasible_here,
+                unmodified_status=unmodified.status,
+                unmodified_value=unmodified.value,
+                unmodified_policy=unmodified.policy,
+                consistent=consistent,
+                residual_status=residual.status,
+                residual_value=residual.value,
+                residual_policy=residual.policy,
+                policy_feasible_residual=feasible_residual,
+                policy_optimal_residual=optimal_residual,
+                identity=identity,
+            ))
 
     return ConsistencyAuditReport(
         start=start_label,

@@ -20,9 +20,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from cmdpkit import chains
-from cmdpkit.evaluation import _policy_analysis
-from cmdpkit.model import Mdp, Policy, Trajectory, induced_chain, validate_policy
-from cmdpkit.solver import enumerate_policies
+from cmdpkit.evaluation import analyse_policy
+from cmdpkit.model import Mdp, Policy, Trajectory, validate_policy
+from cmdpkit.solver import PolicyTable
 
 ZERO = Fraction(0)
 
@@ -48,9 +48,9 @@ def samplepath_feasible(mdp: Mdp, policy: Policy, x: str) -> SamplePathVerdict:
     model order) is returned as witness.
     """
     validate_policy(mdp, policy)
-    _, gains, absorption = _policy_analysis(mdp, policy)
-    row = absorption.row(mdp.state_index(x))
-    for prob, gain in zip(row, gains):
+    analysis = analyse_policy(mdp, policy)
+    row = analysis.absorption[mdp.state_index(x)]
+    for prob, gain in zip(row, analysis.class_gains):
         if prob > 0 and any(g < 0 for g in gain.constraint_gain):
             return SamplePathVerdict(
                 feasible=False,
@@ -60,27 +60,24 @@ def samplepath_feasible(mdp: Mdp, policy: Policy, x: str) -> SamplePathVerdict:
     return SamplePathVerdict(feasible=True, witness_class=None, witness_gain=None)
 
 
-def trans_policy_decomposition(mdp: Mdp) -> chains.ChainDecomposition:
+def trans_policy_decomposition(
+    mdp: Mdp, table: PolicyTable | None = None
+) -> chains.ChainDecomposition:
     """Shared class structure, or NotDecomposableError naming offenders.
 
     The union support graph over all actions must have the same closed-class
     partition (and the same transient set) as every single-policy chain.
+    ``table`` (any start states) saves the enumeration when the caller
+    already has one.
     """
-    union_adjacency = []
-    for i in range(mdp.num_states):
-        targets: set[int] = set()
-        for row in mdp.kernel[i]:
-            targets.update(j for j, p in enumerate(row) if p > 0)
-        union_adjacency.append(tuple(sorted(targets)))
-    union = chains.closed_classes(tuple(union_adjacency))
-
+    union = chains.closed_classes(chains.union_adjacency(mdp))
+    if table is None:
+        table = PolicyTable(mdp, ())
     expected = set(union.recurrent_classes)
-    for policy in enumerate_policies(mdp):
-        got = chains.decompose(induced_chain(mdp, policy))
-        if set(got.recurrent_classes) != expected:
-            differing = sorted(
-                set().union(*(set(expected) ^ set(got.recurrent_classes)))
-            )
+    for row in table.rows:
+        got = set(row.classes)
+        if got != expected:
+            differing = sorted(set().union(*(expected ^ got)))
             offenders = [mdp.states[s] for s in differing]
             raise NotDecomposableError(
                 "recurrent-class structure varies with the policy; "
@@ -111,7 +108,7 @@ def _converted_constraints(
     return tuple(out)
 
 
-def convert_to_expected(mdp: Mdp, x: str) -> Mdp:
+def convert_to_expected(mdp: Mdp, x: str, table: PolicyTable | None = None) -> Mdp:
     """Equivalent expected-constraint model with one block per subchain.
 
     Component (i, j) of the new constraint at (s, a) is c_j(s, a) when s
@@ -119,7 +116,7 @@ def convert_to_expected(mdp: Mdp, x: str) -> Mdp:
     Kernel, rewards and hence all objective values are unchanged.
     """
     mdp.state_index(x)
-    classes = trans_policy_decomposition(mdp).recurrent_classes
+    classes = trans_policy_decomposition(mdp, table).recurrent_classes
     return replace(
         mdp,
         constraints=_converted_constraints(mdp, classes),
@@ -145,19 +142,23 @@ class ClassControllability:
     classes: tuple[ClassControl, ...]
 
 
-def controllable_classes(mdp: Mdp, x: str) -> ClassControllability:
+def controllable_classes(
+    mdp: Mdp, x: str, table: PolicyTable | None = None
+) -> ClassControllability:
     """Min and max absorption probability from x per class, over all policies.
 
     A class is controllable when the range is nondegenerate, i.e. some
-    decision influences whether the process enters it.
+    decision influences whether the process enters it. ``table`` must have
+    x among its start states.
     """
-    start = mdp.state_index(x)
-    classes = trans_policy_decomposition(mdp).recurrent_classes
+    if table is None:
+        table = PolicyTable(mdp, (x,))
+    classes = trans_policy_decomposition(mdp, table).recurrent_classes
+    k = table.column(x)
     lo: list[Fraction | None] = [None] * len(classes)
     hi: list[Fraction | None] = [None] * len(classes)
-    for policy in enumerate_policies(mdp):
-        row = chains.absorption_probabilities(induced_chain(mdp, policy), start)
-        for c, p in enumerate(row):
+    for row in table.rows:
+        for c, p in enumerate(row.absorption[k]):
             if lo[c] is None or p < lo[c]:
                 lo[c] = p
             if hi[c] is None or p > hi[c]:
@@ -172,13 +173,16 @@ def controllable_classes(mdp: Mdp, x: str) -> ClassControllability:
     ))
 
 
-def selective_convert(mdp: Mdp, x: str) -> Mdp:
+def selective_convert(mdp: Mdp, x: str, table: PolicyTable | None = None) -> Mdp:
     """Per-subchain conversion restricted to controllable classes.
 
     With no controllable class the result is unconstrained (dimension 0).
+    ``table`` must have x among its start states.
     """
-    classes = trans_policy_decomposition(mdp).recurrent_classes
-    control = controllable_classes(mdp, x)
+    if table is None:
+        table = PolicyTable(mdp, (x,))
+    classes = trans_policy_decomposition(mdp, table).recurrent_classes
+    control = controllable_classes(mdp, x, table)
     kept = tuple(
         cls for cls, ctl in zip(classes, control.classes) if ctl.controllable
     )
@@ -231,13 +235,35 @@ def simulate(
     deterministic transitions consume no randomness. Identical seeds
     therefore reproduce identical trajectories on every platform.
     """
+    path, report = _walk(mdp, policy, x, steps, seed, record=True)
+    trajectory = Trajectory(
+        states=tuple(mdp.states[i] for i in path), horizon=steps, seed=seed
+    )
+    return trajectory, report
+
+
+def simulation_report(
+    mdp: Mdp, policy: Policy, x: str, steps: int, seed: int
+) -> SimulationReport:
+    """The report of ``simulate`` for the same arguments, without the path.
+
+    Visits are counted during the walk, so memory does not grow with steps.
+    """
+    return _walk(mdp, policy, x, steps, seed, record=False)[1]
+
+
+def _walk(
+    mdp: Mdp, policy: Policy, x: str, steps: int, seed: int, record: bool
+) -> tuple[list[int] | None, SimulationReport]:
+    """The walk behind ``simulate``; the state path is kept only if ``record``."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
     validate_policy(mdp, policy)
-    chain = induced_chain(mdp, policy)
+    state = start = mdp.state_index(x)
+    analysis = analyse_policy(mdp, policy)
 
     samplers: list[tuple[tuple[int, ...], list[int]]] = []
-    for row in chain:
+    for row in analysis.chain:
         targets = tuple(j for j, p in enumerate(row) if p > 0)
         cumulative = ZERO
         thresholds = []
@@ -247,21 +273,20 @@ def simulate(
         samplers.append((targets, thresholds))
 
     rng = random.Random(seed)
-    state = mdp.state_index(x)
     counts = [0] * mdp.num_states
-    path = []
-    for _ in range(steps):
-        path.append(state)
+    path: list[int] | None = [] if record else None
+    for _ in range(steps - 1):
+        if record:
+            path.append(state)
         counts[state] += 1
         targets, thresholds = samplers[state]
         if len(targets) == 1:
             state = targets[0]
         else:
             state = targets[bisect_right(thresholds, rng.getrandbits(_SCALE_BITS))]
-
-    trajectory = Trajectory(
-        states=tuple(mdp.states[i] for i in path), horizon=steps, seed=seed
-    )
+    if record:
+        path.append(state)
+    counts[state] += 1
 
     total_r = ZERO
     total_c = [ZERO] * mdp.constraint_dim
@@ -273,21 +298,15 @@ def simulate(
         for k in range(mdp.constraint_dim):
             total_c[k] += count * mdp.constraints[i][j][k]
 
-    _, gains, absorption = _policy_analysis(mdp, policy)
-    decomposition = chains.decompose(chain)
-    last = path[-1]
-    absorbed = next(
-        (c for c, cls in enumerate(decomposition.recurrent_classes) if last in cls),
-        None,
-    )
+    classes = analysis.decomposition.recurrent_classes
+    absorbed = next((c for c, cls in enumerate(classes) if state in cls), None)
     if absorbed is None:
         absorbed_class = stationary = reward_gain = constraint_gain = None
     else:
-        cls = decomposition.recurrent_classes[absorbed]
-        absorbed_class = tuple(mdp.states[s] for s in cls)
-        stationary = chains.stationary_distribution(chain, cls)
-        reward_gain = gains[absorbed].reward_gain
-        constraint_gain = gains[absorbed].constraint_gain
+        absorbed_class = tuple(mdp.states[s] for s in classes[absorbed])
+        stationary = analysis.stationary[absorbed]
+        reward_gain = analysis.class_gains[absorbed].reward_gain
+        constraint_gain = analysis.class_gains[absorbed].constraint_gain
 
     report = SimulationReport(
         seed=seed,
@@ -301,6 +320,6 @@ def simulate(
         absorbed_stationary=stationary,
         absorbed_reward_gain=reward_gain,
         absorbed_constraint_gain=constraint_gain,
-        analytic_absorption=absorption.row(mdp.state_index(x)),
+        analytic_absorption=analysis.absorption[start],
     )
-    return trajectory, report
+    return path, report

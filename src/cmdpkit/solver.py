@@ -4,6 +4,12 @@ maximize V(x) over deterministic stationary policies subject to W(x) >= 0
 componentwise. Enumeration order is lexicographic in (state index, action
 index) and ties are broken by that order, so every downstream audit is
 reproducible.
+
+A question that needs several solves (the audit, the residual report, the
+subchain conversion) builds one ``PolicyTable``: a single pass over the
+policies that analyses each one once and keeps V, W and the absorption row
+at every start state the question needs. Each solve is then a filter over
+the table.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from cmdpkit.evaluation import evaluate
+from cmdpkit.evaluation import analyse_policy
 from cmdpkit.model import Mdp, Policy
 
 ENUM_CAP_ENV = "CMDPKIT_ENUM_CAP"
@@ -56,8 +62,13 @@ def enumerate_policies(mdp: Mdp) -> Iterator[Policy]:
             f"{total} policies exceed the cap of {cap}; "
             f"raise {ENUM_CAP_ENV} to proceed"
         )
-    for combo in itertools.product(*mdp.actions):
-        yield Policy(choice=tuple(zip(mdp.states, combo)))
+    # Policies share their (state, action) pairs, so a table of them stays small.
+    options = [
+        tuple((state, action) for action in actions)
+        for state, actions in zip(mdp.states, mdp.actions)
+    ]
+    for choice in itertools.product(*options):
+        yield Policy(choice=choice)
 
 
 @dataclass(frozen=True)
@@ -72,6 +83,92 @@ class SolveResult:
     total_count: int
 
 
+@dataclass(frozen=True)
+class TableRow:
+    """One policy with its values at each start state of its table.
+
+    ``V[k]``, ``W[k]`` and ``absorption[k]`` belong to ``PolicyTable.states[k]``;
+    ``classes`` are the policy's recurrent classes (state indices, in
+    ``chains.decompose`` order).
+    """
+
+    policy: Policy
+    classes: tuple[tuple[int, ...], ...]
+    V: tuple[Fraction, ...]
+    W: tuple[tuple[Fraction, ...], ...]
+    absorption: tuple[tuple[Fraction, ...], ...]
+
+
+class PolicyTable:
+    """Every policy of a model, analysed once, with V and W at given states.
+
+    Rows are in ``enumerate_policies`` order (same cap check), so filters
+    that keep the first best row keep the solver's lexicographic
+    tie-break. Memory grows with policies times states.
+    """
+
+    def __init__(self, mdp: Mdp, states: tuple[str, ...]):
+        self.states = tuple(states)
+        self._column = {state: k for k, state in enumerate(self.states)}
+        indices = [mdp.state_index(state) for state in self.states]
+        rows = []
+        for policy in enumerate_policies(mdp):
+            analysis = analyse_policy(mdp, policy)
+            values = [analysis.values_at(i) for i in indices]
+            rows.append(TableRow(
+                policy=policy,
+                classes=analysis.decomposition.recurrent_classes,
+                V=tuple(v for v, _ in values),
+                W=tuple(w for _, w in values),
+                absorption=tuple(analysis.absorption[i] for i in indices),
+            ))
+        self.rows = tuple(rows)
+
+    def column(self, state: str) -> int:
+        """Position of a start state in the rows' V, W and absorption."""
+        try:
+            return self._column[state]
+        except KeyError:
+            raise KeyError(f"state {state!r} is not a start state of this table") from None
+
+    def row_of(self, policy: Policy) -> TableRow:
+        """The row of a policy this table handed out (looked up by identity)."""
+        return next(row for row in self.rows if row.policy is policy)
+
+    def solve(
+        self, x: str, slack: tuple[Fraction, ...] | None = None
+    ) -> SolveResult:
+        """``solve(mdp, x)``, or with every constraint shifted by -slack.
+
+        A uniform shift moves every W by exactly -slack, because stationary
+        vectors and absorption rows each sum to 1, and leaves V alone; so
+        the shifted problem needs no model of its own.
+        """
+        k = self.column(x)
+        best: TableRow | None = None
+        best_w: tuple[Fraction, ...] | None = None
+        feasible = 0
+        for row in self.rows:
+            w = row.W[k]
+            if slack is not None:
+                w = tuple(c - d for c, d in zip(w, slack))
+            if any(c < 0 for c in w):
+                continue
+            feasible += 1
+            if best is None or row.V[k] > best.V[k]:
+                best, best_w = row, w
+        if best is None:
+            return SolveResult(
+                status="infeasible", policy=None, value=None, W_at_optimum=None,
+                feasible_count=0, total_count=len(self.rows),
+            )
+        return SolveResult(
+            status="optimal", policy=best.policy, value=best.V[k],
+            W_at_optimum=best_w, feasible_count=feasible,
+            total_count=len(self.rows),
+        )
+
+
 def solve(mdp: Mdp, x: str | None = None) -> SolveResult:
     """Best feasible policy from x (default: the model's initial state).
 
@@ -80,25 +177,4 @@ def solve(mdp: Mdp, x: str | None = None) -> SolveResult:
     status, not an error.
     """
     start = mdp.initial_state if x is None else x
-    best: Policy | None = None
-    best_value: Fraction | None = None
-    best_w: tuple[Fraction, ...] | None = None
-    feasible = 0
-    total = 0
-    for policy in enumerate_policies(mdp):
-        total += 1
-        report = evaluate(mdp, policy, start)
-        if any(w < 0 for w in report.W):
-            continue
-        feasible += 1
-        if best_value is None or report.V > best_value:
-            best, best_value, best_w = policy, report.V, report.W
-    if best is None:
-        return SolveResult(
-            status="infeasible", policy=None, value=None, W_at_optimum=None,
-            feasible_count=0, total_count=total,
-        )
-    return SolveResult(
-        status="optimal", policy=best, value=best_value, W_at_optimum=best_w,
-        feasible_count=feasible, total_count=total,
-    )
+    return PolicyTable(mdp, (start,)).solve(start)

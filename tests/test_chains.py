@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,9 @@ from cmdpkit.chains import (
     MAX_TIME,
     TimeLimitError,
     absorption_map,
-    absorption_probabilities,
     decompose,
+    forward_distributions,
+    max_denominator_bits,
     reachable_states,
     state_distribution_at,
     stationary_distribution,
@@ -77,19 +79,19 @@ def test_stationary_rejects_open_or_disconnected_classes():
 
 def test_absorption_haviv_from_x(haviv, haviv_a):
     chain = induced_chain(haviv, haviv_a)
-    row = absorption_probabilities(chain, haviv.state_index("x"))
+    row = absorption_map(chain)[haviv.state_index("x")]
     assert row == (Fraction(1, 2), Fraction(1, 2), Fraction(0))
 
 
 def test_absorption_inside_a_class_is_unit(haviv, haviv_a):
     chain = induced_chain(haviv, haviv_a)
-    row = absorption_probabilities(chain, haviv.state_index("c2_7"))
+    row = absorption_map(chain)[haviv.state_index("c2_7")]
     assert row == (0, 1, 0)
 
 
 def test_absorption_from_y_under_b(haviv, haviv_b):
     chain = induced_chain(haviv, haviv_b)
-    row = absorption_probabilities(chain, haviv.state_index("y"))
+    row = absorption_map(chain)[haviv.state_index("y")]
     assert row == (0, 0, 1)
 
 
@@ -164,8 +166,7 @@ def test_decomposition_partitions_states(chain):
 @settings(max_examples=60, deadline=None)
 @given(stochastic_matrices())
 def test_absorption_rows_sum_to_one(chain):
-    amap = absorption_map(chain)
-    for row in amap.probs:
+    for row in absorption_map(chain):
         assert sum(row, Fraction(0)) == 1
         assert all(p >= 0 for p in row)
 
@@ -197,6 +198,32 @@ def test_chapman_kolmogorov(chain, s, t):
             for j in range(len(chain)):
                 composed[j] += mass * step[j]
     assert tuple(composed) == left
+
+
+def test_forward_sweep_matches_single_times():
+    rng = random.Random(17)
+    for _ in range(10):
+        mdp = random_mdp(rng, max_states=6)
+        chain = induced_chain(mdp, random_policy(rng, mdp))
+        sweep = list(forward_distributions(chain, 0, 8))
+        assert len(sweep) == 9
+        for t, current in enumerate(sweep):
+            dense = state_distribution_at(chain, 0, t)
+            assert current == {s: p for s, p in enumerate(dense) if p}
+
+
+def test_size_bound_follows_the_int_string_limit():
+    limit = sys.get_int_max_str_digits()
+    assert max_denominator_bits() == (limit or sys.int_info.default_max_str_digits)
+    # time-t denominators: 3 for `chain`, 3**t for `mixing`
+    chain = matrix([["1/3", "2/3"], ["1/3", "2/3"]])
+    mixing = matrix([["1/3", "2/3"], ["2/3", "1/3"]])
+    assert state_distribution_at(chain, 0, 5000) == (Fraction(1, 3), Fraction(2, 3))
+    with pytest.raises(TimeLimitError, match=f"above {max_denominator_bits()} bits"):
+        state_distribution_at(mixing, 0, 5000)
+    last = max_denominator_bits() * 100 // 159  # 3**last stays within the bound
+    for p in state_distribution_at(mixing, 0, last):
+        assert str(p)
 
 
 def test_reachability_saturates_at_state_count():

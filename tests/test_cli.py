@@ -1,8 +1,13 @@
 import json
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
+from cmdpkit.chains import max_denominator_bits
 from cmdpkit.cli import run
+from cmdpkit.model import Mdp, instance_to_json
+from randmdp import random_row
 
 
 def invoke(*argv):
@@ -86,6 +91,39 @@ def test_residual_time_above_limit_is_input_error(instances_dir):
         assert out.exit_code == 2
         assert out.report == ""
         assert "exceeds the limit of 10000 steps" in out.error
+
+
+def lazy_full_support_chain(rng, size):
+    """One-action model whose rows, mixed with self-loops, reach every state."""
+    rows = []
+    for i in range(size):
+        alpha = Fraction(rng.randint(1, 9), 10)
+        row = random_row(rng, size, full=True)
+        rows.append(tuple(
+            (1 - alpha) * p + (alpha if j == i else 0) for j, p in enumerate(row)
+        ))
+    return Mdp(
+        states=tuple(f"s{i}" for i in range(size)),
+        actions=(("a",),) * size,
+        kernel=tuple((row,) for row in rows),
+        rewards=((Fraction(0),),) * size,
+        constraints=(((),),) * size,
+        constraint_dim=0,
+        initial_state="s0",
+    )
+
+
+def test_residual_time_with_oversized_numbers_is_input_error(tmp_path):
+    # Every denominator grows with t on this chain; the size bound stops the
+    # sweep long before t = 2000 and before any number is printed.
+    path = tmp_path / "lazy.json"
+    path.write_text(instance_to_json(lazy_full_support_chain(random.Random(3), 6)))
+    out = invoke("residual", str(path), "--to", "s1", "--time", "2000")
+    assert out.exit_code == 2
+    assert out.report == ""
+    assert f"has a denominator above {max_denominator_bits()} bits" in out.error
+    shallow = invoke("residual", str(path), "--to", "s1", "--time", "20")
+    assert shallow.exit_code == 0
 
 
 def test_evaluate_policy_b(instances_dir):

@@ -70,7 +70,7 @@ def test_stationary_and_absorption_equal_dense(drawn):
         pi = stationary_distribution(chain, cls)
         assert pi == dense_oracle.stationary_distribution(chain, cls)
         assert all_fractions(pi)
-    probs = absorption_map(chain).probs
+    probs = absorption_map(chain)
     assert probs == dense_oracle.absorption_probs(chain)
     assert all(all_fractions(row) for row in probs)
 

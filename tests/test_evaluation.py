@@ -6,8 +6,8 @@ import pytest
 
 from cmdpkit.chains import state_distribution_at
 from cmdpkit.evaluation import (
+    analyse_policy,
     class_gain,
-    class_gain_vector,
     evaluate,
     finite_horizon_averages,
 )
@@ -34,8 +34,11 @@ def test_class_gain_rewards(haviv, haviv_a):
 
 def test_class_gain_constraint_on_first_chain(haviv, haviv_a):
     chain, cls = chain_and_class(haviv, haviv_a, "c1_")
-    values = [haviv.constraints[i][0] for i in range(haviv.num_states)]
-    assert class_gain_vector(chain, cls, values) == (F(-3, 40),)
+    values = [haviv.constraints[i][0][0] for i in range(haviv.num_states)]
+    assert class_gain(chain, cls, values) == F(-3, 40)
+    analysis = analyse_policy(haviv, haviv_a)
+    c = analysis.decomposition.recurrent_classes.index(cls)
+    assert analysis.class_gains[c].constraint_gain == (F(-3, 40),)
 
 
 def test_class_gain_of_zero_function(haviv, haviv_a):

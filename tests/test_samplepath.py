@@ -2,11 +2,12 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from cmdpkit.chains import absorption_probabilities
+from cmdpkit.chains import absorption_map
 from cmdpkit.evaluation import evaluate
 from cmdpkit.model import Policy, induced_chain, parse_instance
 from cmdpkit.residual import audit_time_consistency
@@ -17,10 +18,11 @@ from cmdpkit.samplepath import (
     samplepath_feasible,
     selective_convert,
     simulate,
+    simulation_report,
     trans_policy_decomposition,
 )
 from cmdpkit.solver import solve
-from randmdp import random_decomposable, random_policy
+from randmdp import random_decomposable, random_mdp, random_policy
 
 F = Fraction
 
@@ -300,9 +302,9 @@ def test_simulate_absorption_fractions_match_analytic(haviv, haviv_a):
         _, report = simulate(haviv, haviv_a, "x", 200, seed)
         if "c1_0" in report.absorbed_class:
             into_first += 1
-    expected = absorption_probabilities(
-        induced_chain(haviv, haviv_a), haviv.state_index("x")
-    )[0]
+    expected = absorption_map(induced_chain(haviv, haviv_a))[
+        haviv.state_index("x")
+    ][0]
     tolerance = 4 * math.sqrt(float(expected) * (1 - float(expected)) / 20)
     assert abs(into_first / 20 - float(expected)) <= tolerance
 
@@ -319,3 +321,34 @@ def test_simulate_empirical_averages_are_exact_rationals(haviv, haviv_a):
 def test_simulate_rejects_zero_steps(haviv, haviv_a):
     with pytest.raises(ValueError):
         simulate(haviv, haviv_a, "x", 0, 1)
+
+
+def test_simulation_report_equals_simulate_report():
+    rng = random.Random(4242)
+    for _ in range(20):
+        mdp = random_mdp(rng, max_states=6)
+        policy = random_policy(rng, mdp)
+        steps = rng.randint(1, 300)
+        seed = rng.randint(0, 10**6)
+        trajectory, report = simulate(mdp, policy, "s0", steps, seed)
+        assert simulation_report(mdp, policy, "s0", steps, seed) == report
+        assert len(trajectory.states) == steps
+        assert report.visit_counts == tuple(
+            trajectory.states.count(state) for state in mdp.states
+        )
+
+
+def peak_traced_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulation_report_memory_does_not_grow_with_steps(haviv, haviv_a):
+    short = peak_traced_bytes(lambda: simulation_report(haviv, haviv_a, "x", 10_000, 3))
+    long = peak_traced_bytes(lambda: simulation_report(haviv, haviv_a, "x", 200_000, 3))
+    # a recorded path alone would add at least 8 bytes per step, 1.5 MB here
+    assert long - short < 64 * 1024
