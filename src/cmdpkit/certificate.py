@@ -39,6 +39,10 @@ class MissingPotentialError(KeyError):
     """The supplied potential lacks a value at a state the check needs."""
 
 
+class CertificateSearchError(RuntimeError):
+    """Internal failure: a certificate the search found fails its own check."""
+
+
 @dataclass(frozen=True)
 class Certificate:
     """Witness (mu, gain, potential) for conditions A1-A5.
@@ -233,7 +237,8 @@ def find_certificate(
     Returns CertificateUnsat when the program has no witness: either the
     policy is infeasible at x, or the classes it reaches would need
     distinct Lagrangian gains, or the closure-wide Bellman feasibility
-    program has no solution.
+    program has no solution. Raises CertificateSearchError if a found
+    certificate fails the check, which only a defect in the search can cause.
     """
     validate_policy(mdp, policy)
     analysis = analyse_policy(mdp, policy)
@@ -326,7 +331,7 @@ def find_certificate(
 
     verification = _check(mdp, policy, cert, w, reachable)
     if verification.verdict != "pass":
-        raise AssertionError(
-            f"internal error: searched certificate fails {verification.first_failure}"
+        raise CertificateSearchError(
+            f"searched certificate fails {verification.first_failure}"
         )
     return cert

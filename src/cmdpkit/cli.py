@@ -4,7 +4,8 @@ Every subcommand reads an instance file, runs the corresponding module API
 and prints a single deterministic JSON document (sorted keys, rationals as
 "p/q"). Exit codes: 0 success / positive verdict, 1 declared negative
 result (infeasible, certificate UNSAT, failed check, time inconsistency,
-sample-path infeasible, non-decomposable), 2 usage or input error.
+sample-path infeasible, non-decomposable), 2 usage or input error, 3
+internal error (a found certificate fails its own check).
 Identical inputs, including the seed, produce byte-identical reports.
 """
 
@@ -20,7 +21,12 @@ from pathlib import Path
 from cmdpkit import certificate as certificate_mod
 from cmdpkit import residual as residual_mod
 from cmdpkit import samplepath as samplepath_mod
-from cmdpkit.certificate import Certificate, CertificateUnsat, MissingPotentialError
+from cmdpkit.certificate import (
+    Certificate,
+    CertificateSearchError,
+    CertificateUnsat,
+    MissingPotentialError,
+)
 from cmdpkit.chains import MAX_TIME, TimeLimitError, reachable_states
 from cmdpkit.evaluation import evaluate
 from cmdpkit.model import (
@@ -475,6 +481,8 @@ def run(argv: list[str]) -> CommandOutcome:
     ) as exc:
         message = exc.args[0] if exc.args else str(exc)
         return CommandOutcome(2, "", f"cmdpkit: error: {message}\n")
+    except CertificateSearchError as exc:
+        return CommandOutcome(3, "", f"cmdpkit: internal error: {exc}\n")
 
 
 def main() -> None:

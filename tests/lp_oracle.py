@@ -1,0 +1,133 @@
+"""Rational phase-1 simplex: the reference for ``cmdpkit.lp``.
+
+This is the simplex the package used before its tableau became
+integer-preserving. It keeps every tableau entry as a ``Fraction``,
+normalizes the pivot row and updates the reduced costs by subtracting
+rows, so it shares no arithmetic with the code under test. Property tests
+require the two to return the same point, or both ``None``.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from cmdpkit.lp import EQ, LE, LinearConstraint
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+def find_feasible_point(
+    num_vars: int,
+    constraints: list[LinearConstraint],
+    nonnegative: frozenset[int] | set[int],
+) -> list[Fraction] | None:
+    """A point satisfying all constraints, or None when the system is infeasible."""
+    nonneg = frozenset(nonnegative)
+    if not nonneg.issubset(range(num_vars)):
+        raise ValueError("nonnegative indices out of range")
+
+    # Column layout: nonnegative vars get one column, free vars a +/- pair.
+    col_of: list[tuple[int, ...]] = []
+    n_struct = 0
+    for i in range(num_vars):
+        if i in nonneg:
+            col_of.append((n_struct,))
+            n_struct += 1
+        else:
+            col_of.append((n_struct, n_struct + 1))
+            n_struct += 2
+
+    rows: list[list[Fraction]] = []
+    rhs: list[Fraction] = []
+    senses: list[str] = []
+    for constraint in constraints:
+        row = [ZERO] * n_struct
+        for i, coeff in constraint.coeffs:
+            cols = col_of[i]
+            row[cols[0]] += coeff
+            if len(cols) == 2:
+                row[cols[1]] -= coeff
+        rows.append(row)
+        rhs.append(constraint.rhs)
+        senses.append(constraint.sense)
+
+    # Slack / surplus columns, then sign-normalize so every rhs is >= 0.
+    n_slack = sum(1 for s in senses if s != EQ)
+    slack_base = n_struct
+    k = 0
+    for r, sense in enumerate(senses):
+        rows[r].extend([ZERO] * n_slack)
+        if sense != EQ:
+            rows[r][slack_base + k] = ONE if sense == LE else -ONE
+            k += 1
+    for r in range(len(rows)):
+        if rhs[r] < 0:
+            rows[r] = [-x for x in rows[r]]
+            rhs[r] = -rhs[r]
+
+    m = len(rows)
+    n_total = n_struct + n_slack + m
+    for r in range(m):
+        rows[r].extend(ONE if i == r else ZERO for i in range(m))
+    basis = [n_struct + n_slack + r for r in range(m)]
+    artificial_start = n_struct + n_slack
+
+    # Reduced-cost row for minimizing the sum of artificials.
+    red = [ZERO] * n_total
+    for j in range(artificial_start, n_total):
+        red[j] = ONE
+    for r in range(m):
+        red = [c - a for c, a in zip(red, rows[r])]
+
+    while True:
+        enter = next((j for j in range(n_total) if red[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        best_ratio = None
+        for r in range(m):
+            coeff = rows[r][enter]
+            if coeff > 0:
+                ratio = rhs[r] / coeff
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[r] < basis[leave])
+                ):
+                    best_ratio = ratio
+                    leave = r
+        if leave is None:
+            # Phase-1 objective is bounded below by zero, so this is unreachable
+            # for well-formed input; guard against it anyway.
+            raise ArithmeticError("phase-1 simplex detected an unbounded direction")
+        pivot = rows[leave][enter]
+        rows[leave] = [x / pivot for x in rows[leave]]
+        rhs[leave] = rhs[leave] / pivot
+        for r in range(m):
+            if r != leave and rows[r][enter] != 0:
+                factor = rows[r][enter]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[leave])]
+                rhs[r] = rhs[r] - factor * rhs[leave]
+        if red[enter] != 0:
+            factor = red[enter]
+            red = [x - factor * y for x, y in zip(red, rows[leave])]
+        basis[leave] = enter
+
+    artificial_mass = sum(
+        (rhs[r] for r in range(m) if basis[r] >= artificial_start), ZERO
+    )
+    if artificial_mass != 0:
+        return None
+
+    column_values = [ZERO] * n_total
+    for r, b in enumerate(basis):
+        column_values[b] = rhs[r]
+    point = []
+    for i in range(num_vars):
+        cols = col_of[i]
+        if len(cols) == 1:
+            point.append(column_values[cols[0]])
+        else:
+            point.append(column_values[cols[0]] - column_values[cols[1]])
+    return point

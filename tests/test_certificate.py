@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from cmdpkit import lp
 from cmdpkit.certificate import (
     Certificate,
+    CertificateSearchError,
     CertificateUnsat,
     MissingPotentialError,
     check_certificate,
@@ -78,6 +80,18 @@ def test_find_certificate_twochain(twochain, twochain_policy):
     report = check_certificate(twochain, "x", twochain_policy, cert)
     assert report.verdict == "pass"
     assert cert.gain == solve(twochain, "x").value
+
+
+def zero_point(num_vars, constraints, nonnegative):
+    return [F(0)] * num_vars
+
+
+def test_failing_found_certificate_raises_search_error(
+    twochain, twochain_policy, monkeypatch
+):
+    monkeypatch.setattr(lp, "find_feasible_point", zero_point)
+    with pytest.raises(CertificateSearchError, match="fails A4"):
+        find_certificate(twochain, "x", twochain_policy)
 
 
 def test_potential_shift_invariance(twochain, twochain_policy):

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+from cmdpkit import lp
 from cmdpkit.chains import max_denominator_bits
 from cmdpkit.cli import run
 from cmdpkit.model import Mdp, instance_to_json
@@ -165,6 +166,19 @@ def test_certify_search_haviv_unsat(instances_dir):
     assert doc["status"] == "unsat"
     assert doc["stage"] == "class-gains"
     assert doc["conflict"] == [0, 1]
+
+
+def test_failing_found_certificate_is_internal_error(instances_dir, monkeypatch):
+    def zero_point(num_vars, constraints, nonnegative):
+        return [Fraction(0)] * num_vars
+
+    monkeypatch.setattr(lp, "find_feasible_point", zero_point)
+    twochain = str(instances_dir / "twochain.json")
+    for argv in (["certify", twochain, "--policy", "", "--search"], ["audit", twochain]):
+        out = invoke(*argv)
+        assert out.exit_code == 3
+        assert out.report == ""
+        assert out.error == "cmdpkit: internal error: searched certificate fails A4\n"
 
 
 def test_certify_check_mode(tmp_path, instances_dir):

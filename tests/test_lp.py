@@ -117,3 +117,6 @@ def test_rejects_bad_sense_and_indices():
         LinearConstraint.of({0: F(1)}, "!=", F(0))
     with pytest.raises(ValueError):
         find_feasible_point(1, [], {3})
+    for index in (-1, 2, 5):
+        with pytest.raises(ValueError, match="out of range"):
+            find_feasible_point(2, [LinearConstraint.of({index: F(1)}, EQ, F(3))], set())
