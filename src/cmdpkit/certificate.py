@@ -28,11 +28,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from cmdpkit import chains, lp
-from cmdpkit.evaluation import PolicyAnalysis, analyse_policy, evaluate
+from cmdpkit.evaluation import ClassGain, analyse_policy, evaluate
 from cmdpkit.model import Mdp, Policy, validate_policy
 from cmdpkit.solver import EnumerationCapExceeded
 
 ZERO = Fraction(0)
+
+# Largest all-policies closure the search builds a Bellman program over.
+CLOSURE_CAP = 10_000
 
 
 class MissingPotentialError(KeyError):
@@ -76,15 +79,6 @@ class CertificateReport:
 
 
 @dataclass(frozen=True)
-class ClassGainEquation:
-    """Necessary per-class condition: gain = reward_gain + mu . constraint_gain."""
-
-    states: tuple[str, ...]
-    reward_gain: Fraction
-    constraint_gain: tuple[Fraction, ...]
-
-
-@dataclass(frozen=True)
 class CertificateUnsat:
     """Negative search outcome with the evidence that rules a certificate out.
 
@@ -92,12 +86,15 @@ class CertificateUnsat:
     per-class Lagrangian gain equations admit no nonnegative multiplier
     (``conflict`` then names the first contradictory pair of classes), and
     "bellman" when only the full linear program is infeasible.
+    ``class_equations`` holds the gains of the classes reachable from the
+    start; a certificate needs gain = reward_gain + mu . constraint_gain
+    for each.
     """
 
     stage: str
     reason: str
     W: tuple[Fraction, ...]
-    class_equations: tuple[ClassGainEquation, ...]
+    class_equations: tuple[ClassGain, ...]
     conflict: tuple[int, int] | None
 
 
@@ -190,25 +187,8 @@ def _check(
     )
 
 
-def _class_equations(
-    analysis: PolicyAnalysis, start: int
-) -> tuple[ClassGainEquation, ...]:
-    """Gain equations of the recurrent classes reachable from a start index."""
-    row = analysis.absorption[start]
-    gains = analysis.class_gains
-    return tuple(
-        ClassGainEquation(
-            states=gain.states,
-            reward_gain=gain.reward_gain,
-            constraint_gain=gain.constraint_gain,
-        )
-        for prob, gain in zip(row, gains)
-        if prob > 0
-    )
-
-
 def _class_system_feasible(
-    equations: tuple[ClassGainEquation, ...], free_mu: list[int]
+    equations: tuple[ClassGain, ...], free_mu: list[int]
 ) -> bool:
     # Variables: mu components that A3 leaves free, then the shared gain.
     gain_var = len(free_mu)
@@ -230,7 +210,7 @@ def _class_system_feasible(
 
 
 def find_certificate(
-    mdp: Mdp, x: str, policy: Policy, closure_cap: int = 10_000
+    mdp: Mdp, x: str, policy: Policy
 ) -> Certificate | CertificateUnsat:
     """Search for a certificate; every returned one passes check_certificate.
 
@@ -244,7 +224,11 @@ def find_certificate(
     analysis = analyse_policy(mdp, policy)
     start = mdp.state_index(x)
     _, w = analysis.values_at(start)
-    equations = _class_equations(analysis, start)
+    equations = tuple(
+        gain
+        for prob, gain in zip(analysis.absorption[start], analysis.class_gains)
+        if prob > 0
+    )
     if any(c < 0 for c in w):
         return CertificateUnsat(
             stage="feasibility",
@@ -255,9 +239,9 @@ def find_certificate(
         )
 
     closure = chains.reachable_states(mdp, None, x)
-    if len(closure) > closure_cap:
+    if len(closure) > CLOSURE_CAP:
         raise EnumerationCapExceeded(
-            f"reachable closure has {len(closure)} states, cap is {closure_cap}"
+            f"reachable closure has {len(closure)} states, cap is {CLOSURE_CAP}"
         )
 
     free_mu = [i for i, c in enumerate(w) if c == 0]

@@ -157,7 +157,8 @@ def _build_parser() -> _Parser:
 
     p = cmd("simulate", help="seeded Monte Carlo trajectory")
     p.add_argument("--policy", required=True)
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=int, required=True,
+                   help=f"walk length (at most {samplepath_mod.MAX_STEPS})")
     p.add_argument("--seed", type=int, required=True)
 
     return parser
@@ -366,16 +367,15 @@ def _cmd_samplepath(args) -> CommandOutcome:
 
 def _cmd_decompose(args) -> CommandOutcome:
     mdp = load_instance(args.file)
-    table = PolicyTable(mdp, (mdp.initial_state,))
     try:
-        structure = samplepath_mod.trans_policy_decomposition(mdp, table)
-        control = samplepath_mod.controllable_classes(mdp, mdp.initial_state, table)
-        if args.selective:
-            converted = samplepath_mod.selective_convert(mdp, mdp.initial_state, table)
-        else:
-            converted = samplepath_mod.convert_to_expected(mdp, mdp.initial_state, table)
+        control = samplepath_mod.controllable_classes(mdp, mdp.initial_state)
     except samplepath_mod.NotDecomposableError as exc:
         return CommandOutcome(1, _render({"decomposable": False, "error": str(exc)}))
+    structure = control.structure
+    converted = samplepath_mod.convert_classes(
+        mdp,
+        control.controllable_members if args.selective else structure.recurrent_classes,
+    )
     doc = {
         "decomposable": True,
         "selective": args.selective,

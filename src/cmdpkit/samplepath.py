@@ -10,6 +10,10 @@ For models whose recurrent-class structure is the same under every policy
 expected constraints, one block per subchain; constraints are meaningfully
 imposable only on classes whose absorption probability the decision maker
 can influence, and the selective conversion keeps exactly those.
+
+Each question makes one pass of its own over the policies and keeps
+nothing per policy; ``convert_classes`` converts any choice of classes.
+``simulate`` walks at most ``MAX_STEPS`` steps.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ from fractions import Fraction
 
 from cmdpkit import chains
 from cmdpkit.evaluation import analyse_policy
-from cmdpkit.model import Mdp, Policy, Trajectory, validate_policy
-from cmdpkit.solver import PolicyTable
+from cmdpkit.model import Mdp, Policy, Trajectory, induced_chain, validate_policy
+from cmdpkit.solver import enumerate_policies
 
 ZERO = Fraction(0)
 
@@ -60,68 +64,62 @@ def samplepath_feasible(mdp: Mdp, policy: Policy, x: str) -> SamplePathVerdict:
     return SamplePathVerdict(feasible=True, witness_class=None, witness_gain=None)
 
 
-def trans_policy_decomposition(
-    mdp: Mdp, table: PolicyTable | None = None
-) -> chains.ChainDecomposition:
+def _require_shared(
+    mdp: Mdp, union: chains.ChainDecomposition, classes: tuple[tuple[int, ...], ...]
+) -> None:
+    """Raise NotDecomposableError unless a policy's classes are the union's."""
+    if classes != union.recurrent_classes:
+        differing = sorted(set().union(*(set(union.recurrent_classes) ^ set(classes))))
+        offenders = [mdp.states[s] for s in differing]
+        raise NotDecomposableError(
+            "recurrent-class structure varies with the policy; "
+            f"offending states: {offenders}"
+        )
+
+
+def trans_policy_decomposition(mdp: Mdp) -> chains.ChainDecomposition:
     """Shared class structure, or NotDecomposableError naming offenders.
 
     The union support graph over all actions must have the same closed-class
-    partition (and the same transient set) as every single-policy chain.
-    ``table`` (any start states) saves the enumeration when the caller
-    already has one.
+    partition (and the same transient set) as every single-policy chain;
+    the first policy (in enumeration order) that differs names the error.
+    Only each policy's chain is decomposed; nothing is solved.
     """
     union = chains.closed_classes(chains.union_adjacency(mdp))
-    if table is None:
-        table = PolicyTable(mdp, ())
-    expected = set(union.recurrent_classes)
-    for row in table.rows:
-        got = set(row.classes)
-        if got != expected:
-            differing = sorted(set().union(*(expected ^ got)))
-            offenders = [mdp.states[s] for s in differing]
-            raise NotDecomposableError(
-                "recurrent-class structure varies with the policy; "
-                f"offending states: {offenders}"
-            )
+    for policy in enumerate_policies(mdp):
+        _require_shared(
+            mdp, union, chains.decompose(induced_chain(mdp, policy)).recurrent_classes
+        )
     return union
 
 
-def _converted_constraints(
-    mdp: Mdp, classes: tuple[tuple[int, ...], ...]
-) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
-    class_of = {}
-    for c, cls in enumerate(classes):
-        for s in cls:
-            class_of[s] = c
-    n = mdp.constraint_dim
-    out = []
-    for i in range(mdp.num_states):
-        per_action = []
-        for cvec in mdp.constraints[i]:
-            vec = [ZERO] * (n * len(classes))
-            c = class_of.get(i)
-            if c is not None:
-                for j in range(n):
-                    vec[c * n + j] = cvec[j]
-            per_action.append(tuple(vec))
-        out.append(tuple(per_action))
-    return tuple(out)
-
-
-def convert_to_expected(mdp: Mdp, x: str, table: PolicyTable | None = None) -> Mdp:
-    """Equivalent expected-constraint model with one block per subchain.
+def convert_classes(mdp: Mdp, classes: tuple[tuple[int, ...], ...]) -> Mdp:
+    """Expected-constraint model with one constraint block per given class.
 
     Component (i, j) of the new constraint at (s, a) is c_j(s, a) when s
-    belongs to class i and zero otherwise (so zero at transient states).
-    Kernel, rewards and hence all objective values are unchanged.
+    belongs to ``classes[i]`` (state indices) and zero otherwise. Kernel,
+    rewards and hence all objective values are unchanged.
+    """
+    members = [set(cls) for cls in classes]
+    n = mdp.constraint_dim
+    constraints = tuple(
+        tuple(
+            tuple(cvec[j] if i in m else ZERO for m in members for j in range(n))
+            for cvec in per_action
+        )
+        for i, per_action in enumerate(mdp.constraints)
+    )
+    return replace(mdp, constraints=constraints, constraint_dim=n * len(classes))
+
+
+def convert_to_expected(mdp: Mdp, x: str) -> Mdp:
+    """Equivalent expected-constraint model with one block per subchain.
+
+    ``convert_classes`` over every class of the shared structure, so the
+    constraint is zero at transient states.
     """
     mdp.state_index(x)
-    classes = trans_policy_decomposition(mdp, table).recurrent_classes
-    return replace(
-        mdp,
-        constraints=_converted_constraints(mdp, classes),
-        constraint_dim=mdp.constraint_dim * len(classes),
-    )
+    return convert_classes(mdp, trans_policy_decomposition(mdp).recurrent_classes)
 
 
 @dataclass(frozen=True)
@@ -137,60 +135,61 @@ class ClassControl:
 
 @dataclass(frozen=True)
 class ClassControllability:
-    """Absorption-probability range of each subchain across all policies."""
+    """Absorption-probability range of each subchain across all policies.
+
+    ``classes[c]`` belongs to ``structure.recurrent_classes[c]``, the class
+    structure every policy shares.
+    """
 
     classes: tuple[ClassControl, ...]
+    structure: chains.ChainDecomposition
+
+    @property
+    def controllable_members(self) -> tuple[tuple[int, ...], ...]:
+        """State indices of each controllable class, in structure order."""
+        return tuple(
+            members
+            for members, control in zip(self.structure.recurrent_classes, self.classes)
+            if control.controllable
+        )
 
 
-def controllable_classes(
-    mdp: Mdp, x: str, table: PolicyTable | None = None
-) -> ClassControllability:
+def controllable_classes(mdp: Mdp, x: str) -> ClassControllability:
     """Min and max absorption probability from x per class, over all policies.
 
     A class is controllable when the range is nondegenerate, i.e. some
-    decision influences whether the process enters it. ``table`` must have
-    x among its start states.
+    decision influences whether the process enters it. One pass over the
+    policies checks the shared structure (NotDecomposableError as in
+    ``trans_policy_decomposition``) and takes the ranges; each policy's
+    absorption row is in structure order.
     """
-    if table is None:
-        table = PolicyTable(mdp, (x,))
-    classes = trans_policy_decomposition(mdp, table).recurrent_classes
-    k = table.column(x)
-    lo: list[Fraction | None] = [None] * len(classes)
-    hi: list[Fraction | None] = [None] * len(classes)
-    for row in table.rows:
-        for c, p in enumerate(row.absorption[k]):
-            if lo[c] is None or p < lo[c]:
-                lo[c] = p
-            if hi[c] is None or p > hi[c]:
-                hi[c] = p
-    return ClassControllability(classes=tuple(
-        ClassControl(
-            states=tuple(mdp.states[s] for s in cls),
-            min_prob=lo[c],
-            max_prob=hi[c],
-        )
-        for c, cls in enumerate(classes)
-    ))
+    start = mdp.state_index(x)
+    union = chains.closed_classes(chains.union_adjacency(mdp))
+    lo: tuple[Fraction, ...] | None = None
+    hi: tuple[Fraction, ...] | None = None
+    for policy in enumerate_policies(mdp):
+        analysis = analyse_policy(mdp, policy)
+        _require_shared(mdp, union, analysis.decomposition.recurrent_classes)
+        row = analysis.absorption[start]
+        lo = row if lo is None else tuple(map(min, lo, row))
+        hi = row if hi is None else tuple(map(max, hi, row))
+    return ClassControllability(
+        classes=tuple(
+            ClassControl(
+                states=tuple(mdp.states[s] for s in cls), min_prob=low, max_prob=high,
+            )
+            for cls, low, high in zip(union.recurrent_classes, lo, hi)
+        ),
+        structure=union,
+    )
 
 
-def selective_convert(mdp: Mdp, x: str, table: PolicyTable | None = None) -> Mdp:
+def selective_convert(mdp: Mdp, x: str) -> Mdp:
     """Per-subchain conversion restricted to controllable classes.
 
     With no controllable class the result is unconstrained (dimension 0).
-    ``table`` must have x among its start states.
     """
-    if table is None:
-        table = PolicyTable(mdp, (x,))
-    classes = trans_policy_decomposition(mdp, table).recurrent_classes
-    control = controllable_classes(mdp, x, table)
-    kept = tuple(
-        cls for cls, ctl in zip(classes, control.classes) if ctl.controllable
-    )
-    return replace(
-        mdp,
-        constraints=_converted_constraints(mdp, kept),
-        constraint_dim=mdp.constraint_dim * len(kept),
-    )
+    return convert_classes(mdp, controllable_classes(mdp, x).controllable_members)
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +218,13 @@ class SimulationReport:
     analytic_absorption: tuple[Fraction, ...]
 
 
+MAX_STEPS = 10**7
+
+
+class StepLimitError(ValueError):
+    """Raised when a walk asks for more than ``MAX_STEPS`` steps."""
+
+
 _SCALE_BITS = 64
 _SCALE = 1 << _SCALE_BITS
 
@@ -233,7 +239,8 @@ def simulate(
     one 64-bit draw and picks the successor by comparing the draw against
     floor(cumulative * 2**64) thresholds (quantization below 2**-64);
     deterministic transitions consume no randomness. Identical seeds
-    therefore reproduce identical trajectories on every platform.
+    therefore reproduce identical trajectories on every platform. Raises
+    StepLimitError above ``MAX_STEPS``, before walking.
     """
     path, report = _walk(mdp, policy, x, steps, seed, record=True)
     trajectory = Trajectory(
@@ -258,6 +265,8 @@ def _walk(
     """The walk behind ``simulate``; the state path is kept only if ``record``."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if steps > MAX_STEPS:
+        raise StepLimitError(f"steps {steps} exceed the limit of {MAX_STEPS}")
     validate_policy(mdp, policy)
     state = start = mdp.state_index(x)
     analysis = analyse_policy(mdp, policy)

@@ -5,11 +5,11 @@ componentwise. Enumeration order is lexicographic in (state index, action
 index) and ties are broken by that order, so every downstream audit is
 reproducible.
 
-A question that needs several solves (the audit, the residual report, the
-subchain conversion) builds one ``PolicyTable``: a single pass over the
-policies that analyses each one once and keeps V, W and the absorption row
-at every start state the question needs. Each solve is then a filter over
-the table.
+``solve`` streams one pass over the policies, analysing each once and
+keeping only the best so far. A question that filters the policies more
+than once (the audit, the residual report) keeps the pass in one
+``PolicyTable``, with V and W at every start state it needs; both filter
+the rows with the same ``_best``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from cmdpkit.evaluation import analyse_policy
 from cmdpkit.model import Mdp, Policy
@@ -85,18 +85,54 @@ class SolveResult:
 
 @dataclass(frozen=True)
 class TableRow:
-    """One policy with its values at each start state of its table.
+    """One policy with its V and W at each start state of a pass.
 
-    ``V[k]``, ``W[k]`` and ``absorption[k]`` belong to ``PolicyTable.states[k]``;
-    ``classes`` are the policy's recurrent classes (state indices, in
-    ``chains.decompose`` order).
+    ``V[k]`` and ``W[k]`` belong to the k-th start state asked for.
     """
 
     policy: Policy
-    classes: tuple[tuple[int, ...], ...]
     V: tuple[Fraction, ...]
     W: tuple[tuple[Fraction, ...], ...]
-    absorption: tuple[tuple[Fraction, ...], ...]
+
+
+def _rows(mdp: Mdp, indices: list[int]) -> Iterator[TableRow]:
+    """Every policy, analysed once, in ``enumerate_policies`` order."""
+    for policy in enumerate_policies(mdp):
+        analysis = analyse_policy(mdp, policy)
+        values = [analysis.values_at(i) for i in indices]
+        yield TableRow(
+            policy=policy,
+            V=tuple(v for v, _ in values),
+            W=tuple(w for _, w in values),
+        )
+
+
+def _best(
+    rows: Iterable[TableRow], k: int, slack: tuple[Fraction, ...] | None = None
+) -> SolveResult:
+    """The first row with the largest V[k] among those with W[k] - slack >= 0."""
+    best: TableRow | None = None
+    best_w: tuple[Fraction, ...] | None = None
+    feasible = total = 0
+    for row in rows:
+        total += 1
+        w = row.W[k]
+        if slack is not None:
+            w = tuple(c - d for c, d in zip(w, slack))
+        if any(c < 0 for c in w):
+            continue
+        feasible += 1
+        if best is None or row.V[k] > best.V[k]:
+            best, best_w = row, w
+    if best is None:
+        return SolveResult(
+            status="infeasible", policy=None, value=None, W_at_optimum=None,
+            feasible_count=0, total_count=total,
+        )
+    return SolveResult(
+        status="optimal", policy=best.policy, value=best.V[k],
+        W_at_optimum=best_w, feasible_count=feasible, total_count=total,
+    )
 
 
 class PolicyTable:
@@ -104,28 +140,17 @@ class PolicyTable:
 
     Rows are in ``enumerate_policies`` order (same cap check), so filters
     that keep the first best row keep the solver's lexicographic
-    tie-break. Memory grows with policies times states.
+    tie-break. Memory grows with policies times states, so only questions
+    that filter the rows more than once build a table.
     """
 
     def __init__(self, mdp: Mdp, states: tuple[str, ...]):
         self.states = tuple(states)
         self._column = {state: k for k, state in enumerate(self.states)}
-        indices = [mdp.state_index(state) for state in self.states]
-        rows = []
-        for policy in enumerate_policies(mdp):
-            analysis = analyse_policy(mdp, policy)
-            values = [analysis.values_at(i) for i in indices]
-            rows.append(TableRow(
-                policy=policy,
-                classes=analysis.decomposition.recurrent_classes,
-                V=tuple(v for v, _ in values),
-                W=tuple(w for _, w in values),
-                absorption=tuple(analysis.absorption[i] for i in indices),
-            ))
-        self.rows = tuple(rows)
+        self.rows = tuple(_rows(mdp, [mdp.state_index(s) for s in self.states]))
 
     def column(self, state: str) -> int:
-        """Position of a start state in the rows' V, W and absorption."""
+        """Position of a start state in the rows' V and W."""
         try:
             return self._column[state]
         except KeyError:
@@ -144,29 +169,7 @@ class PolicyTable:
         vectors and absorption rows each sum to 1, and leaves V alone; so
         the shifted problem needs no model of its own.
         """
-        k = self.column(x)
-        best: TableRow | None = None
-        best_w: tuple[Fraction, ...] | None = None
-        feasible = 0
-        for row in self.rows:
-            w = row.W[k]
-            if slack is not None:
-                w = tuple(c - d for c, d in zip(w, slack))
-            if any(c < 0 for c in w):
-                continue
-            feasible += 1
-            if best is None or row.V[k] > best.V[k]:
-                best, best_w = row, w
-        if best is None:
-            return SolveResult(
-                status="infeasible", policy=None, value=None, W_at_optimum=None,
-                feasible_count=0, total_count=len(self.rows),
-            )
-        return SolveResult(
-            status="optimal", policy=best.policy, value=best.V[k],
-            W_at_optimum=best_w, feasible_count=feasible,
-            total_count=len(self.rows),
-        )
+        return _best(self.rows, self.column(x), slack)
 
 
 def solve(mdp: Mdp, x: str | None = None) -> SolveResult:
@@ -174,7 +177,8 @@ def solve(mdp: Mdp, x: str | None = None) -> SolveResult:
 
     Among policies with W(x) >= 0 componentwise, returns one maximizing
     V(x); ties keep the lexicographically first policy. Infeasibility is a
-    status, not an error.
+    status, not an error. The policies are streamed: memory does not grow
+    with their number.
     """
     start = mdp.initial_state if x is None else x
-    return PolicyTable(mdp, (start,)).solve(start)
+    return _best(_rows(mdp, [mdp.state_index(start)]), 0)

@@ -153,11 +153,13 @@ def test_check_flags_broken_complementary_slackness(haviv, haviv_a):
     assert not report.a3
 
 
-def test_find_certificate_closure_cap(haviv, haviv_a):
+def test_find_certificate_closure_cap(haviv, haviv_a, monkeypatch):
+    from cmdpkit import certificate
     from cmdpkit.solver import EnumerationCapExceeded
 
+    monkeypatch.setattr(certificate, "CLOSURE_CAP", 5)
     with pytest.raises(EnumerationCapExceeded):
-        find_certificate(haviv, "x", haviv_a, closure_cap=5)
+        find_certificate(haviv, "x", haviv_a)
 
 
 def test_check_requires_matching_dimensions(twochain, twochain_policy):

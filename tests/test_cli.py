@@ -8,6 +8,7 @@ from cmdpkit import lp
 from cmdpkit.chains import max_denominator_bits
 from cmdpkit.cli import run
 from cmdpkit.model import Mdp, instance_to_json
+from cmdpkit.samplepath import MAX_STEPS
 from randmdp import random_row
 
 
@@ -92,6 +93,17 @@ def test_residual_time_above_limit_is_input_error(instances_dir):
         assert out.exit_code == 2
         assert out.report == ""
         assert "exceeds the limit of 10000 steps" in out.error
+
+
+def test_simulate_steps_above_limit_is_input_error(instances_dir):
+    for steps in (str(MAX_STEPS + 1), str(10**12)):
+        out = invoke(
+            "simulate", haviv_path(instances_dir),
+            "--policy", "y=a", "--steps", steps, "--seed", "1",
+        )
+        assert out.exit_code == 2
+        assert out.report == ""
+        assert f"exceed the limit of {MAX_STEPS}" in out.error
 
 
 def lazy_full_support_chain(rng, size):

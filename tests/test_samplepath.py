@@ -12,7 +12,9 @@ from cmdpkit.evaluation import evaluate
 from cmdpkit.model import Policy, induced_chain, parse_instance
 from cmdpkit.residual import audit_time_consistency
 from cmdpkit.samplepath import (
+    MAX_STEPS,
     NotDecomposableError,
+    StepLimitError,
     controllable_classes,
     convert_to_expected,
     samplepath_feasible,
@@ -321,6 +323,14 @@ def test_simulate_empirical_averages_are_exact_rationals(haviv, haviv_a):
 def test_simulate_rejects_zero_steps(haviv, haviv_a):
     with pytest.raises(ValueError):
         simulate(haviv, haviv_a, "x", 0, 1)
+
+
+def test_walks_above_the_step_limit_fail_before_walking(haviv, haviv_a):
+    assert MAX_STEPS == 10**7
+    with pytest.raises(StepLimitError):
+        simulate(haviv, haviv_a, "x", MAX_STEPS + 1, 1)
+    with pytest.raises(StepLimitError):
+        simulation_report(haviv, haviv_a, "x", 10**12, 1)
 
 
 def test_simulation_report_equals_simulate_report():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from cmdpkit.solver import (
     enumerate_policies,
     solve,
 )
-from randmdp import random_mdp
+from randmdp import random_mdp, random_row, random_value
 
 F = Fraction
 
@@ -129,3 +130,56 @@ def test_enumeration_cap(monkeypatch, haviv):
     monkeypatch.setenv(ENUM_CAP_ENV, "junk")
     with pytest.raises(EnumerationCapExceeded):
         list(enumerate_policies(haviv))
+
+
+def test_unknown_start_is_reported_before_the_cap(monkeypatch, haviv):
+    monkeypatch.setenv(ENUM_CAP_ENV, "1")
+    with pytest.raises(KeyError):
+        solve(haviv, "nowhere")
+    with pytest.raises(EnumerationCapExceeded):
+        solve(haviv, "x")
+
+
+def nested_model(decisions: int, size: int = 9) -> Mdp:
+    """One fixed random model whose first ``decisions`` states keep both actions."""
+    rng = random.Random(7)
+    kernel = [tuple(random_row(rng, size) for _ in "ab") for _ in range(size)]
+    rewards = [tuple(random_value(rng) for _ in "ab") for _ in range(size)]
+    constraints = [tuple((random_value(rng, -5, 5),) for _ in "ab") for _ in range(size)]
+    keep = [2 if i < decisions else 1 for i in range(size)]
+    return Mdp(
+        states=tuple(f"s{i}" for i in range(size)),
+        actions=tuple(("a", "b")[:keep[i]] for i in range(size)),
+        kernel=tuple(kernel[i][:keep[i]] for i in range(size)),
+        rewards=tuple(rewards[i][:keep[i]] for i in range(size)),
+        constraints=tuple(constraints[i][:keep[i]] for i in range(size)),
+        constraint_dim=1,
+        initial_state="s0",
+    )
+
+
+def peak_traced_bytes(call):
+    """Peak memory traced while ``call`` runs, free lists aside.
+
+    CPython keeps up to 2000 freed tuples of each small size for reuse, and
+    tuples built from generators are resized into those lists faster than
+    they are taken out again; filling the lists first keeps that growth out
+    of the measurement.
+    """
+    filler = [tuple(range(n)) for n in range(1, 21) for _ in range(2000)]
+    del filler
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_solve_memory_does_not_grow_with_policies():
+    small, large = nested_model(6), nested_model(9)
+    assert (solve(small).total_count, solve(large).total_count) == (2**6, 2**9)
+    small_peak = peak_traced_bytes(lambda: solve(small))
+    large_peak = peak_traced_bytes(lambda: solve(large))
+    # a kept row per policy would add over 1 KB each, about 500 KB here
+    assert large_peak - small_peak < 64 * 1024
