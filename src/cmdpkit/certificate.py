@@ -103,10 +103,9 @@ def _required_states(mdp: Mdp, reachable: tuple[str, ...]) -> list[str]:
     seen = dict.fromkeys(reachable)
     for state in reachable:
         i = mdp.state_index(state)
-        for row in mdp.kernel[i]:
-            for j, p in enumerate(row):
-                if p > 0:
-                    seen.setdefault(mdp.states[j])
+        for row in mdp.successors[i]:
+            for j, _ in row:
+                seen.setdefault(mdp.states[j])
     return list(seen)
 
 
@@ -121,9 +120,8 @@ def _one_step_gap(
     value = mdp.rewards[i][action_index]
     for mu_k, c_k in zip(cert.mu, mdp.constraints[i][action_index]):
         value += mu_k * c_k
-    for j, p in enumerate(mdp.kernel[i][action_index]):
-        if p > 0:
-            value += p * potential[mdp.states[j]]
+    for j, p in mdp.successors[i][action_index]:
+        value += p * potential[mdp.states[j]]
     return cert.gain + potential[state] - value
 
 
@@ -282,10 +280,9 @@ def find_certificate(
         for j, action in enumerate(mdp.actions[i]):
             coeffs: dict[int, Fraction] = {gain_var: Fraction(1)}
             coeffs[var_of_state[state]] = coeffs.get(var_of_state[state], ZERO) + 1
-            for target, p in enumerate(mdp.kernel[i][j]):
-                if p > 0:
-                    v = var_of_state[mdp.states[target]]
-                    coeffs[v] = coeffs.get(v, ZERO) - p
+            for target, p in mdp.successors[i][j]:
+                v = var_of_state[mdp.states[target]]
+                coeffs[v] = coeffs.get(v, ZERO) - p
             for k, comp in enumerate(free_mu):
                 coeffs[k] = coeffs.get(k, ZERO) - mdp.constraints[i][j][comp]
             sense = lp.EQ if (state in reached and action == chosen) else lp.GE

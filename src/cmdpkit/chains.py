@@ -1,5 +1,10 @@
 """Structural analysis of policy-induced Markov chains.
 
+A chain is a tuple of sparse successor rows (``model.Chain``), one per
+state: the ``(index, probability)`` pairs with positive probability, as
+``model.induced_chain`` hands them out from the model's compiled rows.
+Nothing here scans a dense transition row.
+
 Recurrent classes are the closed strongly connected components of the
 support graph; everything else is transient. Stationary distributions and
 absorption probabilities are exact rationals from sparse elimination:
@@ -24,9 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from cmdpkit.model import Mdp, Policy, induced_chain
-
-Matrix = tuple[tuple[Fraction, ...], ...]
+from cmdpkit.model import Chain, Mdp, Policy, induced_chain
 
 ZERO = Fraction(0)
 
@@ -91,17 +94,15 @@ def _strongly_connected_components(adjacency: tuple[tuple[int, ...], ...]) -> li
     return components
 
 
-def support_adjacency(matrix: Matrix) -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        tuple(j for j, p in enumerate(row) if p > 0) for row in matrix
-    )
+def support_adjacency(chain: Chain) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(j for j, _ in row) for row in chain)
 
 
 def union_adjacency(mdp: Mdp) -> tuple[tuple[int, ...], ...]:
     """Successors of each state under any of its actions, ascending."""
     return tuple(
-        tuple(sorted({j for row in rows for j, p in enumerate(row) if p > 0}))
-        for rows in mdp.kernel
+        tuple(sorted({j for row in rows for j, _ in row}))
+        for rows in mdp.successors
     )
 
 
@@ -126,9 +127,9 @@ def closed_classes(adjacency: tuple[tuple[int, ...], ...]) -> ChainDecomposition
     )
 
 
-def decompose(matrix: Matrix) -> ChainDecomposition:
-    """Recurrent classes and transient states of a row-stochastic matrix."""
-    return closed_classes(support_adjacency(matrix))
+def decompose(chain: Chain) -> ChainDecomposition:
+    """Recurrent classes and transient states of a chain."""
+    return closed_classes(support_adjacency(chain))
 
 
 def _sparse_solve(
@@ -192,22 +193,20 @@ def _sparse_solve(
     return solution
 
 
-def stationary_distribution(matrix: Matrix, cls: tuple[int, ...]) -> tuple[Fraction, ...]:
+def stationary_distribution(chain: Chain, cls: tuple[int, ...]) -> tuple[Fraction, ...]:
     """Unique invariant vector of a recurrent class, aligned with ``cls``.
 
     The class must be closed and strongly connected under the chain;
     all returned entries are positive and sum to exactly 1.
     """
     position = {s: i for i, s in enumerate(cls)}
-    support = []
-    for s in cls:
-        entries = [(j, p) for j, p in enumerate(matrix[s]) if p]
-        for j, p in entries:
-            if p > 0 and j not in position:
+    support = [chain[s] for s in cls]
+    for s, row in zip(cls, support):
+        for j, _ in row:
+            if j not in position:
                 raise ValueError(f"class is not closed: state {s} leaks to {j}")
-        support.append(entries)
     decomposition = closed_classes(
-        tuple(tuple(position[j] for j, p in entries if p > 0) for entries in support)
+        tuple(tuple(position[j] for j, _ in row) for row in support)
     )
     if len(decomposition.recurrent_classes) != 1 or decomposition.transient_states:
         raise ValueError("class is not strongly connected")
@@ -241,30 +240,30 @@ def stationary_distribution(matrix: Matrix, cls: tuple[int, ...]) -> tuple[Fract
 
 
 def absorption_map(
-    matrix: Matrix, decomposition: ChainDecomposition | None = None
-) -> Matrix:
+    chain: Chain, decomposition: ChainDecomposition | None = None
+) -> tuple[tuple[Fraction, ...], ...]:
     """Hitting probabilities rows[state][class] of every recurrent class.
 
-    Classes are in the order of ``decompose(matrix)``, which is computed
-    here unless the caller passes it. Transient states are solved one
-    strongly connected component at a time, sink components first, so the
-    states a component leaks to are already solved. A singleton component
-    needs only back substitution; a larger one is a sparse solve of its own
-    size. Every row sums to exactly 1.
+    The rows are dense over the classes, which are in the order of
+    ``decompose(chain)``, computed here unless the caller passes it.
+    Transient states are solved one strongly connected component at a time,
+    sink components first, so the states a component leaks to are already
+    solved. A singleton component needs only back substitution; a larger
+    one is a sparse solve of its own size. Every row sums to exactly 1.
     """
     if decomposition is None:
-        decomposition = decompose(matrix)
+        decomposition = decompose(chain)
     classes = decomposition.recurrent_classes
     transient = decomposition.transient_states
     width = len(classes)
-    rows: list[tuple[Fraction, ...]] = [()] * len(matrix)
+    rows: list[tuple[Fraction, ...]] = [()] * len(chain)
     for c, cls in enumerate(classes):
         unit = tuple(Fraction(1) if k == c else ZERO for k in range(width))
         for s in cls:
             rows[s] = unit
 
     local = {s: i for i, s in enumerate(transient)}
-    support = [[(j, p) for j, p in enumerate(matrix[s]) if p] for s in transient]
+    support = [chain[s] for s in transient]
     components = _strongly_connected_components(
         tuple(tuple(local[j] for j, _ in entries if j in local) for entries in support)
     )
@@ -317,26 +316,22 @@ def max_denominator_bits() -> int:
 
 
 def forward_distributions(
-    matrix: Matrix, start: int, horizon: int
+    chain: Chain, start: int, horizon: int
 ) -> Iterator[dict[int, Fraction]]:
     """Exact distributions of X_0 .. X_horizon given X_0 = start.
 
-    One forward sweep over the support of the occupied rows, yielding the
-    sparse distribution {state: positive mass} at t = 0, 1, .., horizon;
-    callers must not modify it. Raises TimeLimitError as soon as a
-    denominator exceeds ``max_denominator_bits()``.
+    One forward sweep over the successor rows of the occupied states,
+    yielding the sparse distribution {state: positive mass} at t = 0, 1,
+    .., horizon; callers must not modify it. Raises TimeLimitError as soon
+    as a denominator exceeds ``max_denominator_bits()``.
     """
     bound = max_denominator_bits()
-    support: dict[int, list[tuple[int, Fraction]]] = {}
     current = {start: Fraction(1)}
     yield current
     for t in range(1, horizon + 1):
         following: dict[int, Fraction] = {}
         for i, mass in current.items():
-            entries = support.get(i)
-            if entries is None:
-                entries = support[i] = [(j, p) for j, p in enumerate(matrix[i]) if p]
-            for j, p in entries:
+            for j, p in chain[i]:
                 following[j] = following.get(j, ZERO) + mass * p
         if max(m.denominator.bit_length() for m in following.values()) > bound:
             raise TimeLimitError(
@@ -347,8 +342,8 @@ def forward_distributions(
         yield current
 
 
-def state_distribution_at(matrix: Matrix, start: int, t: int) -> tuple[Fraction, ...]:
-    """Exact distribution of X_t given X_0 = start: row of matrix**t.
+def state_distribution_at(chain: Chain, start: int, t: int) -> tuple[Fraction, ...]:
+    """Exact distribution of X_t given X_0 = start, dense over the states.
 
     Computed by t forward steps (``forward_distributions``). Times above
     ``MAX_TIME``, and times whose distribution outgrows
@@ -358,9 +353,9 @@ def state_distribution_at(matrix: Matrix, start: int, t: int) -> tuple[Fraction,
         raise ValueError("time must be nonnegative")
     if t > MAX_TIME:
         raise TimeLimitError(f"time {t} exceeds the limit of {MAX_TIME} steps")
-    for current in forward_distributions(matrix, start, t):
+    for current in forward_distributions(chain, start, t):
         pass
-    return tuple(current.get(j, ZERO) for j in range(len(matrix)))
+    return tuple(current.get(j, ZERO) for j in range(len(chain)))
 
 
 def reachable_states(mdp: Mdp, policy: Policy | None, x: str) -> tuple[str, ...]:

@@ -4,7 +4,8 @@ For a stationary policy on a finite model the Cesaro limit of the running
 averages exists almost surely and equals the gain of the recurrent class
 the chain is absorbed into. Evaluation therefore reduces to per-class
 stationary averages mixed by absorption probabilities; that reduction is
-exercised as a testable identity rather than assumed silently.
+exercised as a testable identity rather than assumed silently. Chains are
+the sparse successor rows of ``model.induced_chain``.
 """
 
 from __future__ import annotations
@@ -14,9 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from cmdpkit import chains
-from cmdpkit.model import Mdp, Policy, Trajectory, induced_chain
-
-Matrix = chains.Matrix
+from cmdpkit.model import Chain, Mdp, Policy, Trajectory, induced_chain
 
 ZERO = Fraction(0)
 
@@ -44,9 +43,9 @@ class EvaluationReport:
     absorption: tuple[Fraction, ...]
 
 
-def class_gain(matrix: Matrix, cls: tuple[int, ...], values: Sequence[Fraction]) -> Fraction:
+def class_gain(chain: Chain, cls: tuple[int, ...], values: Sequence[Fraction]) -> Fraction:
     """Stationary average of a per-state value over a recurrent class."""
-    stationary = chains.stationary_distribution(matrix, cls)
+    stationary = chains.stationary_distribution(chain, cls)
     return sum((p * values[s] for p, s in zip(stationary, cls)), ZERO)
 
 
@@ -54,18 +53,18 @@ def class_gain(matrix: Matrix, cls: tuple[int, ...], values: Sequence[Fraction])
 class PolicyAnalysis:
     """A policy's induced chain and everything its V and W are mixed from.
 
-    ``stationary[c]`` is the invariant vector of
-    ``decomposition.recurrent_classes[c]`` (aligned with its members) and
-    ``class_gains[c]`` the reward and constraint averages under it;
-    ``absorption[s][c]`` is the probability of being absorbed into class c
-    from state index s.
+    ``chain`` holds the model's shared successor rows; ``stationary[c]`` is
+    the invariant vector of ``decomposition.recurrent_classes[c]`` (aligned
+    with its members) and ``class_gains[c]`` the reward and constraint
+    averages under it; ``absorption[s][c]`` is the probability of being
+    absorbed into class c from state index s.
     """
 
-    chain: Matrix
+    chain: Chain
     decomposition: chains.ChainDecomposition
     stationary: tuple[tuple[Fraction, ...], ...]
     class_gains: tuple[ClassGain, ...]
-    absorption: Matrix
+    absorption: tuple[tuple[Fraction, ...], ...]
 
     def values_at(self, s: int) -> tuple[Fraction, tuple[Fraction, ...]]:
         """V and W from state index s."""

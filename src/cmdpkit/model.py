@@ -9,7 +9,10 @@ constraint vector per (state, action). Every numeric quantity is a
 All types here are frozen dataclasses built from tuples. ``Mdp`` and
 ``Policy`` each build their label lookup map once, at construction, in a
 field that equality and hashing ignore; no analysis is keyed by hashing a
-model.
+model. ``Mdp`` compiles its dense kernel the same way, once, into sparse
+successor rows (``Successors``): every chain analysis reads those, and
+only construction, ``validate`` and ``serialize_instance`` read the dense
+kernel.
 """
 
 from __future__ import annotations
@@ -70,6 +73,12 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+# The (target index, probability) pairs of one transition row with positive
+# probability, ascending by index; a policy-induced chain is one per state.
+Successors = tuple[tuple[int, Fraction], ...]
+Chain = tuple[Successors, ...]
+
+
 @dataclass(frozen=True)
 class Mdp:
     """Finite constrained MDP with exact rational data.
@@ -78,6 +87,12 @@ class Mdp:
     ``states[i]``; ``kernel[i][j]`` is the dense transition row (over all
     states, in model order) of action j at state i; ``rewards[i][j]`` and
     ``constraints[i][j]`` the stagewise reward and constraint vector.
+
+    ``successors[i][j]`` is the same row compiled at construction: the
+    ``(index, probability)`` pairs with positive probability, ascending by
+    index, sharing the kernel's ``Fraction`` objects. Compiling never
+    raises, so ``validate`` still reports every violation of a malformed
+    kernel (negative entries are simply not successors).
     """
 
     states: tuple[str, ...]
@@ -88,11 +103,18 @@ class Mdp:
     constraint_dim: int
     initial_state: str
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    successors: tuple[tuple[Successors, ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(
             self, "_index", {label: i for i, label in enumerate(self.states)}
         )
+        object.__setattr__(self, "successors", tuple(
+            tuple(tuple((j, p) for j, p in enumerate(row) if p > 0) for row in rows)
+            for rows in self.kernel
+        ))
 
     def state_index(self, label: str) -> int:
         try:
@@ -252,17 +274,17 @@ def validate(mdp: Mdp) -> ValidationReport:
             if len(row) != len(mdp.states):
                 add("row-shape", state, action,
                     f"kernel row of ({state!r}, {action!r}) has length {len(row)}")
-                continue
-            negatives = [mdp.states[k] for k, p in enumerate(row) if p < 0]
-            if negatives:
-                add("row-negative", state, action,
-                    f"negative transition probability at ({state!r}, {action!r}) "
-                    f"towards {negatives}")
-            total = sum(row, Fraction(0))
-            if total != 1:
-                add("row-sum", state, action,
-                    f"kernel row of ({state!r}, {action!r}) sums to "
-                    f"{format_rational(total)}, not 1")
+            else:
+                negatives = [mdp.states[k] for k, p in enumerate(row) if p < 0]
+                if negatives:
+                    add("row-negative", state, action,
+                        f"negative transition probability at ({state!r}, {action!r}) "
+                        f"towards {negatives}")
+                total = sum(row, Fraction(0))
+                if total != 1:
+                    add("row-sum", state, action,
+                        f"kernel row of ({state!r}, {action!r}) sums to "
+                        f"{format_rational(total)}, not 1")
             if len(mdp.constraints[i][j]) != n:
                 add("constraint-length", state, action,
                     f"constraint vector of ({state!r}, {action!r}) has length "
@@ -397,14 +419,14 @@ def instance_to_json(mdp: Mdp) -> str:
     return json.dumps(serialize_instance(mdp), indent=2, sort_keys=True) + "\n"
 
 
-def induced_chain(mdp: Mdp, policy: Policy) -> tuple[tuple[Fraction, ...], ...]:
-    """Square stochastic matrix of the policy-induced Markov chain.
+def induced_chain(mdp: Mdp, policy: Policy) -> Chain:
+    """Successor rows of the policy-induced Markov chain, in model state order.
 
-    Row order is model state order; rows are dense and sum to exactly 1.
+    Row i is ``mdp.successors[i][a]`` for the policy's action a at state i,
+    shared, not copied; its probabilities sum to exactly 1.
     """
     validate_policy(mdp, policy)
-    rows = []
-    for i, state in enumerate(mdp.states):
-        j = mdp.actions[i].index(policy.action_for(state))
-        rows.append(mdp.kernel[i][j])
-    return tuple(rows)
+    return tuple(
+        mdp.successors[i][mdp.actions[i].index(policy.action_for(state))]
+        for i, state in enumerate(mdp.states)
+    )

@@ -161,16 +161,18 @@ def controllable_classes(mdp: Mdp, x: str) -> ClassControllability:
     decision influences whether the process enters it. One pass over the
     policies checks the shared structure (NotDecomposableError as in
     ``trans_policy_decomposition``) and takes the ranges; each policy's
-    absorption row is in structure order.
+    absorption row is in structure order. Only decompositions and
+    absorption are solved: no stationary vector is needed.
     """
     start = mdp.state_index(x)
     union = chains.closed_classes(chains.union_adjacency(mdp))
     lo: tuple[Fraction, ...] | None = None
     hi: tuple[Fraction, ...] | None = None
     for policy in enumerate_policies(mdp):
-        analysis = analyse_policy(mdp, policy)
-        _require_shared(mdp, union, analysis.decomposition.recurrent_classes)
-        row = analysis.absorption[start]
+        chain = induced_chain(mdp, policy)
+        decomposition = chains.decompose(chain)
+        _require_shared(mdp, union, decomposition.recurrent_classes)
+        row = chains.absorption_map(chain, decomposition)[start]
         lo = row if lo is None else tuple(map(min, lo, row))
         hi = row if hi is None else tuple(map(max, hi, row))
     return ClassControllability(
@@ -273,13 +275,12 @@ def _walk(
 
     samplers: list[tuple[tuple[int, ...], list[int]]] = []
     for row in analysis.chain:
-        targets = tuple(j for j, p in enumerate(row) if p > 0)
         cumulative = ZERO
         thresholds = []
-        for j in targets:
-            cumulative += row[j]
+        for _, p in row:
+            cumulative += p
             thresholds.append((cumulative.numerator * _SCALE) // cumulative.denominator)
-        samplers.append((targets, thresholds))
+        samplers.append((tuple(j for j, _ in row), thresholds))
 
     rng = random.Random(seed)
     counts = [0] * mdp.num_states

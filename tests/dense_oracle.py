@@ -1,16 +1,103 @@
-"""Dense Gauss-Jordan reference for the exact solves in ``cmdpkit.chains``.
+"""Dense reference for ``cmdpkit.chains`` and ``model.induced_chain``.
 
-This is the elimination the package used before it switched to sparse
-elimination along the SCC DAG. It updates whole rows, zeros included, and
-solves the full transient block at once, so it shares no elimination logic
-with the code under test. Property tests require the two to agree exactly.
+The solves are the Gauss-Jordan elimination the package used before it
+switched to sparse elimination along the SCC DAG. They update whole rows,
+zeros included, and solve the full transient block at once, so they share
+no elimination logic with the code under test.
+
+The chains are the dense matrices the package used before it compiled each
+model's kernel into sparse successor rows: ``dense_chain`` picks rows of
+``mdp.kernel`` and every support here is a ``p > 0`` scan over a dense row.
+Only ``closed_classes`` (Tarjan on an adjacency list) is shared with the
+code under test. Property tests require the two to agree exactly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterator
 
-from cmdpkit.chains import Matrix, closed_classes, decompose
+from cmdpkit.chains import closed_classes
+from cmdpkit.model import Chain, Mdp, Policy, validate_policy
+
+Matrix = tuple[tuple[Fraction, ...], ...]
+
+
+def dense_chain(mdp: Mdp, policy: Policy) -> Matrix:
+    """Square stochastic matrix of the policy-induced chain, dense rows."""
+    validate_policy(mdp, policy)
+    rows = []
+    for i, state in enumerate(mdp.states):
+        j = mdp.actions[i].index(policy.action_for(state))
+        rows.append(mdp.kernel[i][j])
+    return tuple(rows)
+
+
+def sparse(matrix: Matrix) -> Chain:
+    """Successor rows of a dense matrix: the form ``cmdpkit.chains`` reads."""
+    return tuple(tuple((j, p) for j, p in enumerate(row) if p > 0) for row in matrix)
+
+
+def support_adjacency(matrix: Matrix) -> tuple[tuple[int, ...], ...]:
+    return tuple(
+        tuple(j for j, p in enumerate(row) if p > 0) for row in matrix
+    )
+
+
+def union_adjacency(mdp: Mdp) -> tuple[tuple[int, ...], ...]:
+    return tuple(
+        tuple(sorted({j for row in rows for j, p in enumerate(row) if p > 0}))
+        for rows in mdp.kernel
+    )
+
+
+def decompose(matrix: Matrix):
+    return closed_classes(support_adjacency(matrix))
+
+
+def forward_distributions(
+    matrix: Matrix, start: int, horizon: int
+) -> Iterator[dict[int, Fraction]]:
+    """{state: positive mass} at t = 0 .. horizon by dense vector products."""
+    n = len(matrix)
+    current = [Fraction(0)] * n
+    current[start] = Fraction(1)
+    for t in range(horizon + 1):
+        if t:
+            current = [
+                sum((current[i] * matrix[i][j] for i in range(n)), Fraction(0))
+                for j in range(n)
+            ]
+        yield {s: mass for s, mass in enumerate(current) if mass}
+
+
+def reachable_states(mdp: Mdp, policy: Policy | None, x: str) -> tuple[str, ...]:
+    """States with positive mass at some t < n under the policy, or in the
+    all-actions closure when ``policy`` is None."""
+    if policy is None:
+        adjacency = union_adjacency(mdp)
+    else:
+        adjacency = support_adjacency(dense_chain(mdp, policy))
+    seen = {mdp.state_index(x)}
+    for _ in range(mdp.num_states):
+        seen |= {j for s in seen for j in adjacency[s]}
+    return tuple(mdp.states[i] for i in sorted(seen))
+
+
+def values_at(mdp: Mdp, policy: Policy, s: int) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """V and W from state index s: class gains mixed by absorption."""
+    matrix = dense_chain(mdp, policy)
+    classes = decompose(matrix).recurrent_classes
+    row = absorption_probs(matrix)[s]
+    v = Fraction(0)
+    w = [Fraction(0)] * mdp.constraint_dim
+    for prob, cls in zip(row, classes):
+        for p, state in zip(stationary_distribution(matrix, cls), cls):
+            j = mdp.actions[state].index(policy.action_for(mdp.states[state]))
+            v += prob * p * mdp.rewards[state][j]
+            for k, c in enumerate(mdp.constraints[state][j]):
+                w[k] += prob * p * c
+    return v, tuple(w)
 
 
 def solve_linear(a: list[list[Fraction]], rhs: list[list[Fraction]]) -> list[list[Fraction]]:

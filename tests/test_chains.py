@@ -18,14 +18,16 @@ from cmdpkit.chains import (
     stationary_distribution,
 )
 from cmdpkit.model import induced_chain
+from dense_oracle import sparse
 from randmdp import random_mdp, random_policy, random_row
 
 
-def matrix(rows):
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+def chain_of(rows):
+    """Successor rows of a chain written as a dense matrix of literals."""
+    return sparse(tuple(tuple(Fraction(x) for x in row) for row in rows))
 
 
-CYCLE2 = matrix([[0, 1], [1, 0]])
+CYCLE2 = chain_of([[0, 1], [1, 0]])
 
 
 def test_decompose_haviv_structure(haviv, haviv_a):
@@ -41,7 +43,7 @@ def test_decompose_haviv_structure(haviv, haviv_a):
 
 
 def test_decompose_single_self_loop():
-    dec = decompose(matrix([[1]]))
+    dec = decompose(chain_of([[1]]))
     assert dec.recurrent_classes == ((0,),)
     assert dec.transient_states == ()
 
@@ -53,9 +55,9 @@ def test_decompose_two_state_swap_is_one_class():
 
 
 def test_stationary_uniform_on_cycles():
-    five = matrix([[1 if j == (i + 1) % 5 else 0 for j in range(5)] for i in range(5)])
+    five = chain_of([[1 if j == (i + 1) % 5 else 0 for j in range(5)] for i in range(5)])
     assert stationary_distribution(five, tuple(range(5))) == (Fraction(1, 5),) * 5
-    twenty = matrix(
+    twenty = chain_of(
         [[1 if j == (i + 1) % 20 else 0 for j in range(20)] for i in range(20)]
     )
     pi = stationary_distribution(twenty, tuple(range(20)))
@@ -64,15 +66,15 @@ def test_stationary_uniform_on_cycles():
 
 def test_stationary_two_state_chain():
     # stay probabilities 3/4 and 1/2; solving pi P = pi by hand gives (2/3, 1/3)
-    chain = matrix([["3/4", "1/4"], ["1/2", "1/2"]])
+    chain = chain_of([["3/4", "1/4"], ["1/2", "1/2"]])
     assert stationary_distribution(chain, (0, 1)) == (Fraction(2, 3), Fraction(1, 3))
 
 
 def test_stationary_rejects_open_or_disconnected_classes():
-    open_chain = matrix([["1/2", "1/2"], [0, 1]])
+    open_chain = chain_of([["1/2", "1/2"], [0, 1]])
     with pytest.raises(ValueError):
         stationary_distribution(open_chain, (0,))
-    disconnected = matrix([[1, 0], [0, 1]])
+    disconnected = chain_of([[1, 0], [0, 1]])
     with pytest.raises(ValueError):
         stationary_distribution(disconnected, (0, 1))
 
@@ -147,15 +149,15 @@ def test_distribution_far_beyond_the_recursion_limit():
 # properties on random chains
 
 @st.composite
-def stochastic_matrices(draw):
+def stochastic_chains(draw):
     size = draw(st.integers(2, 5))
     seed = draw(st.integers(0, 10**9))
     rng = random.Random(seed)
-    return matrix([random_row(rng, size) for _ in range(size)])
+    return chain_of([random_row(rng, size) for _ in range(size)])
 
 
 @settings(max_examples=60, deadline=None)
-@given(stochastic_matrices())
+@given(stochastic_chains())
 def test_decomposition_partitions_states(chain):
     dec = decompose(chain)
     seen = sorted(s for cls in dec.recurrent_classes for s in cls)
@@ -164,7 +166,7 @@ def test_decomposition_partitions_states(chain):
 
 
 @settings(max_examples=60, deadline=None)
-@given(stochastic_matrices())
+@given(stochastic_chains())
 def test_absorption_rows_sum_to_one(chain):
     for row in absorption_map(chain):
         assert sum(row, Fraction(0)) == 1
@@ -172,21 +174,22 @@ def test_absorption_rows_sum_to_one(chain):
 
 
 @settings(max_examples=60, deadline=None)
-@given(stochastic_matrices())
+@given(stochastic_chains())
 def test_stationary_is_invariant(chain):
     dec = decompose(chain)
+    rows = [dict(row) for row in chain]
     for cls in dec.recurrent_classes:
         pi = stationary_distribution(chain, cls)
         assert sum(pi, Fraction(0)) == 1
         assert all(p > 0 for p in pi)
         for j, sj in enumerate(cls):
             assert pi[j] == sum(
-                (pi[i] * chain[si][sj] for i, si in enumerate(cls)), Fraction(0)
+                (pi[i] * rows[si].get(sj, 0) for i, si in enumerate(cls)), Fraction(0)
             )
 
 
 @settings(max_examples=40, deadline=None)
-@given(stochastic_matrices(), st.integers(0, 3), st.integers(0, 3))
+@given(stochastic_chains(), st.integers(0, 3), st.integers(0, 3))
 def test_chapman_kolmogorov(chain, s, t):
     start = 0
     left = state_distribution_at(chain, start, s + t)
@@ -216,8 +219,8 @@ def test_size_bound_follows_the_int_string_limit():
     limit = sys.get_int_max_str_digits()
     assert max_denominator_bits() == (limit or sys.int_info.default_max_str_digits)
     # time-t denominators: 3 for `chain`, 3**t for `mixing`
-    chain = matrix([["1/3", "2/3"], ["1/3", "2/3"]])
-    mixing = matrix([["1/3", "2/3"], ["2/3", "1/3"]])
+    chain = chain_of([["1/3", "2/3"], ["1/3", "2/3"]])
+    mixing = chain_of([["1/3", "2/3"], ["2/3", "1/3"]])
     assert state_distribution_at(chain, 0, 5000) == (Fraction(1, 3), Fraction(2, 3))
     with pytest.raises(TimeLimitError, match=f"above {max_denominator_bits()} bits"):
         state_distribution_at(mixing, 0, 5000)

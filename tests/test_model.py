@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from cmdpkit.model import (
     InstanceFormatError,
+    Mdp,
     Policy,
     PolicyError,
     ValidationError,
@@ -134,6 +136,26 @@ def test_constraint_length_violation():
     assert [v.kind for v in err.value.report.violations] == ["constraint-length"]
 
 
+def test_validate_reports_a_short_row_and_its_constraint_length():
+    F = Fraction
+    mdp = Mdp(
+        states=("a", "b"),
+        actions=(("short", "go"), ("stay",)),
+        kernel=(((F(1),), (F(3, 2), F(-1, 2))), ((F(0), F(1)),)),
+        rewards=((F(0), F(0)), (F(0),)),
+        constraints=(((), (F(0),)), ((F(0),),)),
+        constraint_dim=1,
+        initial_state="a",
+    )
+    assert mdp.successors[0] == (((0, F(1)),), ((0, F(3, 2)),))
+    violations = validate(mdp).violations
+    assert [(v.kind, v.state, v.action) for v in violations] == [
+        ("row-shape", "a", "short"),
+        ("constraint-length", "a", "short"),
+        ("row-negative", "a", "go"),
+    ]
+
+
 def test_unknown_initial_state_flagged():
     doc = json.loads(json.dumps(MINIMAL))
     doc["initial_state"] = "nowhere"
@@ -214,19 +236,52 @@ def test_induced_chain_rows_are_distributions(haviv, haviv_a, haviv_b):
     for policy in (haviv_a, haviv_b):
         chain = induced_chain(haviv, policy)
         for row in chain:
-            assert sum(row, Fraction(0)) == 1
-            assert all(p >= 0 for p in row)
+            assert sum((p for _, p in row), Fraction(0)) == 1
+            assert all(p > 0 for _, p in row)
+            assert [j for j, _ in row] == sorted({j for j, _ in row})
 
 
 def test_induced_chain_routes_y_by_action(haviv, haviv_a, haviv_b):
     y = haviv.state_index("y")
     chain_a = induced_chain(haviv, haviv_a)
     chain_b = induced_chain(haviv, haviv_b)
-    assert chain_a[y][haviv.state_index("c2_0")] == 1
-    assert chain_b[y][haviv.state_index("c3_0")] == 1
+    assert chain_a[y] == ((haviv.state_index("c2_0"), 1),)
+    assert chain_b[y] == ((haviv.state_index("c3_0"), 1),)
 
 
 def test_induced_chain_single_self_loop():
     mdp = parse_instance(json.dumps(MINIMAL))
     policy = Policy.from_mapping(mdp, {})
-    assert induced_chain(mdp, policy) == ((Fraction(1),),)
+    assert induced_chain(mdp, policy) == (((0, Fraction(1)),),)
+
+
+def test_successors_share_the_kernel_fractions(haviv, haviv_a):
+    chain = induced_chain(haviv, haviv_a)
+    for i, state in enumerate(haviv.states):
+        j = haviv.actions[i].index(haviv_a.action_for(state))
+        assert chain[i] is haviv.successors[i][j]
+        for k, p in chain[i]:
+            assert p is haviv.kernel[i][j][k]
+
+
+def test_replace_recompiles_successors_and_equality_ignores_them(twochain):
+    F = Fraction
+    n = twochain.num_states
+    kernel = tuple(
+        tuple(tuple(F(1, n) for _ in range(n)) for _ in rows) for rows in twochain.kernel
+    )
+    uniform = replace(twochain, kernel=kernel)
+    full_row = tuple((k, F(1, n)) for k in range(n))
+    assert uniform.successors == tuple(
+        tuple(full_row for _ in rows) for rows in kernel
+    )
+    relabelled = replace(twochain, constraints=tuple(
+        tuple(tuple(c + 1 for c in cvec) for cvec in per_action)
+        for per_action in twochain.constraints
+    ))
+    assert relabelled.successors == twochain.successors
+
+    copy = replace(twochain)
+    object.__setattr__(copy, "successors", ())
+    assert copy == twochain
+    assert hash(copy) == hash(twochain)

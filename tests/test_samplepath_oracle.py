@@ -2,22 +2,23 @@
 
 The code under test checks the shared class structure and takes the
 absorption ranges in one pass over the policies. The reference here
-enumerates the policies once per question, decomposes each induced chain,
-reads each absorption row from ``evaluate`` and builds the converted
-models entry by entry. Results must be equal, with every analytic value a
-``Fraction``, and non-decomposable models must fail with the same message.
+enumerates the policies once per question, decomposes each dense induced
+chain, solves each absorption row densely (``dense_oracle``) and builds the
+converted models entry by entry. Results must be equal, with every
+analytic value a ``Fraction``, and non-decomposable models must fail with
+the same message.
 """
 
 import random
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_oracle
 from cmdpkit import chains
-from cmdpkit.evaluation import evaluate
-from cmdpkit.model import induced_chain
 from cmdpkit.samplepath import (
     ClassControl,
     ClassControllability,
@@ -42,10 +43,11 @@ def union_chain(mdp):
 
 
 def oracle_structure(mdp):
-    union = chains.decompose(union_chain(mdp))
+    union = dense_oracle.decompose(union_chain(mdp))
     expected = set(union.recurrent_classes)
     for policy in enumerate_policies(mdp):
-        got = set(chains.decompose(induced_chain(mdp, policy)).recurrent_classes)
+        chain = dense_oracle.dense_chain(mdp, policy)
+        got = set(dense_oracle.decompose(chain).recurrent_classes)
         if got != expected:
             differing = sorted(set().union(*(expected ^ got)))
             raise NotDecomposableError(
@@ -57,7 +59,11 @@ def oracle_structure(mdp):
 
 def oracle_controllability(mdp, x):
     union = oracle_structure(mdp)
-    rows = [evaluate(mdp, policy, x).absorption for policy in enumerate_policies(mdp)]
+    start = mdp.state_index(x)
+    rows = [
+        dense_oracle.absorption_probs(dense_oracle.dense_chain(mdp, policy))[start]
+        for policy in enumerate_policies(mdp)
+    ]
     return ClassControllability(
         classes=tuple(
             ClassControl(
@@ -133,6 +139,22 @@ def test_one_pass_questions_equal_brute_force(mdp):
     assert selective == oracle_convert(mdp, kept)
     assert_exact_model(full)
     assert_exact_model(selective)
+
+
+@settings(max_examples=40, deadline=None)
+@given(models())
+def test_subchain_questions_solve_no_stationary_vector(mdp):
+    x = mdp.initial_state
+    structure = outcome(oracle_structure, mdp)
+    if isinstance(structure, str):
+        expected = (structure, structure)
+    else:
+        control = oracle_controllability(mdp, x)
+        expected = (control, oracle_convert(mdp, control.controllable_members))
+    unused = AssertionError("stationary vectors are not needed here")
+    with mock.patch.object(chains, "stationary_distribution", side_effect=unused):
+        got = (outcome(controllable_classes, mdp, x), outcome(selective_convert, mdp, x))
+    assert got == expected
 
 
 def test_both_branches_occur():
