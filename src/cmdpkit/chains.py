@@ -19,7 +19,7 @@ absorption probabilities are exact rationals from sparse elimination:
 
 All functions are pure over immutable inputs and keep no state between
 calls; callers that need a chain's analysis more than once hold on to it
-(``evaluation.analyse_policy``).
+(``evaluation.analyse_policies``).
 """
 
 from __future__ import annotations

@@ -225,8 +225,7 @@ def _cmd_residual(args) -> CommandOutcome:
     spec = residual_mod.residual_slack(
         mdp, base.policy, mdp.initial_state, args.to, args.time
     )
-    shifted = residual_mod.build_residual_problem(mdp, spec)
-    i = shifted.state_index(spec.target)
+    i = mdp.state_index(spec.target)
     doc = {
         "from": spec.source,
         "to": spec.target,
@@ -234,8 +233,8 @@ def _cmd_residual(args) -> CommandOutcome:
         "prob": _rat(spec.prob_to),
         "slack": _rats(spec.slack),
         "residual_constraint": {
-            action: _rats(shifted.constraints[i][j])
-            for j, action in enumerate(shifted.actions[i])
+            action: _rats(c - d for c, d in zip(cvec, spec.slack))
+            for action, cvec in zip(mdp.actions[i], mdp.constraints[i])
         },
         "residual_solve": _solve_doc(mdp, table.solve(spec.target, spec.slack)),
     }

@@ -6,13 +6,17 @@ the chain is absorbed into. Evaluation therefore reduces to per-class
 stationary averages mixed by absorption probabilities; that reduction is
 exercised as a testable identity rather than assumed silently. Chains are
 the sparse successor rows of ``model.induced_chain``.
+
+``analyse_policies`` analyses a sequence of policies and solves a class
+again only when its members or their actions differ from the policy
+before; ``analyse_policy`` is its one-policy case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from cmdpkit import chains
 from cmdpkit.model import Chain, Mdp, Policy, Trajectory, induced_chain
@@ -78,39 +82,65 @@ class PolicyAnalysis:
         return v, tuple(w)
 
 
-def analyse_policy(mdp: Mdp, policy: Policy) -> PolicyAnalysis:
-    """Induced chain, decomposition, class gains and absorption of a policy.
+def analyse_policies(mdp: Mdp, policies: Iterable[Policy]) -> Iterator[PolicyAnalysis]:
+    """Induced chain, decomposition, class gains and absorption of each policy.
 
-    Each recurrent class gets one stationary vector, shared by the reward
-    and the constraint gains. Nothing is cached: callers that need several
-    start states read them all from the one analysis.
+    Yields one analysis per policy, in order. Each recurrent class gets one
+    stationary vector, shared by the reward and the constraint gains. A
+    class's vector and gains depend only on its members and the actions
+    taken on them, so a class the previous policy also had, with the same
+    actions on its members, reuses that policy's solve. Only the previous
+    policy's classes are kept: memory does not grow with the policy count.
     """
-    chain = induced_chain(mdp, policy)
-    decomposition = chains.decompose(chain)
-    stationary = []
-    gains = []
-    for cls in decomposition.recurrent_classes:
-        pi = chains.stationary_distribution(chain, cls)
-        reward = ZERO
-        constraint = [ZERO] * mdp.constraint_dim
-        for p, s in zip(pi, cls):
-            j = mdp.actions[s].index(policy.action_for(mdp.states[s]))
-            reward += p * mdp.rewards[s][j]
-            for k, c in enumerate(mdp.constraints[s][j]):
-                constraint[k] += p * c
-        stationary.append(pi)
-        gains.append(ClassGain(
-            states=tuple(mdp.states[s] for s in cls),
-            reward_gain=reward,
-            constraint_gain=tuple(constraint),
-        ))
-    return PolicyAnalysis(
-        chain=chain,
-        decomposition=decomposition,
-        stationary=tuple(stationary),
-        class_gains=tuple(gains),
-        absorption=chains.absorption_map(chain, decomposition),
+    previous: dict[tuple, tuple[tuple[Fraction, ...], ClassGain]] = {}
+    for policy in policies:
+        chain = induced_chain(mdp, policy)
+        decomposition = chains.decompose(chain)
+        current: dict[tuple, tuple[tuple[Fraction, ...], ClassGain]] = {}
+        for cls in decomposition.recurrent_classes:
+            taken = tuple(
+                mdp.actions[s].index(policy.action_for(mdp.states[s])) for s in cls
+            )
+            key = (cls, taken)
+            solved = previous.get(key)
+            if solved is None:
+                solved = _class_solve(mdp, chain, cls, taken)
+            current[key] = solved
+        previous = current
+        yield PolicyAnalysis(
+            chain=chain,
+            decomposition=decomposition,
+            stationary=tuple(pi for pi, _ in current.values()),
+            class_gains=tuple(gain for _, gain in current.values()),
+            absorption=chains.absorption_map(chain, decomposition),
+        )
+
+
+def _class_solve(
+    mdp: Mdp, chain: Chain, cls: tuple[int, ...], taken: tuple[int, ...]
+) -> tuple[tuple[Fraction, ...], ClassGain]:
+    """Stationary vector of a recurrent class and the gains under it."""
+    pi = chains.stationary_distribution(chain, cls)
+    reward = ZERO
+    constraint = [ZERO] * mdp.constraint_dim
+    for p, s, j in zip(pi, cls, taken):
+        reward += p * mdp.rewards[s][j]
+        for k, c in enumerate(mdp.constraints[s][j]):
+            constraint[k] += p * c
+    return pi, ClassGain(
+        states=tuple(mdp.states[s] for s in cls),
+        reward_gain=reward,
+        constraint_gain=tuple(constraint),
     )
+
+
+def analyse_policy(mdp: Mdp, policy: Policy) -> PolicyAnalysis:
+    """``analyse_policies`` for one policy: nothing is reused or cached.
+
+    Callers that need several start states read them all from the one
+    analysis.
+    """
+    return next(analyse_policies(mdp, (policy,)))
 
 
 def evaluate(mdp: Mdp, policy: Policy, x: str) -> EvaluationReport:

@@ -243,7 +243,10 @@ def validate(mdp: Mdp) -> ValidationReport:
     """Check every structural invariant; the report lists all violations.
 
     An empty report means the model is well formed. Rewards and constraints
-    at transient states are ordinary data and are not special-cased.
+    at transient states are ordinary data and are not special-cased. Fields
+    whose length does not match the states (``state-shape``) or a state's
+    actions (``action-shape``) are reported, and the rest is still checked
+    as far as the entries line up.
     """
     violations: list[Violation] = []
 
@@ -262,19 +265,38 @@ def validate(mdp: Mdp) -> ValidationReport:
     if n < 0:
         add("constraint-dim", None, None, f"constraint_dim must be >= 0, got {n}")
 
-    for i, state in enumerate(mdp.states):
+    per_state = (
+        ("actions", mdp.actions), ("kernel", mdp.kernel),
+        ("rewards", mdp.rewards), ("constraints", mdp.constraints),
+    )
+    for name, entries in per_state:
+        if len(entries) != len(mdp.states):
+            add("state-shape", None, None,
+                f"{name} has {len(entries)} entries for {len(mdp.states)} states")
+    aligned = min(len(entries) for _, entries in per_state)
+
+    for i, state in enumerate(mdp.states[:aligned]):
         acts = mdp.actions[i]
         if not acts:
             add("no-actions", state, None, f"state {state!r} has no actions")
         if len(set(acts)) != len(acts):
             add("duplicate-action", state, None,
                 f"state {state!r} has duplicate action labels")
+        rows, constraints = mdp.kernel[i], mdp.constraints[i]
+        for name, entries in (
+            ("kernel rows", rows), ("rewards", mdp.rewards[i]),
+            ("constraint vectors", constraints),
+        ):
+            if len(entries) != len(acts):
+                add("action-shape", state, None,
+                    f"state {state!r} has {len(acts)} actions but "
+                    f"{len(entries)} {name}")
         for j, action in enumerate(acts):
-            row = mdp.kernel[i][j]
-            if len(row) != len(mdp.states):
+            row = rows[j] if j < len(rows) else None
+            if row is not None and len(row) != len(mdp.states):
                 add("row-shape", state, action,
                     f"kernel row of ({state!r}, {action!r}) has length {len(row)}")
-            else:
+            elif row is not None:
                 negatives = [mdp.states[k] for k, p in enumerate(row) if p < 0]
                 if negatives:
                     add("row-negative", state, action,
@@ -285,10 +307,10 @@ def validate(mdp: Mdp) -> ValidationReport:
                     add("row-sum", state, action,
                         f"kernel row of ({state!r}, {action!r}) sums to "
                         f"{format_rational(total)}, not 1")
-            if len(mdp.constraints[i][j]) != n:
+            if j < len(constraints) and len(constraints[j]) != n:
                 add("constraint-length", state, action,
                     f"constraint vector of ({state!r}, {action!r}) has length "
-                    f"{len(mdp.constraints[i][j])}, expected {n}")
+                    f"{len(constraints[j])}, expected {n}")
 
     return ValidationReport(violations=tuple(violations))
 

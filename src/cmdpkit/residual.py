@@ -124,7 +124,8 @@ def build_residual_problem(mdp: Mdp, spec: ResidualSpec) -> Mdp:
     """Same model with every constraint vector shifted by -slack, started at y.
 
     Kernel and rewards are untouched; the shift applies uniformly to every
-    state and action.
+    state and action. Solving needs no such model (``PolicyTable.solve``
+    takes the slack); this is the shifted problem as a model of its own.
     """
     shifted = tuple(
         tuple(

@@ -5,22 +5,32 @@ componentwise. Enumeration order is lexicographic in (state index, action
 index) and ties are broken by that order, so every downstream audit is
 reproducible.
 
-``solve`` streams one pass over the policies, analysing each once and
-keeping only the best so far. A question that filters the policies more
-than once (the audit, the residual report) keeps the pass in one
-``PolicyTable``, with V and W at every start state it needs; both filter
-the rows with the same ``_best``.
+Every policy is enumerated (``CMDPKIT_ENUM_CAP`` bounds their full
+product), but only canonical ones are analysed: V and W at the start
+states depend only on the actions at the states a policy reaches from
+them, so a policy that takes the first action at every other state stands
+for all policies that agree with it where it reaches. Each row carries
+that multiplicity, so ``feasible_count`` and ``total_count`` still count
+every policy, and the canonical policy comes first among those it stands
+for, so the tie-break is unchanged.
+
+``solve`` streams one pass over the canonical policies, analysing each
+once (``evaluation.analyse_policies``) and keeping only the best so far. A
+question that filters the policies more than once (the audit, the
+residual report) keeps the pass in one ``PolicyTable``, with V and W at
+every start state it needs; both filter the rows with the same ``_best``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from cmdpkit.evaluation import analyse_policy
+from cmdpkit.evaluation import analyse_policies
 from cmdpkit.model import Mdp, Policy
 
 ENUM_CAP_ENV = "CMDPKIT_ENUM_CAP"
@@ -85,43 +95,79 @@ class SolveResult:
 
 @dataclass(frozen=True)
 class TableRow:
-    """One policy with its V and W at each start state of a pass.
+    """One canonical policy with its V and W at each start state of a pass.
 
     ``V[k]`` and ``W[k]`` belong to the k-th start state asked for.
+    ``count`` is the number of policies the row stands for: those that
+    agree with ``policy`` on every state it reaches from the start states.
     """
 
     policy: Policy
     V: tuple[Fraction, ...]
     W: tuple[tuple[Fraction, ...], ...]
+    count: int
+
+
+def _canonical(mdp: Mdp, indices: list[int]) -> Iterator[tuple[Policy, int]]:
+    """Canonical policies, in ``enumerate_policies`` order, with multiplicities.
+
+    R_p is the set of states policy p reaches from the start indices. The
+    search that finds it reads only the rows of states in R_p, so R_p, and
+    V and W at the starts, depend only on the actions p takes in R_p. p is
+    canonical when it takes the first action at every state outside R_p;
+    it stands for every policy that agrees with it on R_p (the product of
+    the action counts outside R_p) and comes first among them.
+    """
+    start = set(indices)
+    for policy in enumerate_policies(mdp):
+        taken = [acts.index(a) for acts, (_, a) in zip(mdp.actions, policy.choice)]
+        reach = set(start)
+        frontier = list(start)
+        while frontier:
+            s = frontier.pop()
+            for j, _ in mdp.successors[s][taken[s]]:
+                if j not in reach:
+                    reach.add(j)
+                    frontier.append(j)
+        outside = [s for s in range(len(taken)) if s not in reach]
+        if not any(taken[s] for s in outside):
+            yield policy, math.prod(len(mdp.actions[s]) for s in outside)
 
 
 def _rows(mdp: Mdp, indices: list[int]) -> Iterator[TableRow]:
-    """Every policy, analysed once, in ``enumerate_policies`` order."""
-    for policy in enumerate_policies(mdp):
-        analysis = analyse_policy(mdp, policy)
+    """Every canonical policy, analysed once, in ``enumerate_policies`` order."""
+    weighted, policies = itertools.tee(_canonical(mdp, indices))
+    analyses = analyse_policies(mdp, (policy for policy, _ in policies))
+    for (policy, count), analysis in zip(weighted, analyses):
         values = [analysis.values_at(i) for i in indices]
         yield TableRow(
             policy=policy,
             V=tuple(v for v, _ in values),
             W=tuple(w for _, w in values),
+            count=count,
         )
 
 
 def _best(
     rows: Iterable[TableRow], k: int, slack: tuple[Fraction, ...] | None = None
 ) -> SolveResult:
-    """The first row with the largest V[k] among those with W[k] - slack >= 0."""
+    """The first row with the largest V[k] among those with W[k] - slack >= 0.
+
+    The counts add every policy a row stands for. A canonical row has the
+    V and W of the policies it stands for and precedes them, so the first
+    best row is also the first best policy.
+    """
     best: TableRow | None = None
     best_w: tuple[Fraction, ...] | None = None
     feasible = total = 0
     for row in rows:
-        total += 1
+        total += row.count
         w = row.W[k]
         if slack is not None:
             w = tuple(c - d for c, d in zip(w, slack))
         if any(c < 0 for c in w):
             continue
-        feasible += 1
+        feasible += row.count
         if best is None or row.V[k] > best.V[k]:
             best, best_w = row, w
     if best is None:
@@ -136,12 +182,14 @@ def _best(
 
 
 class PolicyTable:
-    """Every policy of a model, analysed once, with V and W at given states.
+    """Every canonical policy, analysed once, with V and W at given states.
 
-    Rows are in ``enumerate_policies`` order (same cap check), so filters
-    that keep the first best row keep the solver's lexicographic
-    tie-break. Memory grows with policies times states, so only questions
-    that filter the rows more than once build a table.
+    A policy is canonical for the union of its reach sets from all the
+    table's states, so every column is exact. Rows are in
+    ``enumerate_policies`` order (same cap check), so filters that keep
+    the first best row keep the solver's lexicographic tie-break. Memory
+    grows with canonical policies times states, so only questions that
+    filter the rows more than once build a table.
     """
 
     def __init__(self, mdp: Mdp, states: tuple[str, ...]):

@@ -156,6 +156,40 @@ def test_validate_reports_a_short_row_and_its_constraint_length():
     ]
 
 
+def test_validate_reports_fewer_entries_than_actions_and_checks_on():
+    F = Fraction
+    mdp = Mdp(
+        states=("a", "b", "c"),
+        actions=(("x", "y"), ("u", "v"), ("w",)),
+        kernel=(
+            ((F(1), F(0), F(0)),),
+            ((F(0), F(1), F(0)), (F(0), F(0), F(1))),
+            ((F(1, 2), F(0), F(0)),),
+        ),
+        rewards=((F(0), F(0)), (F(0),), (F(0),)),
+        constraints=(((), ()), ((),), ((),)),
+        constraint_dim=0,
+        initial_state="a",
+    )
+    violations = validate(mdp).violations
+    assert [(v.kind, v.state, v.action) for v in violations] == [
+        ("action-shape", "a", None),
+        ("action-shape", "b", None),
+        ("action-shape", "b", None),
+        ("row-sum", "c", "w"),
+    ]
+    assert violations[0].message == "state 'a' has 2 actions but 1 kernel rows"
+    assert violations[1].message == "state 'b' has 2 actions but 1 rewards"
+    assert violations[2].message == "state 'b' has 2 actions but 1 constraint vectors"
+    # a state with no entries at all is reported too, not indexed into
+    short = replace(mdp, actions=mdp.actions[:2], rewards=mdp.rewards[:1])
+    assert [(v.kind, v.message) for v in validate(short).violations] == [
+        ("state-shape", "actions has 2 entries for 3 states"),
+        ("state-shape", "rewards has 1 entries for 3 states"),
+        ("action-shape", "state 'a' has 2 actions but 1 kernel rows"),
+    ]
+
+
 def test_unknown_initial_state_flagged():
     doc = json.loads(json.dumps(MINIMAL))
     doc["initial_state"] = "nowhere"
