@@ -17,6 +17,16 @@ absorption probabilities are exact rationals from sparse elimination:
   component is a small system of its own and a singleton needs only back
   substitution.
 
+The elimination runs on integers only (fraction-free, as in Edmonds 1967
+and Bareiss 1968). Each equation is scaled by the lcm of the denominators
+in its row, so every coefficient is an integer, and ``_sparse_solve``
+returns numerators over one common denominator. Scaling a row or an
+unknown by a positive integer, and the fraction-free row updates, never
+turn a zero entry nonzero or a nonzero one zero, so the pivots are those
+of the rational elimination; each system has a unique solution, so the
+values are too. ``Fraction``s appear only at the boundary: reading the
+chain's probabilities and building the returned vectors.
+
 All functions are pure over immutable inputs and keep no state between
 calls; callers that need a chain's analysis more than once hold on to it
 (``evaluation.analyse_policies``).
@@ -27,6 +37,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterator
 
 from cmdpkit.model import Chain, Mdp, Policy, induced_chain
@@ -133,13 +144,24 @@ def decompose(chain: Chain) -> ChainDecomposition:
 
 
 def _sparse_solve(
-    rows: list[dict[int, Fraction]], rhs: list[list[Fraction]]
-) -> list[list[Fraction]]:
-    """Exact solve of A X = rhs, A given as sparse rows {column: coefficient}.
+    rows: list[dict[int, int]], rhs: list[list[int]]
+) -> tuple[list[list[int]], int]:
+    """Exact solve of A X = rhs over the integers, A as sparse rows {column: coefficient}.
+
+    Returns ``(numerators, denominator)``: X[i][k] = numerators[i][k] /
+    denominator, with one positive common denominator.
 
     The unknowns are the columns 0..len(rows)-1. Each column is pivoted on
-    the remaining row with the fewest nonzeros, which keeps fill-in low;
-    forward elimination is followed by back substitution. ``rows`` and
+    the remaining row with the fewest nonzeros, ties to the lower row
+    index, which keeps fill-in low. Elimination is fraction-free: a row
+    with entry a in the pivot column becomes (h/g) row - (a/g) pivot_row,
+    where h is the pivot and g = gcd(h, a), and is then divided, with its
+    right-hand side, by the gcd of its entries. Each update multiplies the
+    row by a nonzero integer, so every entry is zero exactly when the
+    rational update's is, the row lengths match, and the pivots are the
+    ones a rational elimination would take. Back substitution keeps one
+    common denominator, the lcm of those of the unknowns solved so far,
+    and rescales the numerators already found when it grows. ``rows`` and
     ``rhs`` are consumed. Raises ValueError on a singular system.
     """
     n = len(rows)
@@ -161,11 +183,16 @@ def _sparse_solve(
         head = pivot_row[col]
         for r in candidates:
             row = rows[r]
-            factor = row.pop(col) / head
+            a = row.pop(col)
+            g = gcd(head, a)
+            scale, factor = head // g, a // g
+            if scale != 1:
+                for c in row:
+                    row[c] *= scale
             for c, v in pivot_row.items():
                 if c == col:
                     continue
-                updated = row.get(c, ZERO) - factor * v
+                updated = row.get(c, 0) - factor * v
                 if updated:
                     if c not in row:
                         holders[c].add(r)
@@ -173,24 +200,42 @@ def _sparse_solve(
                 elif c in row:
                     del row[c]
                     holders[c].discard(r)
-            target = rhs[r]
-            for k, v in enumerate(pivot_rhs):
-                if v:
-                    target[k] -= factor * v
+            target = [scale * t - factor * v for t, v in zip(rhs[r], pivot_rhs)]
+            content = gcd(*row.values(), *target)
+            if content > 1:
+                for c in row:
+                    row[c] //= content
+                target = [t // content for t in target]
+            rhs[r] = target
         order.append((col, pivot))
 
-    solution: list[list[Fraction]] = [[] for _ in range(n)]
+    numerators: list[list[int]] = [[] for _ in range(n)]
+    denominator = 1
     for col, pivot in reversed(order):
         row = rows[pivot]
-        values = rhs[pivot]
+        values = [denominator * v for v in rhs[pivot]]
         for c, v in row.items():
             if c != col:
-                for k, x in enumerate(solution[c]):
+                for k, x in enumerate(numerators[c]):
                     if x:
                         values[k] -= v * x
-        head = row[col]
-        solution[col] = [v / head for v in values]
-    return solution
+        # X[col] = values / (denominator * head); reduce, then widen the
+        # common denominator to the lcm of the old one and this one's.
+        own = denominator * row[col]
+        g = gcd(own, *values)
+        if own < 0:
+            g = -g
+        own //= g
+        widened = lcm(denominator, own)
+        if widened != denominator:
+            grow = widened // denominator
+            for solved in numerators:
+                for k, x in enumerate(solved):
+                    solved[k] = x * grow
+            denominator = widened
+        spread = denominator // own
+        numerators[col] = [v // g * spread for v in values]
+    return numerators, denominator
 
 
 def stationary_distribution(chain: Chain, cls: tuple[int, ...]) -> tuple[Fraction, ...]:
@@ -214,29 +259,37 @@ def stationary_distribution(chain: Chain, cls: tuple[int, ...]) -> tuple[Fractio
     k = len(cls)
     if k == 1:
         return (Fraction(1),)
-    # p (M - I) = 0 has rank k - 1: fix p[0] = 1 and drop the equation of
-    # column 0. Row and unknown i - 1 belong to column and member i.
-    rows: list[dict[int, Fraction]] = [{} for _ in range(k - 1)]
-    rhs = [[ZERO] for _ in range(k - 1)]
+    # p (M - I) = 0 has rank k - 1: fix p[0] and drop the equation of
+    # column 0. Row and unknown i - 1 belong to column and member i. Member
+    # i's row of M is scaled by D[i], the lcm of its denominators, so the
+    # unknowns are q[i] = p[i] / D[i] and every coefficient is an integer;
+    # with q[0] = 1 the weights are D[i] q[i].
+    scales = [lcm(*(p.denominator for _, p in entries)) for entries in support]
+    rows: list[dict[int, int]] = [{} for _ in range(k - 1)]
+    rhs = [[0] for _ in range(k - 1)]
     for i, entries in enumerate(support):
+        d = scales[i]
         for j, p in entries:
             column = position[j]
             if column == 0:
                 continue
+            coefficient = p.numerator * (d // p.denominator)
             if i == 0:
-                rhs[column - 1][0] -= p
+                rhs[column - 1][0] -= coefficient
             else:
-                row = rows[column - 1]
-                row[i - 1] = row.get(i - 1, ZERO) + p
+                rows[column - 1][i - 1] = coefficient
     for i, row in enumerate(rows):
-        diagonal = row.get(i, ZERO) - 1
+        diagonal = row.get(i, 0) - scales[i + 1]
         if diagonal:
             row[i] = diagonal
         else:
             del row[i]
-    weights = [Fraction(1)] + [x[0] for x in _sparse_solve(rows, rhs)]
-    total = sum(weights, ZERO)
-    return tuple(w / total for w in weights)
+    numerators, denominator = _sparse_solve(rows, rhs)
+    weights = [scales[0] * denominator] + [
+        d * x[0] for d, x in zip(scales[1:], numerators)
+    ]
+    total = sum(weights)
+    return tuple(Fraction(w, total) for w in weights)
 
 
 def absorption_map(
@@ -249,18 +302,20 @@ def absorption_map(
     Transient states are solved one strongly connected component at a time,
     sink components first, so the states a component leaks to are already
     solved. A singleton component needs only back substitution; a larger
-    one is a sparse solve of its own size. Every row sums to exactly 1.
+    one is a sparse solve of its own size. Solved rows are held as integer
+    numerators over a denominator and become Fractions on return. Every
+    row sums to exactly 1.
     """
     if decomposition is None:
         decomposition = decompose(chain)
     classes = decomposition.recurrent_classes
     transient = decomposition.transient_states
     width = len(classes)
-    rows: list[tuple[Fraction, ...]] = [()] * len(chain)
+    solved: list[tuple[list[int], int]] = [([], 1)] * len(chain)
     for c, cls in enumerate(classes):
-        unit = tuple(Fraction(1) if k == c else ZERO for k in range(width))
+        unit = ([1 if k == c else 0 for k in range(width)], 1)
         for s in cls:
-            rows[s] = unit
+            solved[s] = unit
 
     local = {s: i for i, s in enumerate(transient)}
     support = [chain[s] for s in transient]
@@ -269,30 +324,49 @@ def absorption_map(
     )
     for component in components:
         members = {transient[i]: m for m, i in enumerate(component)}
-        # First-step equations: (I - Q) h = one-step mass into solved states.
-        coefficients: list[dict[int, Fraction]] = []
-        rhs: list[list[Fraction]] = []
+        # First-step equations: (I - Q) h = one-step mass into solved
+        # states, each scaled by the lcm of the denominators in its row.
+        coefficients: list[dict[int, int]] = []
+        rhs: list[list[int]] = []
         for m, i in enumerate(component):
-            coefficient = {m: Fraction(1)}
-            mass = [ZERO] * width
-            for j, p in support[i]:
+            entries = support[i]
+            d = lcm(*(
+                p.denominator if j in members else p.denominator * solved[j][1]
+                for j, p in entries
+            ))
+            coefficient = {m: d}
+            mass = [0] * width
+            for j, p in entries:
                 if j in members:
                     other = members[j]
-                    coefficient[other] = coefficient.get(other, ZERO) - p
+                    coefficient[other] = (
+                        coefficient.get(other, 0) - p.numerator * (d // p.denominator)
+                    )
                 else:
-                    for k, h in enumerate(rows[j]):
+                    numerators, denominator = solved[j]
+                    weight = p.numerator * (d // (p.denominator * denominator))
+                    for k, h in enumerate(numerators):
                         if h:
-                            mass[k] += p * h
+                            mass[k] += weight * h
             coefficients.append(coefficient)
             rhs.append(mass)
         if len(component) == 1:
-            head = coefficients[0][0]
-            solution = [[v / head for v in rhs[0]]]
+            numerators, denominator = rhs, coefficients[0][0]
         else:
-            solution = _sparse_solve(coefficients, rhs)
+            numerators, denominator = _sparse_solve(coefficients, rhs)
         for m, i in enumerate(component):
-            rows[transient[i]] = tuple(solution[m])
+            row = numerators[m]
+            g = gcd(denominator, *row)
+            solved[transient[i]] = ([h // g for h in row], denominator // g)
 
+    rows: list[tuple[Fraction, ...]] = [()] * len(chain)
+    for c, cls in enumerate(classes):
+        unit = tuple(Fraction(1) if k == c else ZERO for k in range(width))
+        for s in cls:
+            rows[s] = unit
+    for s in transient:
+        numerators, denominator = solved[s]
+        rows[s] = tuple(Fraction(h, denominator) for h in numerators)
     return tuple(rows)
 
 

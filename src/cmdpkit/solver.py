@@ -23,6 +23,7 @@ every start state it needs; both filter the rows with the same ``_best``.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import os
@@ -63,13 +64,26 @@ def policy_count(mdp: Mdp) -> int:
     return count
 
 
+def _choice_summary(mdp: Mdp) -> str:
+    """The states with a choice, by action count: "20 states with 2 actions"."""
+    states_with = collections.Counter(len(acts) for acts in mdp.actions if len(acts) > 1)
+    return ", ".join(
+        f"{states} state{'s' if states > 1 else ''} with {count} actions"
+        for count, states in sorted(states_with.items())
+    )
+
+
 def enumerate_policies(mdp: Mdp) -> Iterator[Policy]:
-    """All deterministic stationary policies in lexicographic order."""
+    """All deterministic stationary policies in lexicographic order.
+
+    The cap is checked before the first policy is built; the error names
+    the states with a choice and their action counts.
+    """
     cap = enumeration_cap()
     total = policy_count(mdp)
     if total > cap:
         raise EnumerationCapExceeded(
-            f"{total} policies exceed the cap of {cap}; "
+            f"{total} policies ({_choice_summary(mdp)}) exceed the cap of {cap}; "
             f"raise {ENUM_CAP_ENV} to proceed"
         )
     # Policies share their (state, action) pairs, so a table of them stays small.

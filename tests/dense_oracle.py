@@ -10,6 +10,10 @@ model's kernel into sparse successor rows: ``dense_chain`` picks rows of
 ``mdp.kernel`` and every support here is a ``p > 0`` scan over a dense row.
 Only ``closed_classes`` (Tarjan on an adjacency list) is shared with the
 code under test. Property tests require the two to agree exactly.
+
+``sparse_solve`` is the rational sparse elimination ``chains._sparse_solve``
+used before it became fraction-free over the integers: the same pivot rule
+on ``Fraction`` rows, kept as a second reference for the integer solve.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ from cmdpkit.chains import closed_classes
 from cmdpkit.model import Chain, Mdp, Policy, validate_policy
 
 Matrix = tuple[tuple[Fraction, ...], ...]
+
+ZERO = Fraction(0)
 
 
 def dense_chain(mdp: Mdp, policy: Policy) -> Matrix:
@@ -120,6 +126,67 @@ def solve_linear(a: list[list[Fraction]], rhs: list[list[Fraction]]) -> list[lis
                 factor = aug[r][col]
                 aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
     return [row[n:n + width] for row in aug]
+
+
+def sparse_solve(
+    rows: list[dict[int, Fraction]], rhs: list[list[Fraction]]
+) -> list[list[Fraction]]:
+    """Exact solve of A X = rhs, A given as sparse rows {column: coefficient}.
+
+    The unknowns are the columns 0..len(rows)-1. Each column is pivoted on
+    the remaining row with the fewest nonzeros, which keeps fill-in low;
+    forward elimination is followed by back substitution. ``rows`` and
+    ``rhs`` are consumed. Raises ValueError on a singular system.
+    """
+    n = len(rows)
+    holders: list[set[int]] = [set() for _ in range(n)]
+    for r, row in enumerate(rows):
+        for c in row:
+            holders[c].add(r)
+    order: list[tuple[int, int]] = []
+    for col in range(n):
+        candidates = holders[col]
+        if not candidates:
+            raise ValueError("singular linear system")
+        pivot = min(candidates, key=lambda r: (len(rows[r]), r))
+        candidates.discard(pivot)
+        pivot_row = rows[pivot]
+        for c in pivot_row:
+            holders[c].discard(pivot)
+        pivot_rhs = rhs[pivot]
+        head = pivot_row[col]
+        for r in candidates:
+            row = rows[r]
+            factor = row.pop(col) / head
+            for c, v in pivot_row.items():
+                if c == col:
+                    continue
+                updated = row.get(c, ZERO) - factor * v
+                if updated:
+                    if c not in row:
+                        holders[c].add(r)
+                    row[c] = updated
+                elif c in row:
+                    del row[c]
+                    holders[c].discard(r)
+            target = rhs[r]
+            for k, v in enumerate(pivot_rhs):
+                if v:
+                    target[k] -= factor * v
+        order.append((col, pivot))
+
+    solution: list[list[Fraction]] = [[] for _ in range(n)]
+    for col, pivot in reversed(order):
+        row = rows[pivot]
+        values = rhs[pivot]
+        for c, v in row.items():
+            if c != col:
+                for k, x in enumerate(solution[c]):
+                    if x:
+                        values[k] -= v * x
+        head = row[col]
+        solution[col] = [v / head for v in values]
+    return solution
 
 
 def stationary_distribution(matrix: Matrix, cls: tuple[int, ...]) -> tuple[Fraction, ...]:

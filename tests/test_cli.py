@@ -376,3 +376,14 @@ def test_console_entry_point_matches_in_process(instances_dir):
     )
     assert proc.returncode == in_process.exit_code
     assert proc.stdout == in_process.report
+
+
+def test_enumeration_cap_error_names_the_choices(instances_dir, monkeypatch):
+    monkeypatch.setenv("CMDPKIT_ENUM_CAP", "1")
+    out = invoke("solve", str(instances_dir / "yacht.json"))
+    assert out.exit_code == 2
+    assert out.report == ""
+    assert out.error == (
+        "cmdpkit: error: 4 policies (2 states with 2 actions) exceed the cap "
+        "of 1; raise CMDPKIT_ENUM_CAP to proceed\n"
+    )

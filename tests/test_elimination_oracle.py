@@ -103,13 +103,16 @@ def test_class_checks_equal_dense(drawn):
         )
 
 
-@settings(max_examples=200, deadline=None)
+coefficients = st.one_of(st.integers(-2, 2), st.integers(-10**6, 10**6))
+
+
+@settings(max_examples=300, deadline=None)
 @given(
-    st.integers(1, 6).flatmap(lambda n: st.tuples(
-        st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
-                 min_size=n, max_size=n),
-        st.lists(st.lists(st.integers(-3, 3), min_size=2, max_size=2),
-                 min_size=n, max_size=n),
+    st.tuples(st.integers(1, 8), st.integers(0, 3)).flatmap(lambda size: st.tuples(
+        st.lists(st.lists(coefficients, min_size=size[0], max_size=size[0]),
+                 min_size=size[0], max_size=size[0]),
+        st.lists(st.lists(coefficients, min_size=size[1], max_size=size[1]),
+                 min_size=size[0], max_size=size[0]),
     ))
 )
 def test_sparse_solve_equals_dense_or_both_singular(system):
@@ -121,11 +124,77 @@ def test_sparse_solve_equals_dense_or_both_singular(system):
     except ValueError as exc:
         assert str(exc) == "singular linear system"
         expected = None
-    rows = [{c: Fraction(x) for c, x in enumerate(row) if x} for row in a]
+    fraction_rows = [{c: Fraction(x) for c, x in enumerate(row) if x} for row in a]
+    rows = [{c: x for c, x in enumerate(row) if x} for row in a]
     if expected is None:
         with pytest.raises(ValueError, match="singular linear system"):
-            _sparse_solve(rows, [list(row) for row in rhs])
+            dense_oracle.sparse_solve(fraction_rows, [list(row) for row in rhs])
+        with pytest.raises(ValueError, match="singular linear system"):
+            _sparse_solve(rows, [list(row) for row in b])
     else:
-        solution = _sparse_solve(rows, [list(row) for row in rhs])
-        assert solution == expected
-        assert all(all_fractions(row) for row in solution)
+        assert dense_oracle.sparse_solve(fraction_rows, [list(row) for row in rhs]) == expected
+        numerators, denominator = _sparse_solve(rows, [list(row) for row in b])
+        assert type(denominator) is int and denominator > 0
+        assert all(type(x) is int for row in numerators for x in row)
+        assert [[Fraction(x, denominator) for x in row] for row in numerators] == expected
+
+
+MERSENNE_61 = 2**61 - 1
+
+
+def mix(row, i, alpha):
+    """Row i of alpha I + (1 - alpha) P."""
+    return tuple((1 - alpha) * p + (alpha if j == i else 0) for j, p in enumerate(row))
+
+
+def sparse_chain(rng, size):
+    """Random rows with supports of 1 to 6 states."""
+    return tuple(
+        random_row(rng, size, support=rng.sample(range(size), rng.randint(1, min(6, size))))
+        for _ in range(size)
+    )
+
+
+def prime_lazy_chain(rng, size, prime):
+    """A sparse chain whose rows are mostly mixed with a self-loop, each by
+    its own weight k / prime, so members of one class carry different
+    large denominators."""
+    return tuple(
+        mix(row, i, Fraction(rng.randint(1, prime - 1), prime)) if rng.random() < 0.7 else row
+        for i, row in enumerate(sparse_chain(rng, size))
+    )
+
+
+primes = st.sampled_from([1009, MERSENNE_61])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9), st.integers(1, 24), primes)
+def test_large_prime_denominators_equal_dense(seed, size, prime):
+    chain = prime_lazy_chain(random.Random(seed), size, prime)
+    rows = dense_oracle.sparse(chain)
+    for cls in decompose(rows).recurrent_classes:
+        pi = stationary_distribution(rows, cls)
+        assert pi == dense_oracle.stationary_distribution(chain, cls)
+        assert all_fractions(pi)
+    probs = absorption_map(rows)
+    assert probs == dense_oracle.absorption_probs(chain)
+    assert all(all_fractions(row) for row in probs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9), st.integers(1, 24), primes, st.data())
+def test_lazy_variant_keeps_stationary_vectors_and_absorption(seed, size, prime, data):
+    base = sparse_chain(random.Random(seed), size)
+    alpha = Fraction(data.draw(st.integers(1, prime - 1)), prime)
+    lazy = tuple(mix(row, i, alpha) for i, row in enumerate(base))
+    base_rows, lazy_rows = dense_oracle.sparse(base), dense_oracle.sparse(lazy)
+    decomposition = decompose(base_rows)
+    assert decompose(lazy_rows) == decomposition
+    for cls in decomposition.recurrent_classes:
+        pi = stationary_distribution(lazy_rows, cls)
+        assert pi == stationary_distribution(base_rows, cls)
+        assert all_fractions(pi)
+    probs = absorption_map(lazy_rows)
+    assert probs == absorption_map(base_rows)
+    assert all(all_fractions(row) for row in probs)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cmdpkit import instances
+from cmdpkit import instances, solver
 from cmdpkit.evaluation import evaluate
 from cmdpkit.model import Mdp, Policy
 from cmdpkit.solver import (
@@ -130,6 +130,23 @@ def test_enumeration_cap(monkeypatch, haviv):
     monkeypatch.setenv(ENUM_CAP_ENV, "junk")
     with pytest.raises(EnumerationCapExceeded):
         list(enumerate_policies(haviv))
+
+
+def test_cap_error_counts_states_by_actions_before_any_policy(monkeypatch):
+    rng = random.Random(3)
+    mdp = random_mdp(rng, max_states=8, max_actions=3, max_policies=64)
+    while sorted({len(a) for a in mdp.actions} - {1}) != [2, 3]:
+        mdp = random_mdp(rng, max_states=8, max_actions=3, max_policies=64)
+    built = []
+    monkeypatch.setattr(solver, "Policy", lambda **kw: built.append(kw))
+    monkeypatch.setenv(ENUM_CAP_ENV, "1")
+    with pytest.raises(EnumerationCapExceeded) as raised:
+        solve(mdp)
+    assert str(raised.value) == (
+        "18 policies (1 state with 2 actions, 2 states with 3 actions) exceed "
+        f"the cap of 1; raise {ENUM_CAP_ENV} to proceed"
+    )
+    assert built == []
 
 
 def test_unknown_start_is_reported_before_the_cap(monkeypatch, haviv):
