@@ -6,15 +6,29 @@ split into differences of nonnegatives, every row receives an artificial
 variable, and the artificial mass is minimized with Bland's rule, which
 both prevents cycling and makes the returned point deterministic.
 
-The tableau holds integers only (Edmonds 1967; Bareiss 1968). Each row is
-scaled, with its right-hand side, by the lcm of its denominators, and its
-artificial keeps the coefficient 1, which amounts to rescaling that
-artificial's column by the positive row factor. After every pivot the
-tableau is the true one times the last pivot element, and each update
-divides exactly. Positive row and column scalings change neither the sign
-of a reduced cost nor the order of a ratio test, so Bland's rule takes the
-pivots a rational tableau would take, and the structural values, which no
-column scaling touches, come out the same.
+The tableau holds integers only, and each row keeps a positive scale of
+its own: it is stored as the true row times a positive factor. A row
+starts as the constraint times the lcm of its denominators, sign-normalized
+so its right-hand side is >= 0, and its artificial keeps the coefficient 1,
+which amounts to rescaling that artificial's column by the positive row
+factor. The reduced-cost row is held the same way. A pivot on an entry
+p > 0 updates a row whose entry f in the entering column is nonzero by the
+fraction-free step of Edmonds (1967), row = (p/g) row - (f/g) pivot_row
+with g = gcd(p, f), and then divides the row by the gcd of its entries;
+a row with f == 0 is left as it is. Positive row factors change neither
+the sign of a reduced cost nor a ratio rhs_r / a_r, in which a row's
+factor cancels, and positive column factors rescale every ratio of one
+test alike. So Bland's rule takes the pivots, with the same ties, that a
+rational tableau would take, and a basic value is rhs_r / a_r read off
+one row.
+
+Rows are sparse, ``{column: coefficient}`` with the right-hand side under
+the key ``RHS``, so zero entries are never touched. The minus column of a
+free variable is always the negation of its plus column, in every row and
+in the reduced costs, so only the plus column is stored: Bland's scan and
+the ratio test read the minus column as the plus column with the sign
+flipped, and the layout and column indices they compare are those of the
+full split.
 
 Coefficients, bounds and the returned point are Fractions; there is no
 tolerance anywhere.
@@ -24,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Mapping
 
 ZERO = Fraction(0)
@@ -32,6 +46,8 @@ ZERO = Fraction(0)
 EQ = "=="
 LE = "<="
 GE = ">="
+
+RHS = -1  # the key of a row's right-hand side
 
 
 @dataclass(frozen=True)
@@ -51,6 +67,37 @@ class LinearConstraint:
         )
 
 
+def _pivot(rows: list[dict[int, int]], leave: int, column: int) -> None:
+    """Clear stored ``column`` from every row but ``leave``, in place.
+
+    Pivoting on a free variable's minus column clears its plus column; the
+    pivot entry is then negative and both factors change sign.
+    """
+    pivot_row = rows[leave]
+    head = pivot_row[column]
+    for r, row in enumerate(rows):
+        entry = row.get(column)
+        if entry is None or r == leave:
+            continue
+        g = gcd(head, entry)
+        scale, factor = head // g, entry // g
+        if scale < 0:
+            scale, factor = -scale, -factor
+        if scale != 1:
+            for c in row:
+                row[c] *= scale
+        for c, v in pivot_row.items():
+            updated = row.get(c, 0) - factor * v
+            if updated:
+                row[c] = updated
+            else:
+                del row[c]
+        content = gcd(*row.values())
+        if content > 1:
+            for c in row:
+                row[c] //= content
+
+
 def find_feasible_point(
     num_vars: int,
     constraints: list[LinearConstraint],
@@ -61,96 +108,106 @@ def find_feasible_point(
     if not nonneg.issubset(range(num_vars)):
         raise ValueError("nonnegative indices out of range")
 
-    # Column layout: nonnegative vars get one column, free vars a +/- pair.
-    col_of: list[tuple[int, ...]] = []
+    # Column layout: nonnegative vars get one column, free vars a +/- pair,
+    # of which only the + column is stored.
+    col_of: list[int] = []
+    free: set[int] = set()
     n_struct = 0
     for i in range(num_vars):
+        col_of.append(n_struct)
         if i in nonneg:
-            col_of.append((n_struct,))
             n_struct += 1
         else:
-            col_of.append((n_struct, n_struct + 1))
+            free.add(n_struct)
             n_struct += 2
 
-    # Integer rows: structural, slack / surplus and artificial columns, then
-    # the rhs. Each row is scaled by the lcm of its denominators and
+    # Integer rows over structural, slack / surplus and artificial columns,
+    # and the rhs. Each row is scaled by the lcm of its denominators and
     # sign-normalized so every rhs is >= 0; its artificial has coefficient 1.
     m = len(constraints)
     artificial_start = n_struct + sum(1 for c in constraints if c.sense != EQ)
-    rows: list[list[int]] = []
+    rows: list[dict[int, int]] = []
     scales: list[int] = []
     slack = n_struct
     for r, constraint in enumerate(constraints):
-        values = [ZERO] * artificial_start
+        if constraint.sense not in (EQ, LE, GE):
+            raise ValueError(f"unknown sense {constraint.sense!r}")
+        values: dict[int, Fraction] = {}
         for i, coeff in constraint.coeffs:
             if not 0 <= i < num_vars:
                 raise ValueError(f"variable index {i} out of range")
-            cols = col_of[i]
-            values[cols[0]] += coeff
-            if len(cols) == 2:
-                values[cols[1]] -= coeff
+            values[col_of[i]] = values.get(col_of[i], ZERO) + coeff
         if constraint.sense != EQ:
-            values[slack] = 1 if constraint.sense == LE else -1
+            values[slack] = Fraction(1 if constraint.sense == LE else -1)
             slack += 1
-        values.append(constraint.rhs)
-        scale = lcm(*(v.denominator for v in values))
+        values[RHS] = constraint.rhs
+        scale = lcm(*(v.denominator for v in values.values()))
         sign = -1 if constraint.rhs < 0 else 1
-        *row, b = (sign * v.numerator * (scale // v.denominator) for v in values)
-        rows.append(row + [int(k == r) for k in range(m)] + [b])
+        row = {
+            c: sign * v.numerator * (scale // v.denominator) for c, v in values.items() if v
+        }
+        row[artificial_start + r] = 1
+        rows.append(row)
         scales.append(scale)
     basis = list(range(artificial_start, artificial_start + m))
 
     # Reduced costs of the phase-1 objective, the artificials' sum in the
-    # unscaled rows (so row r's artificial costs 1/scale_r), held as
-    # d * lcm(scales) times their true values: the pivot update keeps them
-    # integers like any other row.
+    # unscaled rows (so row r's artificial costs 1/scale_r), with the
+    # negated objective under RHS: lcm(scales) times the true row. The
+    # reduced-cost row is the last row and is never a pivot row.
     weights = [lcm(*scales) // s for s in scales]
-    red = [-sum(w * row[j] for w, row in zip(weights, rows)) for j in range(artificial_start)]
-    red += [0] * (m + 1)
+    red: dict[int, int] = {}
+    for w, row in zip(weights, rows):
+        for c, v in row.items():
+            if c < artificial_start:
+                red[c] = red.get(c, 0) - w * v
+    red = {c: v for c, v in red.items() if v}
+    content = gcd(*red.values())
+    if content > 1:
+        red = {c: v // content for c, v in red.items()}
+    rows.append(red)
 
-    # After each pivot the tableau is d times the rational one, d being the
-    # last pivot element; the updates divide exactly (Sylvester's identity).
-    d = 1
     while True:
-        enter = next((j for j in range(artificial_start + m) if red[j] < 0), None)
+        # Bland: the least column with a negative reduced cost, a free
+        # variable's minus column when its plus column's is positive.
+        enter = min(
+            (c if v < 0 else c + 1 for c, v in red.items() if c != RHS and (v < 0 or c in free)),
+            default=None,
+        )
         if enter is None:
             break
-        candidates = [r for r, row in enumerate(rows) if row[enter] > 0]
-        if not candidates:
+        column, sign = (enter - 1, -1) if enter - 1 in free else (enter, 1)
+        leave = None
+        for r in range(m):
+            a = sign * rows[r].get(column, 0)
+            if a <= 0:
+                continue
+            # Least rhs / coefficient, compared crosswise; ties go to the
+            # least basic index. A row's own scale cancels in its ratio.
+            b = rows[r].get(RHS, 0)
+            if leave is not None:
+                diff = b * best_a - best_b * a
+                if diff > 0 or (diff == 0 and basis[r] > basis[leave]):
+                    continue
+            leave, best_b, best_a = r, b, a
+        if leave is None:
             # Phase-1 objective is bounded below by zero, so this is unreachable
             # for well-formed input; guard against it anyway.
             raise ArithmeticError("phase-1 simplex detected an unbounded direction")
-        leave = candidates[0]
-        for r in candidates[1:]:
-            # Least rhs / coefficient, compared crosswise; ties go to the
-            # least basic index.
-            diff = rows[r][-1] * rows[leave][enter] - rows[leave][-1] * rows[r][enter]
-            if diff < 0 or (diff == 0 and basis[r] < basis[leave]):
-                leave = r
-        pivot_row = rows[leave]
-        pivot = pivot_row[enter]
-        for r, row in enumerate(rows):
-            factor = row[enter]
-            if r != leave and factor:
-                rows[r] = [(pivot * x - factor * y) // d for x, y in zip(row, pivot_row)]
-            elif r != leave and pivot != d:
-                rows[r] = [pivot * x // d for x in row]
-        factor = red[enter]
-        red = [(pivot * x - factor * y) // d for x, y in zip(red, pivot_row)]
+        _pivot(rows, leave, column)
         basis[leave] = enter
-        d = pivot
 
-    if any(rows[r][-1] for r, b in enumerate(basis) if b >= artificial_start):
+    if any(rows[r].get(RHS) for r, b in enumerate(basis) if b >= artificial_start):
         return None
 
-    column_values = [ZERO] * (artificial_start + m)
+    column_values: dict[int, Fraction] = {}
     for r, b in enumerate(basis):
-        column_values[b] = Fraction(rows[r][-1], d)
-    point = []
-    for i in range(num_vars):
-        cols = col_of[i]
-        if len(cols) == 1:
-            point.append(column_values[cols[0]])
+        if b - 1 in free:
+            column_values[b] = Fraction(rows[r].get(RHS, 0), -rows[r][b - 1])
         else:
-            point.append(column_values[cols[0]] - column_values[cols[1]])
-    return point
+            column_values[b] = Fraction(rows[r].get(RHS, 0), rows[r][b])
+    return [
+        column_values.get(c, ZERO) - column_values.get(c + 1, ZERO)
+        if c in free else column_values.get(c, ZERO)
+        for c in col_of
+    ]

@@ -6,6 +6,7 @@ frozen seeds in the tests pin down the exact family being checked.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -39,9 +40,10 @@ def random_mdp(
     constraint_dims: tuple[int, ...] = (0, 1, 2),
     full_support: bool = False,
     max_policies: int = 64,
+    min_states: int = 2,
 ) -> Mdp:
     """Random finite model with a bounded policy-space size."""
-    num_states = rng.randint(2, max_states)
+    num_states = rng.randint(min_states, max_states)
     states = tuple(f"s{i}" for i in range(num_states))
     n = rng.choice(constraint_dims)
 
@@ -77,6 +79,23 @@ def random_mdp(
         constraint_dim=n,
         initial_state="s0",
     )
+
+
+def lazy_variant(mdp: Mdp, alpha: Fraction) -> Mdp:
+    """The model with every kernel row mixed with the identity.
+
+    P' = alpha I + (1 - alpha) P, so P' - I = (1 - alpha)(P - I): the
+    classes, stationary vectors, absorption probabilities, V and W are
+    those of ``mdp``, and every exact solve works on rescaled numbers.
+    """
+    kernel = tuple(
+        tuple(
+            tuple((1 - alpha) * p + (alpha if j == i else 0) for j, p in enumerate(row))
+            for row in rows
+        )
+        for i, rows in enumerate(mdp.kernel)
+    )
+    return dataclasses.replace(mdp, kernel=kernel)
 
 
 def random_policy(rng: random.Random, mdp: Mdp) -> Policy:

@@ -115,6 +115,9 @@ def test_infeasible_random_systems_detected():
 def test_rejects_bad_sense_and_indices():
     with pytest.raises(ValueError):
         LinearConstraint.of({0: F(1)}, "!=", F(0))
+    # Built directly, a constraint skips the check in ``of``.
+    with pytest.raises(ValueError, match="unknown sense '<'"):
+        find_feasible_point(1, [LinearConstraint(((0, F(1)),), "<", F(1))], {0})
     with pytest.raises(ValueError):
         find_feasible_point(1, [], {3})
     for index in (-1, 2, 5):

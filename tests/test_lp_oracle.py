@@ -1,17 +1,22 @@
-"""The integer-preserving simplex against the rational reference.
+"""The per-row-scale integer simplex against its two references.
 
-``lp_oracle`` keeps a ``Fraction`` tableau; ``cmdpkit.lp`` keeps integers
-and must take the same Bland pivots, so the two return the same point, or
-both ``None``, on every system. Certificate searches must not tell the
-two apart either.
+``lp_oracle.find_feasible_point`` keeps a ``Fraction`` tableau and
+``lp_oracle.bareiss_find_feasible_point`` one Bareiss scale for a dense
+integer tableau; ``cmdpkit.lp`` keeps sparse rows, each with its own
+positive scale, and must take the same Bland pivots, so all three return
+the same point, or ``None``, on every system. Certificate searches must not
+tell them apart either. The pivot itself is checked against the rational
+row update: each touched row becomes a positive multiple of it with no
+common factor, and every other row is left as it is.
 """
 
 import random
 from fractions import Fraction
+from math import gcd
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import lp_oracle
@@ -19,7 +24,9 @@ from cmdpkit import lp
 from cmdpkit.certificate import find_certificate
 from cmdpkit.lp import EQ, GE, LE, LinearConstraint, find_feasible_point
 from cmdpkit.solver import solve
-from randmdp import random_decomposable, random_mdp, random_policy
+from randmdp import lazy_variant, random_decomposable, random_mdp, random_policy
+
+ORACLES = (lp_oracle.find_feasible_point, lp_oracle.bareiss_find_feasible_point)
 
 F = Fraction
 
@@ -35,30 +42,44 @@ def coefficients(draw):
 
 @st.composite
 def systems(draw):
-    num_vars = draw(st.integers(0, 6))
+    num_vars = draw(st.integers(0, 10))
     nonneg = draw(st.sets(st.integers(0, num_vars - 1))) if num_vars else set()
     # Anchored systems hold a known point, so feasible ones are common too.
     target = [
         F(draw(st.integers(0 if i in nonneg else -4, 4))) for i in range(num_vars)
     ] if draw(st.booleans()) else None
+    # The tie stratum: zero-rhs rows, and rows repeated at a k/1009
+    # multiple, so that ratio ties between rows of different scales reach
+    # the least-basic-index tie-break.
+    ties = draw(st.booleans())
     constraints = []
-    for _ in range(draw(st.integers(0, 7))):
+    for _ in range(draw(st.integers(0, 12))):
         coeffs = {
             i: draw(coefficients()) for i in range(num_vars) if draw(st.booleans())
         }
         sense = draw(st.sampled_from([EQ, LE, GE]))
-        if target is None:
+        value = None if target is None else sum((c * target[i] for i, c in coeffs.items()), F(0))
+        if ties and draw(st.booleans()):
+            rhs = F(0)
+            if value is not None:
+                sense = EQ if value == 0 else GE if value > 0 else LE
+        elif value is None:
             rhs = draw(coefficients())
         else:
-            rhs = sum((c * target[i] for i, c in coeffs.items()), F(0))
-            rhs += {EQ: 0, LE: 1, GE: -1}[sense] * draw(coefficients()) ** 2
+            rhs = value + {EQ: 0, LE: 1, GE: -1}[sense] * draw(coefficients()) ** 2
         constraints.append(LinearConstraint.of(coeffs, sense, rhs))
+        if ties and draw(st.booleans()):
+            k = F(draw(st.integers(1, 1008)), 1009)
+            constraints.append(
+                LinearConstraint.of({i: k * c for i, c in coeffs.items()}, sense, k * rhs)
+            )
     return num_vars, constraints, nonneg
 
 
 def assert_same_point(num_vars, constraints, nonneg):
     point = find_feasible_point(num_vars, constraints, nonneg)
-    assert point == lp_oracle.find_feasible_point(num_vars, constraints, nonneg)
+    for oracle in ORACLES:
+        assert point == oracle(num_vars, constraints, nonneg)
     if point is not None:
         assert all(type(v) is Fraction for v in point)
     return point
@@ -68,6 +89,36 @@ def assert_same_point(num_vars, constraints, nonneg):
 @given(systems())
 def test_point_equals_rational_oracle(system):
     assert_same_point(*system)
+
+
+lp_pivot = lp._pivot
+
+
+def checked_pivot(rows, leave, column):
+    """``lp._pivot``, checked against the rational update of every row."""
+    before = [dict(row) for row in rows]
+    assert all(gcd(*row.values()) <= 1 for row in before)
+    pivot_row = before[leave]
+    lp_pivot(rows, leave, column)
+    for r, (old, new) in enumerate(zip(before, rows)):
+        if r == leave or column not in old:
+            assert new == old
+            continue
+        ratio = F(old[column], pivot_row[column])
+        expected = {c: old.get(c, 0) - ratio * pivot_row.get(c, 0) for c in old | pivot_row}
+        assert column not in new
+        assert gcd(*new.values()) <= 1
+        key = next(iter(new))
+        multiple = new[key] / expected[key]
+        assert multiple > 0
+        assert all(new.get(c, 0) == multiple * v for c, v in expected.items())
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems())
+def test_pivot_keeps_rows_primitive_and_leaves_untouched_rows(system):
+    with mock.patch.object(lp, "_pivot", checked_pivot):
+        find_feasible_point(*system)
 
 
 @pytest.mark.parametrize("sense", [EQ, LE, GE])
@@ -97,10 +148,26 @@ def certificate_cases(draw):
     return mdp, random_policy(rng, mdp)
 
 
+def assert_same_certificate(mdp, policy):
+    found = find_certificate(mdp, mdp.initial_state, policy)
+    for oracle in ORACLES:
+        with mock.patch.object(lp, "find_feasible_point", oracle):
+            assert find_certificate(mdp, mdp.initial_state, policy) == found
+
+
 @settings(max_examples=100, deadline=None)
 @given(certificate_cases())
 def test_certificate_search_equals_search_on_oracle(case):
-    mdp, policy = case
-    found = find_certificate(mdp, mdp.initial_state, policy)
-    with mock.patch.object(lp, "find_feasible_point", lp_oracle.find_feasible_point):
-        assert find_certificate(mdp, mdp.initial_state, policy) == found
+    assert_same_certificate(*case)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(0, 10**9), st.integers(1, 1008))
+def test_lazy_variant_certificate_search_equals_search_on_oracles(seed, k):
+    # 16-24 states: one Bellman row per state and action of the closure.
+    rng = random.Random(seed)
+    mdp = random_mdp(rng, max_states=24, min_states=16, max_policies=16)
+    mdp = lazy_variant(mdp, F(k, 1009))
+    result = solve(mdp)
+    assume(result.status == "optimal")
+    assert_same_certificate(mdp, result.policy)
