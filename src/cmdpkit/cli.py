@@ -117,8 +117,6 @@ def _build_parser() -> _Parser:
     def cmd(name: str, **kwargs) -> argparse.ArgumentParser:
         p = sub.add_parser(name, **kwargs)
         p.add_argument("file", help="instance JSON document")
-        p.add_argument("--format", default="json", choices=["json"],
-                       help="output format (json only for now)")
         return p
 
     cmd("validate", help="check instance invariants")
@@ -284,6 +282,9 @@ def _cmd_certify(args) -> CommandOutcome:
     ) if args.mu else ()
     if args.potential:
         raw = json.loads(Path(args.potential).read_text(encoding="utf-8"))
+        if not isinstance(raw, dict):
+            raise InstanceFormatError(
+                f"potential file root must be a JSON object, got {type(raw).__name__}")
         potential = {s: parse_rational(v) for s, v in raw.items()}
     else:
         closure = reachable_states(mdp, None, mdp.initial_state)

@@ -9,10 +9,10 @@ constraint vector per (state, action). Every numeric quantity is a
 All types here are frozen dataclasses built from tuples. ``Mdp`` and
 ``Policy`` each build their label lookup map once, at construction, in a
 field that equality and hashing ignore; no analysis is keyed by hashing a
-model. ``Mdp`` compiles its dense kernel the same way, once, into sparse
-successor rows (``Successors``): every chain analysis reads those, and
-only construction, ``validate`` and ``serialize_instance`` read the dense
-kernel.
+model. The kernel is held only as sparse successor rows (``Successors``),
+built straight from each document's ``transitions`` object: parsing,
+``validate``, ``serialize_instance`` and every chain analysis read those
+rows, and no dense transition row is ever built.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-# The (target index, probability) pairs of one transition row with positive
+# The (target index, probability) pairs of one transition row with nonzero
 # probability, ascending by index; a policy-induced chain is one per state.
 Successors = tuple[tuple[int, Fraction], ...]
 Chain = tuple[Successors, ...]
@@ -84,37 +84,27 @@ class Mdp:
     """Finite constrained MDP with exact rational data.
 
     Fields are index-aligned: ``actions[i]`` lists the action labels of
-    ``states[i]``; ``kernel[i][j]`` is the dense transition row (over all
-    states, in model order) of action j at state i; ``rewards[i][j]`` and
-    ``constraints[i][j]`` the stagewise reward and constraint vector.
-
-    ``successors[i][j]`` is the same row compiled at construction: the
-    ``(index, probability)`` pairs with positive probability, ascending by
-    index, sharing the kernel's ``Fraction`` objects. Compiling never
-    raises, so ``validate`` still reports every violation of a malformed
-    kernel (negative entries are simply not successors).
+    ``states[i]``; ``successors[i][j]`` is the transition row of action j
+    at state i, as ``(index, probability)`` pairs ascending by index with
+    every probability nonzero; ``rewards[i][j]`` and ``constraints[i][j]``
+    the stagewise reward and constraint vector. Construction checks
+    nothing: ``validate`` reports every violation, negative probabilities
+    included.
     """
 
     states: tuple[str, ...]
     actions: tuple[tuple[str, ...], ...]
-    kernel: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    successors: tuple[tuple[Successors, ...], ...]
     rewards: tuple[tuple[Fraction, ...], ...]
     constraints: tuple[tuple[tuple[Fraction, ...], ...], ...]
     constraint_dim: int
     initial_state: str
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
-    successors: tuple[tuple[Successors, ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         object.__setattr__(
             self, "_index", {label: i for i, label in enumerate(self.states)}
         )
-        object.__setattr__(self, "successors", tuple(
-            tuple(tuple((j, p) for j, p in enumerate(row) if p > 0) for row in rows)
-            for rows in self.kernel
-        ))
 
     def state_index(self, label: str) -> int:
         try:
@@ -266,7 +256,7 @@ def validate(mdp: Mdp) -> ValidationReport:
         add("constraint-dim", None, None, f"constraint_dim must be >= 0, got {n}")
 
     per_state = (
-        ("actions", mdp.actions), ("kernel", mdp.kernel),
+        ("actions", mdp.actions), ("kernel", mdp.successors),
         ("rewards", mdp.rewards), ("constraints", mdp.constraints),
     )
     for name, entries in per_state:
@@ -282,7 +272,7 @@ def validate(mdp: Mdp) -> ValidationReport:
         if len(set(acts)) != len(acts):
             add("duplicate-action", state, None,
                 f"state {state!r} has duplicate action labels")
-        rows, constraints = mdp.kernel[i], mdp.constraints[i]
+        rows, constraints = mdp.successors[i], mdp.constraints[i]
         for name, entries in (
             ("kernel rows", rows), ("rewards", mdp.rewards[i]),
             ("constraint vectors", constraints),
@@ -293,16 +283,20 @@ def validate(mdp: Mdp) -> ValidationReport:
                     f"{len(entries)} {name}")
         for j, action in enumerate(acts):
             row = rows[j] if j < len(rows) else None
-            if row is not None and len(row) != len(mdp.states):
+            if row is not None and not (
+                all(p != 0 and 0 <= k < len(mdp.states) for k, p in row)
+                and all(k < m for (k, _), (m, _) in zip(row, row[1:]))
+            ):
                 add("row-shape", state, action,
-                    f"kernel row of ({state!r}, {action!r}) has length {len(row)}")
+                    f"kernel row of ({state!r}, {action!r}) is not ascending "
+                    f"(index, nonzero probability) pairs over {len(mdp.states)} states")
             elif row is not None:
-                negatives = [mdp.states[k] for k, p in enumerate(row) if p < 0]
+                negatives = [mdp.states[k] for k, p in row if p < 0]
                 if negatives:
                     add("row-negative", state, action,
                         f"negative transition probability at ({state!r}, {action!r}) "
                         f"towards {negatives}")
-                total = sum(row, Fraction(0))
+                total = sum((p for _, p in row), Fraction(0))
                 if total != 1:
                     add("row-sum", state, action,
                         f"kernel row of ({state!r}, {action!r}) sums to "
@@ -370,14 +364,14 @@ def _mdp_from_document(doc) -> Mdp:
     index = {label: i for i, label in enumerate(labels)}
 
     actions: list[tuple[str, ...]] = []
-    kernel: list[tuple[tuple[Fraction, ...], ...]] = []
+    successors: list[tuple[Successors, ...]] = []
     rewards: list[tuple[Fraction, ...]] = []
     constraints: list[tuple[tuple[Fraction, ...], ...]] = []
     for k, sdoc in enumerate(state_docs):
         where = f"states[{k}] ({labels[k]!r})"
         action_docs = _require(sdoc, "actions", list, where)
         state_actions: list[str] = []
-        state_rows: list[tuple[Fraction, ...]] = []
+        state_rows: list[Successors] = []
         state_rewards: list[Fraction] = []
         state_constraints: list[tuple[Fraction, ...]] = []
         for m, adoc in enumerate(action_docs):
@@ -387,23 +381,24 @@ def _mdp_from_document(doc) -> Mdp:
             cvec = _require(adoc, "constraint", list, awhere)
             state_constraints.append(tuple(parse_rational(c) for c in cvec))
             trans = _require(adoc, "transitions", dict, awhere)
-            row = [Fraction(0)] * len(labels)
+            row = []
             for target, prob in trans.items():
                 if target not in index:
                     raise InstanceFormatError(
                         f"{awhere}.transitions names unknown state {target!r}"
                     )
-                row[index[target]] = parse_rational(prob)
-            state_rows.append(tuple(row))
+                row.append((index[target], parse_rational(prob)))
+            # object keys are unique, so pairs sort by index alone
+            state_rows.append(tuple(sorted(pair for pair in row if pair[1])))
         actions.append(tuple(state_actions))
-        kernel.append(tuple(state_rows))
+        successors.append(tuple(state_rows))
         rewards.append(tuple(state_rewards))
         constraints.append(tuple(state_constraints))
 
     return Mdp(
         states=tuple(labels),
         actions=tuple(actions),
-        kernel=tuple(kernel),
+        successors=tuple(successors),
         rewards=tuple(rewards),
         constraints=tuple(constraints),
         constraint_dim=constraint_dim,
@@ -418,9 +413,7 @@ def serialize_instance(mdp: Mdp) -> dict:
         action_docs = []
         for j, action in enumerate(mdp.actions[i]):
             transitions = {
-                mdp.states[k]: format_rational(p)
-                for k, p in enumerate(mdp.kernel[i][j])
-                if p != 0
+                mdp.states[k]: format_rational(p) for k, p in mdp.successors[i][j]
             }
             action_docs.append({
                 "id": action,

@@ -1,15 +1,21 @@
-"""Dense reference for ``cmdpkit.chains`` and ``model.induced_chain``.
+"""Dense reference for ``cmdpkit.chains`` and the ``cmdpkit.model`` kernel readers.
 
 The solves are the Gauss-Jordan elimination the package used before it
 switched to sparse elimination along the SCC DAG. They update whole rows,
 zeros included, and solve the full transient block at once, so they share
 no elimination logic with the code under test.
 
-The chains are the dense matrices the package used before it compiled each
-model's kernel into sparse successor rows: ``dense_chain`` picks rows of
-``mdp.kernel`` and every support here is a ``p > 0`` scan over a dense row.
+The chains are the dense matrices the package used before it held each
+model's kernel as sparse successor rows only: ``dense_kernel`` expands
+``mdp.successors`` into dense rows over all states, ``dense_chain`` picks
+rows of it and every support here is a ``p > 0`` scan over a dense row.
 Only ``closed_classes`` (Tarjan on an adjacency list) is shared with the
 code under test. Property tests require the two to agree exactly.
+
+``validate`` and ``serialize_instance`` are the model checks and the
+document rendering the package ran on the dense kernel, kept as oracles
+for the ones that read the successor rows. ``sparse_kernel`` is the one
+way test code turns dense rows into a model's ``successors``.
 
 ``sparse_solve`` is the rational sparse elimination ``chains._sparse_solve``
 used before it became fraction-free over the integers: the same pivot rule
@@ -18,15 +24,64 @@ on ``Fraction`` rows, kept as a second reference for the integer solve.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from typing import Iterator
 
 from cmdpkit.chains import closed_classes
-from cmdpkit.model import Chain, Mdp, Policy, validate_policy
+from cmdpkit.model import (
+    Chain,
+    Mdp,
+    Policy,
+    Successors,
+    ValidationReport,
+    Violation,
+    format_rational,
+    validate_policy,
+)
 
 Matrix = tuple[tuple[Fraction, ...], ...]
+Kernel = tuple[Matrix, ...]
 
 ZERO = Fraction(0)
+
+
+def dense_row(row: Successors, size: int) -> tuple[Fraction, ...]:
+    dense = [ZERO] * size
+    for k, p in row:
+        dense[k] = p
+    return tuple(dense)
+
+
+def dense_kernel(mdp: Mdp) -> Kernel:
+    """``kernel[i][j]``: the row of action j at state i over all states."""
+    return tuple(
+        tuple(dense_row(row, len(mdp.states)) for row in rows)
+        for rows in mdp.successors
+    )
+
+
+def sparse_kernel(kernel) -> tuple[tuple[Successors, ...], ...]:
+    """Successor rows of dense rows: every nonzero entry, negative ones too."""
+    return tuple(
+        tuple(tuple((k, p) for k, p in enumerate(row) if p != 0) for row in rows)
+        for rows in kernel
+    )
+
+
+def document_kernel(doc: dict) -> Kernel:
+    """Dense rows of an instance document's ``transitions``, as parsed before."""
+    index = {sdoc["id"]: i for i, sdoc in enumerate(doc["states"])}
+    kernel = []
+    for sdoc in doc["states"]:
+        rows = []
+        for adoc in sdoc["actions"]:
+            row = [ZERO] * len(index)
+            for target, prob in adoc["transitions"].items():
+                row[index[target]] = Fraction(prob)
+            rows.append(tuple(row))
+        kernel.append(tuple(rows))
+    return tuple(kernel)
 
 
 def dense_chain(mdp: Mdp, policy: Policy) -> Matrix:
@@ -35,7 +90,7 @@ def dense_chain(mdp: Mdp, policy: Policy) -> Matrix:
     rows = []
     for i, state in enumerate(mdp.states):
         j = mdp.actions[i].index(policy.action_for(state))
-        rows.append(mdp.kernel[i][j])
+        rows.append(dense_row(mdp.successors[i][j], mdp.num_states))
     return tuple(rows)
 
 
@@ -53,7 +108,7 @@ def support_adjacency(matrix: Matrix) -> tuple[tuple[int, ...], ...]:
 def union_adjacency(mdp: Mdp) -> tuple[tuple[int, ...], ...]:
     return tuple(
         tuple(sorted({j for row in rows for j, p in enumerate(row) if p > 0}))
-        for rows in mdp.kernel
+        for rows in dense_kernel(mdp)
     )
 
 
@@ -248,3 +303,107 @@ def absorption_probs(matrix: Matrix) -> tuple[tuple[Fraction, ...], ...]:
             rows[s] = solution[i]
 
     return tuple(tuple(row) for row in rows)
+
+
+def validate(mdp: Mdp) -> ValidationReport:
+    """``model.validate`` as it ran on the dense kernel.
+
+    Defined on models whose successor rows name each state at most once;
+    the sparse-only ``row-shape`` cases have no dense form.
+    """
+    kernel = dense_kernel(mdp)
+    violations: list[Violation] = []
+
+    def add(kind: str, state: str | None, action: str | None, message: str) -> None:
+        violations.append(Violation(kind, state, action, message))
+
+    labels = list(mdp.states)
+    if len(set(labels)) != len(labels):
+        dupes = sorted({s for s in labels if labels.count(s) > 1})
+        add("duplicate-state", None, None, f"duplicate state labels: {dupes}")
+    if mdp.initial_state not in set(labels):
+        add("initial-state", None, None,
+            f"initial state {mdp.initial_state!r} is not a model state")
+
+    n = mdp.constraint_dim
+    if n < 0:
+        add("constraint-dim", None, None, f"constraint_dim must be >= 0, got {n}")
+
+    per_state = (
+        ("actions", mdp.actions), ("kernel", kernel),
+        ("rewards", mdp.rewards), ("constraints", mdp.constraints),
+    )
+    for name, entries in per_state:
+        if len(entries) != len(mdp.states):
+            add("state-shape", None, None,
+                f"{name} has {len(entries)} entries for {len(mdp.states)} states")
+    aligned = min(len(entries) for _, entries in per_state)
+
+    for i, state in enumerate(mdp.states[:aligned]):
+        acts = mdp.actions[i]
+        if not acts:
+            add("no-actions", state, None, f"state {state!r} has no actions")
+        if len(set(acts)) != len(acts):
+            add("duplicate-action", state, None,
+                f"state {state!r} has duplicate action labels")
+        rows, constraints = kernel[i], mdp.constraints[i]
+        for name, entries in (
+            ("kernel rows", rows), ("rewards", mdp.rewards[i]),
+            ("constraint vectors", constraints),
+        ):
+            if len(entries) != len(acts):
+                add("action-shape", state, None,
+                    f"state {state!r} has {len(acts)} actions but "
+                    f"{len(entries)} {name}")
+        for j, action in enumerate(acts):
+            row = rows[j] if j < len(rows) else None
+            if row is not None and len(row) != len(mdp.states):
+                add("row-shape", state, action,
+                    f"kernel row of ({state!r}, {action!r}) has length {len(row)}")
+            elif row is not None:
+                negatives = [mdp.states[k] for k, p in enumerate(row) if p < 0]
+                if negatives:
+                    add("row-negative", state, action,
+                        f"negative transition probability at ({state!r}, {action!r}) "
+                        f"towards {negatives}")
+                total = sum(row, Fraction(0))
+                if total != 1:
+                    add("row-sum", state, action,
+                        f"kernel row of ({state!r}, {action!r}) sums to "
+                        f"{format_rational(total)}, not 1")
+            if j < len(constraints) and len(constraints[j]) != n:
+                add("constraint-length", state, action,
+                    f"constraint vector of ({state!r}, {action!r}) has length "
+                    f"{len(constraints[j])}, expected {n}")
+
+    return ValidationReport(violations=tuple(violations))
+
+
+def serialize_instance(mdp: Mdp) -> dict:
+    """``model.serialize_instance`` as it ran on the dense kernel."""
+    kernel = dense_kernel(mdp)
+    states = []
+    for i, state in enumerate(mdp.states):
+        action_docs = []
+        for j, action in enumerate(mdp.actions[i]):
+            transitions = {
+                mdp.states[k]: format_rational(p)
+                for k, p in enumerate(kernel[i][j])
+                if p != 0
+            }
+            action_docs.append({
+                "id": action,
+                "reward": format_rational(mdp.rewards[i][j]),
+                "constraint": [format_rational(c) for c in mdp.constraints[i][j]],
+                "transitions": transitions,
+            })
+        states.append({"id": state, "actions": action_docs})
+    return {
+        "constraint_dim": mdp.constraint_dim,
+        "initial_state": mdp.initial_state,
+        "states": states,
+    }
+
+
+def instance_to_json(mdp: Mdp) -> str:
+    return json.dumps(serialize_instance(mdp), indent=2, sort_keys=True) + "\n"

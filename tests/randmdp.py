@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 
 from cmdpkit.model import Mdp, Policy
+from dense_oracle import dense_kernel, sparse_kernel
 
 
 def random_row(rng: random.Random, size: int, support: list[int] | None = None,
@@ -73,7 +74,7 @@ def random_mdp(
     return Mdp(
         states=states,
         actions=tuple(actions),
-        kernel=tuple(kernel),
+        successors=sparse_kernel(kernel),
         rewards=tuple(rewards),
         constraints=tuple(constraints),
         constraint_dim=n,
@@ -93,9 +94,9 @@ def lazy_variant(mdp: Mdp, alpha: Fraction) -> Mdp:
             tuple((1 - alpha) * p + (alpha if j == i else 0) for j, p in enumerate(row))
             for row in rows
         )
-        for i, rows in enumerate(mdp.kernel)
+        for i, rows in enumerate(dense_kernel(mdp))
     )
-    return dataclasses.replace(mdp, kernel=kernel)
+    return dataclasses.replace(mdp, successors=sparse_kernel(kernel))
 
 
 def random_policy(rng: random.Random, mdp: Mdp) -> Policy:
@@ -165,7 +166,7 @@ def random_decomposable(
     return Mdp(
         states=tuple(states),
         actions=tuple(actions),
-        kernel=tuple(kernel),
+        successors=sparse_kernel(kernel),
         rewards=tuple(rewards),
         constraints=tuple(constraints),
         constraint_dim=n,

@@ -9,6 +9,7 @@ from cmdpkit.chains import max_denominator_bits
 from cmdpkit.cli import run
 from cmdpkit.model import Mdp, instance_to_json
 from cmdpkit.samplepath import MAX_STEPS
+from dense_oracle import sparse_kernel
 from randmdp import random_row
 
 
@@ -118,7 +119,7 @@ def lazy_full_support_chain(rng, size):
     return Mdp(
         states=tuple(f"s{i}" for i in range(size)),
         actions=(("a",),) * size,
-        kernel=tuple((row,) for row in rows),
+        successors=sparse_kernel((row,) for row in rows),
         rewards=((Fraction(0),),) * size,
         constraints=(((),),) * size,
         constraint_dim=0,
@@ -204,6 +205,21 @@ def test_certify_check_mode(tmp_path, instances_dir):
     doc = json.loads(out.report)
     assert doc["verdict"] == "pass"
     assert all(doc[key] for key in ("a1", "a2", "a3", "a4", "a5"))
+
+
+def test_certify_potential_root_must_be_an_object(tmp_path, instances_dir):
+    potential = tmp_path / "potential.json"
+    for root, kind in (([1, 2], "list"), ("abc", "str"), (None, "NoneType")):
+        potential.write_text(json.dumps(root))
+        out = invoke(
+            "certify", str(instances_dir / "twochain.json"), "--policy", "",
+            "--mu", "1/2", "--gain", "1/2", "--potential", str(potential),
+        )
+        assert out.exit_code == 2
+        assert out.report == ""
+        assert out.error == (
+            f"cmdpkit: error: potential file root must be a JSON object, got {kind}\n"
+        )
 
 
 def test_certify_check_failure_exit_code(instances_dir):
@@ -347,6 +363,12 @@ def test_usage_errors_exit_two(instances_dir):
     assert invoke(
         "solve", haviv_path(instances_dir), "--format", "yaml"
     ).exit_code == 2
+
+
+def test_format_option_is_gone(instances_dir):
+    out = invoke("solve", haviv_path(instances_dir), "--format", "json")
+    assert out.exit_code == 2
+    assert "unrecognized arguments: --format json" in out.error
 
 
 def test_reports_are_byte_deterministic(instances_dir):

@@ -52,7 +52,7 @@ def test_squander_eps_appears_in_kernel():
     eps = F(1, 100)
     mdp = instances.squander(eps)
     i = mdp.state_index("x")
-    row = mdp.kernel[i][0]
+    row = dict(mdp.successors[i][0])
     assert row[mdp.state_index("y")] == eps
     assert row[mdp.state_index("z")] == 1 - eps
 

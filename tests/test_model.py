@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -20,6 +21,9 @@ from cmdpkit.model import (
     serialize_instance,
     validate,
 )
+from dense_oracle import sparse_kernel
+
+F = Fraction
 
 
 def test_parse_rational_decimal_is_exact():
@@ -137,17 +141,18 @@ def test_constraint_length_violation():
 
 
 def test_validate_reports_a_short_row_and_its_constraint_length():
-    F = Fraction
     mdp = Mdp(
         states=("a", "b"),
         actions=(("short", "go"), ("stay",)),
-        kernel=(((F(1),), (F(3, 2), F(-1, 2))), ((F(0), F(1)),)),
+        successors=(  # "short" names state index 2 of two states
+            (((2, F(1)),), ((0, F(3, 2)), (1, F(-1, 2)))),
+            (((1, F(1)),),),
+        ),
         rewards=((F(0), F(0)), (F(0),)),
         constraints=(((), (F(0),)), ((F(0),),)),
         constraint_dim=1,
         initial_state="a",
     )
-    assert mdp.successors[0] == (((0, F(1)),), ((0, F(3, 2)),))
     violations = validate(mdp).violations
     assert [(v.kind, v.state, v.action) for v in violations] == [
         ("row-shape", "a", "short"),
@@ -156,16 +161,38 @@ def test_validate_reports_a_short_row_and_its_constraint_length():
     ]
 
 
+@pytest.mark.parametrize("row", [
+    pytest.param(((1, F(1, 2)), (0, F(1, 2))), id="unsorted"),
+    pytest.param(((0, F(1, 2)), (0, F(1, 2))), id="repeated"),
+    pytest.param(((-1, F(1, 2)), (0, F(1, 2))), id="below-range"),
+    pytest.param(((0, F(1)), (2, F(0))), id="zero-probability"),
+    pytest.param(((0, F(1)), (1, F(0))), id="zero-in-range"),
+])
+def test_validate_names_a_malformed_successor_row(row):
+    mdp = Mdp(
+        states=("a", "b"),
+        actions=(("go",), ("stay",)),
+        successors=((row,), (((1, F(1)),),)),
+        rewards=((F(0),), (F(0),)),
+        constraints=(((),), ((),)),
+        constraint_dim=0,
+        initial_state="a",
+    )
+    assert [(v.kind, v.state, v.action, v.message) for v in validate(mdp).violations] == [
+        ("row-shape", "a", "go", "kernel row of ('a', 'go') is not ascending "
+         "(index, nonzero probability) pairs over 2 states"),
+    ]
+
+
 def test_validate_reports_fewer_entries_than_actions_and_checks_on():
-    F = Fraction
     mdp = Mdp(
         states=("a", "b", "c"),
         actions=(("x", "y"), ("u", "v"), ("w",)),
-        kernel=(
+        successors=sparse_kernel((
             ((F(1), F(0), F(0)),),
             ((F(0), F(1), F(0)), (F(0), F(0), F(1))),
             ((F(1, 2), F(0), F(0)),),
-        ),
+        )),
         rewards=((F(0), F(0)), (F(0),), (F(0),)),
         constraints=(((), ()), ((),), ((),)),
         constraint_dim=0,
@@ -289,33 +316,34 @@ def test_induced_chain_single_self_loop():
     assert induced_chain(mdp, policy) == (((0, Fraction(1)),),)
 
 
-def test_successors_share_the_kernel_fractions(haviv, haviv_a):
+def test_induced_chain_hands_out_the_models_own_rows(haviv, haviv_a):
     chain = induced_chain(haviv, haviv_a)
     for i, state in enumerate(haviv.states):
         j = haviv.actions[i].index(haviv_a.action_for(state))
         assert chain[i] is haviv.successors[i][j]
-        for k, p in chain[i]:
-            assert p is haviv.kernel[i][j][k]
 
 
-def test_replace_recompiles_successors_and_equality_ignores_them(twochain):
-    F = Fraction
-    n = twochain.num_states
-    kernel = tuple(
-        tuple(tuple(F(1, n) for _ in range(n)) for _ in rows) for rows in twochain.kernel
-    )
-    uniform = replace(twochain, kernel=kernel)
-    full_row = tuple((k, F(1, n)) for k in range(n))
-    assert uniform.successors == tuple(
-        tuple(full_row for _ in rows) for rows in kernel
-    )
-    relabelled = replace(twochain, constraints=tuple(
-        tuple(tuple(c + 1 for c in cvec) for cvec in per_action)
-        for per_action in twochain.constraints
-    ))
-    assert relabelled.successors == twochain.successors
+def peak_traced_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
-    copy = replace(twochain)
-    object.__setattr__(copy, "successors", ())
-    assert copy == twochain
-    assert hash(copy) == hash(twochain)
+
+def test_load_is_linear_in_the_transitions():
+    # One transition per state, so the model is O(n); a dense kernel would
+    # hold n * n = 4,000,000 references, 32 MB. The decoded document is
+    # alive while the model is built, so its own peak is subtracted.
+    n = 2000
+    text = json.dumps({"constraint_dim": 0, "initial_state": "s0", "states": [
+        {"id": f"s{i}", "actions": [
+            {"id": "go", "reward": "0", "constraint": [],
+             "transitions": {f"s{(i + 1) % n}": "1"}},
+        ]}
+        for i in range(n)
+    ]})
+    assert parse_instance(text).successors[n - 1] == (((0, F(1)),),)
+    document_peak = peak_traced_bytes(lambda: json.loads(text))
+    assert peak_traced_bytes(lambda: parse_instance(text)) - document_peak < 2 * 1024 * 1024

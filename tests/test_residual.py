@@ -62,7 +62,7 @@ def test_build_residual_problem_haviv(haviv, haviv_a):
         expected = F(1, 20) - (1 if state in bad else 0)
         for cvec in shifted.constraints[i]:
             assert cvec == (expected,)
-    assert shifted.kernel == haviv.kernel
+    assert shifted.successors == haviv.successors
     assert shifted.rewards == haviv.rewards
 
 

@@ -89,7 +89,7 @@ def test_haviv_is_decomposable(haviv):
 def test_convert_haviv_dimensions_and_infeasibility(haviv):
     converted = convert_to_expected(haviv, "x")
     assert converted.constraint_dim == 3
-    assert converted.kernel == haviv.kernel
+    assert converted.successors == haviv.successors
     assert converted.rewards == haviv.rewards
     assert solve(converted, "x").status == "infeasible"
 

@@ -38,7 +38,7 @@ def union_chain(mdp):
     """A chain that moves along every action at once: the union support."""
     return tuple(
         tuple(sum(column, ZERO) / len(rows) for column in zip(*rows))
-        for rows in mdp.kernel
+        for rows in dense_oracle.dense_kernel(mdp)
     )
 
 

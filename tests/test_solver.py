@@ -14,6 +14,7 @@ from cmdpkit.solver import (
     enumerate_policies,
     solve,
 )
+from dense_oracle import sparse_kernel
 from randmdp import random_mdp, random_row, random_value
 
 F = Fraction
@@ -111,7 +112,7 @@ def test_relaxing_constraints_is_monotone():
             for per_action in mdp.constraints
         )
         relaxed = Mdp(
-            states=mdp.states, actions=mdp.actions, kernel=mdp.kernel,
+            states=mdp.states, actions=mdp.actions, successors=mdp.successors,
             rewards=mdp.rewards, constraints=relaxed_constraints,
             constraint_dim=mdp.constraint_dim, initial_state=mdp.initial_state,
         )
@@ -167,7 +168,7 @@ def nested_model(decisions: int, size: int = 9) -> Mdp:
     return Mdp(
         states=tuple(f"s{i}" for i in range(size)),
         actions=tuple(("a", "b")[:keep[i]] for i in range(size)),
-        kernel=tuple(kernel[i][:keep[i]] for i in range(size)),
+        successors=sparse_kernel(kernel[i][:keep[i]] for i in range(size)),
         rewards=tuple(rewards[i][:keep[i]] for i in range(size)),
         constraints=tuple(constraints[i][:keep[i]] for i in range(size)),
         constraint_dim=1,

@@ -1,21 +1,31 @@
-"""Every chain analysis on compiled successor rows against the dense reference.
+"""Every kernel reader on successor rows against the dense reference.
 
-The code under test reads ``mdp.successors`` through ``induced_chain``;
-the reference in ``dense_oracle`` builds the dense matrix from
-``mdp.kernel`` and scans it. Results must be equal, with every analytic
-value a ``Fraction``.
+The code under test reads ``mdp.successors``: the chain analyses through
+``induced_chain``, and loading, ``validate`` and ``serialize_instance``
+directly. The reference in ``dense_oracle`` expands the rows into dense
+rows over all states and scans those. Results must be equal, with every
+analytic value a ``Fraction``.
 """
 
+import json
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_oracle
 from cmdpkit import chains
 from cmdpkit.evaluation import analyse_policy
-from cmdpkit.model import induced_chain
+from cmdpkit.model import (
+    ValidationError,
+    _mdp_from_document,
+    induced_chain,
+    instance_to_json,
+    parse_instance,
+    validate,
+)
 from randmdp import random_mdp, random_policy
 
 
@@ -64,3 +74,53 @@ def test_sparse_analyses_equal_dense(drawn):
         v, w = analysis.values_at(s)
         assert (v, w) == dense_oracle.values_at(mdp, policy, s)
         assert all_fractions((v, *w))
+
+
+PERTURBATIONS = ("negative", "row-sum", "explicit-zero", "short-constraint")
+
+
+@st.composite
+def models_and_documents(draw):
+    """A random model and its document with up to three entries perturbed."""
+    rng = random.Random(draw(st.integers(0, 10**9)))
+    mdp = random_mdp(rng, max_states=6, full_support=draw(st.booleans()))
+    doc = json.loads(instance_to_json(mdp))
+    for kind in draw(st.lists(st.sampled_from(PERTURBATIONS), max_size=3)):
+        sdoc = rng.choice(doc["states"])
+        adoc = rng.choice(sdoc["actions"])
+        target = rng.choice(doc["states"])["id"]
+        if kind == "negative":
+            adoc["transitions"][target] = f"-{rng.randint(1, 9)}/{rng.randint(1, 9)}"
+        elif kind == "row-sum":
+            adoc["transitions"][target] = f"{rng.randint(1, 9)}/{rng.randint(10, 19)}"
+        elif kind == "explicit-zero":
+            adoc["transitions"][target] = rng.choice(["0", "0/7", "-0.0"])
+        elif adoc["constraint"]:
+            adoc["constraint"].pop()
+        else:
+            doc["constraint_dim"] += 1
+    return mdp, doc
+
+
+def assert_matches_dense(mdp):
+    report = validate(mdp)
+    assert report == dense_oracle.validate(mdp)
+    text = instance_to_json(mdp)
+    assert text == dense_oracle.instance_to_json(mdp)
+    if report.ok:
+        assert parse_instance(text) == mdp
+    else:
+        with pytest.raises(ValidationError) as raised:
+            parse_instance(text)
+        assert raised.value.report == report
+
+
+@settings(max_examples=150, deadline=None)
+@given(models_and_documents())
+def test_load_validate_and_render_equal_dense(drawn):
+    mdp, doc = drawn
+    assert_matches_dense(mdp)
+    loaded = _mdp_from_document(doc)
+    assert dense_oracle.dense_kernel(loaded) == dense_oracle.document_kernel(doc)
+    assert all(p != 0 for rows in loaded.successors for row in rows for _, p in row)
+    assert_matches_dense(loaded)
