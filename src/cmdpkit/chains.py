@@ -15,7 +15,17 @@ absorption probabilities are exact rationals from sparse elimination:
 - absorption probabilities are solved along the DAG of strongly connected
   transient components, sink components first (Tarjan order), so each
   component is a small system of its own and a singleton needs only back
-  substitution.
+  substitution;
+- ``censor`` eliminates a model's single-action states once, for every
+  policy: the same DAG solve (``_solve_along_dag``, shared with
+  ``absorption_map``) gives each eliminated state and each decision
+  state's action its hitting distribution over the decision states and
+  the fixed classes (closed classes made only of single-action states),
+  with the expected reward, constraint and step totals until the hit. Each
+  policy's chain censored onto its decision states (the stochastic
+  complement; Meyer 1989, SIAM Review 31(2)) is then a chain of those
+  embedded rows, and a single-action start state enters it through its
+  hitting distribution.
 
 The elimination runs on integers only (fraction-free, as in Edmonds 1967
 and Bareiss 1968). Each equation is scaled by the lcm of the denominators
@@ -28,8 +38,7 @@ values are too. ``Fraction``s appear only at the boundary: reading the
 chain's probabilities and building the returned vectors.
 
 All functions are pure over immutable inputs and keep no state between
-calls; callers that need a chain's analysis more than once hold on to it
-(``evaluation.analyse_policies``).
+calls; callers that need a chain's analysis more than once hold on to it.
 """
 
 from __future__ import annotations
@@ -38,11 +47,12 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterator
+from typing import Iterator, Sequence
 
-from cmdpkit.model import Chain, Mdp, Policy, induced_chain
+from cmdpkit.model import Chain, Mdp, Policy, Successors, induced_chain
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -292,31 +302,27 @@ def stationary_distribution(chain: Chain, cls: tuple[int, ...]) -> tuple[Fractio
     return tuple(Fraction(w, total) for w in weights)
 
 
-def absorption_map(
-    chain: Chain, decomposition: ChainDecomposition | None = None
-) -> tuple[tuple[Fraction, ...], ...]:
-    """Hitting probabilities rows[state][class] of every recurrent class.
+def _solve_along_dag(
+    chain: Sequence[Successors],
+    transient: Sequence[int],
+    solved: list[tuple[list[int], int]],
+    width: int,
+    constants: dict[int, tuple[list[int], int]],
+) -> None:
+    """Solve h(s) = constant(s) + sum_j p(s, j) h(j) for every transient s.
 
-    The rows are dense over the classes, which are in the order of
-    ``decompose(chain)``, computed here unless the caller passes it.
-    Transient states are solved one strongly connected component at a time,
-    sink components first, so the states a component leaks to are already
-    solved. A singleton component needs only back substitution; a larger
-    one is a sparse solve of its own size. Solved rows are held as integer
-    numerators over a denominator and become Fractions on return. Every
-    row sums to exactly 1.
+    Every vector is ``width`` integer numerators over one positive
+    denominator. ``solved[j]`` holds h(j) for every state outside
+    ``transient`` that a transient row reaches, and ``constants`` the
+    constant term of the states that have one (zero for the others). The
+    transient states are solved one strongly connected component at a time,
+    sink components first (Tarjan order), so the states a component leaks
+    to are already solved. Each first-step equation is scaled by the lcm of
+    the denominators in its row, so the right-hand sides are integers; a
+    singleton component needs only back substitution, a larger one is a
+    sparse solve of its own size. ``solved`` receives every transient
+    state's h in lowest terms.
     """
-    if decomposition is None:
-        decomposition = decompose(chain)
-    classes = decomposition.recurrent_classes
-    transient = decomposition.transient_states
-    width = len(classes)
-    solved: list[tuple[list[int], int]] = [([], 1)] * len(chain)
-    for c, cls in enumerate(classes):
-        unit = ([1 if k == c else 0 for k in range(width)], 1)
-        for s in cls:
-            solved[s] = unit
-
     local = {s: i for i, s in enumerate(transient)}
     support = [chain[s] for s in transient]
     components = _strongly_connected_components(
@@ -324,18 +330,22 @@ def absorption_map(
     )
     for component in components:
         members = {transient[i]: m for m, i in enumerate(component)}
-        # First-step equations: (I - Q) h = one-step mass into solved
-        # states, each scaled by the lcm of the denominators in its row.
+        # (I - Q) h = constant + one-step mass into solved states, each
+        # equation scaled by the lcm of the denominators in its row.
         coefficients: list[dict[int, int]] = []
         rhs: list[list[int]] = []
         for m, i in enumerate(component):
             entries = support[i]
-            d = lcm(*(
+            constant = constants.get(transient[i])
+            d = lcm(constant[1] if constant else 1, *(
                 p.denominator if j in members else p.denominator * solved[j][1]
                 for j, p in entries
             ))
             coefficient = {m: d}
-            mass = [0] * width
+            if constant:
+                mass = [x * (d // constant[1]) for x in constant[0]]
+            else:
+                mass = [0] * width
             for j, p in entries:
                 if j in members:
                     other = members[j]
@@ -359,6 +369,31 @@ def absorption_map(
             g = gcd(denominator, *row)
             solved[transient[i]] = ([h // g for h in row], denominator // g)
 
+
+def absorption_map(
+    chain: Chain, decomposition: ChainDecomposition | None = None
+) -> tuple[tuple[Fraction, ...], ...]:
+    """Hitting probabilities rows[state][class] of every recurrent class.
+
+    The rows are dense over the classes, which are in the order of
+    ``decompose(chain)``, computed here unless the caller passes it.
+    Transient states are solved along the DAG of their strongly connected
+    components, sink components first (``_solve_along_dag`` with no
+    constant term). Solved rows are held as integer numerators over a
+    denominator and become Fractions on return. Every row sums to exactly 1.
+    """
+    if decomposition is None:
+        decomposition = decompose(chain)
+    classes = decomposition.recurrent_classes
+    transient = decomposition.transient_states
+    width = len(classes)
+    solved: list[tuple[list[int], int]] = [([], 1)] * len(chain)
+    for c, cls in enumerate(classes):
+        unit = ([1 if k == c else 0 for k in range(width)], 1)
+        for s in cls:
+            solved[s] = unit
+    _solve_along_dag(chain, transient, solved, width, {})
+
     rows: list[tuple[Fraction, ...]] = [()] * len(chain)
     for c, cls in enumerate(classes):
         unit = tuple(Fraction(1) if k == c else ZERO for k in range(width))
@@ -368,6 +403,137 @@ def absorption_map(
         numerators, denominator = solved[s]
         rows[s] = tuple(Fraction(h, denominator) for h in numerators)
     return tuple(rows)
+
+
+Gain = tuple[Fraction, tuple[Fraction, ...]]
+
+
+@dataclass(frozen=True)
+class CensoredChain:
+    """A model's chain censored onto its decision states, for every policy.
+
+    States with one action have the same row under every policy, so they
+    are eliminated once per model (the stochastic complement; Meyer 1989).
+    Nodes ``0 .. len(decision) - 1`` are the decision states, the states
+    with at least two actions, ascending; node ``len(decision) + f`` stands
+    for ``fixed[f]``, a closed class made only of single-action states,
+    which every policy has. Every other single-action state is left, almost
+    surely, for a decision state or a fixed class.
+
+    ``rows[k][a]`` is the embedded row of action a at ``decision[k]``: the
+    distribution of the first node entered after the step, passing only
+    through eliminated states. ``excursions[k][a]`` holds the expected
+    reward, constraint vector and step count from taking a at
+    ``decision[k]`` up to that entry, the step itself included.
+    ``fixed_rows[f]`` is the absorbing row of node ``len(decision) + f``
+    and ``fixed_gains[f]`` the class's reward and constraint gains.
+    ``entry[s]`` is, for every state s, the distribution of the first node
+    entered from s: a decision state or a fixed-class state enters its own
+    node, any other state its hitting distribution, as ``(node,
+    probability)`` pairs ascending by node.
+    """
+
+    decision: tuple[int, ...]
+    fixed: tuple[tuple[int, ...], ...]
+    rows: tuple[tuple[Successors, ...], ...]
+    excursions: tuple[tuple[tuple[Fraction, tuple[Fraction, ...], Fraction], ...], ...]
+    fixed_rows: tuple[Successors, ...]
+    fixed_gains: tuple[Gain, ...]
+    entry: tuple[Successors, ...]
+
+
+def _over_one_denominator(values: Sequence[Fraction], width: int) -> tuple[list[int], int]:
+    """``values`` placed at the end of ``width`` zeros, as integer numerators."""
+    d = lcm(*(v.denominator for v in values))
+    return [0] * (width - len(values)) + [v.numerator * (d // v.denominator) for v in values], d
+
+
+def censor(mdp: Mdp) -> CensoredChain:
+    """Eliminate every single-action state once: one pass for all policies.
+
+    The fixed classes are the closed classes of the graph in which each
+    decision state has no successors; each gets one stationary solve.
+    Every other single-action state, and every decision state's action,
+    gets its hitting distribution over the nodes and its expected reward,
+    constraint and step totals until the hit from one ``_solve_along_dag``
+    over ``len(decision) + len(fixed) + 2 + constraint_dim`` columns: a node
+    is a unit vector with zero totals, and an eliminated state or an action
+    adds its reward, its constraint vector and one step as the constant
+    term. The actions are sources of that DAG, so they are solved last.
+    """
+    n = mdp.num_states
+    decision = tuple(s for s in range(n) if len(mdp.actions[s]) > 1)
+    first = tuple(rows[0] for rows in mdp.successors)
+    adjacency = tuple(
+        () if len(mdp.actions[s]) > 1 else tuple(j for j, _ in first[s]) for s in range(n)
+    )
+    fixed = tuple(
+        cls for cls in closed_classes(adjacency).recurrent_classes
+        if len(mdp.actions[cls[0]]) == 1
+    )
+    fixed_gains = []
+    for cls in fixed:
+        pi = stationary_distribution(first, cls)
+        reward = sum((p * mdp.rewards[s][0] for p, s in zip(pi, cls)), ZERO)
+        constraint = tuple(
+            sum((p * mdp.constraints[s][0][k] for p, s in zip(pi, cls)), ZERO)
+            for k in range(mdp.constraint_dim)
+        )
+        fixed_gains.append((reward, constraint))
+
+    nodes = len(decision) + len(fixed)
+    width = nodes + 2 + mdp.constraint_dim
+    solved: list[tuple[list[int], int]] = [([], 1)] * n
+    node_of = [-1] * n
+    for node, members in enumerate([(s,) for s in decision] + list(fixed)):
+        unit = ([1 if k == node else 0 for k in range(width)], 1)
+        for s in members:
+            solved[s] = unit
+            node_of[s] = node
+    eliminated = [s for s in range(n) if node_of[s] < 0]
+    chain = list(first)
+    constants = {
+        s: _over_one_denominator((mdp.rewards[s][0], *mdp.constraints[s][0], ONE), width)
+        for s in eliminated
+    }
+    # Each decision state's action is one more state, with the action's row.
+    actions: list[list[int]] = []
+    for s in decision:
+        actions.append([])
+        for a, row in enumerate(mdp.successors[s]):
+            constants[len(chain)] = _over_one_denominator(
+                (mdp.rewards[s][a], *mdp.constraints[s][a], ONE), width
+            )
+            actions[-1].append(len(chain))
+            chain.append(row)
+            solved.append(([], 1))
+    _solve_along_dag(
+        chain, eliminated + [t for ts in actions for t in ts], solved, width, constants
+    )
+
+    def hitting(t: int) -> Successors:
+        numerators, denominator = solved[t]
+        return tuple(
+            (node, Fraction(numerators[node], denominator))
+            for node in range(nodes) if numerators[node]
+        )
+
+    def totals(t: int) -> tuple[Fraction, tuple[Fraction, ...], Fraction]:
+        numerators, denominator = solved[t]
+        values = [Fraction(h, denominator) for h in numerators[nodes:]]
+        return values[0], tuple(values[1:-1]), values[-1]
+
+    return CensoredChain(
+        decision=decision,
+        fixed=fixed,
+        rows=tuple(tuple(hitting(t) for t in ts) for ts in actions),
+        excursions=tuple(tuple(totals(t) for t in ts) for ts in actions),
+        fixed_rows=tuple(((node, ONE),) for node in range(len(decision), nodes)),
+        fixed_gains=tuple(fixed_gains),
+        entry=tuple(
+            hitting(s) if node_of[s] < 0 else ((node_of[s], ONE),) for s in range(n)
+        ),
+    )
 
 
 MAX_TIME = 10_000

@@ -7,16 +7,18 @@ stationary averages mixed by absorption probabilities; that reduction is
 exercised as a testable identity rather than assumed silently. Chains are
 the sparse successor rows of ``model.induced_chain``.
 
-``analyse_policies`` analyses a sequence of policies and solves a class
-again only when its members or their actions differ from the policy
-before; ``analyse_policy`` is its one-policy case.
+``analyse_policy`` analyses one policy's full induced chain; the
+single-policy questions (evaluate, certify, the sample-path checks, the
+audit's entries) read it. The solver's enumeration does not: it analyses
+each policy on the censored chain (``chains.censor``), where a class's gain
+is the semi-Markov ratio of excursion reward to excursion length and a
+single-action start state reads its hitting mix of node values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
 
 from cmdpkit import chains
 from cmdpkit.model import Chain, Mdp, Policy, Trajectory, induced_chain
@@ -45,12 +47,6 @@ class EvaluationReport:
     W: tuple[Fraction, ...]
     class_gains: tuple[ClassGain, ...]
     absorption: tuple[Fraction, ...]
-
-
-def class_gain(chain: Chain, cls: tuple[int, ...], values: Sequence[Fraction]) -> Fraction:
-    """Stationary average of a per-state value over a recurrent class."""
-    stationary = chains.stationary_distribution(chain, cls)
-    return sum((p * values[s] for p, s in zip(stationary, cls)), ZERO)
 
 
 @dataclass(frozen=True)
@@ -82,38 +78,28 @@ class PolicyAnalysis:
         return v, tuple(w)
 
 
-def analyse_policies(mdp: Mdp, policies: Iterable[Policy]) -> Iterator[PolicyAnalysis]:
-    """Induced chain, decomposition, class gains and absorption of each policy.
+def analyse_policy(mdp: Mdp, policy: Policy) -> PolicyAnalysis:
+    """Induced chain, decomposition, class gains and absorption of a policy.
 
-    Yields one analysis per policy, in order. Each recurrent class gets one
-    stationary vector, shared by the reward and the constraint gains. A
-    class's vector and gains depend only on its members and the actions
-    taken on them, so a class the previous policy also had, with the same
-    actions on its members, reuses that policy's solve. Only the previous
-    policy's classes are kept: memory does not grow with the policy count.
+    Each recurrent class gets one stationary vector, shared by the reward
+    and the constraint gains. Nothing is cached: callers that need several
+    start states read them all from the one analysis.
     """
-    previous: dict[tuple, tuple[tuple[Fraction, ...], ClassGain]] = {}
-    for policy in policies:
-        chain = induced_chain(mdp, policy)
-        decomposition = chains.decompose(chain)
-        current: dict[tuple, tuple[tuple[Fraction, ...], ClassGain]] = {}
-        for cls in decomposition.recurrent_classes:
-            taken = tuple(
-                mdp.actions[s].index(policy.action_for(mdp.states[s])) for s in cls
-            )
-            key = (cls, taken)
-            solved = previous.get(key)
-            if solved is None:
-                solved = _class_solve(mdp, chain, cls, taken)
-            current[key] = solved
-        previous = current
-        yield PolicyAnalysis(
-            chain=chain,
-            decomposition=decomposition,
-            stationary=tuple(pi for pi, _ in current.values()),
-            class_gains=tuple(gain for _, gain in current.values()),
-            absorption=chains.absorption_map(chain, decomposition),
-        )
+    chain = induced_chain(mdp, policy)
+    decomposition = chains.decompose(chain)
+    solves = [
+        _class_solve(mdp, chain, cls, tuple(
+            mdp.actions[s].index(policy.action_for(mdp.states[s])) for s in cls
+        ))
+        for cls in decomposition.recurrent_classes
+    ]
+    return PolicyAnalysis(
+        chain=chain,
+        decomposition=decomposition,
+        stationary=tuple(pi for pi, _ in solves),
+        class_gains=tuple(gain for _, gain in solves),
+        absorption=chains.absorption_map(chain, decomposition),
+    )
 
 
 def _class_solve(
@@ -132,15 +118,6 @@ def _class_solve(
         reward_gain=reward,
         constraint_gain=tuple(constraint),
     )
-
-
-def analyse_policy(mdp: Mdp, policy: Policy) -> PolicyAnalysis:
-    """``analyse_policies`` for one policy: nothing is reused or cached.
-
-    Callers that need several start states read them all from the one
-    analysis.
-    """
-    return next(analyse_policies(mdp, (policy,)))
 
 
 def evaluate(mdp: Mdp, policy: Policy, x: str) -> EvaluationReport:

@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from cmdpkit.model import Mdp, format_rational, parse_instance
+from cmdpkit.model import Mdp, format_rational, instance_to_json, parse_instance
 
 ONE = Fraction(1)
 
@@ -184,8 +184,6 @@ BUNDLED = {
 
 def write_bundled(directory: str | Path) -> list[Path]:
     """Write the canonical instance files (builders at default parameters)."""
-    from cmdpkit.model import instance_to_json
-
     target = Path(directory)
     target.mkdir(parents=True, exist_ok=True)
     written = []

@@ -27,7 +27,7 @@ from cmdpkit import chains
 from cmdpkit.certificate import Certificate, find_certificate
 from cmdpkit.evaluation import analyse_policy
 from cmdpkit.model import Mdp, Policy, induced_chain, validate_policy
-from cmdpkit.solver import PolicyTable, SolveResult
+from cmdpkit.solver import PolicyTable, SolveResult, _best
 
 ZERO = Fraction(0)
 
@@ -196,12 +196,10 @@ def audit_time_consistency(
     """
     start_label = mdp.initial_state if x is None else x
     table = PolicyTable(mdp, chains.reachable_states(mdp, None, start_label))
-    base = table.solve(start_label)
-    if base.status != "optimal":
+    base, row = _best(table.rows, table.column(start_label))
+    if row is None:
         raise InfeasibleStartError(start_label, base)
-    policy = base.policy
-    assert policy is not None and base.value is not None
-    row = table.row_of(policy)
+    policy = row.policy
 
     def w_at(s: int) -> tuple[Fraction, ...]:
         return row.W[table.column(mdp.states[s])]

@@ -14,11 +14,22 @@ that multiplicity, so ``feasible_count`` and ``total_count`` still count
 every policy, and the canonical policy comes first among those it stands
 for, so the tie-break is unchanged.
 
+Each pass first censors the model onto its decision states, the states
+with a choice (``chains.censor``): the single-action states are
+eliminated once, and every canonical policy is analysed on its embedded
+chain, one row per decision state plus one absorbing row per fixed class
+(a closed class of single-action states, whose gain is solved once). A
+class of the embedded chain has the semi-Markov ratio gain: the
+stationary average of the excursion reward over that of the excursion
+length (Puterman 1994, ch. 11), and W the same with the constraint. A
+single-action start state reads V and W as its hitting mix of the node
+values. These are exactly the V and W of the policy's full chain.
+
 ``solve`` streams one pass over the canonical policies, analysing each
-once (``evaluation.analyse_policies``) and keeping only the best so far. A
-question that filters the policies more than once (the audit, the
-residual report) keeps the pass in one ``PolicyTable``, with V and W at
-every start state it needs; both filter the rows with the same ``_best``.
+once and keeping only the best so far. A question that filters the
+policies more than once (the audit, the residual report) keeps the pass in
+one ``PolicyTable``, with V and W at every start state it needs; both
+filter the rows with the same ``_best``.
 """
 
 from __future__ import annotations
@@ -31,11 +42,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from cmdpkit.evaluation import analyse_policies
-from cmdpkit.model import Mdp, Policy
+from cmdpkit import chains
+from cmdpkit.model import Chain, Mdp, Policy, Successors
 
 ENUM_CAP_ENV = "CMDPKIT_ENUM_CAP"
 DEFAULT_ENUM_CAP = 1 << 20
+ZERO = Fraction(0)
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -122,53 +134,116 @@ class TableRow:
     count: int
 
 
-def _canonical(mdp: Mdp, indices: list[int]) -> Iterator[tuple[Policy, int]]:
-    """Canonical policies, in ``enumerate_policies`` order, with multiplicities.
-
-    R_p is the set of states policy p reaches from the start indices. The
-    search that finds it reads only the rows of states in R_p, so R_p, and
-    V and W at the starts, depend only on the actions p takes in R_p. p is
-    canonical when it takes the first action at every state outside R_p;
-    it stands for every policy that agrees with it on R_p (the product of
-    the action counts outside R_p) and comes first among them.
-    """
-    start = set(indices)
-    for policy in enumerate_policies(mdp):
-        taken = [acts.index(a) for acts, (_, a) in zip(mdp.actions, policy.choice)]
-        reach = set(start)
-        frontier = list(start)
-        while frontier:
-            s = frontier.pop()
-            for j, _ in mdp.successors[s][taken[s]]:
-                if j not in reach:
-                    reach.add(j)
-                    frontier.append(j)
-        outside = [s for s in range(len(taken)) if s not in reach]
-        if not any(taken[s] for s in outside):
-            yield policy, math.prod(len(mdp.actions[s]) for s in outside)
-
-
 def _rows(mdp: Mdp, indices: list[int]) -> Iterator[TableRow]:
-    """Every canonical policy, analysed once, in ``enumerate_policies`` order."""
-    weighted, policies = itertools.tee(_canonical(mdp, indices))
-    analyses = analyse_policies(mdp, (policy for policy, _ in policies))
-    for (policy, count), analysis in zip(weighted, analyses):
-        values = [analysis.values_at(i) for i in indices]
+    """Every canonical policy, analysed once, in ``enumerate_policies`` order.
+
+    The analysis runs on the censored chain (``chains.censor``), built once
+    per pass: policy p's embedded chain has one row per decision state, the
+    embedded row of p's action there, and one absorbing row per fixed
+    class. Its recurrent classes over the decision states are those of p's
+    chain restricted to them; a class with stationary vector mu has gain
+    sum(mu R) / sum(mu T) (renewal reward: mu weighs the visits to the
+    decision states, R and T are the reward and steps an action's
+    excursion adds), and W is C over T the same way. A class whose members
+    and actions the policy before also had reuses that policy's gain.
+    Absorption mixes the gains at each node, and a start state reads its
+    entry distribution's mix of node values.
+
+    R_p, the states p reaches from the starts, is read off the embedded
+    rows too: its decision states are those the embedded chain reaches
+    from the starts' entry nodes.
+    """
+    censored = chains.censor(mdp)
+    decision = len(censored.decision)
+    counts = [len(mdp.actions[s]) for s in censored.decision]
+    entries = [censored.entry[i] for i in indices]
+    sources = {node for entry in entries for node, _ in entry if node < decision}
+    previous: dict[tuple, chains.Gain] = {}
+    choices = itertools.product(*(range(count) for count in counts))
+    for policy, taken in zip(enumerate_policies(mdp), choices):
+        rows = tuple(censored.rows[k][a] for k, a in enumerate(taken))
+        reach = set(sources)
+        frontier = list(sources)
+        while frontier:
+            for node, _ in rows[frontier.pop()]:
+                if node < decision and node not in reach:
+                    reach.add(node)
+                    frontier.append(node)
+        outside = [k for k in range(decision) if k not in reach]
+        if any(taken[k] for k in outside):
+            continue
+        embedded = rows + censored.fixed_rows
+        decomposition = chains.decompose(embedded)
+        gains = []
+        current: dict[tuple, chains.Gain] = {}
+        for cls in decomposition.recurrent_classes:
+            if cls[0] >= decision:
+                gains.append(censored.fixed_gains[cls[0] - decision])
+                continue
+            key = (cls, tuple(taken[k] for k in cls))
+            gain = previous.get(key)
+            if gain is None:
+                gain = _ratio_gain(censored, embedded, cls, key[1], mdp.constraint_dim)
+            current[key] = gain
+            gains.append(gain)
+        previous = current
+        absorption = chains.absorption_map(embedded, decomposition)
+        values = [_mix(entry, absorption, gains, mdp.constraint_dim) for entry in entries]
         yield TableRow(
             policy=policy,
             V=tuple(v for v, _ in values),
             W=tuple(w for _, w in values),
-            count=count,
+            count=math.prod(counts[k] for k in outside),
         )
+
+
+def _ratio_gain(
+    censored: chains.CensoredChain,
+    embedded: Chain,
+    cls: tuple[int, ...],
+    taken: tuple[int, ...],
+    dim: int,
+) -> chains.Gain:
+    """Reward and constraint gains of a recurrent class of an embedded chain."""
+    mu = chains.stationary_distribution(embedded, cls)
+    reward = steps = ZERO
+    constraint = [ZERO] * dim
+    for m, k, a in zip(mu, cls, taken):
+        r, c, t = censored.excursions[k][a]
+        reward += m * r
+        steps += m * t
+        for i, x in enumerate(c):
+            constraint[i] += m * x
+    return reward / steps, tuple(x / steps for x in constraint)
+
+
+def _mix(
+    entry: Successors,
+    absorption: tuple[tuple[Fraction, ...], ...],
+    gains: list[chains.Gain],
+    dim: int,
+) -> chains.Gain:
+    """V and W from a start state: its entry mix of absorption-mixed gains."""
+    v = ZERO
+    w = [ZERO] * dim
+    for node, weight in entry:
+        for p, (reward, constraint) in zip(absorption[node], gains):
+            if p:
+                p *= weight
+                v += p * reward
+                for k, g in enumerate(constraint):
+                    w[k] += p * g
+    return v, tuple(w)
 
 
 def _best(
     rows: Iterable[TableRow], k: int, slack: tuple[Fraction, ...] | None = None
-) -> SolveResult:
+) -> tuple[SolveResult, TableRow | None]:
     """The first row with the largest V[k] among those with W[k] - slack >= 0.
 
-    The counts add every policy a row stands for. A canonical row has the
-    V and W of the policies it stands for and precedes them, so the first
+    Returns the result and that row (None when no row is feasible). The
+    counts add every policy a row stands for. A canonical row has the V
+    and W of the policies it stands for and precedes them, so the first
     best row is also the first best policy.
     """
     best: TableRow | None = None
@@ -188,11 +263,11 @@ def _best(
         return SolveResult(
             status="infeasible", policy=None, value=None, W_at_optimum=None,
             feasible_count=0, total_count=total,
-        )
+        ), None
     return SolveResult(
         status="optimal", policy=best.policy, value=best.V[k],
         W_at_optimum=best_w, feasible_count=feasible, total_count=total,
-    )
+    ), best
 
 
 class PolicyTable:
@@ -218,10 +293,6 @@ class PolicyTable:
         except KeyError:
             raise KeyError(f"state {state!r} is not a start state of this table") from None
 
-    def row_of(self, policy: Policy) -> TableRow:
-        """The row of a policy this table handed out (looked up by identity)."""
-        return next(row for row in self.rows if row.policy is policy)
-
     def solve(
         self, x: str, slack: tuple[Fraction, ...] | None = None
     ) -> SolveResult:
@@ -231,7 +302,7 @@ class PolicyTable:
         vectors and absorption rows each sum to 1, and leaves V alone; so
         the shifted problem needs no model of its own.
         """
-        return _best(self.rows, self.column(x), slack)
+        return _best(self.rows, self.column(x), slack)[0]
 
 
 def solve(mdp: Mdp, x: str | None = None) -> SolveResult:
@@ -243,4 +314,4 @@ def solve(mdp: Mdp, x: str | None = None) -> SolveResult:
     with their number.
     """
     start = mdp.initial_state if x is None else x
-    return _best(_rows(mdp, [mdp.state_index(start)]), 0)
+    return _best(_rows(mdp, [mdp.state_index(start)]), 0)[0]

@@ -1,21 +1,35 @@
-"""Every-policy reference for ``cmdpkit.solver``.
+"""Full-chain references for ``cmdpkit.solver``.
 
-This is the pass the solver made before it analysed only canonical
+``rows`` is the pass the solver made before it analysed only canonical
 policies: every policy ``enumerate_policies`` yields gets its own
 ``analyse_policy``, no class solve is reused from the policy before, and
 each row counts once. ``best`` filters the rows the way the solver's
-``_best`` did then. Property tests require the solver's ``SolveResult``s to
-equal these.
+``_best`` did then.
+
+``canonical_rows`` is the pass the solver made before it censored each
+policy's chain onto its decision states: ``canonical`` finds the canonical
+policies by a reach search over the full chain, and ``analyse_policies``
+analyses each one's full induced chain, reusing the class solves of the
+policy before. ``class_gain`` is the stationary average of a per-state
+value over a recurrent class.
+
+Property tests require the solver's rows and ``SolveResult``s to equal
+these.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
-from cmdpkit.evaluation import analyse_policy
-from cmdpkit.model import Mdp
+from cmdpkit import chains
+from cmdpkit.evaluation import ClassGain, PolicyAnalysis, analyse_policy
+from cmdpkit.model import Chain, Mdp, Policy, induced_chain
 from cmdpkit.solver import SolveResult, TableRow, enumerate_policies
+
+ZERO = Fraction(0)
 
 
 def rows(mdp: Mdp, indices: list[int]) -> Iterator[TableRow]:
@@ -63,3 +77,101 @@ def solve(mdp: Mdp, x: str | None = None) -> SolveResult:
     """Best feasible policy from x over every policy."""
     start = mdp.initial_state if x is None else x
     return best(rows(mdp, [mdp.state_index(start)]), 0)
+
+
+def class_gain(chain: Chain, cls: tuple[int, ...], values: Sequence[Fraction]) -> Fraction:
+    """Stationary average of a per-state value over a recurrent class."""
+    stationary = chains.stationary_distribution(chain, cls)
+    return sum((p * values[s] for p, s in zip(stationary, cls)), ZERO)
+
+
+def canonical(mdp: Mdp, indices: list[int]) -> Iterator[tuple[Policy, int]]:
+    """Canonical policies, in ``enumerate_policies`` order, with multiplicities.
+
+    R_p is the set of states policy p reaches from the start indices. The
+    search that finds it reads only the rows of states in R_p, so R_p, and
+    V and W at the starts, depend only on the actions p takes in R_p. p is
+    canonical when it takes the first action at every state outside R_p;
+    it stands for every policy that agrees with it on R_p (the product of
+    the action counts outside R_p) and comes first among them.
+    """
+    start = set(indices)
+    for policy in enumerate_policies(mdp):
+        taken = [acts.index(a) for acts, (_, a) in zip(mdp.actions, policy.choice)]
+        reach = set(start)
+        frontier = list(start)
+        while frontier:
+            s = frontier.pop()
+            for j, _ in mdp.successors[s][taken[s]]:
+                if j not in reach:
+                    reach.add(j)
+                    frontier.append(j)
+        outside = [s for s in range(len(taken)) if s not in reach]
+        if not any(taken[s] for s in outside):
+            yield policy, math.prod(len(mdp.actions[s]) for s in outside)
+
+
+def analyse_policies(mdp: Mdp, policies: Iterable[Policy]) -> Iterator[PolicyAnalysis]:
+    """Induced chain, decomposition, class gains and absorption of each policy.
+
+    Yields one analysis per policy, in order. Each recurrent class gets one
+    stationary vector, shared by the reward and the constraint gains. A
+    class's vector and gains depend only on its members and the actions
+    taken on them, so a class the previous policy also had, with the same
+    actions on its members, reuses that policy's solve. Only the previous
+    policy's classes are kept: memory does not grow with the policy count.
+    """
+    previous: dict[tuple, tuple[tuple[Fraction, ...], ClassGain]] = {}
+    for policy in policies:
+        chain = induced_chain(mdp, policy)
+        decomposition = chains.decompose(chain)
+        current: dict[tuple, tuple[tuple[Fraction, ...], ClassGain]] = {}
+        for cls in decomposition.recurrent_classes:
+            taken = tuple(
+                mdp.actions[s].index(policy.action_for(mdp.states[s])) for s in cls
+            )
+            key = (cls, taken)
+            solved = previous.get(key)
+            if solved is None:
+                solved = _class_solve(mdp, chain, cls, taken)
+            current[key] = solved
+        previous = current
+        yield PolicyAnalysis(
+            chain=chain,
+            decomposition=decomposition,
+            stationary=tuple(pi for pi, _ in current.values()),
+            class_gains=tuple(gain for _, gain in current.values()),
+            absorption=chains.absorption_map(chain, decomposition),
+        )
+
+
+def _class_solve(
+    mdp: Mdp, chain: Chain, cls: tuple[int, ...], taken: tuple[int, ...]
+) -> tuple[tuple[Fraction, ...], ClassGain]:
+    """Stationary vector of a recurrent class and the gains under it."""
+    pi = chains.stationary_distribution(chain, cls)
+    reward = ZERO
+    constraint = [ZERO] * mdp.constraint_dim
+    for p, s, j in zip(pi, cls, taken):
+        reward += p * mdp.rewards[s][j]
+        for k, c in enumerate(mdp.constraints[s][j]):
+            constraint[k] += p * c
+    return pi, ClassGain(
+        states=tuple(mdp.states[s] for s in cls),
+        reward_gain=reward,
+        constraint_gain=tuple(constraint),
+    )
+
+
+def canonical_rows(mdp: Mdp, indices: list[int]) -> Iterator[TableRow]:
+    """Every canonical policy, analysed once, in ``enumerate_policies`` order."""
+    weighted, policies = itertools.tee(canonical(mdp, indices))
+    analyses = analyse_policies(mdp, (policy for policy, _ in policies))
+    for (policy, count), analysis in zip(weighted, analyses):
+        values = [analysis.values_at(i) for i in indices]
+        yield TableRow(
+            policy=policy,
+            V=tuple(v for v, _ in values),
+            W=tuple(w for _, w in values),
+            count=count,
+        )

@@ -15,7 +15,7 @@ from cmdpkit import instances
 from cmdpkit.certificate import Certificate, CertificateUnsat, check_certificate, find_certificate
 from cmdpkit.chains import state_distribution_at
 from cmdpkit.cli import run as cli_run
-from cmdpkit.evaluation import class_gain, evaluate
+from cmdpkit.evaluation import evaluate
 from cmdpkit.model import Policy, induced_chain
 from cmdpkit.residual import audit_time_consistency, build_residual_problem, residual_slack
 from cmdpkit.samplepath import (
@@ -26,6 +26,7 @@ from cmdpkit.samplepath import (
 )
 from cmdpkit.solver import solve
 from randmdp import random_decomposable, random_mdp, random_policy
+from solver_oracle import class_gain
 
 F = Fraction
 

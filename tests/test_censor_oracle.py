@@ -1,0 +1,185 @@
+"""The solver's censored-chain pass against the full-chain reference.
+
+``solver._rows`` analyses each canonical policy on its chain censored onto
+the decision states; ``solver_oracle.canonical_rows`` is the pass it
+replaced, which finds the canonical policies by a reach search over the
+full chain and analyses each one's full induced chain. The rows must be
+equal one by one (policy, V, W, count), with every value a ``Fraction``.
+
+Each stratum is drawn by its own generator, so every run covers it: fixed
+closed classes of single-action states, no decision state at all, and
+constraint dimensions 0, 1 and 2; start sets mix decision states,
+single-action transient states and fixed-class states; and each model may
+be replaced by a lazy variant at alpha = k/1009 or k/(2**61 - 1).
+"""
+
+import dataclasses
+import random
+from fractions import Fraction
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import solver_oracle
+from cmdpkit import chains, evaluation, instances, model
+from cmdpkit.solver import PolicyTable, _rows
+from dense_oracle import dense_kernel, sparse_kernel
+from randmdp import lazy_variant, random_decomposable, random_mdp, random_row
+from test_solver import nested_model
+
+MERSENNE_61 = 2**61 - 1
+
+
+def with_fixed_class(rng: random.Random, mdp: model.Mdp) -> model.Mdp:
+    """The model with its last states made single-action and closed among
+    themselves, so they hold at least one fixed class."""
+    n = mdp.num_states
+    block = list(range(n - rng.randint(1, min(3, n - 1)), n))
+    kernel = list(dense_kernel(mdp))
+    actions, rewards, constraints = list(mdp.actions), list(mdp.rewards), list(mdp.constraints)
+    for s in block:
+        support = rng.sample(block, rng.randint(1, len(block)))
+        kernel[s] = (random_row(rng, n, support=support),)
+        actions[s], rewards[s], constraints[s] = actions[s][:1], rewards[s][:1], constraints[s][:1]
+    return dataclasses.replace(
+        mdp, actions=tuple(actions), successors=sparse_kernel(kernel),
+        rewards=tuple(rewards), constraints=tuple(constraints),
+    )
+
+
+def draw_model(rng: random.Random, stratum: str, dim: int) -> model.Mdp:
+    dims = (dim,)
+    if stratum == "fixed":
+        return with_fixed_class(
+            rng, random_mdp(rng, max_states=8, constraint_dims=dims, max_policies=32, min_states=3)
+        )
+    if stratum == "decomposable":
+        return random_decomposable(rng, constraint_dims=dims)
+    if stratum == "no-decision":
+        return random_mdp(rng, max_states=8, constraint_dims=dims, max_policies=1)
+    return random_mdp(rng, max_states=8, constraint_dims=dims, max_policies=32)
+
+
+def draw_starts(rng: random.Random, mdp: model.Mdp) -> list[int]:
+    """A start set with one state of each kind the model has, plus a few more."""
+    censored = chains.censor(mdp)
+    fixed = {s for cls in censored.fixed for s in cls}
+    kinds = [
+        list(censored.decision),
+        sorted(fixed),
+        [s for s in range(mdp.num_states) if s not in fixed and s not in censored.decision],
+    ]
+    starts = {rng.choice(kind) for kind in kinds if kind}
+    starts |= set(rng.sample(range(mdp.num_states), rng.randint(0, mdp.num_states)))
+    return rng.sample(sorted(starts), len(starts))
+
+
+def assert_rows_equal(mdp: model.Mdp, starts: list[int]) -> None:
+    got = list(_rows(mdp, starts))
+    assert got == list(solver_oracle.canonical_rows(mdp, starts))
+    for row in got:
+        assert all(type(v) is Fraction for v in row.V)
+        assert all(type(c) is Fraction for w in row.W for c in w)
+        assert len(row.W) == len(starts)
+        assert all(len(w) == mdp.constraint_dim for w in row.W)
+
+
+@pytest.mark.parametrize("dim", [0, 1, 2])
+@pytest.mark.parametrize("stratum", ["random", "fixed", "decomposable", "no-decision"])
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 10**9), lazy=st.sampled_from([None, 1009, MERSENNE_61]))
+def test_censored_rows_equal_the_full_chain_rows(stratum, dim, seed, lazy):
+    rng = random.Random(seed)
+    mdp = draw_model(rng, stratum, dim)
+    if lazy is not None:
+        mdp = lazy_variant(mdp, Fraction(rng.randint(1, lazy // 2), lazy))
+    censored = chains.censor(mdp)
+    if stratum in ("fixed", "decomposable"):
+        assert censored.fixed
+    if stratum == "no-decision":
+        assert not censored.decision
+    assert_rows_equal(mdp, draw_starts(rng, mdp))
+
+
+def test_the_strata_reach_every_kind_of_start():
+    # Starts on a decision state, a single-action transient state and a
+    # fixed-class state together, under policies that differ, occur.
+    rng = random.Random(5)
+    mixed = 0
+    for _ in range(40):
+        mdp = draw_model(rng, "fixed", rng.randint(0, 2))
+        censored = chains.censor(mdp)
+        starts = draw_starts(rng, mdp)
+        fixed = {s for cls in censored.fixed for s in cls}
+        transient = set(range(mdp.num_states)) - fixed - set(censored.decision)
+        kinds = (set(censored.decision), fixed, transient)
+        if all(kind & set(starts) for kind in kinds):
+            mixed += 1
+            assert_rows_equal(mdp, starts)
+    assert mixed >= 5
+
+
+def test_bundled_instances_equal_the_full_chain_rows_at_every_state():
+    for build in instances.BUNDLED.values():
+        mdp = build()
+        assert_rows_equal(mdp, list(range(mdp.num_states)))
+        for s in range(mdp.num_states):
+            assert_rows_equal(mdp, [s])
+
+
+def test_embedded_chains_have_a_row_per_node_and_the_precompute_runs_once():
+    rng = random.Random(29)
+    checked = 0
+    for _ in range(30):
+        mdp = draw_model(rng, rng.choice(["random", "fixed"]), 1)
+        starts = draw_starts(rng, mdp)
+        censored = chains.censor(mdp)
+        nodes = len(censored.decision) + len(censored.fixed)
+        with mock.patch.object(chains, "censor", wraps=chains.censor) as censor, \
+                mock.patch.object(chains, "_solve_along_dag", wraps=chains._solve_along_dag) as dag, \
+                mock.patch.object(chains, "decompose", wraps=chains.decompose) as decompose, \
+                mock.patch.object(chains, "absorption_map", wraps=chains.absorption_map) as absorb, \
+                mock.patch.object(model, "induced_chain") as induced, \
+                mock.patch.object(chains, "induced_chain", induced), \
+                mock.patch.object(evaluation, "induced_chain", induced):
+            rows = list(_rows(mdp, starts))
+        assert censor.call_count == 1
+        # One DAG solve for the precompute, the others are absorption maps.
+        assert dag.call_count == 1 + absorb.call_count
+        assert decompose.call_count == absorb.call_count == len(rows)
+        assert all(len(call.args[0]) == nodes for call in decompose.call_args_list)
+        assert all(len(call.args[0]) == nodes for call in absorb.call_args_list)
+        assert induced.call_count == 0
+        checked += len(rows) > 1
+    assert checked >= 10
+
+
+def test_censoring_keeps_only_decision_states_and_fixed_classes():
+    rng = random.Random(3)
+    for _ in range(30):
+        mdp = draw_model(rng, "fixed", 1)
+        censored = chains.censor(mdp)
+        assert censored.decision == tuple(
+            s for s in range(mdp.num_states) if len(mdp.actions[s]) > 1
+        )
+        # Every fixed class is a recurrent class of every policy's chain.
+        full = chains.decompose(tuple(rows[0] for rows in mdp.successors))
+        assert set(censored.fixed) <= set(full.recurrent_classes)
+        nodes = len(censored.decision) + len(censored.fixed)
+        for rows, excursions in zip(censored.rows, censored.excursions):
+            for row, (_, constraint, steps) in zip(rows, excursions):
+                assert sum(p for _, p in row) == 1
+                assert all(0 <= node < nodes for node, _ in row)
+                assert steps >= 1 and len(constraint) == mdp.constraint_dim
+        for entry in censored.entry:
+            assert sum(p for _, p in entry) == 1
+
+
+def test_tables_on_scaled_models_equal_the_full_chain_rows():
+    for decisions in (0, 3, 6):
+        mdp = nested_model(decisions)
+        for starts in ([0], list(range(0, mdp.num_states, 2))):
+            table = PolicyTable(mdp, tuple(mdp.states[i] for i in starts))
+            assert list(table.rows) == list(solver_oracle.canonical_rows(mdp, starts))

@@ -5,15 +5,11 @@ from fractions import Fraction
 import pytest
 
 from cmdpkit.chains import state_distribution_at
-from cmdpkit.evaluation import (
-    analyse_policy,
-    class_gain,
-    evaluate,
-    finite_horizon_averages,
-)
+from cmdpkit.evaluation import analyse_policy, evaluate, finite_horizon_averages
 from cmdpkit.model import Trajectory, induced_chain
 from cmdpkit.samplepath import simulate
 from randmdp import random_mdp, random_policy
+from solver_oracle import class_gain
 
 F = Fraction
 
