@@ -35,7 +35,6 @@ from cmdpkit.evaluation import (
     PolicyAnalysis,
     analyse_policy,
     evaluate,
-    finite_horizon_averages,
 )
 from cmdpkit.solver import (
     EnumerationCapExceeded,
@@ -115,7 +114,6 @@ __all__ = [
     "enumerate_policies",
     "evaluate",
     "find_certificate",
-    "finite_horizon_averages",
     "format_rational",
     "induced_chain",
     "instance_to_json",

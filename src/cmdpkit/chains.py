@@ -15,7 +15,9 @@ absorption probabilities are exact rationals from sparse elimination:
 - absorption probabilities are solved along the DAG of strongly connected
   transient components, sink components first (Tarjan order), so each
   component is a small system of its own and a singleton needs only back
-  substitution;
+  substitution. One decomposition feeds that solve: ``closed_classes``
+  keeps the transient components its one Tarjan pass finds, and the DAG
+  solve runs no search of its own;
 - ``censor`` eliminates a model's single-action states once, for every
   policy: the same DAG solve (``_solve_along_dag``, shared with
   ``absorption_map``) gives each eliminated state and each decision
@@ -25,7 +27,11 @@ absorption probabilities are exact rationals from sparse elimination:
   policy's chain censored onto its decision states (the stochastic
   complement; Meyer 1989, SIAM Review 31(2)) is then a chain of those
   embedded rows, and a single-action start state enters it through its
-  hitting distribution.
+  hitting distribution;
+- one gain formula serves both chains: ``ratio_gain`` is a class's
+  sum(mu R) / sum(mu T) over its members' integer totals, where a full
+  chain's step has T = 1 and a censored chain's excursion its expected
+  length, and ``mix`` mixes the class gains into V and W at a start.
 
 The elimination runs on integers only (fraction-free, as in Edmonds 1967
 and Bareiss 1968). Each equation is scaled by the lcm of the denominators
@@ -61,11 +67,15 @@ class ChainDecomposition:
 
     ``recurrent_classes`` are sorted by smallest member index, members
     ascending; together with ``transient_states`` they partition the full
-    index set.
+    index set. ``transient_components`` are the strongly connected
+    components of the transient states, members ascending, sink first
+    (Tarjan order): every edge out of a component reaches an earlier one
+    or a recurrent class.
     """
 
     recurrent_classes: tuple[tuple[int, ...], ...]
     transient_states: tuple[int, ...]
+    transient_components: tuple[tuple[int, ...], ...]
 
 
 def _strongly_connected_components(adjacency: tuple[tuple[int, ...], ...]) -> list[list[int]]:
@@ -129,22 +139,19 @@ def union_adjacency(mdp: Mdp) -> tuple[tuple[int, ...], ...]:
 
 def closed_classes(adjacency: tuple[tuple[int, ...], ...]) -> ChainDecomposition:
     """Closed SCCs of an adjacency structure, rest transient."""
-    components = _strongly_connected_components(adjacency)
     recurrent: list[tuple[int, ...]] = []
-    transient: list[int] = []
-    for component in components:
+    transient: list[tuple[int, ...]] = []
+    for component in _strongly_connected_components(adjacency):
         members = set(component)
         closed = all(
             target in members for v in component for target in adjacency[v]
         )
-        if closed:
-            recurrent.append(tuple(component))
-        else:
-            transient.extend(component)
+        (recurrent if closed else transient).append(tuple(component))
     recurrent.sort(key=lambda cls: cls[0])
     return ChainDecomposition(
         recurrent_classes=tuple(recurrent),
-        transient_states=tuple(sorted(transient)),
+        transient_states=tuple(sorted(s for component in transient for s in component)),
+        transient_components=tuple(transient),
     )
 
 
@@ -304,7 +311,7 @@ def stationary_distribution(chain: Chain, cls: tuple[int, ...]) -> tuple[Fractio
 
 def _solve_along_dag(
     chain: Sequence[Successors],
-    transient: Sequence[int],
+    components: Sequence[tuple[int, ...]],
     solved: list[tuple[list[int], int]],
     width: int,
     constants: dict[int, tuple[list[int], int]],
@@ -312,31 +319,26 @@ def _solve_along_dag(
     """Solve h(s) = constant(s) + sum_j p(s, j) h(j) for every transient s.
 
     Every vector is ``width`` integer numerators over one positive
-    denominator. ``solved[j]`` holds h(j) for every state outside
-    ``transient`` that a transient row reaches, and ``constants`` the
-    constant term of the states that have one (zero for the others). The
-    transient states are solved one strongly connected component at a time,
-    sink components first (Tarjan order), so the states a component leaks
-    to are already solved. Each first-step equation is scaled by the lcm of
-    the denominators in its row, so the right-hand sides are integers; a
+    denominator. ``components`` are the transient strongly connected
+    components, sink first (``ChainDecomposition.transient_components``),
+    so the states a component leaks to are solved before it. ``solved[j]``
+    holds h(j) for every other state that a transient row reaches, and
+    ``constants`` the constant term of the states that have one (zero for
+    the others). Each first-step equation is scaled by the lcm of the
+    denominators in its row, so the right-hand sides are integers; a
     singleton component needs only back substitution, a larger one is a
     sparse solve of its own size. ``solved`` receives every transient
     state's h in lowest terms.
     """
-    local = {s: i for i, s in enumerate(transient)}
-    support = [chain[s] for s in transient]
-    components = _strongly_connected_components(
-        tuple(tuple(local[j] for j, _ in entries if j in local) for entries in support)
-    )
     for component in components:
-        members = {transient[i]: m for m, i in enumerate(component)}
+        members = {s: m for m, s in enumerate(component)}
         # (I - Q) h = constant + one-step mass into solved states, each
         # equation scaled by the lcm of the denominators in its row.
         coefficients: list[dict[int, int]] = []
         rhs: list[list[int]] = []
-        for m, i in enumerate(component):
-            entries = support[i]
-            constant = constants.get(transient[i])
+        for m, s in enumerate(component):
+            entries = chain[s]
+            constant = constants.get(s)
             d = lcm(constant[1] if constant else 1, *(
                 p.denominator if j in members else p.denominator * solved[j][1]
                 for j, p in entries
@@ -364,10 +366,9 @@ def _solve_along_dag(
             numerators, denominator = rhs, coefficients[0][0]
         else:
             numerators, denominator = _sparse_solve(coefficients, rhs)
-        for m, i in enumerate(component):
-            row = numerators[m]
+        for s, row in zip(component, numerators):
             g = gcd(denominator, *row)
-            solved[transient[i]] = ([h // g for h in row], denominator // g)
+            solved[s] = ([h // g for h in row], denominator // g)
 
 
 def absorption_map(
@@ -377,8 +378,8 @@ def absorption_map(
 
     The rows are dense over the classes, which are in the order of
     ``decompose(chain)``, computed here unless the caller passes it.
-    Transient states are solved along the DAG of their strongly connected
-    components, sink components first (``_solve_along_dag`` with no
+    Transient states are solved along the DAG of the decomposition's
+    transient components, sink first (``_solve_along_dag`` with no
     constant term). Solved rows are held as integer numerators over a
     denominator and become Fractions on return. Every row sums to exactly 1.
     """
@@ -392,7 +393,7 @@ def absorption_map(
         unit = ([1 if k == c else 0 for k in range(width)], 1)
         for s in cls:
             solved[s] = unit
-    _solve_along_dag(chain, transient, solved, width, {})
+    _solve_along_dag(chain, decomposition.transient_components, solved, width, {})
 
     rows: list[tuple[Fraction, ...]] = [()] * len(chain)
     for c, cls in enumerate(classes):
@@ -406,6 +407,54 @@ def absorption_map(
 
 
 Gain = tuple[Fraction, tuple[Fraction, ...]]
+Totals = tuple[Sequence[int], int]
+
+
+def step_totals(mdp: Mdp, s: int, a: int) -> tuple[list[int], int]:
+    """Action a at state s as ``[reward, *constraint, 1]`` over one denominator."""
+    values = (mdp.rewards[s][a], *mdp.constraints[s][a], ONE)
+    d = lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
+def ratio_gain(pi: Sequence[Fraction], totals: Sequence[Totals]) -> Gain:
+    """Reward and constraint gains sum(pi R) / sum(pi T) of a recurrent class.
+
+    ``pi`` is the class's stationary vector and ``totals[m]`` member m's
+    ``[reward, *constraint, steps]`` as integer numerators over one
+    positive denominator: the totals of one excursion of a censored chain
+    (Puterman 1994, ch. 11), or of one step of a full chain, where every
+    T is 1 and the gains are plain stationary averages. The weights are
+    brought over one lcm, so the sums are integer dot products and each
+    gain is one ``Fraction``.
+    """
+    scale = lcm(*(p.denominator * d for p, (_, d) in zip(pi, totals)))
+    sums = [0] * len(totals[0][0])
+    for p, (numerators, d) in zip(pi, totals):
+        weight = p.numerator * (scale // (p.denominator * d))
+        sums = [total + weight * x for total, x in zip(sums, numerators)]
+    reward, *constraint, steps = sums
+    return Fraction(reward, steps), tuple(Fraction(c, steps) for c in constraint)
+
+
+def mix(
+    entry: Successors, absorption: Sequence[Sequence[Fraction]], gains: Sequence[Gain]
+) -> Gain:
+    """V and W from a start: its entry distribution's mix of class gains.
+
+    ``entry`` weighs rows of ``absorption``, whose entry c is the
+    probability of absorption into the class with gains ``gains[c]``.
+    """
+    v = ZERO
+    w = [ZERO] * len(gains[0][1])
+    for node, weight in entry:
+        for p, (reward, constraint) in zip(absorption[node], gains):
+            if p:
+                p *= weight
+                v += p * reward
+                for k, g in enumerate(constraint):
+                    w[k] += p * g
+    return v, tuple(w)
 
 
 @dataclass(frozen=True)
@@ -424,7 +473,8 @@ class CensoredChain:
     distribution of the first node entered after the step, passing only
     through eliminated states. ``excursions[k][a]`` holds the expected
     reward, constraint vector and step count from taking a at
-    ``decision[k]`` up to that entry, the step itself included.
+    ``decision[k]`` up to that entry, the step itself included, as the
+    ``ratio_gain`` totals ``([reward, *constraint, steps], denominator)``.
     ``fixed_rows[f]`` is the absorbing row of node ``len(decision) + f``
     and ``fixed_gains[f]`` the class's reward and constraint gains.
     ``entry[s]`` is, for every state s, the distribution of the first node
@@ -436,80 +486,57 @@ class CensoredChain:
     decision: tuple[int, ...]
     fixed: tuple[tuple[int, ...], ...]
     rows: tuple[tuple[Successors, ...], ...]
-    excursions: tuple[tuple[tuple[Fraction, tuple[Fraction, ...], Fraction], ...], ...]
+    excursions: tuple[tuple[Totals, ...], ...]
     fixed_rows: tuple[Successors, ...]
     fixed_gains: tuple[Gain, ...]
     entry: tuple[Successors, ...]
 
 
-def _over_one_denominator(values: Sequence[Fraction], width: int) -> tuple[list[int], int]:
-    """``values`` placed at the end of ``width`` zeros, as integer numerators."""
-    d = lcm(*(v.denominator for v in values))
-    return [0] * (width - len(values)) + [v.numerator * (d // v.denominator) for v in values], d
-
-
 def censor(mdp: Mdp) -> CensoredChain:
     """Eliminate every single-action state once: one pass for all policies.
 
-    The fixed classes are the closed classes of the graph in which each
-    decision state has no successors; each gets one stationary solve.
-    Every other single-action state, and every decision state's action,
-    gets its hitting distribution over the nodes and its expected reward,
-    constraint and step totals until the hit from one ``_solve_along_dag``
-    over ``len(decision) + len(fixed) + 2 + constraint_dim`` columns: a node
-    is a unit vector with zero totals, and an eliminated state or an action
-    adds its reward, its constraint vector and one step as the constant
-    term. The actions are sources of that DAG, so they are solved last.
+    One graph holds the single-action states with their rows, the decision
+    states with no successors, and one more state per decision state's
+    action with that action's row. Its one decomposition gives the fixed
+    classes, its recurrent classes of single-action states, each with one
+    stationary solve and ``ratio_gain``, and the DAG of its transient
+    components: the other single-action states and the actions, which are
+    sources and so solved last. One ``_solve_along_dag`` over
+    ``len(decision) + len(fixed) + 2 + constraint_dim`` columns gives each
+    its hitting distribution over the nodes and its expected reward,
+    constraint and step totals until the hit: a node is a unit vector with
+    zero totals, and a transient state adds its reward, its constraint
+    vector and one step as the constant term.
     """
     n = mdp.num_states
     decision = tuple(s for s in range(n) if len(mdp.actions[s]) > 1)
-    first = tuple(rows[0] for rows in mdp.successors)
-    adjacency = tuple(
-        () if len(mdp.actions[s]) > 1 else tuple(j for j, _ in first[s]) for s in range(n)
-    )
+    chain = [rows[0] if len(rows) == 1 else () for rows in mdp.successors]
+    # The (state, action) whose row and totals each graph state carries.
+    origin = [(s, 0) for s in range(n)]
+    actions: list[range] = []
+    for s in decision:
+        actions.append(range(len(chain), len(chain) + len(mdp.successors[s])))
+        chain.extend(mdp.successors[s])
+        origin.extend((s, a) for a in range(len(mdp.successors[s])))
+    decomposition = closed_classes(support_adjacency(chain))
     fixed = tuple(
-        cls for cls in closed_classes(adjacency).recurrent_classes
-        if len(mdp.actions[cls[0]]) == 1
+        cls for cls in decomposition.recurrent_classes if len(mdp.actions[cls[0]]) == 1
     )
-    fixed_gains = []
-    for cls in fixed:
-        pi = stationary_distribution(first, cls)
-        reward = sum((p * mdp.rewards[s][0] for p, s in zip(pi, cls)), ZERO)
-        constraint = tuple(
-            sum((p * mdp.constraints[s][0][k] for p, s in zip(pi, cls)), ZERO)
-            for k in range(mdp.constraint_dim)
-        )
-        fixed_gains.append((reward, constraint))
 
     nodes = len(decision) + len(fixed)
     width = nodes + 2 + mdp.constraint_dim
-    solved: list[tuple[list[int], int]] = [([], 1)] * n
+    solved: list[tuple[list[int], int]] = [([], 1)] * len(chain)
     node_of = [-1] * n
     for node, members in enumerate([(s,) for s in decision] + list(fixed)):
         unit = ([1 if k == node else 0 for k in range(width)], 1)
         for s in members:
             solved[s] = unit
             node_of[s] = node
-    eliminated = [s for s in range(n) if node_of[s] < 0]
-    chain = list(first)
-    constants = {
-        s: _over_one_denominator((mdp.rewards[s][0], *mdp.constraints[s][0], ONE), width)
-        for s in eliminated
-    }
-    # Each decision state's action is one more state, with the action's row.
-    actions: list[list[int]] = []
-    for s in decision:
-        actions.append([])
-        for a, row in enumerate(mdp.successors[s]):
-            constants[len(chain)] = _over_one_denominator(
-                (mdp.rewards[s][a], *mdp.constraints[s][a], ONE), width
-            )
-            actions[-1].append(len(chain))
-            chain.append(row)
-            solved.append(([], 1))
-    _solve_along_dag(
-        chain, eliminated + [t for ts in actions for t in ts], solved, width, constants
-    )
+    constants: dict[int, tuple[list[int], int]] = {}
+    for t in decomposition.transient_states:
+        numerators, d = step_totals(mdp, *origin[t])
+        constants[t] = ([0] * nodes + numerators, d)
+    _solve_along_dag(chain, decomposition.transient_components, solved, width, constants)
 
     def hitting(t: int) -> Successors:
         numerators, denominator = solved[t]
@@ -518,18 +545,20 @@ def censor(mdp: Mdp) -> CensoredChain:
             for node in range(nodes) if numerators[node]
         )
 
-    def totals(t: int) -> tuple[Fraction, tuple[Fraction, ...], Fraction]:
-        numerators, denominator = solved[t]
-        values = [Fraction(h, denominator) for h in numerators[nodes:]]
-        return values[0], tuple(values[1:-1]), values[-1]
-
     return CensoredChain(
         decision=decision,
         fixed=fixed,
         rows=tuple(tuple(hitting(t) for t in ts) for ts in actions),
-        excursions=tuple(tuple(totals(t) for t in ts) for ts in actions),
+        excursions=tuple(
+            tuple((tuple(solved[t][0][nodes:]), solved[t][1]) for t in ts) for ts in actions
+        ),
         fixed_rows=tuple(((node, ONE),) for node in range(len(decision), nodes)),
-        fixed_gains=tuple(fixed_gains),
+        fixed_gains=tuple(
+            ratio_gain(
+                stationary_distribution(chain, cls), [step_totals(mdp, s, 0) for s in cls]
+            )
+            for cls in fixed
+        ),
         entry=tuple(
             hitting(s) if node_of[s] < 0 else ((node_of[s], ONE),) for s in range(n)
         ),

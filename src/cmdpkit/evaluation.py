@@ -12,7 +12,11 @@ single-policy questions (evaluate, certify, the sample-path checks, the
 audit's entries) read it. The solver's enumeration does not: it analyses
 each policy on the censored chain (``chains.censor``), where a class's gain
 is the semi-Markov ratio of excursion reward to excursion length and a
-single-action start state reads its hitting mix of node values.
+single-action start state reads its hitting mix of node values. Both use
+one gain formula, ``chains.ratio_gain`` (here every step counts once, so
+it is the stationary average), and one mixing step, ``chains.mix``; and
+both decompose each chain once, the absorption solve reading the
+decomposition's transient components.
 """
 
 from __future__ import annotations
@@ -21,9 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from cmdpkit import chains
-from cmdpkit.model import Chain, Mdp, Policy, Trajectory, induced_chain
-
-ZERO = Fraction(0)
+from cmdpkit.model import Chain, Mdp, Policy, induced_chain
 
 
 @dataclass(frozen=True)
@@ -68,14 +70,9 @@ class PolicyAnalysis:
 
     def values_at(self, s: int) -> tuple[Fraction, tuple[Fraction, ...]]:
         """V and W from state index s."""
-        v = ZERO
-        w = [ZERO] * len(self.class_gains[0].constraint_gain)
-        for p, gain in zip(self.absorption[s], self.class_gains):
-            if p:
-                v += p * gain.reward_gain
-                for k, g in enumerate(gain.constraint_gain):
-                    w[k] += p * g
-        return v, tuple(w)
+        return chains.mix(((s, 1),), self.absorption, [
+            (gain.reward_gain, gain.constraint_gain) for gain in self.class_gains
+        ])
 
 
 def analyse_policy(mdp: Mdp, policy: Policy) -> PolicyAnalysis:
@@ -107,16 +104,13 @@ def _class_solve(
 ) -> tuple[tuple[Fraction, ...], ClassGain]:
     """Stationary vector of a recurrent class and the gains under it."""
     pi = chains.stationary_distribution(chain, cls)
-    reward = ZERO
-    constraint = [ZERO] * mdp.constraint_dim
-    for p, s, j in zip(pi, cls, taken):
-        reward += p * mdp.rewards[s][j]
-        for k, c in enumerate(mdp.constraints[s][j]):
-            constraint[k] += p * c
+    reward, constraint = chains.ratio_gain(
+        pi, [chains.step_totals(mdp, s, j) for s, j in zip(cls, taken)]
+    )
     return pi, ClassGain(
         states=tuple(mdp.states[s] for s in cls),
         reward_gain=reward,
-        constraint_gain=tuple(constraint),
+        constraint_gain=constraint,
     )
 
 
@@ -129,21 +123,3 @@ def evaluate(mdp: Mdp, policy: Policy, x: str) -> EvaluationReport:
         V=v, W=w, class_gains=analysis.class_gains,
         absorption=analysis.absorption[start],
     )
-
-
-def finite_horizon_averages(
-    mdp: Mdp, policy: Policy, trajectory: Trajectory
-) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """Time averages (V_T, W_T) of reward and constraint along a realized path."""
-    if trajectory.horizon <= 0 or not trajectory.states:
-        raise ValueError("trajectory horizon must be positive")
-    total_r = Fraction(0)
-    total_c = [Fraction(0)] * mdp.constraint_dim
-    for state in trajectory.states:
-        i = mdp.state_index(state)
-        j = mdp.actions[i].index(policy.action_for(state))
-        total_r += mdp.rewards[i][j]
-        for k in range(mdp.constraint_dim):
-            total_c[k] += mdp.constraints[i][j][k]
-    horizon = Fraction(len(trajectory.states))
-    return total_r / horizon, tuple(c / horizon for c in total_c)

@@ -23,7 +23,11 @@ class of the embedded chain has the semi-Markov ratio gain: the
 stationary average of the excursion reward over that of the excursion
 length (Puterman 1994, ch. 11), and W the same with the constraint. A
 single-action start state reads V and W as its hitting mix of the node
-values. These are exactly the V and W of the policy's full chain.
+values. These are exactly the V and W of the policy's full chain. The
+gain formula and the mixing step are ``chains.ratio_gain`` and
+``chains.mix``, the ones ``evaluation`` uses on full chains, and each
+embedded chain is decomposed once: its absorption solve reads the
+decomposition's transient components.
 
 ``solve`` streams one pass over the canonical policies, analysing each
 once and keeping only the best so far. A question that filters the
@@ -43,11 +47,10 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from cmdpkit import chains
-from cmdpkit.model import Chain, Mdp, Policy, Successors
+from cmdpkit.model import Mdp, Policy
 
 ENUM_CAP_ENV = "CMDPKIT_ENUM_CAP"
 DEFAULT_ENUM_CAP = 1 << 20
-ZERO = Fraction(0)
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -183,57 +186,21 @@ def _rows(mdp: Mdp, indices: list[int]) -> Iterator[TableRow]:
             key = (cls, tuple(taken[k] for k in cls))
             gain = previous.get(key)
             if gain is None:
-                gain = _ratio_gain(censored, embedded, cls, key[1], mdp.constraint_dim)
+                gain = chains.ratio_gain(
+                    chains.stationary_distribution(embedded, cls),
+                    [censored.excursions[k][a] for k, a in zip(*key)],
+                )
             current[key] = gain
             gains.append(gain)
         previous = current
         absorption = chains.absorption_map(embedded, decomposition)
-        values = [_mix(entry, absorption, gains, mdp.constraint_dim) for entry in entries]
+        values = [chains.mix(entry, absorption, gains) for entry in entries]
         yield TableRow(
             policy=policy,
             V=tuple(v for v, _ in values),
             W=tuple(w for _, w in values),
             count=math.prod(counts[k] for k in outside),
         )
-
-
-def _ratio_gain(
-    censored: chains.CensoredChain,
-    embedded: Chain,
-    cls: tuple[int, ...],
-    taken: tuple[int, ...],
-    dim: int,
-) -> chains.Gain:
-    """Reward and constraint gains of a recurrent class of an embedded chain."""
-    mu = chains.stationary_distribution(embedded, cls)
-    reward = steps = ZERO
-    constraint = [ZERO] * dim
-    for m, k, a in zip(mu, cls, taken):
-        r, c, t = censored.excursions[k][a]
-        reward += m * r
-        steps += m * t
-        for i, x in enumerate(c):
-            constraint[i] += m * x
-    return reward / steps, tuple(x / steps for x in constraint)
-
-
-def _mix(
-    entry: Successors,
-    absorption: tuple[tuple[Fraction, ...], ...],
-    gains: list[chains.Gain],
-    dim: int,
-) -> chains.Gain:
-    """V and W from a start state: its entry mix of absorption-mixed gains."""
-    v = ZERO
-    w = [ZERO] * dim
-    for node, weight in entry:
-        for p, (reward, constraint) in zip(absorption[node], gains):
-            if p:
-                p *= weight
-                v += p * reward
-                for k, g in enumerate(constraint):
-                    w[k] += p * g
-    return v, tuple(w)
 
 
 def _best(

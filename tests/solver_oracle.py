@@ -13,12 +13,20 @@ analyses each one's full induced chain, reusing the class solves of the
 policy before. ``class_gain`` is the stationary average of a per-state
 value over a recurrent class.
 
+``_ratio_gain`` and ``_mix`` are the solver's gain and mixing steps before
+``chains.ratio_gain`` and ``chains.mix`` replaced them: ``Fraction`` sums
+over a censored chain whose excursions are ``(reward, constraint, steps)``
+``Fraction`` triples, as ``fraction_excursions`` rebuilds them.
+``finite_horizon_averages`` is the time average of reward and constraint
+along a realized path, which the simulation tests compare against.
+
 Property tests require the solver's rows and ``SolveResult``s to equal
 these.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -26,7 +34,7 @@ from typing import Iterable, Iterator, Sequence
 
 from cmdpkit import chains
 from cmdpkit.evaluation import ClassGain, PolicyAnalysis, analyse_policy
-from cmdpkit.model import Chain, Mdp, Policy, induced_chain
+from cmdpkit.model import Chain, Mdp, Policy, Successors, Trajectory, induced_chain
 from cmdpkit.solver import SolveResult, TableRow, enumerate_policies
 
 ZERO = Fraction(0)
@@ -175,3 +183,72 @@ def canonical_rows(mdp: Mdp, indices: list[int]) -> Iterator[TableRow]:
             W=tuple(w for _, w in values),
             count=count,
         )
+
+
+def fraction_excursions(censored: chains.CensoredChain) -> chains.CensoredChain:
+    """The censored chain with each excursion as a (reward, constraint, steps) triple."""
+    def triple(totals: chains.Totals) -> tuple[Fraction, tuple[Fraction, ...], Fraction]:
+        numerators, denominator = totals
+        values = [Fraction(h, denominator) for h in numerators]
+        return values[0], tuple(values[1:-1]), values[-1]
+
+    return dataclasses.replace(censored, excursions=tuple(
+        tuple(triple(totals) for totals in excursions) for excursions in censored.excursions
+    ))
+
+
+def _ratio_gain(
+    censored: chains.CensoredChain,
+    embedded: Chain,
+    cls: tuple[int, ...],
+    taken: tuple[int, ...],
+    dim: int,
+) -> chains.Gain:
+    """Reward and constraint gains of a recurrent class of an embedded chain."""
+    mu = chains.stationary_distribution(embedded, cls)
+    reward = steps = ZERO
+    constraint = [ZERO] * dim
+    for m, k, a in zip(mu, cls, taken):
+        r, c, t = censored.excursions[k][a]
+        reward += m * r
+        steps += m * t
+        for i, x in enumerate(c):
+            constraint[i] += m * x
+    return reward / steps, tuple(x / steps for x in constraint)
+
+
+def _mix(
+    entry: Successors,
+    absorption: tuple[tuple[Fraction, ...], ...],
+    gains: list[chains.Gain],
+    dim: int,
+) -> chains.Gain:
+    """V and W from a start state: its entry mix of absorption-mixed gains."""
+    v = ZERO
+    w = [ZERO] * dim
+    for node, weight in entry:
+        for p, (reward, constraint) in zip(absorption[node], gains):
+            if p:
+                p *= weight
+                v += p * reward
+                for k, g in enumerate(constraint):
+                    w[k] += p * g
+    return v, tuple(w)
+
+
+def finite_horizon_averages(
+    mdp: Mdp, policy: Policy, trajectory: Trajectory
+) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """Time averages (V_T, W_T) of reward and constraint along a realized path."""
+    if trajectory.horizon <= 0 or not trajectory.states:
+        raise ValueError("trajectory horizon must be positive")
+    total_r = Fraction(0)
+    total_c = [Fraction(0)] * mdp.constraint_dim
+    for state in trajectory.states:
+        i = mdp.state_index(state)
+        j = mdp.actions[i].index(policy.action_for(state))
+        total_r += mdp.rewards[i][j]
+        for k in range(mdp.constraint_dim):
+            total_c[k] += mdp.constraints[i][j][k]
+    horizon = Fraction(len(trajectory.states))
+    return total_r / horizon, tuple(c / horizon for c in total_c)

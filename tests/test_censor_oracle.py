@@ -169,10 +169,10 @@ def test_censoring_keeps_only_decision_states_and_fixed_classes():
         assert set(censored.fixed) <= set(full.recurrent_classes)
         nodes = len(censored.decision) + len(censored.fixed)
         for rows, excursions in zip(censored.rows, censored.excursions):
-            for row, (_, constraint, steps) in zip(rows, excursions):
+            for row, ((_, *constraint, steps), denominator) in zip(rows, excursions):
                 assert sum(p for _, p in row) == 1
                 assert all(0 <= node < nodes for node, _ in row)
-                assert steps >= 1 and len(constraint) == mdp.constraint_dim
+                assert steps >= denominator and len(constraint) == mdp.constraint_dim
         for entry in censored.entry:
             assert sum(p for _, p in entry) == 1
 

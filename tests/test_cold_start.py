@@ -4,13 +4,24 @@ The command line runs each command in a fresh interpreter (or a cold
 forked child), so an import deferred into a function is paid on the call
 path of every command that reaches it. Imports stay at module level, and
 importing the CLI loads every module it can reach.
+
+Leftovers of a refactor are caught here too: every function the benchmark
+tracer (``perfbench/tracer.py``) wraps still exists with the parameters it
+counts, and no module-level import goes unused.
 """
 
 import ast
+import importlib
+import importlib.util
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import cmdpkit.chains
+import cmdpkit.lp
+import cmdpkit.solver
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 PACKAGE = SRC / "cmdpkit"
@@ -46,3 +57,52 @@ def test_importing_the_cli_loads_every_module():
         env=env, capture_output=True, text=True, check=True,
     ).stdout.split()
     assert set(loaded) == expected
+
+
+def _tracer_functions() -> tuple[str, ...]:
+    """``perfbench/tracer.FUNCTIONS``, read from the file without installing anything."""
+    path = SRC.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.FUNCTIONS
+
+
+def test_every_traced_function_exists_with_its_counted_parameters():
+    # The benchmark reports a traced function the package lacks as absent,
+    # and its checks require that none is.
+    functions = _tracer_functions()
+    assert functions
+    for name in functions:
+        module, function = name.split(".")
+        assert callable(getattr(importlib.import_module(f"cmdpkit.{module}"), function, None)), name
+    assert "cls" in inspect.signature(cmdpkit.chains.stationary_distribution).parameters
+    lp_parameters = inspect.signature(cmdpkit.lp.find_feasible_point).parameters
+    assert {"num_vars", "constraints"} <= set(lp_parameters)
+    assert inspect.isgeneratorfunction(cmdpkit.solver.enumerate_policies)
+
+
+def test_no_unused_module_level_import():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = {
+            element.value
+            for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for element in node.value.elts
+        }
+        unused += [
+            f"{path.name}:{line} {name}"
+            for name, line in imported.items() if name not in used | exported
+        ]
+    assert unused == []

@@ -5,11 +5,11 @@ from fractions import Fraction
 import pytest
 
 from cmdpkit.chains import state_distribution_at
-from cmdpkit.evaluation import analyse_policy, evaluate, finite_horizon_averages
+from cmdpkit.evaluation import analyse_policy, evaluate
 from cmdpkit.model import Trajectory, induced_chain
 from cmdpkit.samplepath import simulate
 from randmdp import random_mdp, random_policy
-from solver_oracle import class_gain
+from solver_oracle import class_gain, finite_horizon_averages
 
 F = Fraction
 

@@ -313,7 +313,7 @@ def test_simulate_absorption_fractions_match_analytic(haviv, haviv_a):
 
 def test_simulate_empirical_averages_are_exact_rationals(haviv, haviv_a):
     trajectory, report = simulate(haviv, haviv_a, "x", 1000, 3)
-    from cmdpkit.evaluation import finite_horizon_averages
+    from solver_oracle import finite_horizon_averages
 
     v, w = finite_horizon_averages(haviv, haviv_a, trajectory)
     assert report.empirical_V == v
