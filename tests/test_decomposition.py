@@ -93,9 +93,9 @@ def test_transient_components_partition_the_transient_states_sink_first():
     checked = 0
     for rng, mdp in random_models(14, 40):
         chain = induced_chain(mdp, random_policy(rng, mdp))
-        adjacency = chains.support_adjacency(chain)
-        assert_sink_first_partition(adjacency, chains.decompose(chain))
+        decomposition = chains.decompose(chain)
+        assert_sink_first_partition(chains.support_adjacency(chain), decomposition)
         union = chains.union_adjacency(mdp)
         assert_sink_first_partition(union, chains.closed_classes(union))
-        checked += len(chains.decompose(chain).transient_components) > 1
+        checked += len(decomposition.transient_components) > 1
     assert checked >= 10

@@ -45,12 +45,12 @@ def censored_gains(rng: random.Random, mdp) -> list[chains.Gain]:
     taken = [rng.randrange(len(mdp.actions[s])) for s in censored.decision]
     embedded = tuple(censored.rows[k][a] for k, a in enumerate(taken)) + censored.fixed_rows
     decomposition = chains.decompose(embedded)
+    first = tuple(rows[0] for rows in mdp.successors)
     gains = []
     for cls in decomposition.recurrent_classes:
         if cls[0] >= decision:
             fixed = censored.fixed[cls[0] - decision]
             gain = censored.fixed_gains[cls[0] - decision]
-            first = tuple(rows[0] for rows in mdp.successors)
             _, expected = solver_oracle._class_solve(mdp, first, fixed, (0,) * len(fixed))
             assert gain == (expected.reward_gain, expected.constraint_gain)
         else:
