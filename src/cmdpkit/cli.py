@@ -11,12 +11,14 @@ Identical inputs, including the seed, produce byte-identical reports.
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable
 
 from cmdpkit import certificate as certificate_mod
 from cmdpkit import residual as residual_mod
@@ -52,11 +54,6 @@ class CommandOutcome:
 
 class _UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # keep run() in control of the exit code
-        raise _UsageError(f"{self.prog}: error: {message}\n{self.format_usage()}")
 
 
 def _rat(value: Fraction) -> str:
@@ -108,58 +105,6 @@ def _solve_doc(mdp: Mdp, result: SolveResult) -> dict:
         "value": _rat(result.value),
         "W": _rats(result.W_at_optimum),
     }
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="cmdpkit", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def cmd(name: str, **kwargs) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, **kwargs)
-        p.add_argument("file", help="instance JSON document")
-        return p
-
-    cmd("validate", help="check instance invariants")
-
-    p = cmd("solve", help="best feasible policy")
-    p.add_argument("--start", help="start state (default: instance initial state)")
-
-    p = cmd("evaluate", help="V and W of a policy")
-    p.add_argument("--policy", required=True, help="comma-separated state=action pairs")
-    p.add_argument("--start", help="start state (default: instance initial state)")
-
-    p = cmd("residual", help="residual slackness at a reachable state")
-    p.add_argument("--to", required=True, help="target state")
-    p.add_argument(
-        "--time", type=int,
-        help=f"reaching time (default: smallest; at most {MAX_TIME})",
-    )
-
-    p = cmd("certify", help="check or search an optimality certificate")
-    p.add_argument("--policy", required=True)
-    p.add_argument("--search", action="store_true", help="search instead of check")
-    p.add_argument("--mu", help="comma-separated multiplier components")
-    p.add_argument("--gain", help="gain value, p/q or decimal")
-    p.add_argument("--potential", help="JSON file mapping state -> p/q")
-
-    p = cmd("audit", help="time-consistency audit of the optimal policy")
-    p.add_argument("--all-times", action="store_true",
-                   help="audit every reaching time, not only the smallest per state")
-
-    p = cmd("samplepath", help="almost-sure feasibility of a policy")
-    p.add_argument("--policy", required=True)
-
-    p = cmd("decompose", help="per-subchain expected-constraint conversion")
-    p.add_argument("--selective", action="store_true",
-                   help="impose constraints only on controllable subchains")
-
-    p = cmd("simulate", help="seeded Monte Carlo trajectory")
-    p.add_argument("--policy", required=True)
-    p.add_argument("--steps", type=int, required=True,
-                   help=f"walk length (at most {samplepath_mod.MAX_STEPS})")
-    p.add_argument("--seed", type=int, required=True)
-
-    return parser
 
 
 def _cmd_validate(args) -> CommandOutcome:
@@ -441,30 +386,252 @@ def _cmd_simulate(args) -> CommandOutcome:
     return CommandOutcome(0, _render(doc))
 
 
+# ---------------------------------------------------------------------------
+# The command table and the parser that reads argv against it. The parser
+# reads argv as the standard-library parser it replaced did on Python 3.11
+# (tests/cli_oracle.py), with the same values and error wording: unique
+# prefixes of long options, --opt=value, "--" before positionals, the last
+# of a repeated option, tokens that look like negative numbers read as
+# values, and -h/--help anywhere. One reading differs: --opt=-- gives the
+# value "--", where the old parser gave an empty list.
+# Usage and help are fixed text built from the table; nothing depends on the
+# terminal.
+
+
+class _Option:
+    """A long option; ``kind`` str or int takes one value, bool is a switch."""
+
+    def __init__(self, flag: str, kind: type = str, required: bool = False, help: str = ""):
+        self.flag, self.kind, self.required, self.help = flag, kind, required, help
+        self.dest = flag[2:].replace("-", "_")
+        self.invocation = flag if kind is bool else f"{flag} {self.dest.upper()}"
+
+
+class _Command:
+    """A subcommand: its handler, its help line and its options; each takes FILE."""
+
+    def __init__(self, handler: Callable[[SimpleNamespace], CommandOutcome], help: str,
+                 options: tuple[_Option, ...] = ()):
+        self.handler, self.help, self.options = handler, help, options
+
+
+_HELP = _Option("--help", bool, help="show this help message and exit")
+_POLICY = _Option("--policy", required=True, help="comma-separated state=action pairs")
+_START = _Option("--start", help="start state (default: instance initial state)")
+
 _COMMANDS = {
-    "validate": _cmd_validate,
-    "solve": _cmd_solve,
-    "evaluate": _cmd_evaluate,
-    "residual": _cmd_residual,
-    "certify": _cmd_certify,
-    "audit": _cmd_audit,
-    "samplepath": _cmd_samplepath,
-    "decompose": _cmd_decompose,
-    "simulate": _cmd_simulate,
+    "validate": _Command(_cmd_validate, "check instance invariants"),
+    "solve": _Command(_cmd_solve, "best feasible policy", (_START,)),
+    "evaluate": _Command(_cmd_evaluate, "V and W of a policy", (_POLICY, _START)),
+    "residual": _Command(_cmd_residual, "residual slackness at a reachable state", (
+        _Option("--to", required=True, help="target state"),
+        _Option("--time", int, help=f"reaching time (default: smallest; at most {MAX_TIME})"),
+    )),
+    "certify": _Command(_cmd_certify, "check or search an optimality certificate", (
+        _POLICY,
+        _Option("--search", bool, help="search instead of check"),
+        _Option("--mu", help="comma-separated multiplier components"),
+        _Option("--gain", help="gain value, p/q or decimal"),
+        _Option("--potential", help="JSON file mapping state -> p/q"),
+    )),
+    "audit": _Command(_cmd_audit, "time-consistency audit of the optimal policy", (
+        _Option("--all-times", bool,
+                help="audit every reaching time, not only the smallest per state"),
+    )),
+    "samplepath": _Command(_cmd_samplepath, "almost-sure feasibility of a policy", (_POLICY,)),
+    "decompose": _Command(_cmd_decompose, "per-subchain expected-constraint conversion", (
+        _Option("--selective", bool, help="impose constraints only on controllable subchains"),
+    )),
+    "simulate": _Command(_cmd_simulate, "seeded Monte Carlo trajectory", (
+        _POLICY,
+        _Option("--steps", int, required=True,
+                help=f"walk length (at most {samplepath_mod.MAX_STEPS})"),
+        _Option("--seed", int, required=True, help="random seed"),
+    )),
 }
+
+_USAGE = f"usage: cmdpkit [-h] {{{','.join(_COMMANDS)}}} ...\n"
+_MARKER = "--"  # every later token is a positional
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+class _HelpRequested(Exception):
+    """-h or --help was read; the argument is the help text."""
+
+
+def _usage(name: str, command: _Command) -> str:
+    parts = ["[-h]"] + [
+        o.invocation if o.required else f"[{o.invocation}]" for o in command.options
+    ]
+    return f"usage: cmdpkit {name} {' '.join(parts)} file\n"
+
+
+def _help(name: str | None) -> str:
+    """Help for one command, or for the whole CLI when ``name`` is None."""
+    if name is None:
+        usage, about = _USAGE, __doc__.strip()
+        sections = [("commands", [(n, c.help) for n, c in _COMMANDS.items()])]
+        options = []
+    else:
+        command = _COMMANDS[name]
+        usage, about = _usage(name, command), command.help
+        sections = [("positional arguments", [("file", "instance JSON document")])]
+        options = [(o.invocation, o.help) for o in command.options]
+    sections.append(("options", [("-h, --help", _HELP.help), *options]))
+    width = max(len(left) for _, rows in sections for left, _ in rows) + 2
+    lines = [usage, about]
+    for title, rows in sections:
+        lines += ["", f"{title}:", *(f"  {left:<{width}}{text}".rstrip() for left, text in rows)]
+    return "\n".join(lines) + "\n"
+
+
+def _read_token(token: str, flags: dict[str, _Option], fail):
+    """How one token reads: None for a positional, else
+    ``(option, flag, attached value or None)``; option None is an unknown one."""
+    if not token.startswith("-"):
+        return None
+    if token in flags:
+        return flags[token], token, None
+    if len(token) == 1:
+        return None
+    flag, eq, value = token.partition("=")
+    if eq and flag in flags:
+        return flags[flag], flag, value
+    if token.startswith("--"):
+        matches = [(flags[f], f, value if eq else None) for f in flags if f.startswith(flag)]
+    else:  # -h is the one short flag, and it may have text attached
+        matches = [(_HELP, "-h", token[2:])] if token.startswith("-h") else []
+    if len(matches) > 1:
+        found = ", ".join(f for _, f, _ in matches)
+        raise fail(f"ambiguous option: {token} could match {found}")
+    if matches:
+        return matches[0]
+    if _NEGATIVE_NUMBER.match(token) or " " in token:
+        return None
+    return None, token, None
+
+
+def _check_switch(option: _Option, flag: str, attached: str | None, fail) -> None:
+    """Check a switch's attached text: "-hh" reads as "-h -h", anything else is an error."""
+    if flag == "-h" and attached:
+        attached = attached.lstrip("h") or None
+    if attached is not None:
+        name = "-h/--help" if option is _HELP else option.flag
+        raise fail(f"argument {name}: ignored explicit argument {attached!r}")
+
+
+def _parse_command(name: str, tokens: list[str]) -> tuple[SimpleNamespace, list[str]]:
+    """The namespace of one command and the tokens it did not recognise."""
+    command = _COMMANDS[name]
+    usage = _usage(name, command)
+
+    def fail(message: str) -> _UsageError:
+        return _UsageError(f"cmdpkit {name}: error: {message}\n{usage}")
+
+    flags = {"-h": _HELP, "--help": _HELP, **{o.flag: o for o in command.options}}
+    # Every token is read before any is acted on, so an ambiguous prefix is
+    # an error even after -h.
+    kinds = []  # None for a positional, _MARKER, or what _read_token found
+    marked = False
+    for token in tokens:
+        if marked:
+            kinds.append(None)
+        elif token == _MARKER:
+            kinds.append(_MARKER)
+            marked = True
+        else:
+            kinds.append(_read_token(token, flags, fail))
+    values = {o.dest: False if o.kind is bool else None for o in command.options}
+    seen = set()
+    file = None
+    extras = []
+    j = 0
+    while j < len(tokens):
+        kind, token = kinds[j], tokens[j]
+        j += 1
+        if kind is None or kind == _MARKER:  # the file, once, with a "--" next to it
+            if file is not None or (kind == _MARKER and j == len(tokens)):
+                extras.append(token)
+            elif kind == _MARKER:  # "-- FILE"
+                file = tokens[j]
+                j += 1
+            else:  # "FILE" or "FILE --"
+                file = token
+                if j < len(tokens) and kinds[j] == _MARKER:
+                    j += 1
+            continue
+        option, flag, attached = kind
+        if option is None:
+            extras.append(token)
+            continue
+        if option.kind is bool:
+            _check_switch(option, flag, attached, fail)
+            if option is _HELP:
+                raise _HelpRequested(_help(name))
+            values[option.dest] = True
+        else:
+            if attached is None:
+                if j == len(tokens) or kinds[j] is not None:
+                    raise fail(f"argument {option.flag}: expected one argument")
+                attached = tokens[j]
+                j += 1
+            if option.kind is int:
+                try:
+                    values[option.dest] = int(attached)
+                except ValueError:
+                    raise fail(
+                        f"argument {option.flag}: invalid int value: {attached!r}") from None
+            else:
+                values[option.dest] = attached
+        seen.add(option.flag)
+    missing = ["file"] if file is None else []
+    missing += [o.flag for o in command.options if o.required and o.flag not in seen]
+    if missing:
+        raise fail(f"the following arguments are required: {', '.join(missing)}")
+    return SimpleNamespace(command=name, file=file, **values), extras
+
+
+def _parse_args(argv: list[str]) -> SimpleNamespace:
+    """Read argv against the command table; raises _UsageError or _HelpRequested."""
+
+    def fail(message: str) -> _UsageError:
+        return _UsageError(f"cmdpkit: error: {message}\n{_USAGE}")
+
+    flags = {"-h": _HELP, "--help": _HELP}
+    extras = []
+    i = 0
+    while i < len(argv) and argv[i] != _MARKER:  # before the command only -h is known
+        kind = _read_token(argv[i], flags, fail)
+        if kind is None:
+            break
+        option, flag, attached = kind
+        if option is None:
+            extras.append(argv[i])
+        else:
+            _check_switch(option, flag, attached, fail)
+            raise _HelpRequested(_help(None))
+        i += 1
+    if argv[i:] in ([], [_MARKER]):
+        raise fail("the following arguments are required: command")
+    name = argv[i]
+    if name not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        raise fail(f"argument command: invalid choice: {name!r} (choose from {choices})")
+    args, unknown = _parse_command(name, argv[i + 1:])
+    if extras + unknown:
+        raise fail(f"unrecognized arguments: {' '.join(extras + unknown)}")
+    return args
 
 
 def run(argv: list[str]) -> CommandOutcome:
     """Execute one CLI invocation without touching the process."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        args = _parse_args(argv)
+        return _COMMANDS[args.command].handler(args)
+    except _HelpRequested as exc:
+        return CommandOutcome(0, exc.args[0])
     except _UsageError as exc:
         return CommandOutcome(2, "", str(exc).rstrip() + "\n")
-    except SystemExit as exc:  # argparse --help
-        code = exc.code if isinstance(exc.code, int) else 0
-        return CommandOutcome(0 if code == 0 else 2, "", "")
     except (
         InstanceFormatError,
         ValidationError,

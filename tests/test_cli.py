@@ -4,6 +4,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 from cmdpkit import lp
 from cmdpkit.chains import max_denominator_bits
 from cmdpkit.cli import run
@@ -365,10 +367,98 @@ def test_usage_errors_exit_two(instances_dir):
     ).exit_code == 2
 
 
+TOP_USAGE = (
+    "usage: cmdpkit [-h] {validate,solve,evaluate,residual,certify,audit,samplepath,"
+    "decompose,simulate} ...\n"
+)
+CERTIFY_USAGE = (
+    "usage: cmdpkit certify [-h] --policy POLICY [--search] [--mu MU] [--gain GAIN] "
+    "[--potential POTENTIAL] file\n"
+)
+
+
 def test_format_option_is_gone(instances_dir):
     out = invoke("solve", haviv_path(instances_dir), "--format", "json")
     assert out.exit_code == 2
-    assert "unrecognized arguments: --format json" in out.error
+    assert out.error == "cmdpkit: error: unrecognized arguments: --format json\n" + TOP_USAGE
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["simulate", "FILE"],
+     "cmdpkit simulate: error: the following arguments are required: --policy, --steps, --seed\n"
+     "usage: cmdpkit simulate [-h] --policy POLICY --steps STEPS --seed SEED file\n"),
+    (["solve"],
+     "cmdpkit solve: error: the following arguments are required: file\n"
+     "usage: cmdpkit solve [-h] [--start START] file\n"),
+    ([], "cmdpkit: error: the following arguments are required: command\n" + TOP_USAGE),
+    (["solve", "FILE", "extra", "--bogus"],
+     "cmdpkit: error: unrecognized arguments: extra --bogus\n" + TOP_USAGE),
+    (["residual", "FILE", "--to", "y", "--time", "soon"],
+     "cmdpkit residual: error: argument --time: invalid int value: 'soon'\n"
+     "usage: cmdpkit residual [-h] --to TO [--time TIME] file\n"),
+    (["certify", "FILE", "--policy", "y=a", "--gain", "-1/2"],
+     "cmdpkit certify: error: argument --gain: expected one argument\n" + CERTIFY_USAGE),
+    (["certify", "FILE", "--po", "y=a"],
+     "cmdpkit certify: error: ambiguous option: --po could match --policy, --potential\n"
+     + CERTIFY_USAGE),
+    (["nonsense"],
+     "cmdpkit: error: argument command: invalid choice: 'nonsense' (choose from 'validate', "
+     "'solve', 'evaluate', 'residual', 'certify', 'audit', 'samplepath', 'decompose', "
+     "'simulate')\n" + TOP_USAGE),
+    (["audit", "FILE", "--all-times=yes"],
+     "cmdpkit audit: error: argument --all-times: ignored explicit argument 'yes'\n"
+     "usage: cmdpkit audit [-h] [--all-times] file\n"),
+])
+def test_usage_error_wording(argv, error):
+    out = invoke(*argv)
+    assert (out.exit_code, out.report, out.error) == (2, "", error)
+
+
+def test_usage_errors_do_not_depend_on_the_terminal_width(instances_dir, monkeypatch):
+    errors = []
+    for columns in ("200", "40"):
+        monkeypatch.setenv("COLUMNS", columns)
+        errors.append(invoke("certify", haviv_path(instances_dir), "--bogus").error)
+    assert errors[0] == errors[1] == (
+        "cmdpkit certify: error: the following arguments are required: --policy\n"
+        + CERTIFY_USAGE
+    )
+
+
+def test_huge_integer_option_is_a_usage_error(instances_dir):
+    steps = "1" + "0" * 10**5
+    out = invoke("simulate", haviv_path(instances_dir), "--policy", "y=a",
+                 "--steps", steps, "--seed", "1")
+    assert out.exit_code == 2
+    assert out.report == ""
+    assert out.error.startswith("cmdpkit simulate: error: argument --steps: invalid int value: '1000")
+
+
+HELP_NAMES = {
+    None: ["validate", "solve", "evaluate", "residual", "certify", "audit", "samplepath",
+           "decompose", "simulate"],
+    "validate": [],
+    "solve": ["--start"],
+    "evaluate": ["--policy", "--start"],
+    "residual": ["--to", "--time"],
+    "certify": ["--policy", "--search", "--mu", "--gain", "--potential"],
+    "audit": ["--all-times"],
+    "samplepath": ["--policy"],
+    "decompose": ["--selective"],
+    "simulate": ["--policy", "--steps", "--seed"],
+}
+
+
+@pytest.mark.parametrize("command", HELP_NAMES)
+def test_help_is_the_report(command, capsys):
+    argvs = [["--help"], ["-h"]] if command is None else [[command, "--help"], [command, "FILE", "-h"]]
+    for argv in argvs:
+        out = invoke(*argv)
+        assert capsys.readouterr() == ("", "")
+        assert (out.exit_code, out.error) == (0, "")
+        assert out.report.startswith("usage: cmdpkit ")
+        for name in HELP_NAMES[command] + ["--help"]:
+            assert name in out.report
 
 
 def test_reports_are_byte_deterministic(instances_dir):
@@ -390,14 +480,14 @@ def test_reports_are_byte_deterministic(instances_dir):
 
 
 def test_console_entry_point_matches_in_process(instances_dir):
-    argv = ["solve", haviv_path(instances_dir)]
-    in_process = invoke(*argv)
-    proc = subprocess.run(
-        [sys.executable, "-m", "cmdpkit.cli", *argv],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == in_process.exit_code
-    assert proc.stdout == in_process.report
+    for argv in (["solve", haviv_path(instances_dir)], ["solve", "--help"]):
+        in_process = invoke(*argv)
+        proc = subprocess.run(
+            [sys.executable, "-m", "cmdpkit.cli", *argv],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == in_process.exit_code
+        assert proc.stdout == in_process.report
 
 
 def test_enumeration_cap_error_names_the_choices(instances_dir, monkeypatch):

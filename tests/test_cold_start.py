@@ -14,6 +14,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -106,3 +107,45 @@ def test_no_unused_module_level_import():
             for name, line in imported.items() if name not in used | exported
         ]
     assert unused == []
+
+
+# Each subcommand on haviv, plus help and a usage error.
+COMMANDS_ON_HAVIV = [
+    ["validate"],
+    ["solve"],
+    ["evaluate", "--policy", "y=a"],
+    ["residual", "--to", "y"],
+    ["certify", "--policy", "y=a", "--search"],
+    ["certify", "--policy", "y=a", "--mu", "1/2", "--gain", "5"],
+    ["audit"],
+    ["samplepath", "--policy", "y=a"],
+    ["decompose", "--selective"],
+    ["simulate", "--policy", "y=a", "--steps", "50", "--seed", "1"],
+    ["--help"],
+    ["certify", "--help"],
+    ["certify", "--po", "y=a"],
+]
+
+
+def test_commands_load_no_module_the_import_did_not():
+    # A module a command loads is paid on every cold call of that command.
+    haviv = str(SRC.parent / "instances" / "haviv.json")
+    argvs = [[argv[0], haviv, *argv[1:]] if argv[0] != "--help" else argv
+             for argv in COMMANDS_ON_HAVIV]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    script = (
+        "import json, sys\n"
+        "import cmdpkit.cli\n"
+        "imported = set(sys.modules)\n"
+        "codes = [cmdpkit.cli.run(argv).exit_code for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps({'codes': codes,\n"
+        "                  'loaded': sorted(set(sys.modules) - imported),\n"
+        "                  'imported': sorted(imported)}))\n"
+    )
+    result = json.loads(subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argvs)],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout)
+    assert result["codes"] == [0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 0, 0, 2]
+    assert result["loaded"] == []
+    assert not {"argparse", "gettext", "locale"} & set(result["imported"])
