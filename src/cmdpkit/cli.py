@@ -392,27 +392,37 @@ def _cmd_simulate(args) -> CommandOutcome:
 # (tests/cli_oracle.py), with the same values and error wording: unique
 # prefixes of long options, --opt=value, "--" before positionals, the last
 # of a repeated option, tokens that look like negative numbers read as
-# values, and -h/--help anywhere. One reading differs: --opt=-- gives the
-# value "--", where the old parser gave an empty list.
+# values, and -h/--help anywhere before "--" unless an earlier usage error
+# or an ambiguous option comes first.
 # Usage and help are fixed text built from the table; nothing depends on the
 # terminal.
 
 
+@dataclass(frozen=True)
 class _Option:
     """A long option; ``kind`` str or int takes one value, bool is a switch."""
 
-    def __init__(self, flag: str, kind: type = str, required: bool = False, help: str = ""):
-        self.flag, self.kind, self.required, self.help = flag, kind, required, help
-        self.dest = flag[2:].replace("-", "_")
-        self.invocation = flag if kind is bool else f"{flag} {self.dest.upper()}"
+    flag: str
+    kind: type = str
+    required: bool = False
+    help: str = ""
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+    @property
+    def invocation(self) -> str:
+        return self.flag if self.kind is bool else f"{self.flag} {self.dest.upper()}"
 
 
+@dataclass(frozen=True)
 class _Command:
     """A subcommand: its handler, its help line and its options; each takes FILE."""
 
-    def __init__(self, handler: Callable[[SimpleNamespace], CommandOutcome], help: str,
-                 options: tuple[_Option, ...] = ()):
-        self.handler, self.help, self.options = handler, help, options
+    handler: Callable[[SimpleNamespace], CommandOutcome]
+    help: str
+    options: tuple[_Option, ...] = ()
 
 
 _HELP = _Option("--help", bool, help="show this help message and exit")
