@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from cmdpkit import chains, lp
 from cmdpkit.evaluation import ClassGain, analyse_policy, evaluate
-from cmdpkit.model import Mdp, Policy, validate_policy
+from cmdpkit.model import InputError, Mdp, Policy, validate_policy
 from cmdpkit.solver import EnumerationCapExceeded
 
 ZERO = Fraction(0)
@@ -38,7 +38,7 @@ ZERO = Fraction(0)
 CLOSURE_CAP = 10_000
 
 
-class MissingPotentialError(KeyError):
+class MissingPotentialError(InputError, KeyError):
     """The supplied potential lacks a value at a state the check needs."""
 
 
@@ -131,7 +131,7 @@ def check_certificate(
     """Verify conditions A1-A5 exactly and report every Bellman residual."""
     validate_policy(mdp, policy)
     if len(cert.mu) != mdp.constraint_dim:
-        raise ValueError(
+        raise InputError(
             f"multiplier has length {len(cert.mu)}, "
             f"model constraint_dim is {mdp.constraint_dim}"
         )

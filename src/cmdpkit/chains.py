@@ -55,7 +55,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterator, Sequence
 
-from cmdpkit.model import Chain, Mdp, Policy, Successors, induced_chain
+from cmdpkit.model import Chain, InputError, Mdp, Policy, Successors, induced_chain
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -568,7 +568,7 @@ def censor(mdp: Mdp) -> CensoredChain:
 MAX_TIME = 10_000
 
 
-class TimeLimitError(ValueError):
+class TimeLimitError(InputError):
     """Raised when a requested time exceeds ``MAX_TIME`` or the size bound."""
 
 
@@ -619,7 +619,7 @@ def state_distribution_at(chain: Chain, start: int, t: int) -> tuple[Fraction, .
     ``max_denominator_bits()``, raise TimeLimitError.
     """
     if t < 0:
-        raise ValueError("time must be nonnegative")
+        raise InputError("time must be nonnegative")
     if t > MAX_TIME:
         raise TimeLimitError(f"time {t} exceeds the limit of {MAX_TIME} steps")
     for current in forward_distributions(chain, start, t):

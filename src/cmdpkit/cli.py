@@ -14,24 +14,19 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
-from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable
 
 from cmdpkit import certificate as certificate_mod
 from cmdpkit import residual as residual_mod
 from cmdpkit import samplepath as samplepath_mod
-from cmdpkit.certificate import (
-    Certificate,
-    CertificateSearchError,
-    CertificateUnsat,
-    MissingPotentialError,
-)
-from cmdpkit.chains import MAX_TIME, TimeLimitError, reachable_states
+from cmdpkit.certificate import Certificate, CertificateUnsat
+from cmdpkit.chains import MAX_TIME, reachable_states
 from cmdpkit.evaluation import evaluate
 from cmdpkit.model import (
+    InputError,
     InstanceFormatError,
     Mdp,
     Policy,
@@ -40,9 +35,10 @@ from cmdpkit.model import (
     format_rational,
     load_instance,
     parse_rational,
+    read_json,
     serialize_instance,
 )
-from cmdpkit.solver import EnumerationCapExceeded, PolicyTable, SolveResult, solve
+from cmdpkit.solver import PolicyTable, SolveResult, solve
 
 
 @dataclass(frozen=True)
@@ -111,19 +107,8 @@ def _cmd_validate(args) -> CommandOutcome:
     try:
         load_instance(args.file)
     except ValidationError as exc:
-        doc = {
-            "valid": False,
-            "violations": [
-                {
-                    "kind": v.kind,
-                    "state": v.state,
-                    "action": v.action,
-                    "message": v.message,
-                }
-                for v in exc.report.violations
-            ],
-        }
-        return CommandOutcome(1, _render(doc))
+        violations = [asdict(v) for v in exc.report.violations]
+        return CommandOutcome(1, _render({"valid": False, "violations": violations}))
     return CommandOutcome(0, _render({"valid": True, "violations": []}))
 
 
@@ -226,7 +211,7 @@ def _cmd_certify(args) -> CommandOutcome:
         parse_rational(part) for part in args.mu.split(",")
     ) if args.mu else ()
     if args.potential:
-        raw = json.loads(Path(args.potential).read_text(encoding="utf-8"))
+        raw = read_json(args.potential)
         if not isinstance(raw, dict):
             raise InstanceFormatError(
                 f"potential file root must be a JSON object, got {type(raw).__name__}")
@@ -239,16 +224,7 @@ def _cmd_certify(args) -> CommandOutcome:
     residuals: dict[str, dict[str, str]] = {}
     for (state, action), gap in report.bellman_residuals.items():
         residuals.setdefault(state, {})[action] = _rat(gap)
-    doc = {
-        "verdict": report.verdict,
-        "a1": report.a1,
-        "a2": report.a2,
-        "a3": report.a3,
-        "a4": report.a4,
-        "a5": report.a5,
-        "first_failure": report.first_failure,
-        "bellman_residuals": residuals,
-    }
+    doc = {**asdict(report), "bellman_residuals": residuals}
     return CommandOutcome(0 if report.verdict == "pass" else 1, _render(doc))
 
 
@@ -642,23 +618,10 @@ def run(argv: list[str]) -> CommandOutcome:
         return CommandOutcome(0, exc.args[0])
     except _UsageError as exc:
         return CommandOutcome(2, "", str(exc).rstrip() + "\n")
-    except (
-        InstanceFormatError,
-        ValidationError,
-        PolicyError,
-        MissingPotentialError,
-        residual_mod.UnreachableStateError,
-        TimeLimitError,
-        EnumerationCapExceeded,
-        FileNotFoundError,
-        IsADirectoryError,
-        json.JSONDecodeError,
-        ValueError,
-        KeyError,
-    ) as exc:
+    except InputError as exc:  # args[0], since str() of a KeyError is a repr
         message = exc.args[0] if exc.args else str(exc)
         return CommandOutcome(2, "", f"cmdpkit: error: {message}\n")
-    except CertificateSearchError as exc:
+    except Exception as exc:
         return CommandOutcome(3, "", f"cmdpkit: internal error: {exc}\n")
 
 

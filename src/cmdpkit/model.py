@@ -19,16 +19,29 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
 
-class InstanceFormatError(ValueError):
+class InputError(ValueError):
+    """The caller's input is at fault; the command line exits 2 on it, 3 on others.
+
+    Each input error of the package derives from it and keeps its old base
+    (``KeyError``, ``RuntimeError``), which ``except`` clauses may still name.
+    """
+
+
+class InstanceFormatError(InputError):
     """Raised when an instance document is syntactically or structurally bad."""
 
 
-class PolicyError(ValueError):
+class UnknownStateError(InputError, KeyError):
+    """A state label the model does not have."""
+
+
+class PolicyError(InputError):
     """Raised when a policy is not a valid total choice map for a model."""
 
 
@@ -69,8 +82,16 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Canonical "p/q" form, denominator always explicit ("5" -> "5/1")."""
-    return f"{value.numerator}/{value.denominator}"
+    """Canonical "p/q" form ("5" -> "5/1"); InputError past the digit limit."""
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:
+        raise InputError(f"a number to print has {_over_digit_limit()}") from None
+
+
+def _over_digit_limit() -> str:
+    return (f"more than {sys.get_int_max_str_digits()} digits, the limit "
+            "set by PYTHONINTMAXSTRDIGITS")
 
 
 # The (target index, probability) pairs of one transition row with nonzero
@@ -110,18 +131,7 @@ class Mdp:
         try:
             return self._index[label]
         except KeyError:
-            raise KeyError(f"unknown state {label!r}") from None
-
-    def action_index(self, state: str, action: str) -> int:
-        i = self.state_index(state)
-        try:
-            return self.actions[i].index(action)
-        except ValueError:
-            raise KeyError(f"state {state!r} has no action {action!r}") from None
-
-    @property
-    def initial_index(self) -> int:
-        return self.state_index(self.initial_state)
+            raise UnknownStateError(f"unknown state {label!r}") from None
 
     @property
     def num_states(self) -> int:
@@ -146,9 +156,6 @@ class Policy:
             return self._action[state]
         except KeyError:
             raise PolicyError(f"policy does not cover state {state!r}") from None
-
-    def as_dict(self) -> dict[str, str]:
-        return dict(self.choice)
 
     @staticmethod
     def from_mapping(mdp: Mdp, mapping: dict[str, str]) -> "Policy":
@@ -220,7 +227,7 @@ class ValidationReport:
         return not self.violations
 
 
-class ValidationError(ValueError):
+class ValidationError(InputError):
     """Raised by parse_instance when the parsed model violates invariants."""
 
     def __init__(self, report: ValidationReport):
@@ -313,27 +320,55 @@ def validate(mdp: Mdp) -> ValidationReport:
 # instance documents
 
 def parse_instance(text: str) -> Mdp:
-    """Parse and validate a UTF-8 JSON instance document.
+    """Parse and validate a JSON instance document.
 
     Raises InstanceFormatError on syntax/schema problems (with position or
     path information) and ValidationError when the parsed model violates a
     structural invariant.
     """
+    return _instance(_decode(text))
+
+
+def load_instance(path: str | Path) -> Mdp:
+    """``parse_instance`` of a file, read by ``read_json``."""
+    return _instance(read_json(path))
+
+
+def read_json(path: str | Path):
+    """The JSON document in the UTF-8 file at ``path``.
+
+    Every way reading or parsing it can fail raises an InputError whose
+    message starts with the path (InstanceFormatError if not UTF-8 JSON).
+    """
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
         raise InstanceFormatError(
-            f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return _decode(text, f"{path}: ")
+
+
+def _decode(text: str, where: str = ""):
+    """``json.loads``; each way it fails raises InstanceFormatError after ``where``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        message = f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+    except RecursionError:
+        message = "JSON nested too deeply"
+    except ValueError:  # an integer literal past the int-to-str limit
+        message = f"an integer literal has {_over_digit_limit()}"
+    raise InstanceFormatError(where + message)
+
+
+def _instance(doc) -> Mdp:
     mdp = _mdp_from_document(doc)
     report = validate(mdp)
     if not report.ok:
         raise ValidationError(report)
     return mdp
-
-
-def load_instance(path: str | Path) -> Mdp:
-    return parse_instance(Path(path).read_text(encoding="utf-8"))
 
 
 def _require(doc: dict, key: str, kind: type, where: str):

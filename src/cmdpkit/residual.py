@@ -26,13 +26,13 @@ from typing import Callable
 from cmdpkit import chains
 from cmdpkit.certificate import Certificate, find_certificate
 from cmdpkit.evaluation import analyse_policy
-from cmdpkit.model import Mdp, Policy, induced_chain, validate_policy
+from cmdpkit.model import InputError, Mdp, Policy, induced_chain
 from cmdpkit.solver import PolicyTable, SolveResult, _best
 
 ZERO = Fraction(0)
 
 
-class UnreachableStateError(ValueError):
+class UnreachableStateError(InputError):
     """Target state has probability zero at the requested time."""
 
 
@@ -86,7 +86,6 @@ def residual_slack(
     used. Raises UnreachableStateError when that probability is zero; the
     computation never divides by zero.
     """
-    validate_policy(mdp, policy)
     chain = induced_chain(mdp, policy)
     start = mdp.state_index(x)
     target = mdp.state_index(y)
@@ -101,8 +100,6 @@ def residual_slack(
                 f"state {y!r} is not reachable from {x!r} under the policy"
             )
         t, distribution = found
-    elif t < 0:
-        raise ValueError("time must be nonnegative")
     else:
         dense = chains.state_distribution_at(chain, start, t)
         distribution = {s: mass for s, mass in enumerate(dense) if mass}

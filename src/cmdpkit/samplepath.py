@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from cmdpkit import chains
 from cmdpkit.evaluation import analyse_policy
-from cmdpkit.model import Mdp, Policy, Trajectory, induced_chain, validate_policy
+from cmdpkit.model import InputError, Mdp, Policy, Trajectory, induced_chain, validate_policy
 from cmdpkit.solver import enumerate_policies
 
 ZERO = Fraction(0)
@@ -223,7 +223,7 @@ class SimulationReport:
 MAX_STEPS = 10**7
 
 
-class StepLimitError(ValueError):
+class StepLimitError(InputError):
     """Raised when a walk asks for more than ``MAX_STEPS`` steps."""
 
 
@@ -266,7 +266,7 @@ def _walk(
 ) -> tuple[list[int] | None, SimulationReport]:
     """The walk behind ``simulate``; the state path is kept only if ``record``."""
     if steps < 1:
-        raise ValueError("steps must be >= 1")
+        raise InputError("steps must be >= 1")
     if steps > MAX_STEPS:
         raise StepLimitError(f"steps {steps} exceed the limit of {MAX_STEPS}")
     validate_policy(mdp, policy)

@@ -47,13 +47,13 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from cmdpkit import chains
-from cmdpkit.model import Mdp, Policy
+from cmdpkit.model import InputError, Mdp, Policy
 
 ENUM_CAP_ENV = "CMDPKIT_ENUM_CAP"
 DEFAULT_ENUM_CAP = 1 << 20
 
 
-class EnumerationCapExceeded(RuntimeError):
+class EnumerationCapExceeded(InputError, RuntimeError):
     """Raised when the policy space is larger than the configured cap."""
 
 

@@ -1,3 +1,5 @@
+import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,3 +38,46 @@ def yacht():
 @pytest.fixture(scope="session")
 def instances_dir():
     return INSTANCES_DIR
+
+
+def _long_answer_document() -> dict:
+    """12 states in a cycle, state k staying with probability 1/(490 sevens, k).
+
+    A valid instance whose optimal value has more digits than the
+    int-to-str limit allows to print.
+    """
+    n = 12
+    states = []
+    for k in range(n):
+        q = int("7" * 490 + str(k))
+        states.append({"id": f"s{k}", "actions": [{
+            "id": "a", "reward": str(k), "constraint": [],
+            "transitions": {f"s{k}": f"1/{q}", f"s{(k + 1) % n}": f"{q - 1}/{q}"},
+        }]})
+    return {"constraint_dim": 0, "initial_state": "s0", "states": states}
+
+
+@pytest.fixture
+def oversized_inputs(tmp_path, instances_dir):
+    """(argv, stderr) of inputs that overflow the JSON parser or a digit limit.
+
+    Each must exit 2 with that one error line: nesting too deep for the
+    parser in FILE and in --potential, a JSON integer and an answer past
+    the int-to-str limit.
+    """
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    digits = tmp_path / "digits.json"
+    digits.write_text('{"constraint_dim": ' + "1" * 5001 + "}")
+    long_answer = tmp_path / "long.json"
+    long_answer.write_text(json.dumps(_long_answer_document()))
+    limit = (f"more than {sys.get_int_max_str_digits()} digits, "
+             "the limit set by PYTHONINTMAXSTRDIGITS")
+    twochain = str(instances_dir / "twochain.json")
+    return [
+        (["solve", str(deep)], f"cmdpkit: error: {deep}: JSON nested too deeply\n"),
+        (["certify", twochain, "--policy", "", "--gain", "1/2", "--potential", str(deep)],
+         f"cmdpkit: error: {deep}: JSON nested too deeply\n"),
+        (["solve", str(digits)], f"cmdpkit: error: {digits}: an integer literal has {limit}\n"),
+        (["solve", str(long_answer)], f"cmdpkit: error: a number to print has {limit}\n"),
+    ]

@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from cmdpkit import lp
+from cmdpkit import certificate, chains, lp, model, residual, samplepath, solver
 from cmdpkit.chains import max_denominator_bits
 from cmdpkit.cli import run
-from cmdpkit.model import Mdp, instance_to_json
+from cmdpkit.model import InputError, Mdp, instance_to_json
 from cmdpkit.samplepath import MAX_STEPS
 from dense_oracle import sparse_kernel
 from randmdp import random_row
@@ -194,6 +194,63 @@ def test_failing_found_certificate_is_internal_error(instances_dir, monkeypatch)
         assert out.exit_code == 3
         assert out.report == ""
         assert out.error == "cmdpkit: internal error: searched certificate fails A4\n"
+
+
+def test_other_failures_are_internal_errors(instances_dir, monkeypatch):
+    def bare_value_error(chain, cls):
+        raise ValueError("class is not strongly connected")
+
+    def bare_key_error(chain):
+        raise KeyError(7)
+
+    haviv = haviv_path(instances_dir)
+    monkeypatch.setattr(chains, "stationary_distribution", bare_value_error)
+    out = invoke("solve", haviv)
+    assert (out.exit_code, out.report) == (3, "")
+    assert out.error == "cmdpkit: internal error: class is not strongly connected\n"
+    monkeypatch.setattr(chains, "decompose", bare_key_error)
+    out = invoke("evaluate", haviv, "--policy", "y=a")
+    assert (out.exit_code, out.report, out.error) == (3, "", "cmdpkit: internal error: 7\n")
+
+
+@pytest.mark.parametrize("error, base", [
+    (model.InstanceFormatError, ValueError),
+    (model.ValidationError, ValueError),
+    (model.PolicyError, ValueError),
+    (model.UnknownStateError, KeyError),
+    (chains.TimeLimitError, ValueError),
+    (residual.UnreachableStateError, ValueError),
+    (samplepath.StepLimitError, ValueError),
+    (certificate.MissingPotentialError, KeyError),
+    (solver.EnumerationCapExceeded, RuntimeError),
+])
+def test_input_errors_keep_their_old_base(error, base):
+    instance = error.__new__(error)  # ValidationError's __init__ wants a report
+    assert isinstance(instance, InputError) and isinstance(instance, base)
+
+
+def test_file_errors_name_the_file(tmp_path, instances_dir):
+    missing = tmp_path / "nope.json"
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"id": "caf\xe9"}')
+    twochain = str(instances_dir / "twochain.json")
+    reasons = [
+        (missing, f"{missing}: No such file or directory"),
+        (tmp_path, f"{tmp_path}: Is a directory"),
+        (latin1, f"{latin1}: not UTF-8 text (invalid continuation byte at byte 11)"),
+    ]
+    for path, reason in reasons:
+        for argv in (["solve", str(path)],
+                     ["certify", twochain, "--policy", "", "--gain", "1/2",
+                      "--potential", str(path)]):
+            out = invoke(*argv)
+            assert (out.exit_code, out.report, out.error) == (2, "", f"cmdpkit: error: {reason}\n")
+
+
+def test_oversized_inputs_are_input_errors(oversized_inputs):
+    for argv, error in oversized_inputs:
+        out = invoke(*argv)
+        assert (out.exit_code, out.report, out.error) == (2, "", error)
 
 
 def test_certify_check_mode(tmp_path, instances_dir):

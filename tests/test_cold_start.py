@@ -7,7 +7,8 @@ importing the CLI loads every module it can reach.
 
 Leftovers of a refactor are caught here too: every function the benchmark
 tracer (``perfbench/tracer.py``) wraps still exists with the parameters it
-counts, and no module-level import goes unused.
+counts, and no module-level import goes unused. Inputs that overflow an
+interpreter limit are run through ``main()`` in a fresh interpreter too.
 """
 
 import ast
@@ -149,3 +150,14 @@ def test_commands_load_no_module_the_import_did_not():
     assert result["codes"] == [0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 0, 0, 2]
     assert result["loaded"] == []
     assert not {"argparse", "gettext", "locale"} & set(result["imported"])
+
+
+def test_oversized_inputs_exit_two_without_a_traceback(oversized_inputs):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for argv, error in oversized_inputs:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cmdpkit.cli", *argv],
+            env=env, capture_output=True, text=True,
+        )
+        assert "Traceback" not in proc.stderr
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", error)
