@@ -49,13 +49,20 @@ calls; callers that need a chain's analysis more than once hold on to it.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterator, Sequence
 
-from cmdpkit.model import Chain, InputError, Mdp, Policy, Successors, induced_chain
+from cmdpkit.model import (
+    Chain,
+    InputError,
+    Mdp,
+    Policy,
+    Successors,
+    induced_chain,
+    int_max_str_digits,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -576,12 +583,13 @@ def max_denominator_bits() -> int:
     """Size bound on the denominators of an exact time-t distribution.
 
     The bound in bits equals the interpreter's limit on decimal digits in
-    an int-to-str conversion (``sys.get_int_max_str_digits()``, or its
-    default 4300 when the limit is off). A number below 2**b has at most
-    0.302 b + 1 decimal digits, so the distribution, and the residual slack
-    formed from it with a few products and one quotient, still print.
+    an int-to-str conversion (``model.int_max_str_digits()``: 4300 when the
+    limit is off, or on Python 3.10, which has none). A number below 2**b
+    has at most 0.302 b + 1 decimal digits, so the distribution, and the
+    residual slack formed from it with a few products and one quotient,
+    still print.
     """
-    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    return int_max_str_digits()
 
 
 def forward_distributions(

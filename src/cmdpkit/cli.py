@@ -4,14 +4,13 @@ Every subcommand reads an instance file, runs the corresponding module API
 and prints a single deterministic JSON document (sorted keys, rationals as
 "p/q"). Exit codes: 0 success / positive verdict, 1 declared negative
 result (infeasible, certificate UNSAT, failed check, time inconsistency,
-sample-path infeasible, non-decomposable), 2 usage or input error, 3
-internal error (a found certificate fails its own check).
+sample-path infeasible, non-decomposable), 2 usage or input error,
+3 any other failure (a defect, reported without a traceback).
 Identical inputs, including the seed, produce byte-identical reports.
 """
 
 from __future__ import annotations
 
-import json
 import re
 import sys
 from dataclasses import asdict, dataclass
@@ -36,6 +35,7 @@ from cmdpkit.model import (
     load_instance,
     parse_rational,
     read_json,
+    render_json,
     serialize_instance,
 )
 from cmdpkit.solver import PolicyTable, SolveResult, solve
@@ -84,10 +84,6 @@ def _parse_policy(mdp: Mdp, text: str | None) -> Policy:
     return Policy.from_mapping(mdp, mapping)
 
 
-def _render(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
 def _solve_doc(mdp: Mdp, result: SolveResult) -> dict:
     if result.status != "optimal":
         return {
@@ -108,15 +104,15 @@ def _cmd_validate(args) -> CommandOutcome:
         load_instance(args.file)
     except ValidationError as exc:
         violations = [asdict(v) for v in exc.report.violations]
-        return CommandOutcome(1, _render({"valid": False, "violations": violations}))
-    return CommandOutcome(0, _render({"valid": True, "violations": []}))
+        return CommandOutcome(1, render_json({"valid": False, "violations": violations}))
+    return CommandOutcome(0, render_json({"valid": True, "violations": []}))
 
 
 def _cmd_solve(args) -> CommandOutcome:
     mdp = load_instance(args.file)
     result = solve(mdp, args.start)
     return CommandOutcome(
-        0 if result.status == "optimal" else 1, _render(_solve_doc(mdp, result))
+        0 if result.status == "optimal" else 1, render_json(_solve_doc(mdp, result))
     )
 
 
@@ -140,7 +136,7 @@ def _cmd_evaluate(args) -> CommandOutcome:
         ],
         "absorption": _rats(report.absorption),
     }
-    return CommandOutcome(0, _render(doc))
+    return CommandOutcome(0, render_json(doc))
 
 
 def _cmd_residual(args) -> CommandOutcome:
@@ -149,7 +145,7 @@ def _cmd_residual(args) -> CommandOutcome:
     table = PolicyTable(mdp, reachable_states(mdp, None, mdp.initial_state))
     base = table.solve(mdp.initial_state)
     if base.status != "optimal":
-        return CommandOutcome(1, _render(_solve_doc(mdp, base)))
+        return CommandOutcome(1, render_json(_solve_doc(mdp, base)))
     spec = residual_mod.residual_slack(
         mdp, base.policy, mdp.initial_state, args.to, args.time
     )
@@ -166,7 +162,7 @@ def _cmd_residual(args) -> CommandOutcome:
         },
         "residual_solve": _solve_doc(mdp, table.solve(spec.target, spec.slack)),
     }
-    return CommandOutcome(0, _render(doc))
+    return CommandOutcome(0, render_json(doc))
 
 
 def _certificate_doc(cert: Certificate) -> dict:
@@ -202,8 +198,8 @@ def _cmd_certify(args) -> CommandOutcome:
     if args.search:
         found = certificate_mod.find_certificate(mdp, mdp.initial_state, policy)
         if isinstance(found, Certificate):
-            return CommandOutcome(0, _render(_certificate_doc(found)))
-        return CommandOutcome(1, _render(_unsat_doc(found)))
+            return CommandOutcome(0, render_json(_certificate_doc(found)))
+        return CommandOutcome(1, render_json(_unsat_doc(found)))
 
     if args.gain is None:
         raise _UsageError("certify: --gain is required in check mode (or pass --search)")
@@ -225,7 +221,7 @@ def _cmd_certify(args) -> CommandOutcome:
     for (state, action), gap in report.bellman_residuals.items():
         residuals.setdefault(state, {})[action] = _rat(gap)
     doc = {**asdict(report), "bellman_residuals": residuals}
-    return CommandOutcome(0 if report.verdict == "pass" else 1, _render(doc))
+    return CommandOutcome(0 if report.verdict == "pass" else 1, render_json(doc))
 
 
 def _cmd_audit(args) -> CommandOutcome:
@@ -233,7 +229,7 @@ def _cmd_audit(args) -> CommandOutcome:
     try:
         report = residual_mod.audit_time_consistency(mdp, all_times=args.all_times)
     except residual_mod.InfeasibleStartError as exc:
-        return CommandOutcome(1, _render(_solve_doc(mdp, exc.result)))
+        return CommandOutcome(1, render_json(_solve_doc(mdp, exc.result)))
     entries = []
     for e in report.entries:
         entries.append({
@@ -269,7 +265,7 @@ def _cmd_audit(args) -> CommandOutcome:
         "consistent": report.consistent,
         "entries": entries,
     }
-    return CommandOutcome(0 if report.consistent else 1, _render(doc))
+    return CommandOutcome(0 if report.consistent else 1, render_json(doc))
 
 
 def _cmd_samplepath(args) -> CommandOutcome:
@@ -283,7 +279,7 @@ def _cmd_samplepath(args) -> CommandOutcome:
             "gain": _rats(verdict.witness_gain),
         },
     }
-    return CommandOutcome(0 if verdict.feasible else 1, _render(doc))
+    return CommandOutcome(0 if verdict.feasible else 1, render_json(doc))
 
 
 def _cmd_decompose(args) -> CommandOutcome:
@@ -291,7 +287,7 @@ def _cmd_decompose(args) -> CommandOutcome:
     try:
         control = samplepath_mod.controllable_classes(mdp, mdp.initial_state)
     except samplepath_mod.NotDecomposableError as exc:
-        return CommandOutcome(1, _render({"decomposable": False, "error": str(exc)}))
+        return CommandOutcome(1, render_json({"decomposable": False, "error": str(exc)}))
     structure = control.structure
     converted = samplepath_mod.convert_classes(
         mdp,
@@ -316,7 +312,7 @@ def _cmd_decompose(args) -> CommandOutcome:
         "constraint_dim": converted.constraint_dim,
         "converted": serialize_instance(converted),
     }
-    return CommandOutcome(0, _render(doc))
+    return CommandOutcome(0, render_json(doc))
 
 
 def _cmd_simulate(args) -> CommandOutcome:
@@ -359,7 +355,7 @@ def _cmd_simulate(args) -> CommandOutcome:
             "absorption": _rats(report.analytic_absorption),
         },
     }
-    return CommandOutcome(0, _render(doc))
+    return CommandOutcome(0, render_json(doc))
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,12 @@ rows, and no dense transition row is ever built.
 from __future__ import annotations
 
 import json
-import re
+import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from pathlib import Path
+from json.encoder import encode_basestring_ascii
+from math import lcm
 
 
 class InputError(ValueError):
@@ -69,8 +70,7 @@ def parse_rational(text: str) -> Fraction:
             f"rational literal longer than {MAX_LITERAL_LENGTH} characters: "
             f"{literal[:20]!r}..."
         )
-    exponent = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\Z", literal)
-    if exponent and abs(int(exponent.group(1))) > MAX_DECIMAL_EXPONENT:
+    if abs(_decimal_exponent(literal)) > MAX_DECIMAL_EXPONENT:
         raise InstanceFormatError(
             f"decimal exponent above {MAX_DECIMAL_EXPONENT} in magnitude: "
             f"{literal[:20]!r}"
@@ -81,6 +81,23 @@ def parse_rational(text: str) -> Fraction:
         raise InstanceFormatError(f"not a rational literal: {text!r} ({exc})") from None
 
 
+def _decimal_exponent(literal: str) -> int:
+    """The exponent after the last e or E of ``literal``, 0 if none follows it.
+
+    An exponent is one optional sign and decimal digits with single
+    underscores between them, as ``Fraction`` reads it; ``int`` reads
+    exactly that, less the surrounding whitespace it also allows.
+    """
+    cut = max(literal.rfind("e"), literal.rfind("E"))
+    tail = literal[cut + 1:]
+    if cut < 0 or tail != tail.strip():
+        return 0
+    try:
+        return int(tail)
+    except ValueError:
+        return 0
+
+
 def format_rational(value: Fraction) -> str:
     """Canonical "p/q" form ("5" -> "5/1"); InputError past the digit limit."""
     try:
@@ -89,8 +106,20 @@ def format_rational(value: Fraction) -> str:
         raise InputError(f"a number to print has {_over_digit_limit()}") from None
 
 
+# Python 3.11's default limit on the decimal digits of an int-to-str
+# conversion; 3.10 has no limit and no ``sys.get_int_max_str_digits``.
+DEFAULT_MAX_STR_DIGITS = 4300
+
+
+def int_max_str_digits() -> int:
+    """The interpreter's int-to-str digit limit, or DEFAULT_MAX_STR_DIGITS
+    when it sets none (the limit is off, or Python 3.10)."""
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    return (limit() if limit else 0) or DEFAULT_MAX_STR_DIGITS
+
+
 def _over_digit_limit() -> str:
-    return (f"more than {sys.get_int_max_str_digits()} digits, the limit "
+    return (f"more than {int_max_str_digits()} digits, the limit "
             "set by PYTHONINTMAXSTRDIGITS")
 
 
@@ -303,11 +332,13 @@ def validate(mdp: Mdp) -> ValidationReport:
                     add("row-negative", state, action,
                         f"negative transition probability at ({state!r}, {action!r}) "
                         f"towards {negatives}")
-                total = sum((p for _, p in row), Fraction(0))
-                if total != 1:
+                # the row sums to 1 when its numerators over one lcm sum to it
+                scale = lcm(*(p.denominator for _, p in row))
+                total = sum(p.numerator * (scale // p.denominator) for _, p in row)
+                if total != scale:
                     add("row-sum", state, action,
                         f"kernel row of ({state!r}, {action!r}) sums to "
-                        f"{format_rational(total)}, not 1")
+                        f"{format_rational(Fraction(total, scale))}, not 1")
             if j < len(constraints) and len(constraints[j]) != n:
                 add("constraint-length", state, action,
                     f"constraint vector of ({state!r}, {action!r}) has length "
@@ -329,19 +360,20 @@ def parse_instance(text: str) -> Mdp:
     return _instance(_decode(text))
 
 
-def load_instance(path: str | Path) -> Mdp:
+def load_instance(path: str | os.PathLike) -> Mdp:
     """``parse_instance`` of a file, read by ``read_json``."""
     return _instance(read_json(path))
 
 
-def read_json(path: str | Path):
+def read_json(path: str | os.PathLike):
     """The JSON document in the UTF-8 file at ``path``.
 
     Every way reading or parsing it can fail raises an InputError whose
     message starts with the path (InstanceFormatError if not UTF-8 JSON).
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            text = file.read()
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
@@ -371,15 +403,22 @@ def _instance(doc) -> Mdp:
     return mdp
 
 
-def _require(doc: dict, key: str, kind: type, where: str):
+def _require(doc: dict, key: str, kind: type, where: str, *args):
+    """``doc[key]``, checked to be a ``kind``; ``where.format(*args)`` names
+    ``doc`` in the error, and is built only for it."""
     if not isinstance(doc, dict) or key not in doc:
-        raise InstanceFormatError(f"missing key {key!r} in {where}")
+        raise InstanceFormatError(f"missing key {key!r} in {where.format(*args)}")
     value = doc[key]
     if not isinstance(value, kind):
         raise InstanceFormatError(
-            f"{where}.{key} must be {kind.__name__}, got {type(value).__name__}"
+            f"{where.format(*args)}.{key} must be {kind.__name__}, "
+            f"got {type(value).__name__}"
         )
     return value
+
+
+_STATE = "states[{}] ({!r})"
+_ACTION = _STATE + ".actions[{}]"
 
 
 def _mdp_from_document(doc) -> Mdp:
@@ -395,34 +434,44 @@ def _mdp_from_document(doc) -> Mdp:
 
     labels: list[str] = []
     for k, sdoc in enumerate(state_docs):
-        labels.append(_require(sdoc, "id", str, f"states[{k}]"))
+        labels.append(_require(sdoc, "id", str, "states[{}]", k))
     index = {label: i for i, label in enumerate(labels)}
+
+    # Each distinct literal is parsed once. Only parsed values are kept, so
+    # the first bad literal in document order raises as it would alone.
+    parsed: dict[str, Fraction] = {}
+
+    def rational(text) -> Fraction:
+        value = parsed.get(text) if isinstance(text, str) else None
+        if value is None:
+            value = parsed[text] = parse_rational(text)
+        return value
 
     actions: list[tuple[str, ...]] = []
     successors: list[tuple[Successors, ...]] = []
     rewards: list[tuple[Fraction, ...]] = []
     constraints: list[tuple[tuple[Fraction, ...], ...]] = []
     for k, sdoc in enumerate(state_docs):
-        where = f"states[{k}] ({labels[k]!r})"
-        action_docs = _require(sdoc, "actions", list, where)
+        label = labels[k]
+        action_docs = _require(sdoc, "actions", list, _STATE, k, label)
         state_actions: list[str] = []
         state_rows: list[Successors] = []
         state_rewards: list[Fraction] = []
         state_constraints: list[tuple[Fraction, ...]] = []
         for m, adoc in enumerate(action_docs):
-            awhere = f"{where}.actions[{m}]"
-            state_actions.append(_require(adoc, "id", str, awhere))
-            state_rewards.append(parse_rational(_require(adoc, "reward", str, awhere)))
-            cvec = _require(adoc, "constraint", list, awhere)
-            state_constraints.append(tuple(parse_rational(c) for c in cvec))
-            trans = _require(adoc, "transitions", dict, awhere)
+            state_actions.append(_require(adoc, "id", str, _ACTION, k, label, m))
+            state_rewards.append(rational(_require(adoc, "reward", str, _ACTION, k, label, m)))
+            cvec = _require(adoc, "constraint", list, _ACTION, k, label, m)
+            state_constraints.append(tuple(rational(c) for c in cvec))
+            trans = _require(adoc, "transitions", dict, _ACTION, k, label, m)
             row = []
             for target, prob in trans.items():
                 if target not in index:
                     raise InstanceFormatError(
-                        f"{awhere}.transitions names unknown state {target!r}"
+                        f"{_ACTION.format(k, label, m)}.transitions names "
+                        f"unknown state {target!r}"
                     )
-                row.append((index[target], parse_rational(prob)))
+                row.append((index[target], rational(prob)))
             # object keys are unique, so pairs sort by index alone
             state_rows.append(tuple(sorted(pair for pair in row if pair[1])))
         actions.append(tuple(state_actions))
@@ -466,7 +515,64 @@ def serialize_instance(mdp: Mdp) -> dict:
 
 def instance_to_json(mdp: Mdp) -> str:
     """Deterministic JSON rendering of serialize_instance."""
-    return json.dumps(serialize_instance(mdp), indent=2, sort_keys=True) + "\n"
+    return render_json(serialize_instance(mdp))
+
+
+def render_json(value) -> str:
+    """The JSON text of ``value`` with sorted keys and two-space indents, and
+    a newline: byte for byte what ``json.dumps`` writes with those settings.
+
+    The standard library indents through its pure-Python encoder; this one
+    recursion is the whole of that for the types a report holds: str, int,
+    bool, None, list, tuple and dict with str keys. Any other type, a float
+    included, raises TypeError. Strings are escaped by ``json``'s own
+    ASCII escaper.
+    """
+    parts: list[str] = []
+    _render(value, "\n", parts.append)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _render(value, newline: str, emit) -> None:
+    """Emit ``value``'s JSON text, its nested lines starting with ``newline``."""
+    if isinstance(value, str):
+        emit(encode_basestring_ascii(value))
+    elif value is None:
+        emit("null")
+    elif value is True:
+        emit("true")
+    elif value is False:
+        emit("false")
+    elif isinstance(value, int):
+        emit(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            emit("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            emit(separator)
+            _render(item, inner, emit)
+            separator = "," + inner
+        emit(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            emit("{}")
+            return
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        inner = newline + "  "
+        separator = "{" + inner
+        for key in sorted(value):
+            emit(separator + encode_basestring_ascii(key) + ": ")
+            _render(value[key], inner, emit)
+            separator = "," + inner
+        emit(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def induced_chain(mdp: Mdp, policy: Policy) -> Chain:

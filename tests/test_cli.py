@@ -518,6 +518,24 @@ def test_help_is_the_report(command, capsys):
             assert name in out.report
 
 
+def test_help_names_exit_three_as_any_other_failure():
+    lines = invoke("--help").report.splitlines()
+    assert "3 any other failure (a defect, reported without a traceback)." in lines
+    assert not any("internal error" in line for line in lines)
+
+
+def test_residual_and_audit_run_without_the_digit_limit_query(instances_dir, monkeypatch):
+    # Python 3.10 has no sys.get_int_max_str_digits; the size bound of the
+    # time-t distributions falls back to 4300 digits, 3.11's default.
+    haviv = haviv_path(instances_dir)
+    argvs = [("residual", haviv, "--to", "y"), ("audit", haviv)]
+    before = [invoke(*argv) for argv in argvs]
+    assert [out.exit_code for out in before] == [0, 1]
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    assert max_denominator_bits() == model.DEFAULT_MAX_STR_DIGITS == 4300
+    assert [invoke(*argv) for argv in argvs] == before
+
+
 def test_reports_are_byte_deterministic(instances_dir):
     commands = [
         ("solve", haviv_path(instances_dir)),
