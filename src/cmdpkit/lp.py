@@ -6,21 +6,37 @@ split into differences of nonnegatives, every row receives an artificial
 variable, and the artificial mass is minimized with Bland's rule, which
 both prevents cycling and makes the returned point deterministic.
 
+Artificial columns are never stored. They take the highest column indices,
+row r's artificial starts basic in row r, and ``basis`` keeps the indices
+of those still basic, since the ratio test breaks ties on them. Bland's
+rule enters the least column that prices negative, so until only
+artificials do, the pivots are those of the full tableau. There the loop
+stops, and the answer is the full tableau's:
+
+- if the phase-1 objective is 0, every further pivot of the full tableau
+  would be degenerate (a positive step would push the objective below 0),
+  so the basic point it ends on is this one;
+- if it is positive, the basis is optimal for the problem with the
+  nonbasic artificials fixed at 0. Any feasible point would give that
+  problem objective 0, so the system is infeasible and the answer is None.
+
 The tableau holds integers only, and each row keeps a positive scale of
 its own: it is stored as the true row times a positive factor. A row
 starts as the constraint times the lcm of its denominators, sign-normalized
-so its right-hand side is >= 0, and its artificial keeps the coefficient 1,
-which amounts to rescaling that artificial's column by the positive row
-factor. The reduced-cost row is held the same way. A pivot on an entry
-p > 0 updates a row whose entry f in the entering column is nonzero by the
-fraction-free step of Edmonds (1967), row = (p/g) row - (f/g) pivot_row
-with g = gcd(p, f), and then divides the row by the gcd of its entries;
-a row with f == 0 is left as it is. Positive row factors change neither
-the sign of a reduced cost nor a ratio rhs_r / a_r, in which a row's
-factor cancels, and positive column factors rescale every ratio of one
-test alike. So Bland's rule takes the pivots, with the same ties, that a
-rational tableau would take, and a basic value is rhs_r / a_r read off
-one row.
+so its right-hand side is >= 0. The reduced-cost row is formed from these
+rows, weighted so that row r's artificial costs 1/scale_r, which amounts
+to rescaling that artificial's column by the positive row factor; then
+every row, the reduced-cost row included, is divided by the gcd of its
+entries, so that each starts primitive. A pivot on an entry p > 0 updates
+a row whose entry f in the entering column is nonzero by the fraction-free
+step of Edmonds (1967), row = (p/g) row - (f/g) pivot_row with
+g = gcd(p, f), and then divides the row by the gcd of its entries; a row
+with f == 0 is left as it is, and a row can clear completely. Positive row
+factors change neither the sign of a reduced cost nor a ratio
+rhs_r / a_r, in which a row's factor cancels, and positive column factors
+rescale every ratio of one test alike. So Bland's rule takes the pivots,
+with the same ties, that a rational tableau would take, and a basic value
+is rhs_r / a_r read off one row; basic artificials are 0 and not read.
 
 Rows are sparse, ``{column: coefficient}`` with the right-hand side under
 the key ``RHS``, so zero entries are never touched. The minus column of a
@@ -121,15 +137,16 @@ def find_feasible_point(
             free.add(n_struct)
             n_struct += 2
 
-    # Integer rows over structural, slack / surplus and artificial columns,
-    # and the rhs. Each row is scaled by the lcm of its denominators and
-    # sign-normalized so every rhs is >= 0; its artificial has coefficient 1.
+    # Integer rows over structural and slack / surplus columns, and the rhs.
+    # Each row is scaled by the lcm of its denominators and sign-normalized
+    # so every rhs is >= 0. Row r's artificial, index artificial_start + r,
+    # is never stored; ``basis`` holds that index while it is basic.
     m = len(constraints)
     artificial_start = n_struct + sum(1 for c in constraints if c.sense != EQ)
     rows: list[dict[int, int]] = []
     scales: list[int] = []
     slack = n_struct
-    for r, constraint in enumerate(constraints):
+    for constraint in constraints:
         if constraint.sense not in (EQ, LE, GE):
             raise ValueError(f"unknown sense {constraint.sense!r}")
         values: dict[int, Fraction] = {}
@@ -143,33 +160,34 @@ def find_feasible_point(
         values[RHS] = constraint.rhs
         scale = lcm(*(v.denominator for v in values.values()))
         sign = -1 if constraint.rhs < 0 else 1
-        row = {
+        rows.append({
             c: sign * v.numerator * (scale // v.denominator) for c, v in values.items() if v
-        }
-        row[artificial_start + r] = 1
-        rows.append(row)
+        })
         scales.append(scale)
     basis = list(range(artificial_start, artificial_start + m))
 
     # Reduced costs of the phase-1 objective, the artificials' sum in the
     # unscaled rows (so row r's artificial costs 1/scale_r), with the
     # negated objective under RHS: lcm(scales) times the true row. The
-    # reduced-cost row is the last row and is never a pivot row.
+    # reduced-cost row is the last row and is never a pivot row. Only then
+    # is each row divided by its content, so that every row starts primitive.
     weights = [lcm(*scales) // s for s in scales]
     red: dict[int, int] = {}
     for w, row in zip(weights, rows):
         for c, v in row.items():
-            if c < artificial_start:
-                red[c] = red.get(c, 0) - w * v
-    red = {c: v for c, v in red.items() if v}
-    content = gcd(*red.values())
-    if content > 1:
-        red = {c: v // content for c, v in red.items()}
-    rows.append(red)
+            red[c] = red.get(c, 0) - w * v
+    rows.append({c: v for c, v in red.items() if v})
+    for row in rows:
+        content = gcd(*row.values())
+        if content > 1:
+            for c in row:
+                row[c] //= content
+    red = rows[m]
 
     while True:
-        # Bland: the least column with a negative reduced cost, a free
-        # variable's minus column when its plus column's is positive.
+        # Bland: the least stored column with a negative reduced cost, a
+        # free variable's minus column when its plus column's is positive.
+        # None left means the phase-1 optimum (see the module docstring).
         enter = min(
             (c if v < 0 else c + 1 for c, v in red.items() if c != RHS and (v < 0 or c in free)),
             default=None,
@@ -197,11 +215,13 @@ def find_feasible_point(
         _pivot(rows, leave, column)
         basis[leave] = enter
 
-    if any(rows[r].get(RHS) for r, b in enumerate(basis) if b >= artificial_start):
+    if red.get(RHS):  # a positive phase-1 objective
         return None
 
     column_values: dict[int, Fraction] = {}
     for r, b in enumerate(basis):
+        if b >= artificial_start:
+            continue
         if b - 1 in free:
             column_values[b] = Fraction(rows[r].get(RHS, 0), -rows[r][b - 1])
         else:

@@ -27,8 +27,12 @@ def find_feasible_point(
     num_vars: int,
     constraints: list[LinearConstraint],
     nonnegative: frozenset[int] | set[int],
+    entered: list[int] | None = None,
 ) -> list[Fraction] | None:
-    """A point satisfying all constraints, or None when the system is infeasible."""
+    """A point satisfying all constraints, or None when the system is infeasible.
+
+    Each entering column is appended to ``entered`` when it is given.
+    """
     nonneg = frozenset(nonnegative)
     if not nonneg.issubset(range(num_vars)):
         raise ValueError("nonnegative indices out of range")
@@ -107,6 +111,8 @@ def find_feasible_point(
             # Phase-1 objective is bounded below by zero, so this is unreachable
             # for well-formed input; guard against it anyway.
             raise ArithmeticError("phase-1 simplex detected an unbounded direction")
+        if entered is not None:
+            entered.append(enter)
         pivot = rows[leave][enter]
         rows[leave] = [x / pivot for x in rows[leave]]
         rhs[leave] = rhs[leave] / pivot

@@ -154,10 +154,11 @@ def test_commands_load_no_module_the_import_did_not():
 
 def test_oversized_inputs_exit_two_without_a_traceback(oversized_inputs):
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    for argv, error in oversized_inputs:
+    for argv, code, error in oversized_inputs:
         proc = subprocess.run(
             [sys.executable, "-m", "cmdpkit.cli", *argv],
             env=env, capture_output=True, text=True,
         )
         assert "Traceback" not in proc.stderr
-        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", error)
+        assert (proc.returncode, proc.stderr) == (code, error)
+        assert bool(proc.stdout) == (code == 0)

@@ -7,7 +7,10 @@ positive scale, and must take the same Bland pivots, so all three return
 the same point, or ``None``, on every system. Certificate searches must not
 tell them apart either. The pivot itself is checked against the rational
 row update: each touched row becomes a positive multiple of it with no
-common factor, and every other row is left as it is.
+common factor, or empty when the update is all zero, and every other row
+is left as it is. ``cmdpkit.lp`` stores no artificial column and stops
+when no stored column prices negative, where the oracles go on to enter
+artificials; two pinned systems reach that point.
 """
 
 import random
@@ -16,7 +19,7 @@ from math import gcd
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import lp_oracle
@@ -108,6 +111,10 @@ def checked_pivot(rows, leave, column):
         expected = {c: old.get(c, 0) - ratio * pivot_row.get(c, 0) for c in old | pivot_row}
         assert column not in new
         assert gcd(*new.values()) <= 1
+        if not new:
+            # With no artificial column stored, a row can clear completely.
+            assert not any(expected.values())
+            continue
         key = next(iter(new))
         multiple = new[key] / expected[key]
         assert multiple > 0
@@ -116,6 +123,7 @@ def checked_pivot(rows, leave, column):
 
 @settings(max_examples=150, deadline=None)
 @given(systems())
+@example((1, [LinearConstraint.of({}, LE, F(0))], set()))  # empties the reduced costs
 def test_pivot_keeps_rows_primitive_and_leaves_untouched_rows(system):
     with mock.patch.object(lp, "_pivot", checked_pivot):
         find_feasible_point(*system)
@@ -127,6 +135,53 @@ def test_all_zero_rows_equal_oracle(sense, rhs):
     rows = [LinearConstraint.of({}, sense, F(rhs)), LinearConstraint.of({0: 1}, EQ, F(2))]
     assert_same_point(2, rows, {1})
     assert_same_point(2, rows[:1], set())
+
+
+def artificial_start(num_vars, constraints, nonneg):
+    """The first artificial column of the full phase-1 tableau."""
+    return (sum(1 if i in nonneg else 2 for i in range(num_vars))
+            + sum(1 for c in constraints if c.sense != EQ))
+
+
+# x >= 0 with 2x <= 1, x >= 0 and -2x >= 0: the full tableau reaches
+# objective 0 at x = 0 and then enters an artificial.
+FEASIBLE_THEN_ARTIFICIAL = (
+    1,
+    [LinearConstraint.of({0: 2}, LE, F(1)), LinearConstraint.of({0: 1}, GE, F(0)),
+     LinearConstraint.of({0: -2}, GE, F(0))],
+    {0},
+)
+# x >= 0 with x >= 0, -2x >= 2 and 2x <= 0: only artificials price
+# negative while the objective is still positive.
+INFEASIBLE_AT_ARTIFICIAL = (
+    1,
+    [LinearConstraint.of({0: 1}, GE, F(0)), LinearConstraint.of({0: -2}, GE, F(2)),
+     LinearConstraint.of({0: 2}, LE, F(0))],
+    {0},
+)
+
+
+@pytest.mark.parametrize("system, point", [
+    (FEASIBLE_THEN_ARTIFICIAL, [F(0)]),
+    (INFEASIBLE_AT_ARTIFICIAL, None),
+])
+def test_stops_where_only_artificials_price_negative(system, point):
+    start = artificial_start(*system)
+    entered = []
+    assert lp_oracle.find_feasible_point(*system, entered=entered) == point
+    first = next(k for k, column in enumerate(entered) if column >= start)
+    pivots = []
+
+    def recording_pivot(rows, leave, column):
+        assert all(c < start for row in rows for c in row)
+        pivots.append(column)
+        lp_pivot(rows, leave, column)
+        assert all(c < start for row in rows for c in row)
+
+    with mock.patch.object(lp, "_pivot", recording_pivot):
+        assert assert_same_point(*system) == point
+    # Every variable is nonnegative, so a stored column is an entering one.
+    assert pivots == entered[:first]
 
 
 def test_empty_system_is_the_origin():
