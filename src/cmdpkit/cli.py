@@ -192,6 +192,13 @@ def _unsat_doc(unsat: CertificateUnsat) -> dict:
     }
 
 
+def _potential(raw) -> dict[str, Fraction]:
+    if not isinstance(raw, dict):
+        raise InstanceFormatError(
+            f"potential file root must be a JSON object, got {type(raw).__name__}")
+    return {s: parse_rational(v) for s, v in raw.items()}
+
+
 def _cmd_certify(args) -> CommandOutcome:
     mdp = load_instance(args.file)
     policy = _parse_policy(mdp, args.policy)
@@ -207,11 +214,7 @@ def _cmd_certify(args) -> CommandOutcome:
         parse_rational(part) for part in args.mu.split(",")
     ) if args.mu else ()
     if args.potential:
-        raw = read_json(args.potential)
-        if not isinstance(raw, dict):
-            raise InstanceFormatError(
-                f"potential file root must be a JSON object, got {type(raw).__name__}")
-        potential = {s: parse_rational(v) for s, v in raw.items()}
+        potential = read_json(args.potential, _potential)
     else:
         closure = reachable_states(mdp, None, mdp.initial_state)
         potential = {s: Fraction(0) for s in closure}

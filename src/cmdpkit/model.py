@@ -362,14 +362,14 @@ def parse_instance(text: str) -> Mdp:
 
 def load_instance(path: str | os.PathLike) -> Mdp:
     """``parse_instance`` of a file, read by ``read_json``."""
-    return _instance(read_json(path))
+    return read_json(path, _instance)
 
 
-def read_json(path: str | os.PathLike):
-    """The JSON document in the UTF-8 file at ``path``.
+def read_json(path: str | os.PathLike, build):
+    """``build`` of the JSON document in the UTF-8 file at ``path``.
 
-    Every way reading or parsing it can fail raises an InputError whose
-    message starts with the path (InstanceFormatError if not UTF-8 JSON).
+    Every InputError that reading, parsing or building it raises has a
+    message that starts with the path (InstanceFormatError if not UTF-8 JSON).
     """
     try:
         with open(path, encoding="utf-8") as file:
@@ -379,7 +379,12 @@ def read_json(path: str | os.PathLike):
     except UnicodeDecodeError as exc:
         raise InstanceFormatError(
             f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-    return _decode(text, f"{path}: ")
+    doc = _decode(text, f"{path}: ")
+    try:
+        return build(doc)
+    except InputError as exc:
+        exc.args = (f"{path}: {exc.args[0]}",)
+        raise
 
 
 def _decode(text: str, where: str = ""):

@@ -9,7 +9,7 @@ that starts at y, in which every constraint vector is shifted by -slack.
 
 The audit answers, at every reachable state y, both the unmodified problem
 started at y and the shifted one, and reports where plain optimality
-breaks. It enumerates the policies once: a ``PolicyTable`` over the states
+breaks. It walks the policies once: a ``PolicyTable`` over the states
 reachable from the start holds V and W of every policy, and the shifted
 problem needs no model of its own, because a uniform shift moves every W
 by exactly -slack (stationary vectors and absorption rows each sum to 1)

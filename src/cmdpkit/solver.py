@@ -1,18 +1,16 @@
 """Exhaustive exact solver for the constrained average-reward problem.
 
 maximize V(x) over deterministic stationary policies subject to W(x) >= 0
-componentwise. Enumeration order is lexicographic in (state index, action
-index) and ties are broken by that order, so every downstream audit is
-reproducible.
+componentwise. Ties go to the smallest action tuple, in (state index,
+action index) order, so every downstream audit is reproducible.
 
-Every policy is enumerated (``CMDPKIT_ENUM_CAP`` bounds their full
-product), but only canonical ones are analysed: V and W at the start
-states depend only on the actions at the states a policy reaches from
-them, so a policy that takes the first action at every other state stands
-for all policies that agree with it where it reaches. Each row carries
-that multiplicity, so ``feasible_count`` and ``total_count`` still count
-every policy, and the canonical policy comes first among those it stands
-for, so the tie-break is unchanged.
+Only canonical policies are analysed: V and W at the start states depend
+only on the actions at the states a policy reaches from them, so a policy
+that takes the first action at every other state stands for all policies
+that agree with it where it reaches. A depth-first walk generates them,
+and each row carries that multiplicity, so ``feasible_count`` and
+``total_count`` still count every policy (``CMDPKIT_ENUM_CAP`` bounds
+their full product).
 
 Each pass first censors the model onto its decision states, the states
 with a choice (``chains.censor``): the single-action states are
@@ -79,34 +77,34 @@ def policy_count(mdp: Mdp) -> int:
     return count
 
 
-def _choice_summary(mdp: Mdp) -> str:
-    """The states with a choice, by action count: "20 states with 2 actions"."""
-    states_with = collections.Counter(len(acts) for acts in mdp.actions if len(acts) > 1)
-    return ", ".join(
-        f"{states} state{'s' if states > 1 else ''} with {count} actions"
-        for count, states in sorted(states_with.items())
-    )
-
-
-def enumerate_policies(mdp: Mdp) -> Iterator[Policy]:
-    """All deterministic stationary policies in lexicographic order.
-
-    The cap is checked before the first policy is built; the error names
-    the states with a choice and their action counts.
-    """
+def _check_cap(mdp: Mdp) -> None:
+    """Raise EnumerationCapExceeded, naming the states with a choice, if past the cap."""
     cap = enumeration_cap()
     total = policy_count(mdp)
     if total > cap:
+        states_with = collections.Counter(len(acts) for acts in mdp.actions if len(acts) > 1)
+        choices = ", ".join(
+            f"{states} state{'s' if states > 1 else ''} with {count} actions"
+            for count, states in sorted(states_with.items())
+        )
         raise EnumerationCapExceeded(
-            f"{total} policies ({_choice_summary(mdp)}) exceed the cap of {cap}; "
+            f"{total} policies ({choices}) exceed the cap of {cap}; "
             f"raise {ENUM_CAP_ENV} to proceed"
         )
-    # Policies share their (state, action) pairs, so a table of them stays small.
-    options = [
+
+
+def _options(mdp: Mdp) -> list[tuple[tuple[str, str], ...]]:
+    """Each state's (state, action) pairs, which every policy shares."""
+    return [
         tuple((state, action) for action in actions)
         for state, actions in zip(mdp.states, mdp.actions)
     ]
-    for choice in itertools.product(*options):
+
+
+def enumerate_policies(mdp: Mdp) -> Iterator[Policy]:
+    """All deterministic stationary policies in lexicographic order, once the cap is checked."""
+    _check_cap(mdp)
+    for choice in itertools.product(*_options(mdp)):
         yield Policy(choice=choice)
 
 
@@ -126,19 +124,21 @@ class SolveResult:
 class TableRow:
     """One canonical policy with its V and W at each start state of a pass.
 
-    ``V[k]`` and ``W[k]`` belong to the k-th start state asked for.
+    ``key`` is the policy's action index at each decision state, in state
+    order. ``V[k]`` and ``W[k]`` belong to the k-th start state asked for.
     ``count`` is the number of policies the row stands for: those that
     agree with ``policy`` on every state it reaches from the start states.
     """
 
     policy: Policy
+    key: tuple[int, ...]
     V: tuple[Fraction, ...]
     W: tuple[tuple[Fraction, ...], ...]
     count: int
 
 
 def _rows(mdp: Mdp, indices: list[int]) -> Iterator[TableRow]:
-    """Every canonical policy, analysed once, in ``enumerate_policies`` order.
+    """Every canonical policy, analysed once, in depth-first order.
 
     The analysis runs on the censored chain (``chains.censor``), built once
     per pass: policy p's embedded chain has one row per decision state, the
@@ -147,71 +147,62 @@ def _rows(mdp: Mdp, indices: list[int]) -> Iterator[TableRow]:
     chain restricted to them; a class with stationary vector mu has gain
     sum(mu R) / sum(mu T) (renewal reward: mu weighs the visits to the
     decision states, R and T are the reward and steps an action's
-    excursion adds), and W is C over T the same way. A class whose members
-    and actions the policy before also had reuses that policy's gain.
-    Absorption mixes the gains at each node, and a start state reads its
-    entry distribution's mix of node values.
+    excursion adds), and W is C over T the same way. Absorption mixes the
+    gains at each node, and a start state reads its entry distribution's
+    mix of node values.
 
-    R_p, the states p reaches from the starts, is read off the embedded
-    rows too: its decision states are those the embedded chain reaches
-    from the starts' entry nodes.
+    The walk reads the embedded rows too. It branches on the lowest-index
+    decision node that the start entries or the rows fixed so far reach; a
+    policy is complete when no such node is left, with action 0 elsewhere.
     """
+    _check_cap(mdp)
     censored = chains.censor(mdp)
     decision = len(censored.decision)
     counts = [len(mdp.actions[s]) for s in censored.decision]
     entries = [censored.entry[i] for i in indices]
-    sources = {node for entry in entries for node, _ in entry if node < decision}
-    previous: dict[tuple, chains.Gain] = {}
-    choices = itertools.product(*(range(count) for count in counts))
-    for policy, taken in zip(enumerate_policies(mdp), choices):
-        rows = tuple(censored.rows[k][a] for k, a in enumerate(taken))
-        reach = set(sources)
-        frontier = list(sources)
-        while frontier:
-            for node, _ in rows[frontier.pop()]:
-                if node < decision and node not in reach:
-                    reach.add(node)
-                    frontier.append(node)
-        outside = [k for k in range(decision) if k not in reach]
-        if any(taken[k] for k in outside):
+    options = _options(mdp)
+    # Each stack item: the actions fixed so far, by decision node, and the nodes
+    # the starts and those actions reach. Only reached nodes are ever fixed.
+    stack = [({}, {node for entry in entries for node, _ in entry if node < decision})]
+    while stack:
+        fixed, reached = stack.pop()
+        if len(fixed) < len(reached):
+            k = min(reached - fixed.keys())
+            for a in reversed(range(counts[k])):
+                targets = {node for node, _ in censored.rows[k][a] if node < decision}
+                stack.append(({**fixed, k: a}, reached | targets))
             continue
-        embedded = rows + censored.fixed_rows
+        key = tuple(fixed.get(k, 0) for k in range(decision))
+        embedded = tuple(censored.rows[k][a] for k, a in enumerate(key)) + censored.fixed_rows
         decomposition = chains.decompose(embedded)
-        gains = []
-        current: dict[tuple, chains.Gain] = {}
-        for cls in decomposition.recurrent_classes:
-            if cls[0] >= decision:
-                gains.append(censored.fixed_gains[cls[0] - decision])
-                continue
-            key = (cls, tuple(taken[k] for k in cls))
-            gain = previous.get(key)
-            if gain is None:
-                gain = chains.ratio_gain(
-                    chains.stationary_distribution(embedded, cls),
-                    [censored.excursions[k][a] for k, a in zip(*key)],
-                )
-            current[key] = gain
-            gains.append(gain)
-        previous = current
+        gains = [
+            censored.fixed_gains[cls[0] - decision] if cls[0] >= decision else chains.ratio_gain(
+                chains.stationary_distribution(embedded, cls),
+                [censored.excursions[k][key[k]] for k in cls],
+            )
+            for cls in decomposition.recurrent_classes
+        ]
         absorption = chains.absorption_map(embedded, decomposition)
         values = [chains.mix(entry, absorption, gains) for entry in entries]
+        action = dict(zip(censored.decision, key))
         yield TableRow(
-            policy=policy,
+            policy=Policy(choice=tuple(pairs[action.get(s, 0)] for s, pairs in enumerate(options))),
+            key=key,
             V=tuple(v for v, _ in values),
             W=tuple(w for _, w in values),
-            count=math.prod(counts[k] for k in outside),
+            count=math.prod(counts[k] for k in range(decision) if k not in fixed),
         )
 
 
 def _best(
     rows: Iterable[TableRow], k: int, slack: tuple[Fraction, ...] | None = None
 ) -> tuple[SolveResult, TableRow | None]:
-    """The first row with the largest V[k] among those with W[k] - slack >= 0.
+    """The row with the largest V[k], then the smallest key, of W[k] - slack >= 0.
 
     Returns the result and that row (None when no row is feasible). The
     counts add every policy a row stands for. A canonical row has the V
-    and W of the policies it stands for and precedes them, so the first
-    best row is also the first best policy.
+    and W of the policies it stands for and the smallest key among them,
+    so the best row holds the smallest best action tuple.
     """
     best: TableRow | None = None
     best_w: tuple[Fraction, ...] | None = None
@@ -224,7 +215,7 @@ def _best(
         if any(c < 0 for c in w):
             continue
         feasible += row.count
-        if best is None or row.V[k] > best.V[k]:
+        if best is None or (-row.V[k], row.key) < (-best.V[k], best.key):
             best, best_w = row, w
     if best is None:
         return SolveResult(
@@ -241,17 +232,17 @@ class PolicyTable:
     """Every canonical policy, analysed once, with V and W at given states.
 
     A policy is canonical for the union of its reach sets from all the
-    table's states, so every column is exact. Rows are in
-    ``enumerate_policies`` order (same cap check), so filters that keep
-    the first best row keep the solver's lexicographic tie-break. Memory
-    grows with canonical policies times states, so only questions that
-    filter the rows more than once build a table.
+    table's states, so every column is exact. Rows are sorted by key,
+    which is the order ``enumerate_policies`` yields their policies in.
+    Memory grows with canonical policies times states, so only questions
+    that filter the rows more than once build a table.
     """
 
     def __init__(self, mdp: Mdp, states: tuple[str, ...]):
         self.states = tuple(states)
         self._column = {state: k for k, state in enumerate(self.states)}
-        self.rows = tuple(_rows(mdp, [mdp.state_index(s) for s in self.states]))
+        rows = _rows(mdp, [mdp.state_index(s) for s in self.states])
+        self.rows = tuple(sorted(rows, key=lambda row: row.key))
 
     def column(self, state: str) -> int:
         """Position of a start state in the rows' V and W."""
@@ -276,9 +267,9 @@ def solve(mdp: Mdp, x: str | None = None) -> SolveResult:
     """Best feasible policy from x (default: the model's initial state).
 
     Among policies with W(x) >= 0 componentwise, returns one maximizing
-    V(x); ties keep the lexicographically first policy. Infeasibility is a
-    status, not an error. The policies are streamed: memory does not grow
-    with their number.
+    V(x); ties keep the policy with the smallest action tuple. Infeasibility
+    is a status, not an error. The policies are streamed: memory does not
+    grow with their number.
     """
     start = mdp.initial_state if x is None else x
     return _best(_rows(mdp, [mdp.state_index(start)]), 0)[0]

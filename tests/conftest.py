@@ -84,7 +84,7 @@ def oversized_inputs(tmp_path, instances_dir):
     else:
         digit_cases = [
             (["solve", str(digits)], 2,
-             "cmdpkit: error: missing key 'initial_state' in document\n"),
+             f"cmdpkit: error: {digits}: missing key 'initial_state' in document\n"),
             (["solve", str(long_answer)], 0, ""),
         ]
     twochain = str(instances_dir / "twochain.json")

@@ -20,8 +20,15 @@ over a censored chain whose excursions are ``(reward, constraint, steps)``
 ``finite_horizon_averages`` is the time average of reward and constraint
 along a realized path, which the simulation tests compare against.
 
-Property tests require the solver's rows and ``SolveResult``s to equal
-these.
+``enumerated_rows`` is the pass the solver made before it walked the
+canonical policies depth first: it zips ``enumerate_policies`` with a
+product over the decision states' actions, reach-searches every policy on
+its embedded rows and drops the non-canonical ones, and reuses a class's
+gain from the canonical policy before. ``best``, which adds each row's
+count, is that solver's ``_best``: the first best row in arrival order.
+
+Every row's ``key`` is read off its policy by ``key``. Property tests
+require the solver's rows and ``SolveResult``s to equal these.
 """
 
 from __future__ import annotations
@@ -40,6 +47,14 @@ from cmdpkit.solver import SolveResult, TableRow, enumerate_policies
 ZERO = Fraction(0)
 
 
+def key(mdp: Mdp, policy: Policy) -> tuple[int, ...]:
+    """The policy's action index at each state with a choice, in state order."""
+    return tuple(
+        acts.index(policy.action_for(state))
+        for state, acts in zip(mdp.states, mdp.actions) if len(acts) > 1
+    )
+
+
 def rows(mdp: Mdp, indices: list[int]) -> Iterator[TableRow]:
     """Every policy, analysed on its own, in ``enumerate_policies`` order."""
     for policy in enumerate_policies(mdp):
@@ -47,6 +62,7 @@ def rows(mdp: Mdp, indices: list[int]) -> Iterator[TableRow]:
         values = [analysis.values_at(i) for i in indices]
         yield TableRow(
             policy=policy,
+            key=key(mdp, policy),
             V=tuple(v for v, _ in values),
             W=tuple(w for _, w in values),
             count=1,
@@ -61,13 +77,13 @@ def best(
     found_w: tuple[Fraction, ...] | None = None
     feasible = total = 0
     for row in rows:
-        total += 1
+        total += row.count
         w = row.W[k]
         if slack is not None:
             w = tuple(c - d for c, d in zip(w, slack))
         if any(c < 0 for c in w):
             continue
-        feasible += 1
+        feasible += row.count
         if found is None or row.V[k] > found.V[k]:
             found, found_w = row, w
     if found is None:
@@ -179,9 +195,60 @@ def canonical_rows(mdp: Mdp, indices: list[int]) -> Iterator[TableRow]:
         values = [analysis.values_at(i) for i in indices]
         yield TableRow(
             policy=policy,
+            key=key(mdp, policy),
             V=tuple(v for v, _ in values),
             W=tuple(w for _, w in values),
             count=count,
+        )
+
+
+def enumerated_rows(mdp: Mdp, indices: list[int]) -> Iterator[TableRow]:
+    """Every canonical policy, analysed once, in ``enumerate_policies`` order."""
+    censored = chains.censor(mdp)
+    decision = len(censored.decision)
+    counts = [len(mdp.actions[s]) for s in censored.decision]
+    entries = [censored.entry[i] for i in indices]
+    sources = {node for entry in entries for node, _ in entry if node < decision}
+    previous: dict[tuple, chains.Gain] = {}
+    choices = itertools.product(*(range(count) for count in counts))
+    for policy, taken in zip(enumerate_policies(mdp), choices):
+        rows = tuple(censored.rows[k][a] for k, a in enumerate(taken))
+        reach = set(sources)
+        frontier = list(sources)
+        while frontier:
+            for node, _ in rows[frontier.pop()]:
+                if node < decision and node not in reach:
+                    reach.add(node)
+                    frontier.append(node)
+        outside = [k for k in range(decision) if k not in reach]
+        if any(taken[k] for k in outside):
+            continue
+        embedded = rows + censored.fixed_rows
+        decomposition = chains.decompose(embedded)
+        gains = []
+        current: dict[tuple, chains.Gain] = {}
+        for cls in decomposition.recurrent_classes:
+            if cls[0] >= decision:
+                gains.append(censored.fixed_gains[cls[0] - decision])
+                continue
+            solved = (cls, tuple(taken[k] for k in cls))
+            gain = previous.get(solved)
+            if gain is None:
+                gain = chains.ratio_gain(
+                    chains.stationary_distribution(embedded, cls),
+                    [censored.excursions[k][a] for k, a in zip(*solved)],
+                )
+            current[solved] = gain
+            gains.append(gain)
+        previous = current
+        absorption = chains.absorption_map(embedded, decomposition)
+        values = [chains.mix(entry, absorption, gains) for entry in entries]
+        yield TableRow(
+            policy=policy,
+            key=key(mdp, policy),
+            V=tuple(v for v, _ in values),
+            W=tuple(w for _, w in values),
+            count=math.prod(counts[k] for k in outside),
         )
 
 

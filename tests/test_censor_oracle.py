@@ -3,8 +3,11 @@
 ``solver._rows`` analyses each canonical policy on its chain censored onto
 the decision states; ``solver_oracle.canonical_rows`` is the pass it
 replaced, which finds the canonical policies by a reach search over the
-full chain and analyses each one's full induced chain. The rows must be
-equal one by one (policy, V, W, count), with every value a ``Fraction``.
+full chain and analyses each one's full induced chain. Sorted by key, the
+rows must be equal one by one (policy, key, V, W, count), with every value
+a ``Fraction``. Every ``solve`` and ``PolicyTable.solve`` must also equal
+``solver_oracle.best`` over ``solver_oracle.enumerated_rows``, the pass
+that kept the first best row in ``enumerate_policies`` order.
 
 Each stratum is drawn by its own generator, so every run covers it: fixed
 closed classes of single-action states, no decision state at all, and
@@ -24,7 +27,7 @@ from hypothesis import strategies as st
 
 import solver_oracle
 from cmdpkit import chains, evaluation, instances, model
-from cmdpkit.solver import PolicyTable, _rows
+from cmdpkit.solver import PolicyTable, _rows, solve
 from dense_oracle import dense_kernel, sparse_kernel
 from randmdp import lazy_variant, random_decomposable, random_mdp, random_row
 from test_solver import nested_model
@@ -77,7 +80,7 @@ def draw_starts(rng: random.Random, mdp: model.Mdp) -> list[int]:
 
 
 def assert_rows_equal(mdp: model.Mdp, starts: list[int]) -> None:
-    got = list(_rows(mdp, starts))
+    got = sorted(_rows(mdp, starts), key=lambda row: row.key)
     assert got == list(solver_oracle.canonical_rows(mdp, starts))
     for row in got:
         assert all(type(v) is Fraction for v in row.V)
@@ -101,6 +104,62 @@ def test_censored_rows_equal_the_full_chain_rows(stratum, dim, seed, lazy):
     if stratum == "no-decision":
         assert not censored.decision
     assert_rows_equal(mdp, draw_starts(rng, mdp))
+
+
+def assert_solves_equal_the_enumerated_pass(
+    mdp: model.Mdp, rng: random.Random
+) -> tuple[int, int]:
+    """``solve`` at every state, and a table's ``solve`` at each of a drawn
+    start set, with and without a random slack, against the enumerated pass.
+
+    Returns how many of those solves have more than one canonical policy at
+    the optimum, and how many one-state walks do not come in key order.
+    """
+    ties = unordered = 0
+    for k, y in enumerate(mdp.states):
+        reference = list(solver_oracle.enumerated_rows(mdp, [k]))
+        assert solve(mdp, y) == solver_oracle.best(reference, 0)
+        keys = [row.key for row in _rows(mdp, [k])]
+        unordered += keys != sorted(keys)
+    starts = draw_starts(rng, mdp)
+    table = PolicyTable(mdp, tuple(mdp.states[s] for s in starts))
+    reference = list(solver_oracle.enumerated_rows(mdp, starts))
+    for k, s in enumerate(starts):
+        slack = tuple(
+            Fraction(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(mdp.constraint_dim)
+        )
+        for shift in (None, slack):
+            expected = solver_oracle.best(reference, k, shift)
+            assert table.solve(mdp.states[s], shift) == expected
+            floor = shift or (0,) * mdp.constraint_dim
+            optimal = [
+                row for row in reference
+                if row.V[k] == expected.value and all(c >= d for c, d in zip(row.W[k], floor))
+            ]
+            ties += len(optimal) > 1
+    return ties, unordered
+
+
+@pytest.mark.parametrize("dim", [0, 1, 2])
+@pytest.mark.parametrize("stratum", ["random", "fixed", "decomposable", "no-decision"])
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10**9), lazy=st.sampled_from([None, 1009, MERSENNE_61]))
+def test_solves_equal_the_enumerated_pass_at_every_start(stratum, dim, seed, lazy):
+    rng = random.Random(seed)
+    mdp = draw_model(rng, stratum, dim)
+    if lazy is not None:
+        mdp = lazy_variant(mdp, Fraction(rng.randint(1, lazy // 2), lazy))
+    assert_solves_equal_the_enumerated_pass(mdp, rng)
+
+
+def test_tied_optima_and_walks_out_of_key_order_occur():
+    rng = random.Random(17)
+    ties = unordered = 0
+    for _ in range(30):
+        mdp = draw_model(rng, rng.choice(["random", "fixed", "decomposable"]), rng.randint(0, 2))
+        counted = assert_solves_equal_the_enumerated_pass(mdp, rng)
+        ties, unordered = ties + counted[0], unordered + counted[1]
+    assert ties >= 10 and unordered >= 10
 
 
 def test_the_strata_reach_every_kind_of_start():

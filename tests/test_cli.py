@@ -278,8 +278,35 @@ def test_certify_potential_root_must_be_an_object(tmp_path, instances_dir):
         assert out.exit_code == 2
         assert out.report == ""
         assert out.error == (
-            f"cmdpkit: error: potential file root must be a JSON object, got {kind}\n"
+            f"cmdpkit: error: {potential}: potential file root must be a JSON object, "
+            f"got {kind}\n"
         )
+
+
+def test_document_errors_name_their_file(tmp_path, instances_dir):
+    instance = tmp_path / "a.json"
+    instance.write_text('{"constraint_dim": 1}')
+    out = invoke("solve", str(instance))
+    assert (out.exit_code, out.report, out.error) == (
+        2, "", f"cmdpkit: error: {instance}: missing key 'initial_state' in document\n"
+    )
+    doc = json.loads((instances_dir / "twochain.json").read_text())
+    instance.write_text(json.dumps({**doc, "initial_state": "nowhere"}))
+    out = invoke("solve", str(instance))
+    assert out.error == (
+        f"cmdpkit: error: {instance}: invalid instance: "
+        "initial state 'nowhere' is not a model state\n"
+    )
+    potential = tmp_path / "pot.json"
+    potential.write_text('{"x": "abc"}')
+    literal = "not a rational literal: 'abc' (Invalid literal for Fraction: 'abc')"
+    certify = ["certify", str(instances_dir / "twochain.json"), "--policy", ""]
+    out = invoke(*certify, "--gain", "1/2", "--potential", str(potential))
+    assert (out.exit_code, out.report, out.error) == (
+        2, "", f"cmdpkit: error: {potential}: {literal}\n"
+    )
+    out = invoke(*certify, "--gain", "abc")
+    assert (out.exit_code, out.error) == (2, f"cmdpkit: error: {literal}\n")
 
 
 def test_certify_check_failure_exit_code(instances_dir):

@@ -5,13 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from cmdpkit import instances, solver
+import solver_oracle
+from cmdpkit import chains, instances, solver
 from cmdpkit.evaluation import evaluate
-from cmdpkit.model import Mdp, Policy
+from cmdpkit.model import Mdp, Policy, validate
 from cmdpkit.solver import (
     ENUM_CAP_ENV,
     EnumerationCapExceeded,
+    PolicyTable,
     enumerate_policies,
+    policy_count,
     solve,
 )
 from dense_oracle import sparse_kernel
@@ -148,6 +151,73 @@ def test_cap_error_counts_states_by_actions_before_any_policy(monkeypatch):
         f"the cap of 1; raise {ENUM_CAP_ENV} to proceed"
     )
     assert built == []
+
+
+def test_cap_error_comes_before_censoring_with_unchanged_bytes(monkeypatch, yacht):
+    monkeypatch.setenv(ENUM_CAP_ENV, "1")
+    monkeypatch.setattr(chains, "censor", lambda mdp: pytest.fail("censored past the cap"))
+    for run in (lambda: solve(yacht), lambda: PolicyTable(yacht, yacht.states)):
+        with pytest.raises(EnumerationCapExceeded) as raised:
+            run()
+        assert str(raised.value) == (
+            "4 policies (2 states with 2 actions) exceed the cap of 1; "
+            "raise CMDPKIT_ENUM_CAP to proceed"
+        )
+
+
+def walk_order_model() -> Mdp:
+    """From s1, s0 is reached only through s1's action a.
+
+    The walk fixes s1 first, so its policies come as (s0, s1) action
+    indices (0, 0), (1, 0), (0, 1). The last two are optimal, with V = 2,
+    and (0, 1) is the smaller action tuple.
+    """
+    def to(j):
+        return ((j, F(1)),)
+
+    zero = (F(0),)
+    return Mdp(
+        states=("s0", "s1", "u", "v", "t"),
+        actions=(("a", "b"), ("a", "b"), ("stay",), ("stay",), ("stay",)),
+        successors=((to(2), to(3)), (to(0), to(4)), (to(2),), (to(3),), (to(4),)),
+        rewards=((F(0), F(0)), (F(0), F(0)), (F(0),), (F(2),), (F(2),)),
+        constraints=((zero, zero), (zero, zero), (zero,), (zero,), (zero,)),
+        constraint_dim=1,
+        initial_state="s1",
+    )
+
+
+def test_ties_go_to_the_smallest_action_tuple_not_the_first_walked():
+    mdp = walk_order_model()
+    assert validate(mdp).ok
+    assert [row.key for row in solver._rows(mdp, [1])] == [(0, 0), (1, 0), (0, 1)]
+    table = PolicyTable(mdp, ("s1",))
+    assert [(row.key, row.V[0], row.count) for row in table.rows] == [
+        ((0, 0), 0, 1), ((0, 1), 2, 2), ((1, 0), 2, 1),
+    ]
+    first = Policy.from_mapping(mdp, {"s0": "a", "s1": "b"})
+    for result in (solve(mdp), table.solve("s1"), table.solve("s1", (F(-1),))):
+        assert (result.status, result.policy, result.value) == ("optimal", first, 2)
+        assert (result.feasible_count, result.total_count) == (4, 4)
+    assert solve(mdp) == solver_oracle.solve(mdp)
+
+
+def test_solve_builds_one_policy_per_canonical_row_and_enumerates_none(monkeypatch):
+    rng = random.Random(8)
+    pruned = 0
+    for _ in range(20):
+        mdp = random_mdp(rng, max_states=7, max_policies=32)
+        start = [mdp.state_index(mdp.initial_state)]
+        canonical = len(list(solver_oracle.canonical(mdp, start)))
+        expected = solver_oracle.solve(mdp)
+        built = []
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "enumerate_policies", lambda mdp: pytest.fail("enumerated"))
+            patch.setattr(solver, "Policy", lambda **kw: built.append(kw) or Policy(**kw))
+            assert solve(mdp) == expected
+        assert len(built) == canonical
+        pruned += canonical < policy_count(mdp)
+    assert pruned >= 5
 
 
 def test_unknown_start_is_reported_before_the_cap(monkeypatch, haviv):

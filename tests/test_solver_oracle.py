@@ -2,7 +2,7 @@
 
 ``solver_oracle`` analyses every policy on its own and counts each once;
 the code under test analyses only canonical policies, weights each by the
-policies it stands for, and reuses class solves from the policy before.
+policies it stands for, and solves each fixed class once per pass.
 Results must be equal, with every analytic value a ``Fraction``.
 """
 
