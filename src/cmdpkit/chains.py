@@ -21,17 +21,18 @@ absorption probabilities are exact rationals from sparse elimination:
 - ``censor`` eliminates a model's single-action states once, for every
   policy: the same DAG solve (``_solve_along_dag``, shared with
   ``absorption_map``) gives each eliminated state and each decision
-  state's action its hitting distribution over the decision states and
-  the fixed classes (closed classes made only of single-action states),
-  with the expected reward, constraint and step totals until the hit. Each
-  policy's chain censored onto its decision states (the stochastic
-  complement; Meyer 1989, SIAM Review 31(2)) is then a chain of those
-  embedded rows, and a single-action start state enters it through its
-  hitting distribution;
-- one gain formula serves both chains: ``ratio_gain`` is a class's
-  sum(mu R) / sum(mu T) over its members' integer totals, where a full
-  chain's step has T = 1 and a censored chain's excursion its expected
-  length, and ``mix`` mixes the class gains into V and W at a start.
+  state's action its integer row over the decision states and the fixed
+  classes (closed classes made only of single-action states): the hitting
+  distribution, then the expected reward, constraint and step totals until
+  the hit. These are the rows the solver's walk eliminates its decision
+  states from, one at a time (the stochastic complement; Meyer 1989, SIAM
+  Review 31(2)); a fixed class is an absorbing column with its gain solved
+  once;
+- one gain formula serves the full chains and the fixed classes:
+  ``class_sums`` weighs a class's members' integer totals by its
+  stationary vector, and ``ratio_gain`` divides the reward and constraint
+  sums by the step sum, which is the stationary average on a full chain,
+  where every step has T = 1.
 
 The elimination runs on integers only (fraction-free, as in Edmonds 1967
 and Bareiss 1968). Each equation is scaled by the lcm of the denominators
@@ -41,7 +42,8 @@ unknown by a positive integer, and the fraction-free row updates, never
 turn a zero entry nonzero or a nonzero one zero, so the pivots are those
 of the rational elimination; each system has a unique solution, so the
 values are too. ``Fraction``s appear only at the boundary: reading the
-chain's probabilities and building the returned vectors.
+chain's probabilities and building the returned vectors; ``censor``
+returns its rows as integers.
 
 All functions are pure over immutable inputs and keep no state between
 calls; callers that need a chain's analysis more than once hold on to it.
@@ -415,6 +417,7 @@ def absorption_map(
 
 Gain = tuple[Fraction, tuple[Fraction, ...]]
 Totals = tuple[Sequence[int], int]
+Row = tuple[dict[int, int], int]
 
 
 def step_totals(mdp: Mdp, s: int, a: int) -> tuple[list[int], int]:
@@ -424,44 +427,33 @@ def step_totals(mdp: Mdp, s: int, a: int) -> tuple[list[int], int]:
     return [v.numerator * (d // v.denominator) for v in values], d
 
 
-def ratio_gain(pi: Sequence[Fraction], totals: Sequence[Totals]) -> Gain:
-    """Reward and constraint gains sum(pi R) / sum(pi T) of a recurrent class.
+def class_sums(pi: Sequence[Fraction], totals: Sequence[Totals]) -> list[int]:
+    """``[sum(pi R), *sum(pi C), sum(pi T)]`` of a recurrent class, as integers.
 
     ``pi`` is the class's stationary vector and ``totals[m]`` member m's
     ``[reward, *constraint, steps]`` as integer numerators over one
     positive denominator: the totals of one excursion of a censored chain
     (Puterman 1994, ch. 11), or of one step of a full chain, where every
-    T is 1 and the gains are plain stationary averages. The weights are
-    brought over one lcm, so the sums are integer dot products and each
-    gain is one ``Fraction``.
+    T is 1. The weights are brought over one lcm, so the sums are integer
+    dot products, all scaled by the same positive factor: only their ratios
+    to the step sum, the class's gains, are meaningful.
     """
     scale = lcm(*(p.denominator * d for p, (_, d) in zip(pi, totals)))
     sums = [0] * len(totals[0][0])
     for p, (numerators, d) in zip(pi, totals):
         weight = p.numerator * (scale // (p.denominator * d))
         sums = [total + weight * x for total, x in zip(sums, numerators)]
-    reward, *constraint, steps = sums
-    return Fraction(reward, steps), tuple(Fraction(c, steps) for c in constraint)
+    return sums
 
 
-def mix(
-    entry: Successors, absorption: Sequence[Sequence[Fraction]], gains: Sequence[Gain]
-) -> Gain:
-    """V and W from a start: its entry distribution's mix of class gains.
+def ratio_gain(pi: Sequence[Fraction], totals: Sequence[Totals]) -> Gain:
+    """Reward and constraint gains sum(pi R) / sum(pi T) of a recurrent class.
 
-    ``entry`` weighs rows of ``absorption``, whose entry c is the
-    probability of absorption into the class with gains ``gains[c]``.
+    The sums are ``class_sums(pi, totals)``; on a full chain every T is 1
+    and the gains are plain stationary averages.
     """
-    v = ZERO
-    w = [ZERO] * len(gains[0][1])
-    for node, weight in entry:
-        for p, (reward, constraint) in zip(absorption[node], gains):
-            if p:
-                p *= weight
-                v += p * reward
-                for k, g in enumerate(constraint):
-                    w[k] += p * g
-    return v, tuple(w)
+    reward, *constraint, steps = class_sums(pi, totals)
+    return Fraction(reward, steps), tuple(Fraction(c, steps) for c in constraint)
 
 
 @dataclass(frozen=True)
@@ -476,27 +468,25 @@ class CensoredChain:
     which every policy has. Every other single-action state is left, almost
     surely, for a decision state or a fixed class.
 
-    ``rows[k][a]`` is the embedded row of action a at ``decision[k]``: the
-    distribution of the first node entered after the step, passing only
-    through eliminated states. ``excursions[k][a]`` holds the expected
-    reward, constraint vector and step count from taking a at
-    ``decision[k]`` up to that entry, the step itself included, as the
-    ``ratio_gain`` totals ``([reward, *constraint, steps], denominator)``.
-    ``fixed_rows[f]`` is the absorbing row of node ``len(decision) + f``
-    and ``fixed_gains[f]`` the class's reward and constraint gains.
-    ``entry[s]`` is, for every state s, the distribution of the first node
-    entered from s: a decision state or a fixed-class state enters its own
-    node, any other state its hitting distribution, as ``(node,
-    probability)`` pairs ascending by node.
+    Every row is a ``Row``: integer numerators by column over one positive
+    denominator, in lowest terms, zero entries absent, never mutated.
+    Columns ``0 .. nodes - 1`` are the nodes and the next ``2 +
+    constraint_dim`` the totals, reward, constraint vector and steps, where
+    ``nodes = len(decision) + len(fixed)``. ``rows[k][a]`` is action a at
+    ``decision[k]``: the distribution of the first node entered after the
+    step, passing only through eliminated states, then the expected totals
+    up to that entry, the step itself included. ``entry[s]`` is the same
+    for every state s, from s itself: a decision state or a fixed-class
+    state enters its own node at once, with zero totals. ``fixed_gains[f]``
+    is ``class_sums`` of ``fixed[f]``: its reward and constraint gains are
+    the ratios of the first entries to the last.
     """
 
     decision: tuple[int, ...]
     fixed: tuple[tuple[int, ...], ...]
-    rows: tuple[tuple[Successors, ...], ...]
-    excursions: tuple[tuple[Totals, ...], ...]
-    fixed_rows: tuple[Successors, ...]
-    fixed_gains: tuple[Gain, ...]
-    entry: tuple[Successors, ...]
+    rows: tuple[tuple[Row, ...], ...]
+    fixed_gains: tuple[list[int], ...]
+    entry: tuple[Row, ...]
 
 
 def censor(mdp: Mdp) -> CensoredChain:
@@ -506,14 +496,13 @@ def censor(mdp: Mdp) -> CensoredChain:
     states with no successors, and one more state per decision state's
     action with that action's row. Its one decomposition gives the fixed
     classes, its recurrent classes of single-action states, each with one
-    stationary solve and ``ratio_gain``, and the DAG of its transient
+    stationary solve and ``class_sums``, and the DAG of its transient
     components: the other single-action states and the actions, which are
     sources and so solved last. One ``_solve_along_dag`` over
     ``len(decision) + len(fixed) + 2 + constraint_dim`` columns gives each
-    its hitting distribution over the nodes and its expected reward,
-    constraint and step totals until the hit: a node is a unit vector with
-    zero totals, and a transient state adds its reward, its constraint
-    vector and one step as the constant term.
+    its row: a node is a unit vector with zero totals, and a transient
+    state adds its reward, its constraint vector and one step as the
+    constant term.
     """
     n = mdp.num_states
     decision = tuple(s for s in range(n) if len(mdp.actions[s]) > 1)
@@ -533,42 +522,31 @@ def censor(mdp: Mdp) -> CensoredChain:
     nodes = len(decision) + len(fixed)
     width = nodes + 2 + mdp.constraint_dim
     solved: list[tuple[list[int], int]] = [([], 1)] * len(chain)
-    node_of = [-1] * n
     for node, members in enumerate([(s,) for s in decision] + list(fixed)):
         unit = ([1 if k == node else 0 for k in range(width)], 1)
         for s in members:
             solved[s] = unit
-            node_of[s] = node
     constants: dict[int, tuple[list[int], int]] = {}
     for t in decomposition.transient_states:
         numerators, d = step_totals(mdp, *origin[t])
         constants[t] = ([0] * nodes + numerators, d)
     _solve_along_dag(chain, decomposition.transient_components, solved, width, constants)
 
-    def hitting(t: int) -> Successors:
+    def row(t: int) -> Row:
         numerators, denominator = solved[t]
-        return tuple(
-            (node, Fraction(numerators[node], denominator))
-            for node in range(nodes) if numerators[node]
-        )
+        return {c: x for c, x in enumerate(numerators) if x}, denominator
 
     return CensoredChain(
         decision=decision,
         fixed=fixed,
-        rows=tuple(tuple(hitting(t) for t in ts) for ts in actions),
-        excursions=tuple(
-            tuple((tuple(solved[t][0][nodes:]), solved[t][1]) for t in ts) for ts in actions
-        ),
-        fixed_rows=tuple(((node, ONE),) for node in range(len(decision), nodes)),
+        rows=tuple(tuple(row(t) for t in ts) for ts in actions),
         fixed_gains=tuple(
-            ratio_gain(
+            class_sums(
                 stationary_distribution(chain, cls), [step_totals(mdp, s, 0) for s in cls]
             )
             for cls in fixed
         ),
-        entry=tuple(
-            hitting(s) if node_of[s] < 0 else ((node_of[s], ONE),) for s in range(n)
-        ),
+        entry=tuple(row(s) for s in range(n)),
     )
 
 

@@ -9,13 +9,12 @@ the sparse successor rows of ``model.induced_chain``.
 
 ``analyse_policy`` analyses one policy's full induced chain; the
 single-policy questions (evaluate, certify, the sample-path checks, the
-audit's entries) read it. The solver's enumeration does not: it analyses
-each policy on the censored chain (``chains.censor``), where a class's gain
-is the semi-Markov ratio of excursion reward to excursion length and a
-single-action start state reads its hitting mix of node values. Both use
-one gain formula, ``chains.ratio_gain`` (here every step counts once, so
-it is the stationary average), and one mixing step, ``chains.mix``; and
-both decompose each chain once, the absorption solve reading the
+audit's entries) read it. The solver's enumeration does not: it
+eliminates the decision states of the censored chain (``chains.censor``)
+one at a time along its walk, and reads a class's gain as the ratio of the
+reward its eliminated row collects to its steps. Here a class's gains are
+``chains.ratio_gain`` over its members' one-step totals, the stationary
+averages, and a chain is decomposed once, the absorption solve reading the
 decomposition's transient components.
 """
 
@@ -26,6 +25,8 @@ from fractions import Fraction
 
 from cmdpkit import chains
 from cmdpkit.model import Chain, Mdp, Policy, induced_chain
+
+ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -69,10 +70,14 @@ class PolicyAnalysis:
     absorption: tuple[tuple[Fraction, ...], ...]
 
     def values_at(self, s: int) -> tuple[Fraction, tuple[Fraction, ...]]:
-        """V and W from state index s."""
-        return chains.mix(((s, 1),), self.absorption, [
-            (gain.reward_gain, gain.constraint_gain) for gain in self.class_gains
-        ])
+        """V and W from state index s: its absorption mix of the class gains."""
+        v = ZERO
+        w = [ZERO] * len(self.class_gains[0].constraint_gain)
+        for p, gain in zip(self.absorption[s], self.class_gains):
+            if p:
+                v += p * gain.reward_gain
+                w = [total + p * g for total, g in zip(w, gain.constraint_gain)]
+        return v, tuple(w)
 
 
 def analyse_policy(mdp: Mdp, policy: Policy) -> PolicyAnalysis:

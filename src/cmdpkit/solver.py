@@ -14,18 +14,21 @@ their full product).
 
 Each pass first censors the model onto its decision states, the states
 with a choice (``chains.censor``): the single-action states are
-eliminated once, and every canonical policy is analysed on its embedded
-chain, one row per decision state plus one absorbing row per fixed class
-(a closed class of single-action states, whose gain is solved once). A
-class of the embedded chain has the semi-Markov ratio gain: the
-stationary average of the excursion reward over that of the excursion
-length (Puterman 1994, ch. 11), and W the same with the constraint. A
-single-action start state reads V and W as its hitting mix of the node
-values. These are exactly the V and W of the policy's full chain. The
-gain formula and the mixing step are ``chains.ratio_gain`` and
-``chains.mix``, the ones ``evaluation`` uses on full chains, and each
-embedded chain is decomposed once: its absorption solve reads the
-decomposition's transient components.
+eliminated once, leaving integer rows over the decision states and the
+fixed classes (closed classes of single-action states, whose gain is
+solved once), each with the reward, constraint and step totals it
+collects until the next node. The walk then eliminates each decision
+state as it fixes its action (the stochastic complement taken one state
+at a time; Meyer 1989, SIAM Review 31(2); Grassmann, Taksar & Heyman
+1985, Oper. Res. 33(5)): the node's row loses its self-loop and is
+substituted into the rows still open, totals included. A row whose
+self-loop has mass 1 closes a recurrent class of the policy's chain; its
+gain is the semi-Markov ratio of the summed reward to the summed steps
+(Puterman 1994, ch. 11), W the same with the constraint, and the node
+stays as an absorbing column. When no open node is left to reach, each
+start row is a distribution over the classes, and V and W are its mix of
+the class gains. These are exactly the V and W of the policy's full
+chain, with no decomposition, stationary or absorption solve per policy.
 
 ``solve`` streams one pass over the canonical policies, analysing each
 once and keeping only the best so far. A question that filters the
@@ -42,6 +45,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Iterator
 
 from cmdpkit import chains
@@ -137,61 +141,138 @@ class TableRow:
     count: int
 
 
+def _lowest_terms(numerators: dict[int, int], denominator: int) -> chains.Row:
+    g = gcd(denominator, *numerators.values())
+    if g > 1:
+        return {c: x // g for c, x in numerators.items()}, denominator // g
+    return numerators, denominator
+
+
+def _leave(row: chains.Row, k: int) -> chains.Row:
+    """Node k's row with its self-loop removed: divided by 1 - q, q < 1 its mass on k.
+
+    The result is the distribution of the first other node entered from k,
+    with the totals collected until then (geometrically many returns to k).
+    """
+    numerators, denominator = row
+    q = numerators.get(k)
+    if not q:
+        return row
+    return _lowest_terms({c: x for c, x in numerators.items() if c != k}, denominator - q)
+
+
+def _substitute(row: chains.Row, k: int, by: chains.Row) -> chains.Row:
+    """``row`` with node k eliminated: its mass on k is replaced by that mass times ``by``.
+
+    ``by`` is k's row without its self-loop (``_leave``), so every column,
+    the totals included, gains the mass on k times ``by``'s entry.
+    """
+    numerators, denominator = row
+    into, d = by
+    mass = numerators[k]
+    g = gcd(mass, d)
+    scale, mass = d // g, mass // g
+    out = {c: x * scale for c, x in numerators.items()} if scale != 1 else dict(numerators)
+    del out[k]
+    for c, x in into.items():
+        total = out.get(c, 0) + mass * x
+        if total:
+            out[c] = total
+        else:
+            del out[c]
+    return _lowest_terms(out, denominator * scale)
+
+
+def _mix(row: chains.Row, gains: dict[int, list[int]], nodes: int) -> chains.Gain:
+    """V and W of a start row that is a distribution over classes.
+
+    ``gains[c]`` is class column c's ``[reward, *constraint, steps]`` sums,
+    whose ratios to the last entry are the gains; the totals columns
+    (``nodes`` and up) are skipped. The sums are brought over one lcm of the
+    step sums, so each value is one ``Fraction``.
+    """
+    numerators, denominator = row
+    classes = [(p, gains[c]) for c, p in numerators.items() if c < nodes]
+    scale = lcm(*(sums[-1] for _, sums in classes))
+    mixed = [0] * (len(classes[0][1]) - 1)
+    for p, (*sums, steps) in classes:
+        weight = p * (scale // steps)
+        mixed = [total + weight * x for total, x in zip(mixed, sums)]
+    denominator *= scale
+    return Fraction(mixed[0], denominator), tuple(Fraction(x, denominator) for x in mixed[1:])
+
+
 def _rows(mdp: Mdp, indices: list[int]) -> Iterator[TableRow]:
     """Every canonical policy, analysed once, in depth-first order.
 
-    The analysis runs on the censored chain (``chains.censor``), built once
-    per pass: policy p's embedded chain has one row per decision state, the
-    embedded row of p's action there, and one absorbing row per fixed
-    class. Its recurrent classes over the decision states are those of p's
-    chain restricted to them; a class with stationary vector mu has gain
-    sum(mu R) / sum(mu T) (renewal reward: mu weighs the visits to the
-    decision states, R and T are the reward and steps an action's
-    excursion adds), and W is C over T the same way. Absorption mixes the
-    gains at each node, and a start state reads its entry distribution's
-    mix of node values.
-
-    The walk reads the embedded rows too. It branches on the lowest-index
-    decision node that the start entries or the rows fixed so far reach; a
-    policy is complete when no such node is left, with action 0 elsewhere.
+    The walk runs on the censored chain (``chains.censor``), built once per
+    pass, and carries, at each of its nodes, the integer rows that are
+    still open: every action row of each decision node not yet fixed, and
+    one row per start state, each over the open nodes and the classes with
+    the totals collected on the way. It branches on the lowest-index open
+    decision node that a start row puts mass on. Fixing action a there
+    takes its row; with self-mass q < 1 the row is divided by 1 - q and
+    substituted into the start rows and, unless that completes the
+    policy, into every other open node's rows. With q = 1 the node closes
+    a class: its gains are the ratios of its reward and constraint totals
+    to its step total, and it stays an absorbing column. A policy is
+    complete when no start row reaches an open node, with action 0
+    elsewhere; each start row is then a distribution over the classes
+    (the fixed classes and the closed nodes), and V and W are its mix of
+    their gains.
     """
     _check_cap(mdp)
     censored = chains.censor(mdp)
     decision = len(censored.decision)
+    nodes = decision + len(censored.fixed)
+    totals = range(nodes, nodes + 2 + mdp.constraint_dim)
     counts = [len(mdp.actions[s]) for s in censored.decision]
-    entries = [censored.entry[i] for i in indices]
     options = _options(mdp)
-    # Each stack item: the actions fixed so far, by decision node, and the nodes
-    # the starts and those actions reach. Only reached nodes are ever fixed.
-    stack = [({}, {node for entry in entries for node, _ in entry if node < decision})]
+    # Each stack item: a walk node, as the actions fixed so far by decision
+    # node, the action rows by node (read only for open nodes), the start
+    # rows and the class sums by class column; then the open node to fix
+    # and its action, or -1 at the root.
+    root = ({}, censored.rows, [censored.entry[i] for i in indices],
+            dict(enumerate(censored.fixed_gains, decision)))
+    stack = [(root, -1, 0)]
     while stack:
-        fixed, reached = stack.pop()
-        if len(fixed) < len(reached):
-            k = min(reached - fixed.keys())
-            for a in reversed(range(counts[k])):
-                targets = {node for node, _ in censored.rows[k][a] if node < decision}
-                stack.append(({**fixed, k: a}, reached | targets))
-            continue
-        key = tuple(fixed.get(k, 0) for k in range(decision))
-        embedded = tuple(censored.rows[k][a] for k, a in enumerate(key)) + censored.fixed_rows
-        decomposition = chains.decompose(embedded)
-        gains = [
-            censored.fixed_gains[cls[0] - decision] if cls[0] >= decision else chains.ratio_gain(
-                chains.stationary_distribution(embedded, cls),
-                [censored.excursions[k][key[k]] for k in cls],
+        (fixed, rows, starts, gains), k, a = stack.pop()
+        leaving = None
+        if k >= 0:
+            fixed = {**fixed, k: a}
+            row = rows[k][a]
+            if row[0].get(k) == row[1]:
+                gains = {**gains, k: [row[0].get(c, 0) for c in totals]}
+            else:
+                leaving = _leave(row, k)
+                starts = [_substitute(start, k, leaving) if k in start[0] else start
+                          for start in starts]
+        reached = [c for start, _ in starts for c in start if c < decision and c not in gains]
+        if not reached:
+            key = tuple(fixed.get(j, 0) for j in range(decision))
+            action = dict(zip(censored.decision, key))
+            values = [_mix(start, gains, nodes) for start in starts]
+            yield TableRow(
+                policy=Policy(choice=tuple(
+                    pairs[action.get(s, 0)] for s, pairs in enumerate(options)
+                )),
+                key=key,
+                V=tuple(v for v, _ in values),
+                W=tuple(w for _, w in values),
+                count=math.prod(counts[j] for j in range(decision) if j not in fixed),
             )
-            for cls in decomposition.recurrent_classes
-        ]
-        absorption = chains.absorption_map(embedded, decomposition)
-        values = [chains.mix(entry, absorption, gains) for entry in entries]
-        action = dict(zip(censored.decision, key))
-        yield TableRow(
-            policy=Policy(choice=tuple(pairs[action.get(s, 0)] for s, pairs in enumerate(options))),
-            key=key,
-            V=tuple(v for v, _ in values),
-            W=tuple(w for _, w in values),
-            count=math.prod(counts[k] for k in range(decision) if k not in fixed),
-        )
+            continue
+        if leaving is not None:
+            rows = [
+                actions if j in fixed else tuple(
+                    _substitute(r, k, leaving) if k in r[0] else r for r in actions
+                )
+                for j, actions in enumerate(rows)
+            ]
+        walk = (fixed, rows, starts, gains)
+        branch = min(reached)
+        for b in reversed(range(counts[branch])):
+            stack.append((walk, branch, b))
 
 
 def _best(
@@ -240,6 +321,7 @@ class PolicyTable:
 
     def __init__(self, mdp: Mdp, states: tuple[str, ...]):
         self.states = tuple(states)
+        self.constraint_dim = mdp.constraint_dim
         self._column = {state: k for k, state in enumerate(self.states)}
         rows = _rows(mdp, [mdp.state_index(s) for s in self.states])
         self.rows = tuple(sorted(rows, key=lambda row: row.key))
@@ -258,8 +340,14 @@ class PolicyTable:
 
         A uniform shift moves every W by exactly -slack, because stationary
         vectors and absorption rows each sum to 1, and leaves V alone; so
-        the shifted problem needs no model of its own.
+        the shifted problem needs no model of its own. A slack with other
+        than ``constraint_dim`` components raises InputError.
         """
+        if slack is not None and len(slack) != self.constraint_dim:
+            raise InputError(
+                f"slack has {len(slack)} components, but constraint_dim is "
+                f"{self.constraint_dim}"
+            )
         return _best(self.rows, self.column(x), slack)[0]
 
 

@@ -14,8 +14,8 @@ policy before. ``class_gain`` is the stationary average of a per-state
 value over a recurrent class.
 
 ``_ratio_gain`` and ``_mix`` are the solver's gain and mixing steps before
-``chains.ratio_gain`` and ``chains.mix`` replaced them: ``Fraction`` sums
-over a censored chain whose excursions are ``(reward, constraint, steps)``
+``chains.ratio_gain`` and ``mix`` replaced them: ``Fraction`` sums over a
+censored chain whose excursions are ``(reward, constraint, steps)``
 ``Fraction`` triples, as ``fraction_excursions`` rebuilds them.
 ``finite_horizon_averages`` is the time average of reward and constraint
 along a realized path, which the simulation tests compare against.
@@ -27,6 +27,13 @@ its embedded rows and drops the non-canonical ones, and reuses a class's
 gain from the canonical policy before. ``best``, which adds each row's
 count, is that solver's ``_best``: the first best row in arrival order.
 
+``leaf_rows`` is the pass the solver made before it eliminated each
+decision state along the walk: the same walk, but at every leaf it builds
+the policy's embedded chain from ``fraction_view``, the censored chain as
+``Fraction`` rows, and decomposes it, solves each recurrent class's
+stationary vector and the absorption map, and mixes the class gains at
+each start with ``mix``.
+
 Every row's ``key`` is read off its policy by ``key``. Property tests
 require the solver's rows and ``SolveResult``s to equal these.
 """
@@ -36,13 +43,14 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from cmdpkit import chains
 from cmdpkit.evaluation import ClassGain, PolicyAnalysis, analyse_policy
 from cmdpkit.model import Chain, Mdp, Policy, Successors, Trajectory, induced_chain
-from cmdpkit.solver import SolveResult, TableRow, enumerate_policies
+from cmdpkit.solver import SolveResult, TableRow, _check_cap, _options, enumerate_policies
 
 ZERO = Fraction(0)
 
@@ -202,9 +210,132 @@ def canonical_rows(mdp: Mdp, indices: list[int]) -> Iterator[TableRow]:
         )
 
 
+@dataclass(frozen=True)
+class FractionCensoredChain:
+    """``chains.CensoredChain`` with ``Fraction`` rows, as the per-leaf pass read it.
+
+    ``rows[k][a]`` and ``entry[s]`` are the hitting distributions over the
+    nodes as ``(node, probability)`` pairs; ``excursions[k][a]`` are the
+    totals ``([reward, *constraint, steps], denominator)`` of that action's
+    row; ``fixed_rows[f]`` is the absorbing row of fixed class f's node and
+    ``fixed_gains[f]`` its reward and constraint gains.
+    """
+
+    decision: tuple[int, ...]
+    fixed: tuple[tuple[int, ...], ...]
+    rows: tuple[tuple[Successors, ...], ...]
+    excursions: tuple[tuple[chains.Totals, ...], ...]
+    fixed_rows: tuple[Successors, ...]
+    fixed_gains: tuple[chains.Gain, ...]
+    entry: tuple[Successors, ...]
+
+
+def fraction_view(mdp: Mdp) -> FractionCensoredChain:
+    """``chains.censor(mdp)`` as ``Fraction`` rows."""
+    censored = chains.censor(mdp)
+    decision = len(censored.decision)
+    nodes = decision + len(censored.fixed)
+    totals = range(nodes, nodes + 2 + mdp.constraint_dim)
+
+    def hitting(row: chains.Row) -> Successors:
+        numerators, denominator = row
+        return tuple(
+            (node, Fraction(numerators[node], denominator))
+            for node in range(nodes) if node in numerators
+        )
+
+    def excursion(row: chains.Row) -> chains.Totals:
+        numerators, denominator = row
+        return tuple(numerators.get(c, 0) for c in totals), denominator
+
+    def gain(sums: list[int]) -> chains.Gain:
+        reward, *constraint, steps = sums
+        return Fraction(reward, steps), tuple(Fraction(c, steps) for c in constraint)
+
+    return FractionCensoredChain(
+        decision=censored.decision,
+        fixed=censored.fixed,
+        rows=tuple(tuple(hitting(row) for row in rows) for rows in censored.rows),
+        excursions=tuple(tuple(excursion(row) for row in rows) for rows in censored.rows),
+        fixed_rows=tuple(((node, Fraction(1)),) for node in range(decision, nodes)),
+        fixed_gains=tuple(gain(sums) for sums in censored.fixed_gains),
+        entry=tuple(hitting(row) for row in censored.entry),
+    )
+
+
+def mix(
+    entry: Successors, absorption: Sequence[Sequence[Fraction]], gains: Sequence[chains.Gain]
+) -> chains.Gain:
+    """V and W from a start: its entry distribution's mix of class gains.
+
+    ``entry`` weighs rows of ``absorption``, whose entry c is the
+    probability of absorption into the class with gains ``gains[c]``.
+    """
+    v = ZERO
+    w = [ZERO] * len(gains[0][1])
+    for node, weight in entry:
+        for p, (reward, constraint) in zip(absorption[node], gains):
+            if p:
+                p *= weight
+                v += p * reward
+                for k, g in enumerate(constraint):
+                    w[k] += p * g
+    return v, tuple(w)
+
+
+def leaf_rows(mdp: Mdp, indices: list[int]) -> Iterator[TableRow]:
+    """Every canonical policy in depth-first order, each analysed at its leaf.
+
+    The walk reads the embedded rows. It branches on the lowest-index
+    decision node that the start entries or the rows fixed so far reach; a
+    policy is complete when no such node is left, with action 0 elsewhere.
+    Its embedded chain then has one row per decision node, the row of its
+    action, and one absorbing row per fixed class; a class over decision
+    nodes with stationary vector mu has gain sum(mu R) / sum(mu T), and a
+    start reads its entry distribution's mix of the absorption-mixed gains.
+    """
+    _check_cap(mdp)
+    censored = fraction_view(mdp)
+    decision = len(censored.decision)
+    counts = [len(mdp.actions[s]) for s in censored.decision]
+    entries = [censored.entry[i] for i in indices]
+    options = _options(mdp)
+    # Each stack item: the actions fixed so far, by decision node, and the nodes
+    # the starts and those actions reach. Only reached nodes are ever fixed.
+    stack = [({}, {node for entry in entries for node, _ in entry if node < decision})]
+    while stack:
+        fixed, reached = stack.pop()
+        if len(fixed) < len(reached):
+            k = min(reached - fixed.keys())
+            for a in reversed(range(counts[k])):
+                targets = {node for node, _ in censored.rows[k][a] if node < decision}
+                stack.append(({**fixed, k: a}, reached | targets))
+            continue
+        key = tuple(fixed.get(k, 0) for k in range(decision))
+        embedded = tuple(censored.rows[k][a] for k, a in enumerate(key)) + censored.fixed_rows
+        decomposition = chains.decompose(embedded)
+        gains = [
+            censored.fixed_gains[cls[0] - decision] if cls[0] >= decision else chains.ratio_gain(
+                chains.stationary_distribution(embedded, cls),
+                [censored.excursions[k][key[k]] for k in cls],
+            )
+            for cls in decomposition.recurrent_classes
+        ]
+        absorption = chains.absorption_map(embedded, decomposition)
+        values = [mix(entry, absorption, gains) for entry in entries]
+        action = dict(zip(censored.decision, key))
+        yield TableRow(
+            policy=Policy(choice=tuple(pairs[action.get(s, 0)] for s, pairs in enumerate(options))),
+            key=key,
+            V=tuple(v for v, _ in values),
+            W=tuple(w for _, w in values),
+            count=math.prod(counts[k] for k in range(decision) if k not in fixed),
+        )
+
+
 def enumerated_rows(mdp: Mdp, indices: list[int]) -> Iterator[TableRow]:
     """Every canonical policy, analysed once, in ``enumerate_policies`` order."""
-    censored = chains.censor(mdp)
+    censored = fraction_view(mdp)
     decision = len(censored.decision)
     counts = [len(mdp.actions[s]) for s in censored.decision]
     entries = [censored.entry[i] for i in indices]
@@ -242,7 +373,7 @@ def enumerated_rows(mdp: Mdp, indices: list[int]) -> Iterator[TableRow]:
             gains.append(gain)
         previous = current
         absorption = chains.absorption_map(embedded, decomposition)
-        values = [chains.mix(entry, absorption, gains) for entry in entries]
+        values = [mix(entry, absorption, gains) for entry in entries]
         yield TableRow(
             policy=policy,
             key=key(mdp, policy),
@@ -252,7 +383,7 @@ def enumerated_rows(mdp: Mdp, indices: list[int]) -> Iterator[TableRow]:
         )
 
 
-def fraction_excursions(censored: chains.CensoredChain) -> chains.CensoredChain:
+def fraction_excursions(censored: FractionCensoredChain) -> FractionCensoredChain:
     """The censored chain with each excursion as a (reward, constraint, steps) triple."""
     def triple(totals: chains.Totals) -> tuple[Fraction, tuple[Fraction, ...], Fraction]:
         numerators, denominator = totals
@@ -265,7 +396,7 @@ def fraction_excursions(censored: chains.CensoredChain) -> chains.CensoredChain:
 
 
 def _ratio_gain(
-    censored: chains.CensoredChain,
+    censored: FractionCensoredChain,
     embedded: Chain,
     cls: tuple[int, ...],
     taken: tuple[int, ...],

@@ -1,13 +1,15 @@
 """The solver's censored-chain pass against the full-chain reference.
 
-``solver._rows`` analyses each canonical policy on its chain censored onto
-the decision states; ``solver_oracle.canonical_rows`` is the pass it
-replaced, which finds the canonical policies by a reach search over the
-full chain and analyses each one's full induced chain. Sorted by key, the
-rows must be equal one by one (policy, key, V, W, count), with every value
-a ``Fraction``. Every ``solve`` and ``PolicyTable.solve`` must also equal
-``solver_oracle.best`` over ``solver_oracle.enumerated_rows``, the pass
-that kept the first best row in ``enumerate_policies`` order.
+``solver._rows`` eliminates the decision states of the chain censored onto
+them one at a time along its walk; ``solver_oracle.canonical_rows`` is the
+pass that finds the canonical policies by a reach search over the full
+chain and analyses each one's full induced chain. Sorted by key, the rows
+must be equal one by one (policy, key, V, W, count), with every value a
+``Fraction``. In walk order, the rows must equal
+``solver_oracle.leaf_rows``, the same walk analysing each leaf's embedded
+chain on its own. Every ``solve`` and ``PolicyTable.solve`` must also
+equal ``solver_oracle.best`` over ``solver_oracle.enumerated_rows``, the
+pass that kept the first best row in ``enumerate_policies`` order.
 
 Each stratum is drawn by its own generator, so every run covers it: fixed
 closed classes of single-action states, no decision state at all, and
@@ -106,6 +108,19 @@ def test_censored_rows_equal_the_full_chain_rows(stratum, dim, seed, lazy):
     assert_rows_equal(mdp, draw_starts(rng, mdp))
 
 
+@pytest.mark.parametrize("dim", [0, 1, 2])
+@pytest.mark.parametrize("stratum", ["random", "fixed", "decomposable", "no-decision"])
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 10**9), lazy=st.sampled_from([None, 1009, MERSENNE_61]))
+def test_walk_rows_equal_the_per_leaf_rows_in_walk_order(stratum, dim, seed, lazy):
+    rng = random.Random(seed)
+    mdp = draw_model(rng, stratum, dim)
+    if lazy is not None:
+        mdp = lazy_variant(mdp, Fraction(rng.randint(1, lazy // 2), lazy))
+    for starts in ([rng.randrange(mdp.num_states)], draw_starts(rng, mdp)):
+        assert list(_rows(mdp, starts)) == list(solver_oracle.leaf_rows(mdp, starts))
+
+
 def assert_solves_equal_the_enumerated_pass(
     mdp: model.Mdp, rng: random.Random
 ) -> tuple[int, int]:
@@ -189,6 +204,9 @@ def test_bundled_instances_equal_the_full_chain_rows_at_every_state():
 
 
 def test_embedded_chains_have_a_row_per_node_and_the_precompute_runs_once():
+    # The pass censors once, with one DAG solve and one stationary solve per
+    # fixed class, and then only eliminates: no policy's chain is built,
+    # decomposed, absorbed or mixed.
     rng = random.Random(29)
     checked = 0
     for _ in range(30):
@@ -196,23 +214,59 @@ def test_embedded_chains_have_a_row_per_node_and_the_precompute_runs_once():
         starts = draw_starts(rng, mdp)
         censored = chains.censor(mdp)
         nodes = len(censored.decision) + len(censored.fixed)
+        assert [len(rows) for rows in censored.rows] == [
+            len(mdp.actions[s]) for s in censored.decision
+        ]
+        assert len(censored.entry) == mdp.num_states
         with mock.patch.object(chains, "censor", wraps=chains.censor) as censor, \
                 mock.patch.object(chains, "_solve_along_dag", wraps=chains._solve_along_dag) as dag, \
+                mock.patch.object(
+                    chains, "stationary_distribution", wraps=chains.stationary_distribution
+                ) as stationary, \
                 mock.patch.object(chains, "decompose", wraps=chains.decompose) as decompose, \
                 mock.patch.object(chains, "absorption_map", wraps=chains.absorption_map) as absorb, \
+                mock.patch.object(solver_oracle, "mix", wraps=solver_oracle.mix) as mix, \
                 mock.patch.object(model, "induced_chain") as induced, \
                 mock.patch.object(chains, "induced_chain", induced), \
                 mock.patch.object(evaluation, "induced_chain", induced):
             rows = list(_rows(mdp, starts))
-        assert censor.call_count == 1
-        # One DAG solve for the precompute, the others are absorption maps.
-        assert dag.call_count == 1 + absorb.call_count
-        assert decompose.call_count == absorb.call_count == len(rows)
-        assert all(len(call.args[0]) == nodes for call in decompose.call_args_list)
-        assert all(len(call.args[0]) == nodes for call in absorb.call_args_list)
+        assert censor.call_count == 1 and dag.call_count == 1
+        assert dag.call_args.args[3] == nodes + 2 + mdp.constraint_dim
+        assert [call.args[1] for call in stationary.call_args_list] == list(censored.fixed)
+        assert decompose.call_count == absorb.call_count == mix.call_count == 0
         assert induced.call_count == 0
         checked += len(rows) > 1
     assert checked >= 10
+
+
+def test_the_dag_and_stationary_solves_run_inside_censor():
+    rng = random.Random(31)
+    for _ in range(20):
+        mdp = draw_model(rng, "fixed", rng.randint(0, 2))
+        starts = draw_starts(rng, mdp)
+        inside = []
+        original = chains.censor
+
+        def censor(mdp):
+            inside.append(True)
+            try:
+                return original(mdp)
+            finally:
+                inside.append(False)
+
+        def during(name):
+            function = getattr(chains, name)
+
+            def spy(*args):
+                assert inside and inside[-1], f"{name} ran outside censor"
+                return function(*args)
+            return spy
+
+        with mock.patch.object(chains, "censor", censor), \
+                mock.patch.object(chains, "_solve_along_dag", during("_solve_along_dag")), \
+                mock.patch.object(chains, "stationary_distribution", during("stationary_distribution")):
+            list(_rows(mdp, starts))
+        assert inside == [True, False]
 
 
 def test_censoring_keeps_only_decision_states_and_fixed_classes():
@@ -227,13 +281,21 @@ def test_censoring_keeps_only_decision_states_and_fixed_classes():
         full = chains.decompose(tuple(rows[0] for rows in mdp.successors))
         assert set(censored.fixed) <= set(full.recurrent_classes)
         nodes = len(censored.decision) + len(censored.fixed)
-        for rows, excursions in zip(censored.rows, censored.excursions):
-            for row, ((_, *constraint, steps), denominator) in zip(rows, excursions):
-                assert sum(p for _, p in row) == 1
-                assert all(0 <= node < nodes for node, _ in row)
-                assert steps >= denominator and len(constraint) == mdp.constraint_dim
-        for entry in censored.entry:
-            assert sum(p for _, p in entry) == 1
+        width = nodes + 2 + mdp.constraint_dim
+        for rows in censored.rows:
+            for numerators, denominator in rows:
+                assert sum(x for c, x in numerators.items() if c < nodes) == denominator
+                assert all(0 <= c < width and x for c, x in numerators.items())
+                assert all(x > 0 for c, x in numerators.items() if c < nodes)
+                # Every excursion takes at least the step itself.
+                assert numerators[width - 1] >= denominator
+        for s, (numerators, denominator) in enumerate(censored.entry):
+            assert sum(x for c, x in numerators.items() if c < nodes) == denominator
+            assert all(0 <= c < width and x for c, x in numerators.items())
+            if s in censored.decision or any(s in cls for cls in censored.fixed):
+                assert denominator == 1 and list(numerators.values()) == [1]
+        for fixed, (*_, steps) in zip(censored.fixed, censored.fixed_gains):
+            assert steps > 0
 
 
 def test_tables_on_scaled_models_equal_the_full_chain_rows():

@@ -1,7 +1,8 @@
-"""``chains.ratio_gain`` and ``chains.mix`` against the ``Fraction`` sums they replaced.
+"""``chains.ratio_gain`` and ``solver_oracle.mix`` against the ``Fraction`` sums they replaced.
 
 ``solver_oracle._ratio_gain`` and ``solver_oracle._mix`` are the solver's
-gain and mixing steps on the censored chain, and
+gain and mixing steps on the censored chain (read as ``Fraction`` rows,
+``solver_oracle.fraction_view``), and
 ``solver_oracle._class_solve`` the full chain's class gains, each summing
 ``Fraction`` products. The integer ratio gain must equal them at every
 recurrent class of a censored chain (decision-state classes and fixed
@@ -39,7 +40,7 @@ def assert_exact(gain: chains.Gain, dim: int) -> None:
 def censored_gains(rng: random.Random, mdp) -> list[chains.Gain]:
     """Every class gain of one random policy's censored chain, checked on the way."""
     dim = mdp.constraint_dim
-    censored = chains.censor(mdp)
+    censored = solver_oracle.fraction_view(mdp)
     legacy = solver_oracle.fraction_excursions(censored)
     decision = len(censored.decision)
     taken = [rng.randrange(len(mdp.actions[s])) for s in censored.decision]
@@ -64,7 +65,7 @@ def censored_gains(rng: random.Random, mdp) -> list[chains.Gain]:
         gains.append(gain)
     absorption = chains.absorption_map(embedded, decomposition)
     for entry in censored.entry:
-        value = chains.mix(entry, absorption, gains)
+        value = solver_oracle.mix(entry, absorption, gains)
         assert value == solver_oracle._mix(entry, absorption, gains, dim)
         assert_exact(value, dim)
     return gains

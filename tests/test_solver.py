@@ -8,7 +8,7 @@ import pytest
 import solver_oracle
 from cmdpkit import chains, instances, solver
 from cmdpkit.evaluation import evaluate
-from cmdpkit.model import Mdp, Policy, validate
+from cmdpkit.model import InputError, Mdp, Policy, validate
 from cmdpkit.solver import (
     ENUM_CAP_ENV,
     EnumerationCapExceeded,
@@ -226,6 +226,108 @@ def test_unknown_start_is_reported_before_the_cap(monkeypatch, haviv):
         solve(haviv, "nowhere")
     with pytest.raises(EnumerationCapExceeded):
         solve(haviv, "x")
+
+
+def test_table_solve_rejects_a_slack_of_the_wrong_length(haviv):
+    # haviv has one constraint; an empty slack once dropped it and gave V = 10.
+    table = PolicyTable(haviv, ("x",))
+    for slack in ((), (F(0), F(0))):
+        with pytest.raises(InputError) as raised:
+            table.solve("x", slack)
+        assert str(raised.value) == f"slack has {len(slack)} components, but constraint_dim is 1"
+    assert table.solve("x", (F(0),)).value == table.solve("x").value == 5
+
+
+def tabled_model(initial: str, table: dict) -> Mdp:
+    """A one-constraint model from {state: {action: ({target: p}, reward, constraint)}}."""
+    index = {state: i for i, state in enumerate(table)}
+    return Mdp(
+        states=tuple(table),
+        actions=tuple(tuple(acts) for acts in table.values()),
+        successors=tuple(
+            tuple(tuple(sorted((index[t], F(p)) for t, p in row.items())) for row, _, _ in acts.values())
+            for acts in table.values()
+        ),
+        rewards=tuple(tuple(F(r) for _, r, _ in acts.values()) for acts in table.values()),
+        constraints=tuple(tuple((F(c),) for _, _, c in acts.values()) for acts in table.values()),
+        constraint_dim=1,
+        initial_state=initial,
+    )
+
+
+def walked_values(mdp: Mdp, start: str) -> dict[tuple[int, ...], tuple]:
+    """V and W by key from the walk at one start, each checked against the full chain."""
+    values = {}
+    for row in solver._rows(mdp, [mdp.state_index(start)]):
+        report = evaluate(mdp, row.policy, start)
+        assert (row.V[0], row.W[0]) == (report.V, report.W)
+        values[row.key] = (row.V[0], row.W[0][0])
+    return values
+
+
+def test_a_class_over_two_decision_states_closes_when_the_second_is_fixed():
+    # d0 -a-> u -> d1 -a-> d0 is a cycle of three steps. Fixing d0 first
+    # eliminates it into d1's row, whose self-mass then becomes 1: the class
+    # closes at d1 with gains (1 + 3 + 5) / 3 and (1 + 0 - 2) / 3.
+    mdp = tabled_model("d0", {
+        "d0": {"a": ({"u": 1}, 1, 1), "b": ({"t": 1}, 0, 0)},
+        "d1": {"a": ({"d0": 1}, 5, -2), "b": ({"t": 1}, 0, 0)},
+        "u": {"go": ({"d1": 1}, 3, 0)},
+        "t": {"stay": ({"t": 1}, 2, 1)},
+    })
+    assert validate(mdp).ok
+    assert walked_values(mdp, "d0") == {
+        (0, 0): (3, F(-1, 3)), (0, 1): (2, 1), (1, 0): (2, 1),
+    }
+    for state in mdp.states:
+        walked_values(mdp, state)
+
+
+def test_a_self_loop_below_one_is_divided_out():
+    # d0 -a-> d0 with mass 1/2: the class {d0, d1} has stationary vector
+    # (2/3, 1/3), so V = (2 * 2 + 5) / 3; d0's action b keeps 1/3 on itself
+    # and leaves for t1 and t2 evenly.
+    mdp = tabled_model("d0", {
+        "d0": {"a": ({"d0": F(1, 2), "d1": F(1, 2)}, 2, 1),
+               "b": ({"t1": F(1, 3), "d0": F(1, 3), "t2": F(1, 3)}, 0, 0)},
+        "d1": {"a": ({"d0": 1}, 5, -1), "b": ({"t2": 1}, 0, 0)},
+        "t1": {"stay": ({"t1": 1}, 6, 0)},
+        "t2": {"stay": ({"t2": 1}, -3, 1)},
+    })
+    assert validate(mdp).ok
+    assert walked_values(mdp, "d0") == {
+        (0, 0): (3, F(1, 3)), (0, 1): (-3, 1), (1, 0): (F(3, 2), F(1, 2)),
+    }
+    for state in mdp.states:
+        walked_values(mdp, state)
+
+
+def test_a_pure_self_loop_closes_a_singleton_class_at_a_decision_state():
+    mdp = tabled_model("d0", {
+        "d0": {"a": ({"d0": 1}, 4, -1), "b": ({"t": 1}, 0, 0)},
+        "t": {"stay": ({"t": 1}, 1, 1)},
+    })
+    assert validate(mdp).ok
+    assert walked_values(mdp, "d0") == {(0,): (4, -1), (1,): (1, 1)}
+    assert solve(mdp).value == 1
+
+
+def test_a_transient_start_reaches_fixed_classes_only_through_eliminated_decision_states():
+    # u has one action and enters d0 or d1; every path to t1 or t2 passes
+    # through decision states the walk eliminates.
+    mdp = tabled_model("u", {
+        "u": {"go": ({"d0": F(1, 2), "d1": F(1, 2)}, 7, 0)},
+        "d0": {"a": ({"d1": 1}, 0, 0), "b": ({"t1": 1}, 0, 0)},
+        "d1": {"a": ({"t1": 1}, 0, 0), "b": ({"t2": 1}, 0, 0)},
+        "t1": {"stay": ({"t1": 1}, 6, 0)},
+        "t2": {"stay": ({"t2": 1}, -3, 1)},
+    })
+    assert validate(mdp).ok
+    assert walked_values(mdp, "u") == {
+        (0, 0): (6, 0), (0, 1): (-3, 1), (1, 0): (6, 0), (1, 1): (F(3, 2), F(1, 2)),
+    }
+    for state in mdp.states:
+        walked_values(mdp, state)
 
 
 def nested_model(decisions: int, size: int = 9) -> Mdp:
