@@ -34,16 +34,14 @@ absorption probabilities are exact rationals from sparse elimination:
   sums by the step sum, which is the stationary average on a full chain,
   where every step has T = 1.
 
-The elimination runs on integers only (fraction-free, as in Edmonds 1967
-and Bareiss 1968). Each equation is scaled by the lcm of the denominators
-in its row, so every coefficient is an integer, and ``_sparse_solve``
-returns numerators over one common denominator. Scaling a row or an
-unknown by a positive integer, and the fraction-free row updates, never
-turn a zero entry nonzero or a nonzero one zero, so the pivots are those
-of the rational elimination; each system has a unique solution, so the
-values are too. ``Fraction``s appear only at the boundary: reading the
-chain's probabilities and building the returned vectors; ``censor``
-returns its rows as integers.
+The elimination runs on integers only. Each equation is scaled by the
+lcm of the denominators in its row, so every coefficient is an integer;
+``_sparse_solve`` updates rows by ``lp.eliminate``, the fraction-free
+step the simplex uses too, and returns numerators over one common
+denominator. Each system has a unique solution, so the values do not
+depend on the pivot order. ``Fraction``s appear only at the boundary:
+reading the chain's probabilities and building the returned vectors;
+``censor`` returns its rows as integers.
 
 All functions are pure over immutable inputs and keep no state between
 calls; callers that need a chain's analysis more than once hold on to it.
@@ -56,6 +54,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterator, Sequence
 
+from cmdpkit.lp import eliminate
 from cmdpkit.model import (
     Chain,
     InputError,
@@ -177,71 +176,43 @@ def _sparse_solve(
     Returns ``(numerators, denominator)``: X[i][k] = numerators[i][k] /
     denominator, with one positive common denominator.
 
-    The unknowns are the columns 0..len(rows)-1. Each column is pivoted on
-    the remaining row with the fewest nonzeros, ties to the lower row
-    index, which keeps fill-in low. Elimination is fraction-free: a row
-    with entry a in the pivot column becomes (h/g) row - (a/g) pivot_row,
-    where h is the pivot and g = gcd(h, a), and is then divided, with its
-    right-hand side, by the gcd of its entries. Each update multiplies the
-    row by a nonzero integer, so every entry is zero exactly when the
-    rational update's is, the row lengths match, and the pivots are the
-    ones a rational elimination would take. Back substitution keeps one
-    common denominator, the lcm of those of the unknowns solved so far,
-    and rescales the numerators already found when it grows. ``rows`` and
-    ``rhs`` are consumed. Raises ValueError on a singular system.
+    The unknowns are the columns 0..len(rows)-1; right-hand side k is
+    stored in its row under the key ``~k``. Each column is pivoted on the
+    open row holding it with the fewest stored entries, right-hand sides
+    included, ties to the lower row index, which keeps fill-in low; every
+    other open row holding the column is updated by ``lp.eliminate``. Back
+    substitution keeps one common denominator, the lcm of those of the
+    unknowns solved so far, each in lowest terms, and rescales the
+    numerators already found when it grows. The solution is unique, so the
+    returned values do not depend on the pivot order. ``rows`` is
+    consumed. Raises ValueError on a singular system.
     """
     n = len(rows)
-    holders: list[set[int]] = [set() for _ in range(n)]
-    for r, row in enumerate(rows):
-        for c in row:
-            holders[c].add(r)
+    width = len(rhs[0]) if rhs else 0
+    for row, targets in zip(rows, rhs):
+        for k, t in enumerate(targets):
+            if t:
+                row[~k] = t
+    open_rows = list(range(n))
     order: list[tuple[int, int]] = []
     for col in range(n):
-        candidates = holders[col]
+        candidates = [r for r in open_rows if col in rows[r]]
         if not candidates:
             raise ValueError("singular linear system")
         pivot = min(candidates, key=lambda r: (len(rows[r]), r))
-        candidates.discard(pivot)
-        pivot_row = rows[pivot]
-        for c in pivot_row:
-            holders[c].discard(pivot)
-        pivot_rhs = rhs[pivot]
-        head = pivot_row[col]
+        open_rows.remove(pivot)
         for r in candidates:
-            row = rows[r]
-            a = row.pop(col)
-            g = gcd(head, a)
-            scale, factor = head // g, a // g
-            if scale != 1:
-                for c in row:
-                    row[c] *= scale
-            for c, v in pivot_row.items():
-                if c == col:
-                    continue
-                updated = row.get(c, 0) - factor * v
-                if updated:
-                    if c not in row:
-                        holders[c].add(r)
-                    row[c] = updated
-                elif c in row:
-                    del row[c]
-                    holders[c].discard(r)
-            target = [scale * t - factor * v for t, v in zip(rhs[r], pivot_rhs)]
-            content = gcd(*row.values(), *target)
-            if content > 1:
-                for c in row:
-                    row[c] //= content
-                target = [t // content for t in target]
-            rhs[r] = target
+            if r != pivot:
+                eliminate(rows[r], rows[pivot], col)
         order.append((col, pivot))
 
     numerators: list[list[int]] = [[] for _ in range(n)]
     denominator = 1
     for col, pivot in reversed(order):
         row = rows[pivot]
-        values = [denominator * v for v in rhs[pivot]]
+        values = [denominator * row.get(~k, 0) for k in range(width)]
         for c, v in row.items():
-            if c != col:
+            if c > col:
                 for k, x in enumerate(numerators[c]):
                     if x:
                         values[k] -= v * x

@@ -79,8 +79,10 @@ def _parse_policy(mdp: Mdp, text: str | None) -> Policy:
                 raise PolicyError(
                     f"policy entries must look like state=action, got {item!r}"
                 )
-            state, action = item.split("=", 1)
-            mapping[state.strip()] = action.strip()
+            state, action = (part.strip() for part in item.split("=", 1))
+            if state in mapping:
+                raise PolicyError(f"policy names state {state!r} more than once")
+            mapping[state] = action
     return Policy.from_mapping(mdp, mapping)
 
 

@@ -27,16 +27,16 @@ so its right-hand side is >= 0. The reduced-cost row is formed from these
 rows, weighted so that row r's artificial costs 1/scale_r, which amounts
 to rescaling that artificial's column by the positive row factor; then
 every row, the reduced-cost row included, is divided by the gcd of its
-entries, so that each starts primitive. A pivot on an entry p > 0 updates
-a row whose entry f in the entering column is nonzero by the fraction-free
-step of Edmonds (1967), row = (p/g) row - (f/g) pivot_row with
-g = gcd(p, f), and then divides the row by the gcd of its entries; a row
-with f == 0 is left as it is, and a row can clear completely. Positive row
-factors change neither the sign of a reduced cost nor a ratio
-rhs_r / a_r, in which a row's factor cancels, and positive column factors
-rescale every ratio of one test alike. So Bland's rule takes the pivots,
-with the same ties, that a rational tableau would take, and a basic value
-is rhs_r / a_r read off one row; basic artificials are 0 and not read.
+entries, so that each starts primitive. A pivot updates every row that
+holds the entering column by ``eliminate``, the fraction-free step it
+shares with ``chains._sparse_solve``: each row stays a primitive positive
+multiple of the rational row, a row without the column is left as it is,
+and a row can clear completely. Positive row factors change neither the
+sign of a reduced cost nor a ratio rhs_r / a_r, in which a row's factor
+cancels, and positive column factors rescale every ratio of one test
+alike. So Bland's rule takes the pivots, with the same ties, that a
+rational tableau would take, and a basic value is rhs_r / a_r read off
+one row; basic artificials are 0 and not read.
 
 Rows are sparse, ``{column: coefficient}`` with the right-hand side under
 the key ``RHS``, so zero entries are never touched. The minus column of a
@@ -83,35 +83,52 @@ class LinearConstraint:
         )
 
 
+def eliminate(row: dict[int, int], pivot_row: dict[int, int], column: int) -> None:
+    """Clear ``column`` from ``row`` with ``pivot_row``, fraction-free, in place.
+
+    The one exact row update of the package (Edmonds 1967; Bareiss 1968),
+    shared by the simplex and ``chains._sparse_solve``. With p the pivot
+    entry, f the row's entry in ``column`` and g = gcd(p, f), the row
+    becomes (p/g) row - (f/g) pivot_row, the signs taken so that the row's
+    factor is positive; ``column`` cancels and its entry is deleted, as is
+    every other entry that becomes 0, so the row may clear completely.
+    The row is then divided by the gcd of its entries, right-hand sides
+    included, which callers store in the row under negative keys. The
+    result is a positive multiple of the rational update: an entry is zero
+    exactly when the rational update's is, so the pivots a caller takes
+    are those of a rational elimination. ``pivot_row`` is not changed.
+    """
+    head, entry = pivot_row[column], row[column]
+    g = gcd(head, entry)
+    scale, factor = head // g, entry // g
+    if scale < 0:
+        scale, factor = -scale, -factor
+    if scale != 1:
+        for c in row:
+            row[c] *= scale
+    for c, v in pivot_row.items():
+        updated = row.get(c, 0) - factor * v
+        if updated:
+            row[c] = updated
+        else:
+            del row[c]
+    content = gcd(*row.values())
+    if content > 1:
+        for c in row:
+            row[c] //= content
+
+
 def _pivot(rows: list[dict[int, int]], leave: int, column: int) -> None:
     """Clear stored ``column`` from every row but ``leave``, in place.
 
     Pivoting on a free variable's minus column clears its plus column; the
-    pivot entry is then negative and both factors change sign.
+    pivot entry is then negative, and ``eliminate`` flips both factors'
+    signs.
     """
     pivot_row = rows[leave]
-    head = pivot_row[column]
-    for r, row in enumerate(rows):
-        entry = row.get(column)
-        if entry is None or r == leave:
-            continue
-        g = gcd(head, entry)
-        scale, factor = head // g, entry // g
-        if scale < 0:
-            scale, factor = -scale, -factor
-        if scale != 1:
-            for c in row:
-                row[c] *= scale
-        for c, v in pivot_row.items():
-            updated = row.get(c, 0) - factor * v
-            if updated:
-                row[c] = updated
-            else:
-                del row[c]
-        content = gcd(*row.values())
-        if content > 1:
-            for c in row:
-                row[c] //= content
+    for row in rows:
+        if column in row and row is not pivot_row:
+            eliminate(row, pivot_row, column)
 
 
 def find_feasible_point(

@@ -49,7 +49,7 @@ from math import gcd, lcm
 from typing import Iterable, Iterator
 
 from cmdpkit import chains
-from cmdpkit.model import InputError, Mdp, Policy
+from cmdpkit.model import InputError, Mdp, Policy, UnknownStateError
 
 ENUM_CAP_ENV = "CMDPKIT_ENUM_CAP"
 DEFAULT_ENUM_CAP = 1 << 20
@@ -327,11 +327,17 @@ class PolicyTable:
         self.rows = tuple(sorted(rows, key=lambda row: row.key))
 
     def column(self, state: str) -> int:
-        """Position of a start state in the rows' V and W."""
+        """Position of a start state in the rows' V and W.
+
+        A state outside the table raises ``UnknownStateError``, an
+        ``InputError``.
+        """
         try:
             return self._column[state]
         except KeyError:
-            raise KeyError(f"state {state!r} is not a start state of this table") from None
+            raise UnknownStateError(
+                f"state {state!r} is not a start state of this table"
+            ) from None
 
     def solve(
         self, x: str, slack: tuple[Fraction, ...] | None = None

@@ -18,8 +18,8 @@ for the ones that read the successor rows. ``sparse_kernel`` is the one
 way test code turns dense rows into a model's ``successors``.
 
 ``sparse_solve`` is the rational sparse elimination ``chains._sparse_solve``
-used before it became fraction-free over the integers: the same pivot rule
-on ``Fraction`` rows, kept as a second reference for the integer solve.
+used before it became fraction-free over the integers, on ``Fraction``
+rows, kept as a second reference for the integer solve.
 """
 
 from __future__ import annotations

@@ -10,17 +10,50 @@ and was in turn replaced by per-row scales: dense rows, one Bareiss scale
 for the whole tableau, every row rescaled at every pivot.
 
 Property tests require all three to return the same point, or ``None``.
+
+``checked_eliminate`` is ``cmdpkit.lp.eliminate``, the row update of both
+the simplex and the sparse solve, with each update checked against the
+rational one; tests patch it in where a caller looks ``eliminate`` up.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
+from cmdpkit import lp
 from cmdpkit.lp import EQ, LE, LinearConstraint
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+_eliminate = lp.eliminate
+
+
+def checked_eliminate(row: dict[int, int], pivot_row: dict[int, int], column: int) -> None:
+    """``lp.eliminate``, checked against the rational row update.
+
+    The row must become a positive multiple of row - (f/p) pivot_row, f
+    and p the two rows' entries in ``column``, with ``column`` cleared and
+    no common factor, or empty when that update is all zero; the pivot row
+    must be left as it is.
+    """
+    old, pivot = dict(row), dict(pivot_row)
+    _eliminate(row, pivot_row, column)
+    assert pivot_row == pivot
+    ratio = Fraction(old[column], pivot[column])
+    expected = {c: old.get(c, 0) - ratio * pivot.get(c, 0) for c in old | pivot}
+    assert column not in row
+    assert set(row) <= set(expected)
+    assert gcd(*row.values()) <= 1
+    if not row:
+        # A row can clear completely.
+        assert not any(expected.values())
+        return
+    key = next(iter(row))
+    multiple = row[key] / expected[key]
+    assert multiple > 0
+    assert all(row.get(c, 0) == multiple * v for c, v in expected.items())
 
 
 def find_feasible_point(

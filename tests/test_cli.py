@@ -452,6 +452,14 @@ def test_usage_errors_exit_two(instances_dir):
     ).exit_code == 2
 
 
+def test_repeated_policy_state_is_a_policy_error(instances_dir):
+    # The last entry used to win: "y=a,y=b" evaluated policy b.
+    for text in ("y=a,y=b", "y=a, y =a"):
+        out = invoke("evaluate", haviv_path(instances_dir), "--policy", text)
+        assert (out.exit_code, out.report) == (2, "")
+        assert out.error == "cmdpkit: error: policy names state 'y' more than once\n"
+
+
 TOP_USAGE = (
     "usage: cmdpkit [-h] {validate,solve,evaluate,residual,certify,audit,samplepath,"
     "decompose,simulate} ...\n"

@@ -8,7 +8,7 @@ import pytest
 import solver_oracle
 from cmdpkit import chains, instances, solver
 from cmdpkit.evaluation import evaluate
-from cmdpkit.model import InputError, Mdp, Policy, validate
+from cmdpkit.model import InputError, Mdp, Policy, UnknownStateError, validate
 from cmdpkit.solver import (
     ENUM_CAP_ENV,
     EnumerationCapExceeded,
@@ -236,6 +236,17 @@ def test_table_solve_rejects_a_slack_of_the_wrong_length(haviv):
             table.solve("x", slack)
         assert str(raised.value) == f"slack has {len(slack)} components, but constraint_dim is 1"
     assert table.solve("x", (F(0),)).value == table.solve("x").value == 5
+
+
+def test_table_rejects_a_state_outside_it_as_an_input_error(haviv):
+    table = PolicyTable(haviv, ("x",))
+    message = "\"state 'y' is not a start state of this table\""
+    for ask in (lambda: table.column("y"), lambda: table.solve("y")):
+        with pytest.raises(UnknownStateError) as raised:
+            ask()
+        assert isinstance(raised.value, InputError)
+        assert isinstance(raised.value, KeyError)
+        assert str(raised.value) == message
 
 
 def tabled_model(initial: str, table: dict) -> Mdp:
