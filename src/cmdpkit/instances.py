@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from cmdpkit.model import Mdp, format_rational, instance_to_json, parse_instance
+from cmdpkit.model import InputError, Mdp, format_rational, instance_to_json, parse_instance
 
 ONE = Fraction(1)
 
@@ -98,7 +98,7 @@ def squander(eps: Fraction = Fraction(1, 10)) -> Mdp:
     y) exactly when eps <= 1/8.
     """
     if not 0 < eps < 1:
-        raise ValueError("eps must lie strictly between 0 and 1")
+        raise InputError("eps must lie strictly between 0 and 1")
     bound = Fraction(3, 10)
     bad = {"c1_0", "c2_0", "c2_1", "c2_2", "c3_0", "c3_1", "c4_0"}
     cons = lambda label: [bound - (1 if label in bad else 0)]
@@ -133,7 +133,7 @@ def yacht(eps: Fraction = Fraction(1, 10)) -> Mdp:
     buying is sample-path feasible after winning the lottery but never at z.
     """
     if not 0 < eps < 1:
-        raise ValueError("eps must lie strictly between 0 and 1")
+        raise InputError("eps must lie strictly between 0 and 1")
     bound = Fraction(3, 10)
     bad = {"c1_0", "c2_0", "c3_0", "c3_1", "c4_0"}
     cons = lambda label: [bound - (1 if label in bad else 0)]

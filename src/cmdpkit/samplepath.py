@@ -13,15 +13,18 @@ can influence, and the selective conversion keeps exactly those.
 
 Each question makes one pass of its own over the policies and keeps
 nothing per policy; ``convert_classes`` converts any choice of classes.
-``simulate`` walks at most ``MAX_STEPS`` steps.
+``simulate`` walks at most ``MAX_STEPS`` steps. Once the rest of a walk
+can draw nothing, it goes round its deterministic cycle in closed form
+instead of step by step.
 """
 
 from __future__ import annotations
 
-import random
+import itertools
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from random import Random
 
 from cmdpkit import chains
 from cmdpkit.evaluation import analyse_policy
@@ -241,8 +244,10 @@ def simulate(
     one 64-bit draw and picks the successor by comparing the draw against
     floor(cumulative * 2**64) thresholds (quantization below 2**-64);
     deterministic transitions consume no randomness. Identical seeds
-    therefore reproduce identical trajectories on every platform. Raises
-    StepLimitError above ``MAX_STEPS``, before walking.
+    therefore reproduce identical trajectories on every platform. Once the
+    rest of the walk can draw nothing, its deterministic cycle is gone
+    round in closed form. Raises StepLimitError above ``MAX_STEPS``, before
+    walking.
     """
     path, report = _walk(mdp, policy, x, steps, seed, record=True)
     trajectory = Trajectory(
@@ -257,14 +262,44 @@ def simulation_report(
     """The report of ``simulate`` for the same arguments, without the path.
 
     Visits are counted during the walk, so memory does not grow with steps.
+    A walk that ends in a deterministic cycle goes round it in closed form.
     """
     return _walk(mdp, policy, x, steps, seed, record=False)[1]
+
+
+def _settled(succ: list[int | None]) -> list[bool]:
+    """Where following ``succ`` closes a cycle before reaching a state that draws.
+
+    ``succ[s]`` is the one successor of s, or None where s draws. From a
+    settled state the rest of the walk draws nothing. Each state is
+    followed once.
+    """
+    settled = [False] * len(succ)
+    reached_from: list[int | None] = [None] * len(succ)
+    for first in range(len(succ)):
+        chain = []
+        s = first
+        while succ[s] is not None and reached_from[s] is None:
+            reached_from[s] = first
+            chain.append(s)
+            s = succ[s]
+        # s draws, closes a cycle in this chain, or was decided by an earlier one
+        if succ[s] is not None and (reached_from[s] == first or settled[s]):
+            for t in chain:
+                settled[t] = True
+    return settled
 
 
 def _walk(
     mdp: Mdp, policy: Policy, x: str, steps: int, seed: int, record: bool
 ) -> tuple[list[int] | None, SimulationReport]:
-    """The walk behind ``simulate``; the state path is kept only if ``record``."""
+    """The walk behind ``simulate``; the state path is kept only if ``record``.
+
+    The walk goes one step at a time until it reaches a settled state,
+    from which it draws nothing more. From there it is walked until the
+    budget runs out or a state repeats, and the cycle that closes is gone
+    round in closed form.
+    """
     if steps < 1:
         raise InputError("steps must be >= 1")
     if steps > MAX_STEPS:
@@ -281,22 +316,42 @@ def _walk(
             cumulative += p
             thresholds.append((cumulative.numerator * _SCALE) // cumulative.denominator)
         samplers.append((tuple(j for j, _ in row), thresholds))
+    succ = [row[0][0] if len(row) == 1 else None for row in analysis.chain]
+    settled = _settled(succ)
 
-    rng = random.Random(seed)
+    rng = Random(seed)
     counts = [0] * mdp.num_states
     path: list[int] | None = [] if record else None
-    for _ in range(steps - 1):
+    remaining = steps  # states still to visit, this one included
+    while remaining > 1 and not settled[state]:
         if record:
             path.append(state)
         counts[state] += 1
+        remaining -= 1
         targets, thresholds = samplers[state]
         if len(targets) == 1:
             state = targets[0]
         else:
             state = targets[bisect_right(thresholds, rng.getrandbits(_SCALE_BITS))]
+
+    # The rest draws nothing: walk it until the budget runs out or a state repeats.
+    position: dict[int, int] = {}
+    while state not in position:
+        position[state] = len(position)
+        counts[state] += 1
+        remaining -= 1
+        if not remaining:
+            break
+        state = succ[state]
     if record:
-        path.append(state)
-    counts[state] += 1
+        path.extend(position)
+    if remaining:  # state closed a cycle; the walk ends on it, in its class
+        cycle = list(position)[position[state]:]
+        laps, extra = divmod(remaining, len(cycle))
+        for i, s in enumerate(cycle):
+            counts[s] += laps + (i < extra)
+        if record:
+            path.extend(itertools.islice(itertools.cycle(cycle), remaining))
 
     total_r = ZERO
     total_c = [ZERO] * mdp.constraint_dim

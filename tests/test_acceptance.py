@@ -23,6 +23,7 @@ from cmdpkit.samplepath import (
     samplepath_feasible,
     selective_convert,
     simulate,
+    simulation_report,
 )
 from cmdpkit.solver import solve
 from randmdp import random_decomposable, random_mdp, random_policy
@@ -253,7 +254,7 @@ def test_criterion_11_simulator_statistics(haviv, haviv_a):
         steps = 100_000
         bad = [haviv.state_index(s) for s in ("c1_0", "c2_0", "c3_0")]
         for seed in range(20):
-            _, report = simulate(haviv, haviv_a, "x", steps, seed)
+            report = simulation_report(haviv, haviv_a, "x", steps, seed)
             target = F(1, 5) if "c1_0" in report.absorbed_class else F(1, 20)
             freq = sum(report.visit_frequency[i] for i in bad)
             bound = 4 * math.sqrt(float(target) * (1 - float(target)) / steps)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from cmdpkit import instances
-from cmdpkit.model import instance_to_json, load_instance, validate
+from cmdpkit.model import InputError, instance_to_json, load_instance, validate
 
 F = Fraction
 
@@ -46,6 +46,12 @@ def test_squander_rejects_bad_eps():
         instances.squander(F(0))
     with pytest.raises(ValueError):
         instances.squander(F(3, 2))
+
+
+def test_eps_out_of_range_is_an_input_error():
+    for builder, eps in ((instances.squander, F(2)), (instances.yacht, F(0))):
+        with pytest.raises(InputError, match="eps must lie strictly between 0 and 1"):
+            builder(eps)
 
 
 def test_squander_eps_appears_in_kernel():

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from cmdpkit import samplepath
 from cmdpkit.chains import absorption_map
 from cmdpkit.evaluation import evaluate
 from cmdpkit.model import Policy, induced_chain, parse_instance
@@ -24,7 +25,7 @@ from cmdpkit.samplepath import (
     trans_policy_decomposition,
 )
 from cmdpkit.solver import solve
-from randmdp import random_decomposable, random_mdp, random_policy
+from randmdp import lazy_variant, random_decomposable, random_mdp, random_policy
 
 F = Fraction
 
@@ -279,7 +280,7 @@ def test_simulate_trajectory_respects_kernel(haviv, haviv_a):
 
 def test_simulate_deterministic_cycle_matches_stationary_exactly(haviv, haviv_a):
     # starting inside the 5-cycle, any multiple of 5 steps gives frequency 1/5
-    _, report = simulate(haviv, haviv_a, "c1_0", 500, 0)
+    report = simulation_report(haviv, haviv_a, "c1_0", 500, 0)
     s = haviv.state_index("c1_0")
     assert report.visit_frequency[s] == F(1, 5)
     assert report.absorbed_class == tuple(f"c1_{k}" for k in range(5))
@@ -290,7 +291,7 @@ def test_simulate_empirical_frequency_near_conditional_target(haviv, haviv_a):
     bad = [haviv.state_index(s) for s in ("c1_0", "c2_0", "c3_0")]
     steps = 20_000
     for seed in range(6):
-        _, report = simulate(haviv, haviv_a, "x", steps, seed)
+        report = simulation_report(haviv, haviv_a, "x", steps, seed)
         target = F(1, 5) if "c1_0" in report.absorbed_class else F(1, 20)
         freq = sum(report.visit_frequency[i] for i in bad)
         tolerance = 3 * math.sqrt(float(target) * (1 - float(target)) / steps)
@@ -301,7 +302,7 @@ def test_simulate_absorption_fractions_match_analytic(haviv, haviv_a):
     seeds = range(20)
     into_first = 0
     for seed in seeds:
-        _, report = simulate(haviv, haviv_a, "x", 200, seed)
+        report = simulation_report(haviv, haviv_a, "x", 200, seed)
         if "c1_0" in report.absorbed_class:
             into_first += 1
     expected = absorption_map(induced_chain(haviv, haviv_a))[
@@ -358,7 +359,41 @@ def peak_traced_bytes(call):
 
 
 def test_simulation_report_memory_does_not_grow_with_steps(haviv, haviv_a):
-    short = peak_traced_bytes(lambda: simulation_report(haviv, haviv_a, "x", 10_000, 3))
-    long = peak_traced_bytes(lambda: simulation_report(haviv, haviv_a, "x", 200_000, 3))
-    # a recorded path alone would add at least 8 bytes per step, 1.5 MB here
-    assert long - short < 64 * 1024
+    # haviv draws once and then cycles in closed form; its lazy variant
+    # draws at every step, so the walk visits each step
+    for mdp in (haviv, lazy_variant(haviv, F(1, 1009))):
+        short = peak_traced_bytes(lambda: simulation_report(mdp, haviv_a, "x", 10_000, 3))
+        long = peak_traced_bytes(lambda: simulation_report(mdp, haviv_a, "x", 200_000, 3))
+        # a recorded path alone would add at least 8 bytes per step, 1.5 MB here
+        assert long - short < 64 * 1024
+
+
+def test_a_walk_at_the_step_limit_goes_round_its_cycle_in_closed_form(haviv, haviv_a, monkeypatch):
+    calls = []
+
+    class CountingRandom(random.Random):
+        def getrandbits(self, k):
+            calls.append(k)
+            return super().getrandbits(k)
+
+    monkeypatch.setattr(samplepath, "Random", CountingRandom)
+    absorbed = set()
+    for seed in range(4):
+        calls.clear()
+        report = simulation_report(haviv, haviv_a, "x", MAX_STEPS, seed)
+        # x draws once; the deterministic rest costs no draw and no step
+        assert calls == [64]
+        expected = dict.fromkeys(haviv.states, 0)
+        expected["x"] = 1
+        cycle = report.absorbed_class
+        if cycle[0] == "c1_0":
+            left = MAX_STEPS - 1
+        else:
+            expected["y"] = 1
+            left = MAX_STEPS - 2
+        laps, extra = divmod(left, len(cycle))
+        for i, state in enumerate(cycle):
+            expected[state] = laps + (i < extra)
+        assert report.visit_counts == tuple(expected.values())
+        absorbed.add(cycle[0])
+    assert absorbed == {"c1_0", "c2_0"}
