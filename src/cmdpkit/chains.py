@@ -24,10 +24,10 @@ absorption probabilities are exact rationals from sparse elimination:
   state's action its integer row over the decision states and the fixed
   classes (closed classes made only of single-action states): the hitting
   distribution, then the expected reward, constraint and step totals until
-  the hit. These are the rows the solver's walk eliminates its decision
-  states from, one at a time (the stochastic complement; Meyer 1989, SIAM
-  Review 31(2)); a fixed class is an absorbing column with its gain solved
-  once;
+  the hit. The solver's walk turns each row into one integer equation and
+  eliminates its decision states from them by ``lp.eliminate``, one at a
+  time (the stochastic complement; Meyer 1989, SIAM Review 31(2)); a fixed
+  class is an absorbing column with its gain solved once;
 - one gain formula serves the full chains and the fixed classes:
   ``class_sums`` weighs a class's members' integer totals by its
   stationary vector, and ``ratio_gain`` divides the reward and constraint
@@ -37,8 +37,8 @@ absorption probabilities are exact rationals from sparse elimination:
 The elimination runs on integers only. Each equation is scaled by the
 lcm of the denominators in its row, so every coefficient is an integer;
 ``_sparse_solve`` updates rows by ``lp.eliminate``, the fraction-free
-step the simplex uses too, and returns numerators over one common
-denominator. Each system has a unique solution, so the values do not
+step the simplex and the solver's walk use too, and returns numerators
+over one common denominator. Each system has a unique solution, so the values do not
 depend on the pivot order. ``Fraction``s appear only at the boundary:
 reading the chain's probabilities and building the returned vectors;
 ``censor`` returns its rows as integers.

@@ -121,7 +121,7 @@ def _cmd_solve(args) -> CommandOutcome:
 def _cmd_evaluate(args) -> CommandOutcome:
     mdp = load_instance(args.file)
     policy = _parse_policy(mdp, args.policy)
-    start = args.start if args.start else mdp.initial_state
+    start = mdp.initial_state if args.start is None else args.start
     report = evaluate(mdp, policy, start)
     doc = {
         "start": start,

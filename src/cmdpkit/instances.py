@@ -82,6 +82,37 @@ def haviv(bound: Fraction = Fraction(1, 8)) -> Mdp:
     return _build(1, "x", states)
 
 
+def _lottery(
+    eps: Fraction, y_actions: tuple[str, str], cycles: list[tuple[int, int]], bad: set[str]
+) -> Mdp:
+    """The lottery models: x wins (reaches y) with probability ``eps``, else z.
+
+    y's two actions, named ``y_actions``, enter cycles c1 and c2; z's "buy"
+    and "save" enter c3 and c4. ``cycles`` gives each ci's (length, reward),
+    ``bad`` its bad states; the bad-state frequency bound is 0.3.
+    """
+    if not 0 < eps < 1:
+        raise InputError("eps must lie strictly between 0 and 1")
+    bound = Fraction(3, 10)
+    cons = lambda label: [bound - (1 if label in bad else 0)]
+    states = [
+        {"id": "x", "actions": [
+            _action("lottery", 0, cons("x"), {"y": eps, "z": 1 - eps}),
+        ]},
+        {"id": "y", "actions": [
+            _action(y_actions[0], 0, cons("y"), {"c1_0": ONE}),
+            _action(y_actions[1], 0, cons("y"), {"c2_0": ONE}),
+        ]},
+        {"id": "z", "actions": [
+            _action("buy", 0, cons("z"), {"c3_0": ONE}),
+            _action("save", 0, cons("z"), {"c4_0": ONE}),
+        ]},
+    ]
+    for i, (length, reward) in enumerate(cycles, 1):
+        states += _cycle_states(f"c{i}_", length, reward, cons)
+    return _build(1, "x", states)
+
+
 def squander(eps: Fraction = Fraction(1, 10)) -> Mdp:
     """Lottery model: a rarely reached state accumulates constraint slack.
 
@@ -97,29 +128,10 @@ def squander(eps: Fraction = Fraction(1, 10)) -> Mdp:
     at y stays feasible from x (and is feasible in the residual problem at
     y) exactly when eps <= 1/8.
     """
-    if not 0 < eps < 1:
-        raise InputError("eps must lie strictly between 0 and 1")
-    bound = Fraction(3, 10)
-    bad = {"c1_0", "c2_0", "c2_1", "c2_2", "c3_0", "c3_1", "c4_0"}
-    cons = lambda label: [bound - (1 if label in bad else 0)]
-    states = [
-        {"id": "x", "actions": [
-            _action("lottery", 0, cons("x"), {"y": eps, "z": 1 - eps}),
-        ]},
-        {"id": "y", "actions": [
-            _action("squander", 0, cons("y"), {"c1_0": ONE}),
-            _action("save", 0, cons("y"), {"c2_0": ONE}),
-        ]},
-        {"id": "z", "actions": [
-            _action("buy", 0, cons("z"), {"c3_0": ONE}),
-            _action("save", 0, cons("z"), {"c4_0": ONE}),
-        ]},
-        {"id": "c1_0", "actions": [_action("move", 50, cons("c1_0"), {"c1_0": ONE})]},
-    ]
-    states += _cycle_states("c2_", 10, 10, cons)
-    states += _cycle_states("c3_", 5, 40, cons)
-    states += _cycle_states("c4_", 5, 5, cons)
-    return _build(1, "x", states)
+    return _lottery(
+        eps, ("squander", "save"), [(1, 50), (10, 10), (5, 40), (5, 5)],
+        {"c1_0", "c2_0", "c2_1", "c2_2", "c3_0", "c3_1", "c4_0"},
+    )
 
 
 def yacht(eps: Fraction = Fraction(1, 10)) -> Mdp:
@@ -132,29 +144,10 @@ def yacht(eps: Fraction = Fraction(1, 10)) -> Mdp:
     states (0.4, reward 40), saving a 5-cycle (0.2, reward 10). Bound 0.3:
     buying is sample-path feasible after winning the lottery but never at z.
     """
-    if not 0 < eps < 1:
-        raise InputError("eps must lie strictly between 0 and 1")
-    bound = Fraction(3, 10)
-    bad = {"c1_0", "c2_0", "c3_0", "c3_1", "c4_0"}
-    cons = lambda label: [bound - (1 if label in bad else 0)]
-    states = [
-        {"id": "x", "actions": [
-            _action("lottery", 0, cons("x"), {"y": eps, "z": 1 - eps}),
-        ]},
-        {"id": "y", "actions": [
-            _action("buy", 0, cons("y"), {"c1_0": ONE}),
-            _action("save", 0, cons("y"), {"c2_0": ONE}),
-        ]},
-        {"id": "z", "actions": [
-            _action("buy", 0, cons("z"), {"c3_0": ONE}),
-            _action("save", 0, cons("z"), {"c4_0": ONE}),
-        ]},
-    ]
-    states += _cycle_states("c1_", 5, 50, cons)
-    states += _cycle_states("c2_", 10, 30, cons)
-    states += _cycle_states("c3_", 5, 40, cons)
-    states += _cycle_states("c4_", 5, 10, cons)
-    return _build(1, "x", states)
+    return _lottery(
+        eps, ("buy", "save"), [(5, 50), (10, 30), (5, 40), (5, 10)],
+        {"c1_0", "c2_0", "c3_0", "c3_1", "c4_0"},
+    )
 
 
 def twochain() -> Mdp:

@@ -29,9 +29,10 @@ to rescaling that artificial's column by the positive row factor; then
 every row, the reduced-cost row included, is divided by the gcd of its
 entries, so that each starts primitive. A pivot updates every row that
 holds the entering column by ``eliminate``, the fraction-free step it
-shares with ``chains._sparse_solve``: each row stays a primitive positive
-multiple of the rational row, a row without the column is left as it is,
-and a row can clear completely. Positive row factors change neither the
+shares with ``chains._sparse_solve`` and the solver's canonical walk
+(``solver._rows``): each row stays a primitive positive multiple of the
+rational row, a row without the column is left as it is, and a row can
+clear completely. Positive row factors change neither the
 sign of a reduced cost nor a ratio rhs_r / a_r, in which a row's factor
 cancels, and positive column factors rescale every ratio of one test
 alike. So Bland's rule takes the pivots, with the same ties, that a
@@ -87,7 +88,9 @@ def eliminate(row: dict[int, int], pivot_row: dict[int, int], column: int) -> No
     """Clear ``column`` from ``row`` with ``pivot_row``, fraction-free, in place.
 
     The one exact row update of the package (Edmonds 1967; Bareiss 1968),
-    shared by the simplex and ``chains._sparse_solve``. With p the pivot
+    shared by the simplex, ``chains._sparse_solve`` and the solver's
+    canonical walk, which eliminates each decision state as it fixes its
+    action (``solver._rows``). With p the pivot
     entry, f the row's entry in ``column`` and g = gcd(p, f), the row
     becomes (p/g) row - (f/g) pivot_row, the signs taken so that the row's
     factor is positive; ``column`` cancels and its entry is deleted, as is

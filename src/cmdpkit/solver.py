@@ -17,16 +17,18 @@ with a choice (``chains.censor``): the single-action states are
 eliminated once, leaving integer rows over the decision states and the
 fixed classes (closed classes of single-action states, whose gain is
 solved once), each with the reward, constraint and step totals it
-collects until the next node. The walk then eliminates each decision
-state as it fixes its action (the stochastic complement taken one state
-at a time; Meyer 1989, SIAM Review 31(2); Grassmann, Taksar & Heyman
-1985, Oper. Res. 33(5)): the node's row loses its self-loop and is
-substituted into the rows still open, totals included. A row whose
-self-loop has mass 1 closes a recurrent class of the policy's chain; its
-gain is the semi-Markov ratio of the summed reward to the summed steps
-(Puterman 1994, ch. 11), W the same with the constraint, and the node
-stays as an absorbing column. When no open node is left to reach, each
-start row is a distribution over the classes, and V and W are its mix of
+collects until the next node. The walk holds each row as one integer
+equation and eliminates each decision state as it fixes its action (the
+stochastic complement taken one state at a time; Meyer 1989, SIAM Review
+31(2); Grassmann, Taksar & Heyman 1985, Oper. Res. 33(5)): the node's
+equation is the pivot, and ``lp.eliminate``, the package's one exact row
+update, clears the node's column from the equations still open, totals
+included. A node whose own column has cleared (its self-loop has mass 1)
+closes a recurrent class of the policy's chain; its gain is the
+semi-Markov ratio of the summed reward to the summed steps (Puterman
+1994, ch. 11), W the same with the constraint, and the node stays as an
+absorbing column. When no open node is left to reach, each start
+equation is a distribution over the classes, and V and W are its mix of
 the class gains. These are exactly the V and W of the policy's full
 chain, with no decomposition, stationary or absorption solve per policy.
 
@@ -45,10 +47,11 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, Iterator
 
 from cmdpkit import chains
+from cmdpkit.lp import eliminate
 from cmdpkit.model import InputError, Mdp, Policy, UnknownStateError
 
 ENUM_CAP_ENV = "CMDPKIT_ENUM_CAP"
@@ -141,58 +144,38 @@ class TableRow:
     count: int
 
 
-def _lowest_terms(numerators: dict[int, int], denominator: int) -> chains.Row:
-    g = gcd(denominator, *numerators.values())
-    if g > 1:
-        return {c: x // g for c, x in numerators.items()}, denominator // g
-    return numerators, denominator
+def _equation(row: chains.Row, column: int) -> dict[int, int]:
+    """x_column = ``row`` as one integer equation: (D - q) x_column - sum N_c x_c.
 
-
-def _leave(row: chains.Row, k: int) -> chains.Row:
-    """Node k's row with its self-loop removed: divided by 1 - q, q < 1 its mass on k.
-
-    The result is the distribution of the first other node entered from k,
-    with the totals collected until then (geometrically many returns to k).
+    q is the row's mass on ``column``; a column whose coefficient is 0 is
+    absent, so the equation of a row with self-mass 1 lacks its own column.
     """
     numerators, denominator = row
-    q = numerators.get(k)
-    if not q:
-        return row
-    return _lowest_terms({c: x for c, x in numerators.items() if c != k}, denominator - q)
+    equation = {c: -x for c, x in numerators.items()}
+    own = denominator - numerators.get(column, 0)
+    if own:
+        equation[column] = own
+    else:
+        del equation[column]
+    return equation
 
 
-def _substitute(row: chains.Row, k: int, by: chains.Row) -> chains.Row:
-    """``row`` with node k eliminated: its mass on k is replaced by that mass times ``by``.
-
-    ``by`` is k's row without its self-loop (``_leave``), so every column,
-    the totals included, gains the mass on k times ``by``'s entry.
-    """
-    numerators, denominator = row
-    into, d = by
-    mass = numerators[k]
-    g = gcd(mass, d)
-    scale, mass = d // g, mass // g
-    out = {c: x * scale for c, x in numerators.items()} if scale != 1 else dict(numerators)
-    del out[k]
-    for c, x in into.items():
-        total = out.get(c, 0) + mass * x
-        if total:
-            out[c] = total
-        else:
-            del out[c]
-    return _lowest_terms(out, denominator * scale)
+def _eliminated(row: dict[int, int], pivot: dict[int, int], k: int) -> dict[int, int]:
+    row = dict(row)
+    eliminate(row, pivot, k)
+    return row
 
 
-def _mix(row: chains.Row, gains: dict[int, list[int]], nodes: int) -> chains.Gain:
-    """V and W of a start row that is a distribution over classes.
+def _mix(start: dict[int, int], gains: dict[int, list[int]], denominator: int) -> chains.Gain:
+    """V and W of a start equation whose open columns are all classes.
 
     ``gains[c]`` is class column c's ``[reward, *constraint, steps]`` sums,
-    whose ratios to the last entry are the gains; the totals columns
-    (``nodes`` and up) are skipped. The sums are brought over one lcm of the
-    step sums, so each value is one ``Fraction``.
+    whose ratios to the last entry are the gains; the start reaches class c
+    with probability -start[c] / ``denominator``, and its totals columns
+    are skipped. The sums are brought over one lcm of the step sums, so
+    each value is one ``Fraction``.
     """
-    numerators, denominator = row
-    classes = [(p, gains[c]) for c, p in numerators.items() if c < nodes]
+    classes = [(-p, gains[c]) for c, p in start.items() if c in gains]
     scale = lcm(*(sums[-1] for _, sums in classes))
     mixed = [0] * (len(classes[0][1]) - 1)
     for p, (*sums, steps) in classes:
@@ -206,52 +189,56 @@ def _rows(mdp: Mdp, indices: list[int]) -> Iterator[TableRow]:
     """Every canonical policy, analysed once, in depth-first order.
 
     The walk runs on the censored chain (``chains.censor``), built once per
-    pass, and carries, at each of its nodes, the integer rows that are
+    pass, and carries, at each of its nodes, the integer equations that are
     still open: every action row of each decision node not yet fixed, and
     one row per start state, each over the open nodes and the classes with
-    the totals collected on the way. It branches on the lowest-index open
-    decision node that a start row puts mass on. Fixing action a there
-    takes its row; with self-mass q < 1 the row is divided by 1 - q and
-    substituted into the start rows and, unless that completes the
-    policy, into every other open node's rows. With q = 1 the node closes
-    a class: its gains are the ratios of its reward and constraint totals
-    to its step total, and it stays an absorbing column. A policy is
-    complete when no start row reaches an open node, with action 0
-    elsewhere; each start row is then a distribution over the classes
-    (the fixed classes and the closed nodes), and V and W are its mix of
-    their gains.
+    the totals collected on the way (``_equation``; a start row's
+    denominator is the coefficient of one pseudo column after the totals).
+    It branches on the lowest-index open decision node that a start row
+    puts mass on. Fixing action a there takes its equation as the pivot: if
+    its own column is present (self-mass below 1), ``lp.eliminate`` clears
+    that column from the start rows and, unless that completes the policy,
+    from every other open node's rows. If its own column has cleared
+    (self-mass 1), the node closes a class: its gains are the ratios of its
+    negated reward and constraint totals to its negated step total, and it
+    stays an absorbing column. A policy is complete when no start row
+    reaches an open node, with action 0 elsewhere; each start row is then a
+    distribution over the classes (the fixed classes and the closed nodes),
+    and V and W are its mix of their gains.
     """
     _check_cap(mdp)
     censored = chains.censor(mdp)
     decision = len(censored.decision)
     nodes = decision + len(censored.fixed)
     totals = range(nodes, nodes + 2 + mdp.constraint_dim)
+    pseudo = totals.stop
     counts = [len(mdp.actions[s]) for s in censored.decision]
     options = _options(mdp)
     # Each stack item: a walk node, as the actions fixed so far by decision
-    # node, the action rows by node (read only for open nodes), the start
-    # rows and the class sums by class column; then the open node to fix
-    # and its action, or -1 at the root.
-    root = ({}, censored.rows, [censored.entry[i] for i in indices],
+    # node, the action equations by node (read only for open nodes), the
+    # start equations and the class sums by class column; then the open
+    # node to fix and its action, or -1 at the root.
+    root = ({}, [tuple(_equation(row, k) for row in actions)
+                 for k, actions in enumerate(censored.rows)],
+            [_equation(censored.entry[i], pseudo) for i in indices],
             dict(enumerate(censored.fixed_gains, decision)))
     stack = [(root, -1, 0)]
     while stack:
         (fixed, rows, starts, gains), k, a = stack.pop()
-        leaving = None
+        pivot = None
         if k >= 0:
             fixed = {**fixed, k: a}
-            row = rows[k][a]
-            if row[0].get(k) == row[1]:
-                gains = {**gains, k: [row[0].get(c, 0) for c in totals]}
-            else:
-                leaving = _leave(row, k)
-                starts = [_substitute(start, k, leaving) if k in start[0] else start
+            if k in rows[k][a]:
+                pivot = rows[k][a]
+                starts = [_eliminated(start, pivot, k) if k in start else start
                           for start in starts]
-        reached = [c for start, _ in starts for c in start if c < decision and c not in gains]
+            else:
+                gains = {**gains, k: [-rows[k][a].get(c, 0) for c in totals]}
+        reached = [c for start in starts for c in start if c < decision and c not in gains]
         if not reached:
             key = tuple(fixed.get(j, 0) for j in range(decision))
             action = dict(zip(censored.decision, key))
-            values = [_mix(start, gains, nodes) for start in starts]
+            values = [_mix(start, gains, start[pseudo]) for start in starts]
             yield TableRow(
                 policy=Policy(choice=tuple(
                     pairs[action.get(s, 0)] for s, pairs in enumerate(options)
@@ -262,10 +249,10 @@ def _rows(mdp: Mdp, indices: list[int]) -> Iterator[TableRow]:
                 count=math.prod(counts[j] for j in range(decision) if j not in fixed),
             )
             continue
-        if leaving is not None:
+        if pivot is not None:
             rows = [
                 actions if j in fixed else tuple(
-                    _substitute(r, k, leaving) if k in r[0] else r for r in actions
+                    _eliminated(r, pivot, k) if k in r else r for r in actions
                 )
                 for j, actions in enumerate(rows)
             ]

@@ -7,7 +7,8 @@ chain and analyses each one's full induced chain. Sorted by key, the rows
 must be equal one by one (policy, key, V, W, count), with every value a
 ``Fraction``. In walk order, the rows must equal
 ``solver_oracle.leaf_rows``, the same walk analysing each leaf's embedded
-chain on its own. Every ``solve`` and ``PolicyTable.solve`` must also
+chain on its own, with every row update of the walk checked against the
+rational one (``lp_oracle.checked_eliminate``). Every ``solve`` and ``PolicyTable.solve`` must also
 equal ``solver_oracle.best`` over ``solver_oracle.enumerated_rows``, the
 pass that kept the first best row in ``enumerate_policies`` order.
 
@@ -27,8 +28,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lp_oracle
 import solver_oracle
-from cmdpkit import chains, evaluation, instances, model
+from cmdpkit import chains, evaluation, instances, model, solver
 from cmdpkit.solver import PolicyTable, _rows, solve
 from dense_oracle import dense_kernel, sparse_kernel
 from randmdp import lazy_variant, random_decomposable, random_mdp, random_row
@@ -117,8 +119,10 @@ def test_walk_rows_equal_the_per_leaf_rows_in_walk_order(stratum, dim, seed, laz
     mdp = draw_model(rng, stratum, dim)
     if lazy is not None:
         mdp = lazy_variant(mdp, Fraction(rng.randint(1, lazy // 2), lazy))
-    for starts in ([rng.randrange(mdp.num_states)], draw_starts(rng, mdp)):
-        assert list(_rows(mdp, starts)) == list(solver_oracle.leaf_rows(mdp, starts))
+    # Every row update of the walk is checked against the rational one.
+    with mock.patch.object(solver, "eliminate", lp_oracle.checked_eliminate):
+        for starts in ([rng.randrange(mdp.num_states)], draw_starts(rng, mdp)):
+            assert list(_rows(mdp, starts)) == list(solver_oracle.leaf_rows(mdp, starts))
 
 
 def assert_solves_equal_the_enumerated_pass(

@@ -152,6 +152,15 @@ def test_evaluate_policy_b(instances_dir):
     assert doc["W"] == ["1/40"]
 
 
+def test_an_empty_start_is_an_unknown_state_for_solve_and_evaluate(instances_dir):
+    for argv in (["solve", haviv_path(instances_dir), "--start", ""],
+                 ["evaluate", haviv_path(instances_dir), "--policy", "y=a", "--start", ""]):
+        out = invoke(*argv)
+        assert (out.exit_code, out.report, out.error) == (
+            2, "", "cmdpkit: error: unknown state ''\n"
+        )
+
+
 def test_samplepath_haviv(instances_dir):
     out = invoke("samplepath", haviv_path(instances_dir), "--policy", "y=a")
     assert out.exit_code == 1
