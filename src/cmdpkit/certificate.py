@@ -24,8 +24,8 @@ verdicts, the gain value and residuals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from cmdpkit import chains, lp
 from cmdpkit.evaluation import ClassGain, analyse_policy, evaluate
@@ -46,8 +46,7 @@ class CertificateSearchError(RuntimeError):
     """Internal failure: a certificate the search found fails its own check."""
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Witness (mu, gain, potential) for conditions A1-A5.
 
     ``potential`` is total on the all-policies reachable closure of the
@@ -59,8 +58,7 @@ class Certificate:
     potential: dict[str, Fraction]
 
 
-@dataclass(frozen=True)
-class CertificateReport:
+class CertificateReport(NamedTuple):
     """Per-condition verdicts plus the Bellman slack of every state-action pair.
 
     ``bellman_residuals[(s, a)]`` is (gain + L(s)) minus the Lagrangian
@@ -78,8 +76,7 @@ class CertificateReport:
     first_failure: str | None
 
 
-@dataclass(frozen=True)
-class CertificateUnsat:
+class CertificateUnsat(NamedTuple):
     """Negative search outcome with the evidence that rules a certificate out.
 
     ``stage`` is "feasibility" when A1 already fails, "class-gains" when the

@@ -49,10 +49,9 @@ calls; callers that need a chain's analysis more than once hold on to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from cmdpkit.lp import eliminate
 from cmdpkit.model import (
@@ -69,8 +68,7 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class ChainDecomposition:
+class ChainDecomposition(NamedTuple):
     """Partition of the state indices of a chain.
 
     ``recurrent_classes`` are sorted by smallest member index, members
@@ -427,8 +425,7 @@ def ratio_gain(pi: Sequence[Fraction], totals: Sequence[Totals]) -> Gain:
     return Fraction(reward, steps), tuple(Fraction(c, steps) for c in constraint)
 
 
-@dataclass(frozen=True)
-class CensoredChain:
+class CensoredChain(NamedTuple):
     """A model's chain censored onto its decision states, for every policy.
 
     States with one action have the same row under every policy, so they

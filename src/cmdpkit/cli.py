@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from cmdpkit import certificate as certificate_mod
 from cmdpkit import residual as residual_mod
@@ -41,8 +40,7 @@ from cmdpkit.model import (
 from cmdpkit.solver import PolicyTable, SolveResult, solve
 
 
-@dataclass(frozen=True)
-class CommandOutcome:
+class CommandOutcome(NamedTuple):
     exit_code: int
     report: str
     error: str = ""
@@ -105,7 +103,7 @@ def _cmd_validate(args) -> CommandOutcome:
     try:
         load_instance(args.file)
     except ValidationError as exc:
-        violations = [asdict(v) for v in exc.report.violations]
+        violations = [v._asdict() for v in exc.report.violations]
         return CommandOutcome(1, render_json({"valid": False, "violations": violations}))
     return CommandOutcome(0, render_json({"valid": True, "violations": []}))
 
@@ -215,7 +213,7 @@ def _cmd_certify(args) -> CommandOutcome:
     mu = tuple(
         parse_rational(part) for part in args.mu.split(",")
     ) if args.mu else ()
-    if args.potential:
+    if args.potential is not None:
         potential = read_json(args.potential, _potential)
     else:
         closure = reachable_states(mdp, None, mdp.initial_state)
@@ -225,7 +223,7 @@ def _cmd_certify(args) -> CommandOutcome:
     residuals: dict[str, dict[str, str]] = {}
     for (state, action), gap in report.bellman_residuals.items():
         residuals.setdefault(state, {})[action] = _rat(gap)
-    doc = {**asdict(report), "bellman_residuals": residuals}
+    doc = {**report._asdict(), "bellman_residuals": residuals}
     return CommandOutcome(0 if report.verdict == "pass" else 1, render_json(doc))
 
 
@@ -375,8 +373,7 @@ def _cmd_simulate(args) -> CommandOutcome:
 # terminal.
 
 
-@dataclass(frozen=True)
-class _Option:
+class _Option(NamedTuple):
     """A long option; ``kind`` str or int takes one value, bool is a switch."""
 
     flag: str
@@ -393,8 +390,7 @@ class _Option:
         return self.flag if self.kind is bool else f"{self.flag} {self.dest.upper()}"
 
 
-@dataclass(frozen=True)
-class _Command:
+class _Command(NamedTuple):
     """A subcommand: its handler, its help line and its options; each takes FILE."""
 
     handler: Callable[[SimpleNamespace], CommandOutcome]

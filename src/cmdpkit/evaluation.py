@@ -20,8 +20,8 @@ decomposition's transient components.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from cmdpkit import chains
 from cmdpkit.model import Chain, Mdp, Policy, induced_chain
@@ -29,8 +29,7 @@ from cmdpkit.model import Chain, Mdp, Policy, induced_chain
 ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class ClassGain:
+class ClassGain(NamedTuple):
     """Stationary averages of reward and constraint over one recurrent class."""
 
     states: tuple[str, ...]
@@ -38,8 +37,7 @@ class ClassGain:
     constraint_gain: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
+class EvaluationReport(NamedTuple):
     """V and W at a start state, with the per-class gains behind them.
 
     Identity: V = sum over classes of absorption * reward_gain, and the
@@ -52,8 +50,7 @@ class EvaluationReport:
     absorption: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class PolicyAnalysis:
+class PolicyAnalysis(NamedTuple):
     """A policy's induced chain and everything its V and W are mixed from.
 
     ``chain`` holds the model's shared successor rows; ``stationary[c]`` is

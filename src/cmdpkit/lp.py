@@ -53,10 +53,9 @@ tolerance anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 ZERO = Fraction(0)
 
@@ -67,8 +66,7 @@ GE = ">="
 RHS = -1  # the key of a row's right-hand side
 
 
-@dataclass(frozen=True)
-class LinearConstraint:
+class LinearConstraint(NamedTuple):
     coeffs: tuple[tuple[int, Fraction], ...]
     sense: str
     rhs: Fraction

@@ -6,11 +6,15 @@ constraint vector per (state, action). Every numeric quantity is a
 ``fractions.Fraction``; instance documents carry numbers as strings
 ("0.125" or "1/8") so that no binary float is ever involved.
 
-All types here are frozen dataclasses built from tuples. ``Mdp`` and
-``Policy`` each build their label lookup map once, at construction, in a
-field that equality and hashing ignore; no analysis is keyed by hashing a
-model. The kernel is held only as sparse successor rows (``Successors``),
-built straight from each document's ``transitions`` object: parsing,
+``Mdp`` and ``Policy`` are frozen dataclasses built from tuples. Each
+builds its label lookup map once, at construction, in a field that
+equality and hashing ignore; no analysis is keyed by hashing a model.
+Every other record of the package, here and in the other modules, is a
+``typing.NamedTuple``: immutable, and much cheaper than a dataclass to
+define at import, which every cold command pays.
+
+The kernel is held only as sparse successor rows (``Successors``), built
+straight from each document's ``transitions`` object: parsing,
 ``validate``, ``serialize_instance`` and every chain analysis read those
 rows, and no dense transition row is ever built.
 """
@@ -24,6 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import lcm
+from typing import NamedTuple
 
 
 class InputError(ValueError):
@@ -227,8 +232,7 @@ def validate_policy(mdp: Mdp, policy: Policy) -> None:
         raise PolicyError(f"policy names unknown states: {sorted(extra)}")
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """Realized state sequence X_0 .. X_{T-1} with its generating seed."""
 
     states: tuple[str, ...]
@@ -239,16 +243,14 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 # validation
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str
     state: str | None
     action: str | None
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[Violation, ...]
 
     @property

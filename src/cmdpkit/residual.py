@@ -19,9 +19,9 @@ y exactly when W(y) - slack >= 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from cmdpkit import chains
 from cmdpkit.certificate import Certificate, find_certificate
@@ -44,8 +44,7 @@ class InfeasibleStartError(ValueError):
         self.result = result
 
 
-@dataclass(frozen=True)
-class ResidualSpec:
+class ResidualSpec(NamedTuple):
     """Slack C consumed in moving from ``source`` to ``target`` at ``time``.
 
     Invariant (exact): W(source) = (W(target) - slack) * prob_to plus the
@@ -134,8 +133,7 @@ def build_residual_problem(mdp: Mdp, spec: ResidualSpec) -> Mdp:
     return replace(mdp, constraints=shifted, initial_state=spec.target)
 
 
-@dataclass(frozen=True)
-class AuditEntry:
+class AuditEntry(NamedTuple):
     """Audit of one reachable (state, time) pair.
 
     ``consistent`` captures decision regret: it is False exactly when the
@@ -165,8 +163,7 @@ class AuditEntry:
     identity: str  # "verified" | "failed" | "not-applicable-no-certificate"
 
 
-@dataclass(frozen=True)
-class ConsistencyAuditReport:
+class ConsistencyAuditReport(NamedTuple):
     start: str
     policy: Policy
     value: Fraction

@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
+from typing import NamedTuple
 
 from cmdpkit import chains
 from cmdpkit.evaluation import analyse_policy
@@ -38,8 +39,7 @@ class NotDecomposableError(ValueError):
     """The recurrent-class structure varies across policies."""
 
 
-@dataclass(frozen=True)
-class SamplePathVerdict:
+class SamplePathVerdict(NamedTuple):
     """Feasibility with probability one, with a failing class as witness."""
 
     feasible: bool
@@ -125,8 +125,7 @@ def convert_to_expected(mdp: Mdp, x: str) -> Mdp:
     return convert_classes(mdp, trans_policy_decomposition(mdp).recurrent_classes)
 
 
-@dataclass(frozen=True)
-class ClassControl:
+class ClassControl(NamedTuple):
     states: tuple[str, ...]
     min_prob: Fraction
     max_prob: Fraction
@@ -136,8 +135,7 @@ class ClassControl:
         return self.min_prob != self.max_prob
 
 
-@dataclass(frozen=True)
-class ClassControllability:
+class ClassControllability(NamedTuple):
     """Absorption-probability range of each subchain across all policies.
 
     ``classes[c]`` belongs to ``structure.recurrent_classes[c]``, the class
@@ -200,8 +198,7 @@ def selective_convert(mdp: Mdp, x: str) -> Mdp:
 # ---------------------------------------------------------------------------
 # Monte Carlo
 
-@dataclass(frozen=True)
-class SimulationReport:
+class SimulationReport(NamedTuple):
     """Empirical averages and frequencies with their analytic counterparts.
 
     Frequencies are exact rationals count/steps; the analytic comparison

@@ -45,10 +45,9 @@ import collections
 import itertools
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from cmdpkit import chains
 from cmdpkit.lp import eliminate
@@ -115,8 +114,7 @@ def enumerate_policies(mdp: Mdp) -> Iterator[Policy]:
         yield Policy(choice=choice)
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     """Outcome of a constrained solve from one start state."""
 
     status: str  # "optimal" | "infeasible"
@@ -127,8 +125,7 @@ class SolveResult:
     total_count: int
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     """One canonical policy with its V and W at each start state of a pass.
 
     ``key`` is the policy's action index at each decision state, in state

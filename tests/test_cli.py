@@ -256,6 +256,22 @@ def test_file_errors_name_the_file(tmp_path, instances_dir):
             assert (out.exit_code, out.report, out.error) == (2, "", f"cmdpkit: error: {reason}\n")
 
 
+def test_empty_potential_is_a_missing_file_and_empty_mu_the_empty_multiplier(instances_dir):
+    # An empty --potential names a file like any other value, rather than
+    # selecting the all-zero potential that leaving the option out selects;
+    # an empty --mu is the multiplier of length 0, as --policy "" is the
+    # empty mapping.
+    certify = ["certify", str(instances_dir / "twochain.json"), "--policy", "", "--gain", "1/2"]
+    out = invoke(*certify, "--mu", "1/2", "--potential", "")
+    assert (out.exit_code, out.report, out.error) == (
+        2, "", "cmdpkit: error: : No such file or directory\n"
+    )
+    out = invoke(*certify, "--mu", "")
+    assert (out.exit_code, out.report, out.error) == (
+        2, "", "cmdpkit: error: multiplier has length 0, model constraint_dim is 1\n"
+    )
+
+
 def test_oversized_inputs_are_input_errors(oversized_inputs):
     for argv, code, error in oversized_inputs:
         out = invoke(*argv)

@@ -46,6 +46,22 @@ def test_no_import_inside_a_function():
     assert nested == []
 
 
+def test_only_mdp_and_policy_are_dataclasses():
+    # Defining a dataclass costs about ten times a NamedTuple at import,
+    # which every cold command pays; Mdp and Policy keep a lookup map that
+    # equality ignores, which a NamedTuple cannot hold.
+    decorated = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                for decorator in node.decorator_list:
+                    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                    if getattr(target, "attr", getattr(target, "id", None)) == "dataclass":
+                        decorated.append(f"{path.name}:{node.name}")
+    assert decorated == ["model.py:Mdp", "model.py:Policy"]
+
+
 def test_importing_the_cli_loads_every_module():
     expected = {
         "cmdpkit" if path.stem == "__init__" else f"cmdpkit.{path.stem}"
