@@ -12,19 +12,22 @@ fixed start state through five conditions:
 
 The search solves an exact feasibility program: multipliers are forced to
 zero on strictly slack components (which linearizes A3 exactly), the gain
-and the potential are free, and the Bellman rows are imposed over the
-whole all-policies reachable closure of the start state, with equality at
-the chosen action of states the policy itself reaches and as inequalities
-everywhere else. The closure-wide inequalities are what make a found
-certificate a genuine optimality proof: every competing feasible policy
-walks inside the closure, so its Lagrangian value telescopes below the
-certified gain. Certificates are not unique; callers should only rely on
-verdicts, the gain value and residuals.
+and the potential are free, and the Bellman rows, read off the model with
+no Fraction arithmetic, are imposed over the whole all-policies reachable
+closure of the start state, with equality at the chosen action of states
+the policy itself reaches and as inequalities everywhere else. The
+closure-wide inequalities are what make a found certificate a genuine
+optimality proof: every competing feasible policy walks inside the
+closure, so its Lagrangian value telescopes below the certified gain.
+Certificates are not unique; callers should only rely on verdicts, the
+gain value and residuals.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from numbers import Rational
 from typing import NamedTuple
 
 from cmdpkit import chains, lp
@@ -33,6 +36,7 @@ from cmdpkit.model import InputError, Mdp, Policy, validate_policy
 from cmdpkit.solver import EnumerationCapExceeded
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 # Largest all-policies closure the search builds a Bellman program over.
 CLOSURE_CAP = 10_000
@@ -106,32 +110,33 @@ def _required_states(mdp: Mdp, reachable: tuple[str, ...]) -> list[str]:
     return list(seen)
 
 
-def _one_step_gap(
-    mdp: Mdp,
-    cert: Certificate,
-    potential: dict[str, Fraction],
-    state: str,
-    action_index: int,
-) -> Fraction:
+def _one_step_gap(mdp: Mdp, cert: Certificate, state: str, action_index: int) -> Fraction:
+    """gain + L(s) - r - mu . c - sum_t p(t) L(t), summed over one common denominator."""
     i = mdp.state_index(state)
-    value = mdp.rewards[i][action_index]
-    for mu_k, c_k in zip(cert.mu, mdp.constraints[i][action_index]):
-        value += mu_k * c_k
-    for j, p in mdp.successors[i][action_index]:
-        value += p * potential[mdp.states[j]]
-    return cert.gain + potential[state] - value
+    minus = [(mdp.rewards[i][action_index], 1), *zip(cert.mu, mdp.constraints[i][action_index])]
+    minus += [(p, cert.potential[mdp.states[j]]) for j, p in mdp.successors[i][action_index]]
+    terms = [(v.numerator, v.denominator) for v in (cert.gain, cert.potential[state])]
+    terms += [(-a.numerator * b.numerator, a.denominator * b.denominator) for a, b in minus]
+    scale = lcm(*[d for _, d in terms])
+    return Fraction(sum(n * (scale // d) for n, d in terms), scale)
 
 
 def check_certificate(
     mdp: Mdp, x: str, policy: Policy, cert: Certificate
 ) -> CertificateReport:
-    """Verify conditions A1-A5 exactly and report every Bellman residual."""
+    """Verify A1-A5 exactly, for rational values only, and report every Bellman residual."""
     validate_policy(mdp, policy)
     if len(cert.mu) != mdp.constraint_dim:
         raise InputError(
             f"multiplier has length {len(cert.mu)}, "
             f"model constraint_dim is {mdp.constraint_dim}"
         )
+    for field, values in (
+        ("mu", cert.mu), ("gain", (cert.gain,)), ("potential", cert.potential.values())
+    ):
+        for value in values:
+            if not isinstance(value, Rational):
+                raise InputError(f"certificate {field} value {value!r} is not rational")
     return _check(
         mdp, policy, cert, evaluate(mdp, policy, x).W,
         chains.reachable_states(mdp, policy, x),
@@ -150,8 +155,7 @@ def _check(
     a2 = all(m >= 0 for m in cert.mu)
     a3 = sum((m * c for m, c in zip(cert.mu, w)), ZERO) == 0
 
-    potential = dict(cert.potential)
-    missing = [s for s in _required_states(mdp, reachable) if s not in potential]
+    missing = [s for s in _required_states(mdp, reachable) if s not in cert.potential]
     if missing:
         raise MissingPotentialError(
             f"potential missing required states: {missing}"
@@ -164,7 +168,7 @@ def _check(
         i = mdp.state_index(state)
         gaps = []
         for j, action in enumerate(mdp.actions[i]):
-            gap = _one_step_gap(mdp, cert, potential, state, j)
+            gap = _one_step_gap(mdp, cert, state, j)
             residuals[(state, action)] = gap
             gaps.append(gap)
         if min(gaps) != 0:
@@ -189,7 +193,7 @@ def _class_system_feasible(
     gain_var = len(free_mu)
     constraints = [
         lp.LinearConstraint.of(
-            {gain_var: Fraction(1)}
+            {gain_var: ONE}
             | {k: -eq.constraint_gain[i] for k, i in enumerate(free_mu)},
             lp.EQ,
             eq.reward_gain,
@@ -202,6 +206,29 @@ def _class_system_feasible(
         nonnegative=set(range(len(free_mu))),
     )
     return point is not None
+
+
+def _bellman_rows(
+    mdp: Mdp, policy: Policy, closure: tuple[str, ...], reached: set[str], free_mu: list[int]
+) -> list[lp.LinearConstraint]:
+    """Rows gain + L(s) - sum_t p(t) L(t) - mu . c(s, a) >= r(s, a); = at reached choices.
+
+    Columns: free mu, gain, then L on the closure, which every action keeps
+    within. Entries are read off the model: -p, -c, and 1 - p at a self-loop.
+    """
+    gain_var = len(free_mu)
+    column = {mdp.state_index(s): gain_var + 1 + k for k, s in enumerate(closure)}
+    rows = []
+    for i, own in column.items():
+        chosen = policy.action_for(mdp.states[i]) if mdp.states[i] in reached else None
+        for j, action in enumerate(mdp.actions[i]):
+            coeffs = {k: -mdp.constraints[i][j][comp] for k, comp in enumerate(free_mu)}
+            coeffs[gain_var] = coeffs[own] = ONE
+            for target, p in mdp.successors[i][j]:
+                coeffs[column[target]] = ONE - p if target == i else -p
+            sense = lp.EQ if action == chosen else lp.GE
+            rows.append(lp.LinearConstraint.of(coeffs, sense, mdp.rewards[i][j]))
+    return rows
 
 
 def find_certificate(
@@ -262,35 +289,12 @@ def find_certificate(
             conflict=conflict,
         )
 
-    # The closure is closed under every action, so it is exactly the
-    # domain the Bellman rows need.
     reachable = chains.reachable_states(mdp, policy, x)
-    reached = set(reachable)
-    var_of_state = {s: len(free_mu) + 1 + k for k, s in enumerate(closure)}
     gain_var = len(free_mu)
-    num_vars = len(free_mu) + 1 + len(closure)
-
-    constraints = []
-    for state in closure:
-        i = mdp.state_index(state)
-        chosen = policy.action_for(state)
-        for j, action in enumerate(mdp.actions[i]):
-            coeffs: dict[int, Fraction] = {gain_var: Fraction(1)}
-            coeffs[var_of_state[state]] = coeffs.get(var_of_state[state], ZERO) + 1
-            for target, p in mdp.successors[i][j]:
-                v = var_of_state[mdp.states[target]]
-                coeffs[v] = coeffs.get(v, ZERO) - p
-            for k, comp in enumerate(free_mu):
-                coeffs[k] = coeffs.get(k, ZERO) - mdp.constraints[i][j][comp]
-            sense = lp.EQ if (state in reached and action == chosen) else lp.GE
-            constraints.append(
-                lp.LinearConstraint.of(coeffs, sense, mdp.rewards[i][j])
-            )
-
     point = lp.find_feasible_point(
-        num_vars=num_vars,
-        constraints=constraints,
-        nonnegative=set(range(len(free_mu))),
+        num_vars=gain_var + 1 + len(closure),
+        constraints=_bellman_rows(mdp, policy, closure, set(reachable), free_mu),
+        nonnegative=set(range(gain_var)),
     )
     if point is None:
         return CertificateUnsat(
@@ -304,7 +308,7 @@ def find_certificate(
     mu = [ZERO] * mdp.constraint_dim
     for k, comp in enumerate(free_mu):
         mu[comp] = point[k]
-    potential = {s: point[var_of_state[s]] for s in closure}
+    potential = dict(zip(closure, point[gain_var + 1:]))
     cert = Certificate(mu=tuple(mu), gain=point[gain_var], potential=potential)
 
     verification = _check(mdp, policy, cert, w, reachable)

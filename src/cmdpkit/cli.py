@@ -209,7 +209,7 @@ def _cmd_certify(args) -> CommandOutcome:
         return CommandOutcome(1, render_json(_unsat_doc(found)))
 
     if args.gain is None:
-        raise _UsageError("certify: --gain is required in check mode (or pass --search)")
+        raise _command_error("certify", "--gain is required in check mode (or pass --search)")
     mu = tuple(
         parse_rational(part) for part in args.mu.split(",")
     ) if args.mu else ()
@@ -449,6 +449,11 @@ def _usage(name: str, command: _Command) -> str:
     return f"usage: cmdpkit {name} {' '.join(parts)} file\n"
 
 
+def _command_error(name: str, message: str) -> _UsageError:
+    """A usage error of command ``name``: the message, then the command's usage line."""
+    return _UsageError(f"cmdpkit {name}: error: {message}\n{_usage(name, _COMMANDS[name])}")
+
+
 def _help(name: str | None) -> str:
     """Help for one command, or for the whole CLI when ``name`` is None."""
     if name is None:
@@ -506,10 +511,9 @@ def _check_switch(option: _Option, flag: str, attached: str | None, fail) -> Non
 def _parse_command(name: str, tokens: list[str]) -> tuple[SimpleNamespace, list[str]]:
     """The namespace of one command and the tokens it did not recognise."""
     command = _COMMANDS[name]
-    usage = _usage(name, command)
 
     def fail(message: str) -> _UsageError:
-        return _UsageError(f"cmdpkit {name}: error: {message}\n{usage}")
+        return _command_error(name, message)
 
     flags = {"-h": _HELP, "--help": _HELP, **{o.flag: o for o in command.options}}
     # Every token is read before any is acted on, so an ambiguous prefix is

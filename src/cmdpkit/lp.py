@@ -47,8 +47,9 @@ the ratio test read the minus column as the plus column with the sign
 flipped, and the layout and column indices they compare are those of the
 full split.
 
-Coefficients, bounds and the returned point are Fractions; there is no
-tolerance anywhere.
+Coefficients, bounds and the returned point are Fractions, read as given:
+no Fraction arithmetic runs before the integer rows, save summing a
+variable named twice in one constraint. There is no tolerance anywhere.
 """
 
 from __future__ import annotations
@@ -75,10 +76,11 @@ class LinearConstraint(NamedTuple):
     def of(coeffs: Mapping[int, Fraction], sense: str, rhs: Fraction) -> "LinearConstraint":
         if sense not in (EQ, LE, GE):
             raise ValueError(f"unknown sense {sense!r}")
+        exact = [(i, c if type(c) is Fraction else Fraction(c)) for i, c in coeffs.items() if c]
         return LinearConstraint(
-            coeffs=tuple(sorted((i, Fraction(c)) for i, c in coeffs.items() if c != 0)),
+            coeffs=tuple(sorted(exact)),
             sense=sense,
-            rhs=Fraction(rhs),
+            rhs=rhs if type(rhs) is Fraction else Fraction(rhs),
         )
 
 
@@ -171,12 +173,13 @@ def find_feasible_point(
         for i, coeff in constraint.coeffs:
             if not 0 <= i < num_vars:
                 raise ValueError(f"variable index {i} out of range")
-            values[col_of[i]] = values.get(col_of[i], ZERO) + coeff
+            c = col_of[i]
+            values[c] = values[c] + coeff if c in values else coeff
         if constraint.sense != EQ:
-            values[slack] = Fraction(1 if constraint.sense == LE else -1)
+            values[slack] = 1 if constraint.sense == LE else -1
             slack += 1
         values[RHS] = constraint.rhs
-        scale = lcm(*(v.denominator for v in values.values()))
+        scale = lcm(*[v.denominator for v in values.values()])
         sign = -1 if constraint.rhs < 0 else 1
         rows.append({
             c: sign * v.numerator * (scale // v.denominator) for c, v in values.items() if v

@@ -1,0 +1,36 @@
+"""The Fraction builder of the certificate search's Bellman rows, kept as an oracle.
+
+``certificate._bellman_rows`` reads each coefficient straight off the model;
+this builder sums every entry into ``Fraction`` maps, as the search once did.
+Both must give equal constraint lists, value for value.
+"""
+
+from fractions import Fraction
+
+from cmdpkit import lp
+
+ZERO = Fraction(0)
+
+
+def bellman_rows(mdp, policy, closure, reached, free_mu):
+    """The Bellman rows over (free mu, gain, potential of each closure state)."""
+    var_of_state = {s: len(free_mu) + 1 + k for k, s in enumerate(closure)}
+    gain_var = len(free_mu)
+
+    constraints = []
+    for state in closure:
+        i = mdp.state_index(state)
+        chosen = policy.action_for(state)
+        for j, action in enumerate(mdp.actions[i]):
+            coeffs: dict[int, Fraction] = {gain_var: Fraction(1)}
+            coeffs[var_of_state[state]] = coeffs.get(var_of_state[state], ZERO) + 1
+            for target, p in mdp.successors[i][j]:
+                v = var_of_state[mdp.states[target]]
+                coeffs[v] = coeffs.get(v, ZERO) - p
+            for k, comp in enumerate(free_mu):
+                coeffs[k] = coeffs.get(k, ZERO) - mdp.constraints[i][j][comp]
+            sense = lp.EQ if (state in reached and action == chosen) else lp.GE
+            constraints.append(
+                lp.LinearConstraint.of(coeffs, sense, mdp.rewards[i][j])
+            )
+    return constraints

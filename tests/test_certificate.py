@@ -15,7 +15,7 @@ from cmdpkit.certificate import (
 )
 from cmdpkit.chains import reachable_states
 from cmdpkit.evaluation import evaluate
-from cmdpkit.model import Policy, parse_instance
+from cmdpkit.model import InputError, Policy, parse_instance
 from cmdpkit.solver import solve
 from randmdp import random_mdp
 
@@ -27,13 +27,13 @@ def twochain_policy(twochain):
     return Policy.from_mapping(twochain, {})
 
 
+HAND_CERTIFICATE = Certificate(
+    mu=(F(1, 2),), gain=F(1, 2), potential={"x": F(-1, 2), "a0": F(0), "b0": F(0)}
+)
+
+
 def test_twochain_hand_certificate_passes(twochain, twochain_policy):
-    cert = Certificate(
-        mu=(F(1, 2),),
-        gain=F(1, 2),
-        potential={"x": F(-1, 2), "a0": F(0), "b0": F(0)},
-    )
-    report = check_certificate(twochain, "x", twochain_policy, cert)
+    report = check_certificate(twochain, "x", twochain_policy, HAND_CERTIFICATE)
     assert report.verdict == "pass"
     assert report.first_failure is None
     assert all(gap == 0 for gap in report.bellman_residuals.values())
@@ -172,6 +172,24 @@ def test_check_requires_total_potential(twochain, twochain_policy):
     cert = Certificate(mu=(F(1, 2),), gain=F(1, 2), potential={"x": F(0)})
     with pytest.raises(MissingPotentialError):
         check_certificate(twochain, "x", twochain_policy, cert)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("mu", (0.5,)),
+    ("gain", 0.5),
+    ("potential", {"x": -0.5, "a0": 0.0, "b0": 0.0}),
+])
+def test_check_rejects_non_rational_values(twochain, twochain_policy, field, value):
+    # A float would make the residuals floats, and the verdict inexact.
+    cert = HAND_CERTIFICATE._replace(**{field: value})
+    with pytest.raises(InputError, match=f"certificate {field} value .* is not rational"):
+        check_certificate(twochain, "x", twochain_policy, cert)
+
+
+def test_check_accepts_int_values(twochain, twochain_policy):
+    cert = Certificate(mu=(1,), gain=1, potential={"x": 0, "a0": 0, "b0": 0})
+    residuals = check_certificate(twochain, "x", twochain_policy, cert).bellman_residuals
+    assert all(type(gap) is Fraction for gap in residuals.values())
 
 
 def test_residual_map_covers_reachable_state_actions(haviv, haviv_a):

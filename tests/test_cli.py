@@ -345,7 +345,11 @@ def test_certify_check_failure_exit_code(instances_dir):
 
 def test_certify_check_requires_gain(instances_dir):
     out = invoke("certify", str(instances_dir / "twochain.json"), "--policy", "")
-    assert out.exit_code == 2
+    assert (out.exit_code, out.report, out.error) == (
+        2, "",
+        "cmdpkit certify: error: --gain is required in check mode (or pass --search)\n"
+        + CERTIFY_USAGE,
+    )
 
 
 def test_audit_haviv_flags_inconsistency(instances_dir):

@@ -112,6 +112,23 @@ def test_infeasible_random_systems_detected():
         assert find_feasible_point(num_vars, cons, set()) is None
 
 
+@pytest.mark.parametrize("kind", [int, F])
+def test_of_gives_fractions_without_zeros_in_index_order(kind):
+    built = LinearConstraint.of({4: kind(-2), 1: kind(0), 0: kind(3)}, LE, kind(5))
+    assert built == LinearConstraint(((0, F(3)), (4, F(-2))), LE, F(5))
+    assert all(type(v) is Fraction for _, v in built.coeffs)
+    assert type(built.rhs) is Fraction
+
+
+def test_repeated_index_in_a_direct_constraint_is_summed():
+    # Built directly, a constraint may name a variable twice; its entries add.
+    direct = LinearConstraint(((0, F(1)), (1, F(2)), (0, F(1, 2))), EQ, F(3))
+    merged = LinearConstraint.of({0: F(3, 2), 1: F(2)}, EQ, F(3))
+    assert find_feasible_point(2, [direct], {0, 1}) == find_feasible_point(2, [merged], {0, 1})
+    cancelled = LinearConstraint(((0, F(1)), (1, F(1)), (0, F(-1))), EQ, F(4))
+    assert find_feasible_point(2, [cancelled], set()) == [F(0), F(4)]
+
+
 def test_rejects_bad_sense_and_indices():
     with pytest.raises(ValueError):
         LinearConstraint.of({0: F(1)}, "!=", F(0))
