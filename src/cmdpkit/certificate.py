@@ -242,7 +242,6 @@ def find_certificate(
     program has no solution. Raises CertificateSearchError if a found
     certificate fails the check, which only a defect in the search can cause.
     """
-    validate_policy(mdp, policy)
     analysis = analyse_policy(mdp, policy)
     start = mdp.state_index(x)
     _, w = analysis.values_at(start)

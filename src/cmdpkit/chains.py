@@ -85,49 +85,49 @@ class ChainDecomposition(NamedTuple):
 
 
 def _strongly_connected_components(adjacency: tuple[tuple[int, ...], ...]) -> list[list[int]]:
-    """Iterative Tarjan on an adjacency list, deterministic output order."""
+    """Iterative Tarjan on an adjacency list, deterministic output order.
+
+    Components come in the order they close, each sorted. Every frame of
+    the depth-first search holds an iterator over its node's successors,
+    so each edge is read once.
+    """
     n = len(adjacency)
-    preorder: dict[int, int] = {}
-    lowlink: dict[int, int] = {}
-    found: set[int] = set()
-    scc_queue: list[int] = []
+    preorder = [0] * n  # 0: not reached yet
+    lowlink = [0] * n
+    found = [False] * n
+    scc_queue: list[int] = []  # reached, left and not yet in a component
     components: list[list[int]] = []
     counter = 0
     for source in range(n):
-        if source in found:
+        if preorder[source]:
             continue
-        stack = [source]
-        while stack:
-            v = stack[-1]
-            if v not in preorder:
-                counter += 1
-                preorder[v] = counter
-            descend = False
-            for w in adjacency[v]:
-                if w not in preorder:
-                    stack.append(w)
-                    descend = True
+        counter += 1
+        preorder[source] = lowlink[source] = counter
+        frames = [(source, iter(adjacency[source]))]
+        while frames:
+            v, successors = frames[-1]
+            for w in successors:
+                if not preorder[w]:
+                    counter += 1
+                    preorder[w] = lowlink[w] = counter
+                    frames.append((w, iter(adjacency[w])))
                     break
-            if descend:
-                continue
-            lowlink[v] = preorder[v]
-            for w in adjacency[v]:
-                if w not in found:
-                    if preorder[w] > preorder[v]:
-                        lowlink[v] = min(lowlink[v], lowlink[w])
-                    else:
-                        lowlink[v] = min(lowlink[v], preorder[w])
-            stack.pop()
-            if lowlink[v] == preorder[v]:
-                found.add(v)
-                component = [v]
-                while scc_queue and preorder[scc_queue[-1]] > preorder[v]:
-                    k = scc_queue.pop()
-                    found.add(k)
-                    component.append(k)
-                components.append(sorted(component))
+                if not found[w]:
+                    lowlink[v] = min(lowlink[v], preorder[w])
             else:
-                scc_queue.append(v)
+                frames.pop()
+                if frames:
+                    parent = frames[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[v])
+                if lowlink[v] == preorder[v]:
+                    component = [v]
+                    while scc_queue and preorder[scc_queue[-1]] > preorder[v]:
+                        component.append(scc_queue.pop())
+                    for k in component:
+                        found[k] = True
+                    components.append(sorted(component))
+                else:
+                    scc_queue.append(v)
     return components
 
 

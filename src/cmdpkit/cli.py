@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Every subcommand reads an instance file, runs the corresponding module API
-and prints a single deterministic JSON document (sorted keys, rationals as
-"p/q"). Exit codes: 0 success / positive verdict, 1 declared negative
+and prints a single deterministic JSON document (sorted keys, exact rationals
+as "p/q"). Exit codes: 0 success / positive verdict, 1 declared negative
 result (infeasible, certificate UNSAT, failed check, time inconsistency,
 sample-path infeasible, non-decomposable), 2 usage or input error,
 3 any other failure (a defect, reported without a traceback).
@@ -30,7 +30,6 @@ from cmdpkit.model import (
     Policy,
     PolicyError,
     ValidationError,
-    format_rational,
     load_instance,
     parse_rational,
     read_json,
@@ -50,12 +49,8 @@ class _UsageError(Exception):
     pass
 
 
-def _rat(value: Fraction) -> str:
-    return format_rational(value)
-
-
-def _rats(values) -> list[str]:
-    return [format_rational(v) for v in values]
+# The report builders below put the library's exact values into their
+# documents as they are; render_json prints each Fraction as "p/q".
 
 
 def _policy_doc(mdp: Mdp, policy: Policy | None) -> dict[str, str] | None:
@@ -94,8 +89,8 @@ def _solve_doc(mdp: Mdp, result: SolveResult) -> dict:
     return {
         "status": "optimal",
         "policy": _policy_doc(mdp, result.policy),
-        "value": _rat(result.value),
-        "W": _rats(result.W_at_optimum),
+        "value": result.value,
+        "W": result.W_at_optimum,
     }
 
 
@@ -124,17 +119,13 @@ def _cmd_evaluate(args) -> CommandOutcome:
     doc = {
         "start": start,
         "policy": _policy_doc(mdp, policy),
-        "V": _rat(report.V),
-        "W": _rats(report.W),
+        "V": report.V,
+        "W": report.W,
         "class_gains": [
-            {
-                "states": list(g.states),
-                "reward": _rat(g.reward_gain),
-                "constraint": _rats(g.constraint_gain),
-            }
+            {"states": g.states, "reward": g.reward_gain, "constraint": g.constraint_gain}
             for g in report.class_gains
         ],
-        "absorption": _rats(report.absorption),
+        "absorption": report.absorption,
     }
     return CommandOutcome(0, render_json(doc))
 
@@ -154,10 +145,10 @@ def _cmd_residual(args) -> CommandOutcome:
         "from": spec.source,
         "to": spec.target,
         "time": spec.time,
-        "prob": _rat(spec.prob_to),
-        "slack": _rats(spec.slack),
+        "prob": spec.prob_to,
+        "slack": spec.slack,
         "residual_constraint": {
-            action: _rats(c - d for c, d in zip(cvec, spec.slack))
+            action: [c - d for c, d in zip(cvec, spec.slack)]
             for action, cvec in zip(mdp.actions[i], mdp.constraints[i])
         },
         "residual_solve": _solve_doc(mdp, table.solve(spec.target, spec.slack)),
@@ -166,29 +157,14 @@ def _cmd_residual(args) -> CommandOutcome:
 
 
 def _certificate_doc(cert: Certificate) -> dict:
-    return {
-        "status": "certificate",
-        "mu": _rats(cert.mu),
-        "gain": _rat(cert.gain),
-        "potential": {s: _rat(v) for s, v in cert.potential.items()},
-    }
+    return {"status": "certificate", **cert._asdict()}
 
 
 def _unsat_doc(unsat: CertificateUnsat) -> dict:
     return {
         "status": "unsat",
-        "stage": unsat.stage,
-        "reason": unsat.reason,
-        "W": _rats(unsat.W),
-        "class_equations": [
-            {
-                "states": list(eq.states),
-                "reward_gain": _rat(eq.reward_gain),
-                "constraint_gain": _rats(eq.constraint_gain),
-            }
-            for eq in unsat.class_equations
-        ],
-        "conflict": list(unsat.conflict) if unsat.conflict else None,
+        **unsat._asdict(),
+        "class_equations": [eq._asdict() for eq in unsat.class_equations],
     }
 
 
@@ -220,9 +196,9 @@ def _cmd_certify(args) -> CommandOutcome:
         potential = {s: Fraction(0) for s in closure}
     cert = Certificate(mu=mu, gain=parse_rational(args.gain), potential=potential)
     report = certificate_mod.check_certificate(mdp, mdp.initial_state, policy, cert)
-    residuals: dict[str, dict[str, str]] = {}
+    residuals: dict[str, dict[str, Fraction]] = {}
     for (state, action), gap in report.bellman_residuals.items():
-        residuals.setdefault(state, {})[action] = _rat(gap)
+        residuals.setdefault(state, {})[action] = gap
     doc = {**report._asdict(), "bellman_residuals": residuals}
     return CommandOutcome(0 if report.verdict == "pass" else 1, render_json(doc))
 
@@ -238,19 +214,19 @@ def _cmd_audit(args) -> CommandOutcome:
         entries.append({
             "state": e.state,
             "time": e.time,
-            "prob": _rat(e.prob),
-            "slack": _rats(e.slack),
-            "policy_value_here": _rat(e.policy_value_here),
+            "prob": e.prob,
+            "slack": e.slack,
+            "policy_value_here": e.policy_value_here,
             "policy_feasible_here": e.policy_feasible_here,
             "consistent": e.consistent,
             "unmodified": {
                 "status": e.unmodified_status,
-                "value": _rat(e.unmodified_value) if e.unmodified_value is not None else None,
+                "value": e.unmodified_value,
                 "policy": _policy_doc(mdp, e.unmodified_policy),
             },
             "residual": {
                 "status": e.residual_status,
-                "value": _rat(e.residual_value) if e.residual_value is not None else None,
+                "value": e.residual_value,
                 "policy": _policy_doc(mdp, e.residual_policy),
                 "policy_feasible": e.policy_feasible_residual,
                 "policy_optimal": e.policy_optimal_residual,
@@ -260,11 +236,8 @@ def _cmd_audit(args) -> CommandOutcome:
     doc = {
         "start": report.start,
         "policy": _policy_doc(mdp, report.policy),
-        "value": _rat(report.value),
-        "certificate": {
-            "status": report.certificate_status,
-            "mu": _rats(report.mu) if report.mu is not None else None,
-        },
+        "value": report.value,
+        "certificate": {"status": report.certificate_status, "mu": report.mu},
         "consistent": report.consistent,
         "entries": entries,
     }
@@ -278,8 +251,7 @@ def _cmd_samplepath(args) -> CommandOutcome:
     doc = {
         "feasible": verdict.feasible,
         "witness": None if verdict.feasible else {
-            "states": list(verdict.witness_class),
-            "gain": _rats(verdict.witness_gain),
+            "states": verdict.witness_class, "gain": verdict.witness_gain,
         },
     }
     return CommandOutcome(0 if verdict.feasible else 1, render_json(doc))
@@ -305,9 +277,9 @@ def _cmd_decompose(args) -> CommandOutcome:
         "transient": [mdp.states[s] for s in structure.transient_states],
         "controllability": [
             {
-                "states": list(c.states),
-                "min": _rat(c.min_prob),
-                "max": _rat(c.max_prob),
+                "states": c.states,
+                "min": c.min_prob,
+                "max": c.max_prob,
                 "controllable": c.controllable,
             }
             for c in control.classes
@@ -329,33 +301,19 @@ def _cmd_simulate(args) -> CommandOutcome:
         "steps": report.steps,
         "start": report.start,
         "policy": _policy_doc(mdp, policy),
-        "visit_frequency": {
-            state: _rat(freq)
-            for state, freq in zip(mdp.states, report.visit_frequency)
-        },
-        "empirical_V": _rat(report.empirical_V),
-        "empirical_W": _rats(report.empirical_W),
-        "absorbed_class": (
-            list(report.absorbed_class) if report.absorbed_class else None
-        ),
+        "visit_frequency": dict(zip(mdp.states, report.visit_frequency)),
+        "empirical_V": report.empirical_V,
+        "empirical_W": report.empirical_W,
+        "absorbed_class": report.absorbed_class,
         "analytic": {
             "stationary": (
-                {
-                    state: _rat(p)
-                    for state, p in zip(report.absorbed_class, report.absorbed_stationary)
-                }
+                dict(zip(report.absorbed_class, report.absorbed_stationary))
                 if report.absorbed_class
                 else None
             ),
-            "reward_gain": (
-                _rat(report.absorbed_reward_gain)
-                if report.absorbed_reward_gain is not None else None
-            ),
-            "constraint_gain": (
-                _rats(report.absorbed_constraint_gain)
-                if report.absorbed_constraint_gain is not None else None
-            ),
-            "absorption": _rats(report.analytic_absorption),
+            "reward_gain": report.absorbed_reward_gain,
+            "constraint_gain": report.absorbed_constraint_gain,
+            "absorption": report.analytic_absorption,
         },
     }
     return CommandOutcome(0, render_json(doc))

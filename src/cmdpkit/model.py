@@ -527,13 +527,15 @@ def instance_to_json(mdp: Mdp) -> str:
 
 def render_json(value) -> str:
     """The JSON text of ``value`` with sorted keys and two-space indents, and
-    a newline: byte for byte what ``json.dumps`` writes with those settings.
+    a newline: for JSON types byte for byte what ``json.dumps`` writes with
+    those settings, and a ``Fraction`` as the JSON string of its "p/q" form.
 
     The standard library indents through its pure-Python encoder; this one
     recursion is the whole of that for the types a report holds: str, int,
-    bool, None, list, tuple and dict with str keys. Any other type, a float
-    included, raises TypeError. Strings are escaped by ``json``'s own
-    ASCII escaper.
+    bool, None, list, tuple, dict with str keys and Fraction, whose
+    ``format_rational`` raises InputError past the digit limit. Any other
+    type, a float included, raises TypeError. Strings are escaped by
+    ``json``'s own ASCII escaper.
     """
     parts: list[str] = []
     _render(value, "\n", parts.append)
@@ -553,6 +555,8 @@ def _render(value, newline: str, emit) -> None:
         emit("false")
     elif isinstance(value, int):
         emit(int.__repr__(value))
+    elif isinstance(value, Fraction):
+        emit(f'"{format_rational(value)}"')
     elif isinstance(value, (list, tuple)):
         if not value:
             emit("[]")

@@ -85,7 +85,8 @@ def residual_slack(
     used. Raises UnreachableStateError when that probability is zero; the
     computation never divides by zero.
     """
-    chain = induced_chain(mdp, policy)
+    analysis = analyse_policy(mdp, policy)
+    chain = analysis.chain
     start = mdp.state_index(x)
     target = mdp.state_index(y)
 
@@ -107,7 +108,6 @@ def residual_slack(
                 f"state {y!r} has probability zero at time {t} from {x!r}"
             )
 
-    analysis = analyse_policy(mdp, policy)
     slack = _slack(
         distribution, target, lambda s: analysis.values_at(s)[1], mdp.constraint_dim
     )

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from cmdpkit import chains
 from cmdpkit.evaluation import analyse_policy
-from cmdpkit.model import InputError, Mdp, Policy, Trajectory, induced_chain, validate_policy
+from cmdpkit.model import InputError, Mdp, Policy, Trajectory, induced_chain
 from cmdpkit.solver import enumerate_policies
 
 ZERO = Fraction(0)
@@ -54,7 +54,6 @@ def samplepath_feasible(mdp: Mdp, policy: Policy, x: str) -> SamplePathVerdict:
     has a constraint-gain component below zero; the first such class (in
     model order) is returned as witness.
     """
-    validate_policy(mdp, policy)
     analysis = analyse_policy(mdp, policy)
     row = analysis.absorption[mdp.state_index(x)]
     for prob, gain in zip(row, analysis.class_gains):
@@ -301,9 +300,8 @@ def _walk(
         raise InputError("steps must be >= 1")
     if steps > MAX_STEPS:
         raise StepLimitError(f"steps {steps} exceed the limit of {MAX_STEPS}")
-    validate_policy(mdp, policy)
-    state = start = mdp.state_index(x)
     analysis = analyse_policy(mdp, policy)
+    state = start = mdp.state_index(x)
 
     samplers: list[tuple[tuple[int, ...], list[int]]] = []
     for row in analysis.chain:
