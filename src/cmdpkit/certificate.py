@@ -23,8 +23,6 @@ Certificates are not unique; callers should only rely on verdicts, the
 gain value and residuals.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from math import lcm
 from numbers import Rational

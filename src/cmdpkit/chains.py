@@ -47,8 +47,6 @@ All functions are pure over immutable inputs and keep no state between
 calls; callers that need a chain's analysis more than once hold on to it.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterator, NamedTuple, Sequence

@@ -9,8 +9,6 @@ sample-path infeasible, non-decomposable), 2 usage or input error,
 Identical inputs, including the seed, produce byte-identical reports.
 """
 
-from __future__ import annotations
-
 import re
 import sys
 from fractions import Fraction
@@ -21,7 +19,7 @@ from cmdpkit import certificate as certificate_mod
 from cmdpkit import residual as residual_mod
 from cmdpkit import samplepath as samplepath_mod
 from cmdpkit.certificate import Certificate, CertificateUnsat
-from cmdpkit.chains import MAX_TIME, reachable_states
+from cmdpkit.chains import MAX_TIME
 from cmdpkit.evaluation import evaluate
 from cmdpkit.model import (
     InputError,
@@ -36,7 +34,7 @@ from cmdpkit.model import (
     render_json,
     serialize_instance,
 )
-from cmdpkit.solver import PolicyTable, SolveResult, solve
+from cmdpkit.solver import SolveResult, solve
 
 
 class CommandOutcome(NamedTuple):
@@ -132,14 +130,13 @@ def _cmd_evaluate(args) -> CommandOutcome:
 
 def _cmd_residual(args) -> CommandOutcome:
     mdp = load_instance(args.file)
-    # A target reached under the optimum lies in the start's closure.
-    table = PolicyTable(mdp, reachable_states(mdp, None, mdp.initial_state))
-    base = table.solve(mdp.initial_state)
+    base = solve(mdp)
     if base.status != "optimal":
         return CommandOutcome(1, render_json(_solve_doc(mdp, base)))
     spec = residual_mod.residual_slack(
         mdp, base.policy, mdp.initial_state, args.to, args.time
     )
+    shifted = residual_mod.build_residual_problem(mdp, spec)
     i = mdp.state_index(spec.target)
     doc = {
         "from": spec.source,
@@ -147,11 +144,8 @@ def _cmd_residual(args) -> CommandOutcome:
         "time": spec.time,
         "prob": spec.prob_to,
         "slack": spec.slack,
-        "residual_constraint": {
-            action: [c - d for c, d in zip(cvec, spec.slack)]
-            for action, cvec in zip(mdp.actions[i], mdp.constraints[i])
-        },
-        "residual_solve": _solve_doc(mdp, table.solve(spec.target, spec.slack)),
+        "residual_constraint": dict(zip(mdp.actions[i], shifted.constraints[i])),
+        "residual_solve": _solve_doc(mdp, solve(shifted, spec.target)),
     }
     return CommandOutcome(0, render_json(doc))
 
@@ -192,8 +186,7 @@ def _cmd_certify(args) -> CommandOutcome:
     if args.potential is not None:
         potential = read_json(args.potential, _potential)
     else:
-        closure = reachable_states(mdp, None, mdp.initial_state)
-        potential = {s: Fraction(0) for s in closure}
+        potential = dict.fromkeys(mdp.states, Fraction(0))
     cert = Certificate(mu=mu, gain=parse_rational(args.gain), potential=potential)
     report = certificate_mod.check_certificate(mdp, mdp.initial_state, policy, cert)
     residuals: dict[str, dict[str, Fraction]] = {}

@@ -18,8 +18,6 @@ averages, and a chain is decomposed once, the absorption solve reading the
 decomposition's transient components.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from typing import NamedTuple
 

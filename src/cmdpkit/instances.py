@@ -9,8 +9,6 @@ its states with long-run frequency 1/k, so marking m of them "bad" realizes
 a bad-state frequency of m/k exactly.
 """
 
-from __future__ import annotations
-
 import json
 import sys
 from fractions import Fraction

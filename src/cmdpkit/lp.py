@@ -52,8 +52,6 @@ no Fraction arithmetic runs before the integer rows, save summing a
 variable named twice in one constraint. There is no tolerance anywhere.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, NamedTuple

@@ -19,8 +19,6 @@ straight from each document's ``transitions`` object: parsing,
 rows, and no dense transition row is ever built.
 """
 
-from __future__ import annotations
-
 import json
 import os
 import sys

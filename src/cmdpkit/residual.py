@@ -3,21 +3,20 @@
 Moving from the start state x to a reachable state y consumes (or gains)
 part of the constraint budget. The residual slackness quantifies that
 exactly: it is the negated expected constraint value over the complementary
-time-t event, rescaled by the odds of reaching y. The original policy is
-feasible, and optimal under certificate hypotheses, for the shifted problem
-that starts at y, in which every constraint vector is shifted by -slack.
+time-t event, rescaled by the odds of reaching y. The residual problem
+starts at y with every constraint vector shifted by -slack
+(``build_residual_problem``); the original policy is feasible in it, and
+optimal under certificate hypotheses.
 
 The audit answers, at every reachable state y, both the unmodified problem
 started at y and the shifted one, and reports where plain optimality
-breaks. It walks the policies once: a ``PolicyTable`` over the states
-reachable from the start holds V and W of every policy, and the shifted
-problem needs no model of its own, because a uniform shift moves every W
-by exactly -slack (stationary vectors and absorption rows each sum to 1)
-and leaves V unchanged. So a policy is feasible in the shifted problem at
-y exactly when W(y) - slack >= 0.
+breaks. It asks two solves per entry, so it walks the policies once: a
+``PolicyTable`` over the states reachable from the start holds V and W of
+every policy, and the shifted problem needs no model of its own, because a
+uniform shift moves every W by exactly -slack (stationary vectors and
+absorption rows each sum to 1) and leaves V unchanged. So a policy is
+feasible in the shifted problem at y exactly when W(y) - slack >= 0.
 """
-
-from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
@@ -120,8 +119,9 @@ def build_residual_problem(mdp: Mdp, spec: ResidualSpec) -> Mdp:
     """Same model with every constraint vector shifted by -slack, started at y.
 
     Kernel and rewards are untouched; the shift applies uniformly to every
-    state and action. Solving needs no such model (``PolicyTable.solve``
-    takes the slack); this is the shifted problem as a model of its own.
+    state and action. ``solve(shifted, spec.target)`` is the residual
+    problem's optimum; the audit, which asks it at many states, takes the
+    same answer from ``PolicyTable.solve`` with the slack instead.
     """
     shifted = tuple(
         tuple(
@@ -207,6 +207,10 @@ def audit_time_consistency(
     seen: set[int] = set()
     entries: list[AuditEntry] = []
     for t, distribution in enumerate(sweep):
+        # The support at t + 1 is the successors of the support at t, so
+        # once a time adds no state, no later time can.
+        if not all_times and seen.issuperset(distribution):
+            break
         for s in sorted(distribution):
             if s in seen and not all_times:
                 continue

@@ -18,14 +18,12 @@ can draw nothing, it goes round its deterministic cycle in closed form
 instead of step by step.
 """
 
-from __future__ import annotations
-
 import itertools
 from bisect import bisect_right
 from dataclasses import replace
 from fractions import Fraction
 from random import Random
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from cmdpkit import chains
 from cmdpkit.evaluation import analyse_policy
@@ -288,7 +286,7 @@ def _settled(succ: list[int | None]) -> list[bool]:
 
 def _walk(
     mdp: Mdp, policy: Policy, x: str, steps: int, seed: int, record: bool
-) -> tuple[list[int] | None, SimulationReport]:
+) -> tuple[Iterable[int] | None, SimulationReport]:
     """The walk behind ``simulate``; the state path is kept only if ``record``.
 
     The walk goes one step at a time until it reaches a settled state,
@@ -316,7 +314,7 @@ def _walk(
 
     rng = Random(seed)
     counts = [0] * mdp.num_states
-    path: list[int] | None = [] if record else None
+    path = [] if record else None
     remaining = steps  # states still to visit, this one included
     while remaining > 1 and not settled[state]:
         if record:
@@ -345,8 +343,8 @@ def _walk(
         laps, extra = divmod(remaining, len(cycle))
         for i, s in enumerate(cycle):
             counts[s] += laps + (i < extra)
-        if record:
-            path.extend(itertools.islice(itertools.cycle(cycle), remaining))
+        if record:  # the laps are chained lazily; simulate reads them once
+            path = itertools.chain(path, itertools.islice(itertools.cycle(cycle), remaining))
 
     total_r = ZERO
     total_c = [ZERO] * mdp.constraint_dim

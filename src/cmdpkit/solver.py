@@ -39,8 +39,6 @@ one ``PolicyTable``, with V and W at every start state it needs; both
 filter the rows with the same ``_best``.
 """
 
-from __future__ import annotations
-
 import collections
 import itertools
 import math

@@ -12,6 +12,7 @@ interpreter limit are run through ``main()`` in a fresh interpreter too.
 """
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -19,6 +20,7 @@ import json
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import cmdpkit.chains
@@ -60,6 +62,35 @@ def test_only_mdp_and_policy_are_dataclasses():
                     if getattr(target, "attr", getattr(target, "id", None)) == "dataclass":
                         decorated.append(f"{path.name}:{node.name}")
     assert decorated == ["model.py:Mdp", "model.py:Policy"]
+
+
+def records():
+    """Every NamedTuple and dataclass the package defines, by qualified name."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "cmdpkit" if path.stem == "__init__" else f"cmdpkit.{path.stem}"
+        module = importlib.import_module(name)
+        for value in vars(module).values():
+            if (isinstance(value, type) and value.__module__ == name
+                    and (hasattr(value, "_fields") or dataclasses.is_dataclass(value))):
+                yield f"{name}.{value.__qualname__}", value
+
+
+def test_no_record_annotation_is_a_string_or_forward_ref():
+    # A string annotation becomes a typing.ForwardRef in a NamedTuple, which
+    # compiles the string when the class is created, on every cold import.
+    def unresolved(annotation):
+        if isinstance(annotation, (str, typing.ForwardRef)):
+            return True
+        return any(unresolved(arg) for arg in typing.get_args(annotation))
+
+    found = dict(records())
+    assert {"cmdpkit.model.Mdp", "cmdpkit.solver.SolveResult"} <= set(found)
+    assert [
+        f"{name}.{field}"
+        for name, record in found.items()
+        for field, annotation in record.__annotations__.items()
+        if unresolved(annotation)
+    ] == []
 
 
 def test_importing_the_cli_loads_every_module():

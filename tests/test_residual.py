@@ -7,7 +7,7 @@ from cmdpkit import instances
 from cmdpkit.certificate import Certificate, find_certificate
 from cmdpkit.chains import state_distribution_at
 from cmdpkit.evaluation import evaluate
-from cmdpkit.model import Policy, induced_chain
+from cmdpkit.model import Mdp, Policy, induced_chain
 from cmdpkit.residual import (
     UnreachableStateError,
     audit_time_consistency,
@@ -244,6 +244,43 @@ def test_audit_all_times_covers_more(haviv):
     for entry in full.entries:
         d = state_distribution_at(chain, x, entry.time)
         assert d[haviv.state_index(entry.state)] == entry.prob > 0
+
+
+def wide_cycle(states: int = 80) -> Mdp:
+    """x -> s0, then a cycle s_i -> s_{i+1} with three seeded extra successors each.
+
+    Every state is first reached within a few steps, but the exact
+    distributions' denominators grow about a hundred bits per step.
+    """
+    rng = random.Random(7)
+    successors = [(((1, F(1)),),)]
+    for i in range(states):
+        weights = {}
+        for j in [rng.randrange(states) for _ in range(3)] + [(i + 1) % states]:
+            weights[j + 1] = weights.get(j + 1, 0) + rng.randint(1, 1000)
+        total = sum(weights.values())
+        successors.append((tuple((j, F(w, total)) for j, w in sorted(weights.items())),))
+    labels = ("x", *(f"s{i}" for i in range(states)))
+    return Mdp(
+        states=labels,
+        actions=tuple(("a",) for _ in labels),
+        successors=tuple(successors),
+        rewards=tuple((F(k % 5),) for k in range(len(labels))),
+        constraints=tuple(((F(k % 3),),) for k in range(len(labels))),
+        constraint_dim=1,
+        initial_state="x",
+    )
+
+
+def test_plain_audit_stops_once_no_state_is_new():
+    # the sweep to the state count would pass the denominator limit
+    mdp = wide_cycle()
+    report = audit_time_consistency(mdp)
+    assert sorted(e.state for e in report.entries) == sorted(mdp.states)
+    assert max(e.time for e in report.entries) < 10
+    for entry in report.entries[::16]:
+        spec = residual_slack(mdp, report.policy, "x", entry.state, entry.time)
+        assert (entry.slack, entry.prob) == (spec.slack, spec.prob_to)
 
 
 def test_audit_requires_feasibility():

@@ -368,6 +368,13 @@ def test_simulation_report_memory_does_not_grow_with_steps(haviv, haviv_a):
         assert long - short < 64 * 1024
 
 
+def test_simulate_keeps_its_path_once(haviv, haviv_a):
+    # the trajectory's tuple of 10**6 state names is 8 MB; a second copy of
+    # the path as a list of indices would add another 8 MB
+    peak = peak_traced_bytes(lambda: simulate(haviv, haviv_a, "x", 10**6, 3))
+    assert peak < 12 * 10**6
+
+
 def test_a_walk_at_the_step_limit_goes_round_its_cycle_in_closed_form(haviv, haviv_a, monkeypatch):
     calls = []
 
