@@ -102,20 +102,18 @@ def test_one_residual_command_builds_one_problem_and_solves_twice(monkeypatch):
     assert [len(indices) for indices in starts] == [1, 1]
 
 
-def policies():
+def policies(rng: random.Random):
     for path in BUNDLED:
         mdp = load_instance(str(path))
-        rng = random.Random(path.stem)
         yield mdp, [random_policy(rng, mdp) for _ in range(4)]
     for mdp in random_models(30, seed=1996):
-        rng = random.Random(mdp.num_states)
         yield mdp, [random_policy(rng, mdp) for _ in range(3)]
 
 
 def test_zero_potential_on_the_closure_equals_zero_everywhere():
     rng = random.Random(7)
     checked = 0
-    for mdp, chosen in policies():
+    for mdp, chosen in policies(rng):
         x = mdp.initial_state
         closure = reachable_states(mdp, None, x)
         for policy in chosen:
