@@ -1,12 +1,8 @@
-"""Command-line front end.
+"""Command-line front end: one subcommand per library question.
 
-Every subcommand reads an instance file, runs the corresponding module API
-and prints a single deterministic JSON document (sorted keys, exact rationals
-as "p/q"). Exit codes: 0 success / positive verdict, 1 declared negative
-result (infeasible, certificate UNSAT, failed check, time inconsistency,
-sample-path infeasible, non-decomposable), 2 usage or input error,
-3 any other failure (a defect, reported without a traceback).
-Identical inputs, including the seed, produce byte-identical reports.
+Each subcommand parses its arguments, loads the instance, calls the module
+API and renders one JSON document; ``_ABOUT`` is the text ``--help``
+prints about the whole CLI, with the exit-code contract.
 """
 
 import re
@@ -385,6 +381,15 @@ _COMMANDS = {
 }
 
 _USAGE = f"usage: cmdpkit [-h] {{{','.join(_COMMANDS)}}} ...\n"
+_ABOUT = """Command-line front end.
+
+Every subcommand reads an instance file, runs the corresponding module API
+and prints a single deterministic JSON document (sorted keys, exact rationals
+as "p/q"). Exit codes: 0 success / positive verdict, 1 declared negative
+result (infeasible, certificate UNSAT, failed check, time inconsistency,
+sample-path infeasible, non-decomposable), 2 usage or input error,
+3 any other failure (a defect, reported without a traceback).
+Identical inputs, including the seed, produce byte-identical reports."""
 _MARKER = "--"  # every later token is a positional
 _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
@@ -408,7 +413,7 @@ def _command_error(name: str, message: str) -> _UsageError:
 def _help(name: str | None) -> str:
     """Help for one command, or for the whole CLI when ``name`` is None."""
     if name is None:
-        usage, about = _USAGE, __doc__.strip()
+        usage, about = _USAGE, _ABOUT
         sections = [("commands", [(n, c.help) for n, c in _COMMANDS.items()])]
         options = []
     else:

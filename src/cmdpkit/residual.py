@@ -26,7 +26,7 @@ from cmdpkit import chains
 from cmdpkit.certificate import Certificate, find_certificate
 from cmdpkit.evaluation import analyse_policy
 from cmdpkit.model import InputError, Mdp, Policy, induced_chain
-from cmdpkit.solver import PolicyTable, SolveResult, _best
+from cmdpkit.solver import PolicyTable, SolveResult, _best, _fractions
 
 ZERO = Fraction(0)
 
@@ -190,13 +190,14 @@ def audit_time_consistency(
     """
     start_label = mdp.initial_state if x is None else x
     table = PolicyTable(mdp, chains.reachable_states(mdp, None, start_label))
-    base, row = _best(table.rows, table.column(start_label))
+    base, row = _best(table.rows, table.column(start_label), None, table.policy)
     if row is None:
         raise InfeasibleStartError(start_label, base)
-    policy = row.policy
+    policy = base.policy
+    values = [_fractions(mix) for mix in row.values]
 
     def w_at(s: int) -> tuple[Fraction, ...]:
-        return row.W[table.column(mdp.states[s])]
+        return values[table.column(mdp.states[s])][1]
 
     cert = find_certificate(mdp, start_label, policy)
     cert_found = isinstance(cert, Certificate)
@@ -205,6 +206,8 @@ def audit_time_consistency(
     start = mdp.state_index(start_label)
     sweep = chains.forward_distributions(chain, start, mdp.num_states)
     seen: set[int] = set()
+    # The unmodified answer at a state does not depend on the time.
+    unmodified_at: dict[int, SolveResult] = {}
     entries: list[AuditEntry] = []
     for t, distribution in enumerate(sweep):
         # The support at t + 1 is the successors of the support at t, so
@@ -218,9 +221,11 @@ def audit_time_consistency(
             y = mdp.states[s]
             slack = _slack(distribution, s, w_at, mdp.constraint_dim)
 
-            value_here = row.V[table.column(y)]
+            value_here = values[table.column(y)][0]
             feasible_here = all(w >= 0 for w in w_at(s))
-            unmodified = table.solve(y)
+            if s not in unmodified_at:
+                unmodified_at[s] = table.solve(y)
+            unmodified = unmodified_at[s]
             consistent = unmodified.status != "optimal" or (
                 feasible_here and unmodified.value == value_here
             )

@@ -32,11 +32,15 @@ equation is a distribution over the classes, and V and W are its mix of
 the class gains. These are exactly the V and W of the policy's full
 chain, with no decomposition, stationary or absorption solve per policy.
 
-``solve`` streams one pass over the canonical policies, analysing each
-once and keeping only the best so far. A question that filters the
-policies more than once (the audit, the residual report) keeps the pass in
-one ``PolicyTable``, with V and W at every start state it needs; both
-filter the rows with the same ``_best``.
+Each leaf stays in integers: at each start it keeps V and W as one
+integer mix ``(V, *W, d)`` over a positive denominator d, and builds no
+``Policy`` and no ``Fraction``. ``solve`` streams one pass over the
+canonical policies, analysing each once and keeping only the best so far;
+the filter compares values crosswise and tests feasibility on numerators,
+and only the row that answers gets its ``Policy`` and ``Fraction``s. A
+question that filters the policies more than once (the audit) keeps the
+pass in one ``PolicyTable``, with V and W at every start state it needs;
+both filter the rows with the same ``_best``.
 """
 
 import collections
@@ -45,7 +49,8 @@ import math
 import os
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator, NamedTuple
+from numbers import Rational
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from cmdpkit import chains
 from cmdpkit.lp import eliminate
@@ -127,16 +132,30 @@ class TableRow(NamedTuple):
     """One canonical policy with its V and W at each start state of a pass.
 
     ``key`` is the policy's action index at each decision state, in state
-    order. ``V[k]`` and ``W[k]`` belong to the k-th start state asked for.
-    ``count`` is the number of policies the row stands for: those that
-    agree with ``policy`` on every state it reaches from the start states.
+    order; the policy takes the first action everywhere else. ``values[k]``
+    belongs to the k-th start state asked for: the integers ``(V, *W, d)``,
+    whose ratios to the positive d are V and W there. ``count`` is the
+    number of policies the row stands for: those that agree with the row's
+    policy on every state it reaches from the start states.
     """
 
-    policy: Policy
     key: tuple[int, ...]
-    V: tuple[Fraction, ...]
-    W: tuple[tuple[Fraction, ...], ...]
+    values: tuple[tuple[int, ...], ...]
     count: int
+
+
+def _policy(options: list[tuple[tuple[str, str], ...]], key: tuple[int, ...]) -> Policy:
+    """The policy of a row's ``key``, over ``_options``' pairs."""
+    actions = iter(key)
+    return Policy(choice=tuple(
+        pairs[next(actions)] if len(pairs) > 1 else pairs[0] for pairs in options
+    ))
+
+
+def _fractions(values: tuple[int, ...]) -> chains.Gain:
+    """V and W of a row's integer ``(V, *W, d)`` at one start."""
+    v, *w, d = values
+    return Fraction(v, d), tuple(Fraction(c, d) for c in w)
 
 
 def _equation(row: chains.Row, column: int) -> dict[int, int]:
@@ -161,14 +180,16 @@ def _eliminated(row: dict[int, int], pivot: dict[int, int], k: int) -> dict[int,
     return row
 
 
-def _mix(start: dict[int, int], gains: dict[int, list[int]], denominator: int) -> chains.Gain:
+def _mix(start: dict[int, int], gains: dict[int, list[int]], denominator: int) -> tuple[int, ...]:
     """V and W of a start equation whose open columns are all classes.
 
     ``gains[c]`` is class column c's ``[reward, *constraint, steps]`` sums,
     whose ratios to the last entry are the gains; the start reaches class c
     with probability -start[c] / ``denominator``, and its totals columns
-    are skipped. The sums are brought over one lcm of the step sums, so
-    each value is one ``Fraction``.
+    are skipped. The sums are brought over one lcm of the step sums, and
+    returned as ``(V, *W, d)`` integers over that one denominator. Every
+    step sum and ``denominator`` is positive, because ``lp.eliminate``
+    keeps each row a positive multiple of its rational row, so d is too.
     """
     classes = [(-p, gains[c]) for c, p in start.items() if c in gains]
     scale = lcm(*(sums[-1] for _, sums in classes))
@@ -176,8 +197,7 @@ def _mix(start: dict[int, int], gains: dict[int, list[int]], denominator: int) -
     for p, (*sums, steps) in classes:
         weight = p * (scale // steps)
         mixed = [total + weight * x for total, x in zip(mixed, sums)]
-    denominator *= scale
-    return Fraction(mixed[0], denominator), tuple(Fraction(x, denominator) for x in mixed[1:])
+    return (*mixed, denominator * scale)
 
 
 def _rows(mdp: Mdp, indices: list[int]) -> Iterator[TableRow]:
@@ -199,7 +219,8 @@ def _rows(mdp: Mdp, indices: list[int]) -> Iterator[TableRow]:
     stays an absorbing column. A policy is complete when no start row
     reaches an open node, with action 0 elsewhere; each start row is then a
     distribution over the classes (the fixed classes and the closed nodes),
-    and V and W are its mix of their gains.
+    and V and W are its mix of their gains, kept as integers (``_mix``).
+    The leaf yields its key, its count and those mixes, and nothing else.
     """
     _check_cap(mdp)
     censored = chains.censor(mdp)
@@ -208,7 +229,6 @@ def _rows(mdp: Mdp, indices: list[int]) -> Iterator[TableRow]:
     totals = range(nodes, nodes + 2 + mdp.constraint_dim)
     pseudo = totals.stop
     counts = [len(mdp.actions[s]) for s in censored.decision]
-    options = _options(mdp)
     # Each stack item: a walk node, as the actions fixed so far by decision
     # node, the action equations by node (read only for open nodes), the
     # start equations and the class sums by class column; then the open
@@ -231,17 +251,10 @@ def _rows(mdp: Mdp, indices: list[int]) -> Iterator[TableRow]:
                 gains = {**gains, k: [-rows[k][a].get(c, 0) for c in totals]}
         reached = [c for start in starts for c in start if c < decision and c not in gains]
         if not reached:
-            key = tuple(fixed.get(j, 0) for j in range(decision))
-            action = dict(zip(censored.decision, key))
-            values = [_mix(start, gains, start[pseudo]) for start in starts]
             yield TableRow(
-                policy=Policy(choice=tuple(
-                    pairs[action.get(s, 0)] for s, pairs in enumerate(options)
-                )),
-                key=key,
-                V=tuple(v for v, _ in values),
-                W=tuple(w for _, w in values),
-                count=math.prod(counts[j] for j in range(decision) if j not in fixed),
+                tuple(fixed.get(j, 0) for j in range(decision)),
+                tuple(_mix(start, gains, start[pseudo]) for start in starts),
+                math.prod(counts[j] for j in range(decision) if j not in fixed),
             )
             continue
         if pivot is not None:
@@ -258,36 +271,47 @@ def _rows(mdp: Mdp, indices: list[int]) -> Iterator[TableRow]:
 
 
 def _best(
-    rows: Iterable[TableRow], k: int, slack: tuple[Fraction, ...] | None = None
+    rows: Iterable[TableRow],
+    k: int,
+    slack: tuple[Rational, ...] | None,
+    policy: Callable[[tuple[int, ...]], Policy],
 ) -> tuple[SolveResult, TableRow | None]:
     """The row with the largest V[k], then the smallest key, of W[k] - slack >= 0.
 
     Returns the result and that row (None when no row is feasible). The
-    counts add every policy a row stands for. A canonical row has the V
-    and W of the policies it stands for and the smallest key among them,
-    so the best row holds the smallest best action tuple.
+    scan stays in integers: over one row's d, W >= p/q is W q >= p d, and
+    V is compared crosswise. Only the best row gets ``Fraction``s and, by
+    ``policy``, its ``Policy``. The counts add every policy a row stands
+    for. A canonical row has the V and W of the policies it stands for and
+    the smallest key among them, so the best row holds the smallest best
+    action tuple.
     """
+    floors = itertools.repeat((0, 1)) if slack is None else [
+        (c.numerator, c.denominator) for c in slack
+    ]
     best: TableRow | None = None
-    best_w: tuple[Fraction, ...] | None = None
+    best_v = best_d = 0
     feasible = total = 0
     for row in rows:
         total += row.count
-        w = row.W[k]
-        if slack is not None:
-            w = tuple(c - d for c, d in zip(w, slack))
-        if any(c < 0 for c in w):
+        v, *w, d = row.values[k]
+        if any(c * q < p * d for c, (p, q) in zip(w, floors)):
             continue
         feasible += row.count
-        if best is None or (-row.V[k], row.key) < (-best.V[k], best.key):
-            best, best_w = row, w
+        gap = 1 if best is None else v * best_d - best_v * d
+        if gap > 0 or (gap == 0 and row.key < best.key):
+            best, best_v, best_d = row, v, d
     if best is None:
         return SolveResult(
             status="infeasible", policy=None, value=None, W_at_optimum=None,
             feasible_count=0, total_count=total,
         ), None
+    value, w = _fractions(best.values[k])
+    if slack is not None:
+        w = tuple(c - s for c, s in zip(w, slack))
     return SolveResult(
-        status="optimal", policy=best.policy, value=best.V[k],
-        W_at_optimum=best_w, feasible_count=feasible, total_count=total,
+        status="optimal", policy=policy(best.key), value=value,
+        W_at_optimum=w, feasible_count=feasible, total_count=total,
     ), best
 
 
@@ -296,20 +320,24 @@ class PolicyTable:
 
     A policy is canonical for the union of its reach sets from all the
     table's states, so every column is exact. Rows are sorted by key,
-    which is the order ``enumerate_policies`` yields their policies in.
-    Memory grows with canonical policies times states, so only questions
-    that filter the rows more than once build a table.
+    which is the order ``enumerate_policies`` yields their policies in,
+    and hold integers; a row's ``Policy`` is built the first time the row
+    answers a query (``policy``). Memory grows with canonical policies
+    times states, so only questions that filter the rows more than once
+    build a table.
     """
 
     def __init__(self, mdp: Mdp, states: tuple[str, ...]):
         self.states = tuple(states)
         self.constraint_dim = mdp.constraint_dim
         self._column = {state: k for k, state in enumerate(self.states)}
+        self._options = _options(mdp)
+        self._policies: dict[tuple[int, ...], Policy] = {}
         rows = _rows(mdp, [mdp.state_index(s) for s in self.states])
         self.rows = tuple(sorted(rows, key=lambda row: row.key))
 
     def column(self, state: str) -> int:
-        """Position of a start state in the rows' V and W.
+        """Position of a start state in the rows' values.
 
         A state outside the table raises ``UnknownStateError``, an
         ``InputError``.
@@ -321,22 +349,34 @@ class PolicyTable:
                 f"state {state!r} is not a start state of this table"
             ) from None
 
+    def policy(self, key: tuple[int, ...]) -> Policy:
+        """The policy of the row with ``key``, built once per table."""
+        policy = self._policies.get(key)
+        if policy is None:
+            policy = self._policies[key] = _policy(self._options, key)
+        return policy
+
     def solve(
-        self, x: str, slack: tuple[Fraction, ...] | None = None
+        self, x: str, slack: tuple[Rational, ...] | None = None
     ) -> SolveResult:
         """``solve(mdp, x)``, or with every constraint shifted by -slack.
 
         A uniform shift moves every W by exactly -slack, because stationary
         vectors and absorption rows each sum to 1, and leaves V alone; so
         the shifted problem needs no model of its own. A slack with other
-        than ``constraint_dim`` components raises InputError.
+        than ``constraint_dim`` components, or with a component that is not
+        a ``numbers.Rational``, raises InputError.
         """
-        if slack is not None and len(slack) != self.constraint_dim:
-            raise InputError(
-                f"slack has {len(slack)} components, but constraint_dim is "
-                f"{self.constraint_dim}"
-            )
-        return _best(self.rows, self.column(x), slack)[0]
+        if slack is not None:
+            if len(slack) != self.constraint_dim:
+                raise InputError(
+                    f"slack has {len(slack)} components, but constraint_dim is "
+                    f"{self.constraint_dim}"
+                )
+            for component in slack:
+                if not isinstance(component, Rational):
+                    raise InputError(f"slack component {component!r} is not rational")
+        return _best(self.rows, self.column(x), slack, self.policy)[0]
 
 
 def solve(mdp: Mdp, x: str | None = None) -> SolveResult:
@@ -345,7 +385,8 @@ def solve(mdp: Mdp, x: str | None = None) -> SolveResult:
     Among policies with W(x) >= 0 componentwise, returns one maximizing
     V(x); ties keep the policy with the smallest action tuple. Infeasibility
     is a status, not an error. The policies are streamed: memory does not
-    grow with their number.
+    grow with their number, and only the answer's ``Policy`` is built.
     """
     start = mdp.initial_state if x is None else x
-    return _best(_rows(mdp, [mdp.state_index(start)]), 0)[0]
+    rows = _rows(mdp, [mdp.state_index(start)])
+    return _best(rows, 0, None, lambda key: _policy(_options(mdp), key))[0]

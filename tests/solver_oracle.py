@@ -34,8 +34,16 @@ the policy's embedded chain from ``fraction_view``, the censored chain as
 stationary vector and the absorption map, and mixes the class gains at
 each start with ``mix``.
 
+``fraction_rows``, ``fraction_mix`` and ``fraction_best`` are the walk,
+its leaf's mixing step and its filter before the leaves stayed integers:
+each leaf built its ``Policy`` and the ``Fraction``s of V and W at every
+start, and the filter compared ``(-V, key)`` tuples and subtracted the
+slack from every row's W. ``FractionRow`` is the row they passed, and
+``materialise`` turns the solver's integer rows into it.
+
 Every row's ``key`` is read off its policy by ``key``. Property tests
-require the solver's rows and ``SolveResult``s to equal these.
+require the solver's rows, materialised, and ``SolveResult``s to equal
+these.
 """
 
 from __future__ import annotations
@@ -45,14 +53,64 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from math import lcm
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from cmdpkit import chains
 from cmdpkit.evaluation import ClassGain, PolicyAnalysis, analyse_policy
 from cmdpkit.model import Chain, Mdp, Policy, Successors, Trajectory, induced_chain
-from cmdpkit.solver import SolveResult, TableRow, _check_cap, _options, enumerate_policies
+from cmdpkit.solver import (
+    SolveResult,
+    TableRow,
+    _check_cap,
+    _eliminated,
+    _equation,
+    _options,
+    enumerate_policies,
+)
 
 ZERO = Fraction(0)
+
+
+class FractionRow(NamedTuple):
+    """One canonical policy with its V and W at each start state of a pass.
+
+    ``key`` is the policy's action index at each decision state, in state
+    order. ``V[k]`` and ``W[k]`` belong to the k-th start state asked for.
+    ``count`` is the number of policies the row stands for: those that
+    agree with ``policy`` on every state it reaches from the start states.
+    """
+
+    policy: Policy
+    key: tuple[int, ...]
+    V: tuple[Fraction, ...]
+    W: tuple[tuple[Fraction, ...], ...]
+    count: int
+
+
+def materialise(mdp: Mdp, rows: Iterable[TableRow]) -> list[FractionRow]:
+    """The solver's integer rows as ``FractionRow``s, in the same order.
+
+    Each policy is read off its key: the key's action at each state with a
+    choice, the first action elsewhere. V and W are the ratios of each
+    start's integers to its denominator, which must be positive.
+    """
+    decision = [s for s, acts in enumerate(mdp.actions) if len(acts) > 1]
+    materialised = []
+    for row in rows:
+        assert all(values[-1] > 0 for values in row.values)
+        action = dict(zip(decision, row.key))
+        materialised.append(FractionRow(
+            policy=Policy(choice=tuple(
+                (state, acts[action.get(s, 0)])
+                for s, (state, acts) in enumerate(zip(mdp.states, mdp.actions))
+            )),
+            key=row.key,
+            V=tuple(Fraction(v, d) for v, *_, d in row.values),
+            W=tuple(tuple(Fraction(c, d) for c in w) for _, *w, d in row.values),
+            count=row.count,
+        ))
+    return materialised
 
 
 def key(mdp: Mdp, policy: Policy) -> tuple[int, ...]:
@@ -63,12 +121,12 @@ def key(mdp: Mdp, policy: Policy) -> tuple[int, ...]:
     )
 
 
-def rows(mdp: Mdp, indices: list[int]) -> Iterator[TableRow]:
+def rows(mdp: Mdp, indices: list[int]) -> Iterator[FractionRow]:
     """Every policy, analysed on its own, in ``enumerate_policies`` order."""
     for policy in enumerate_policies(mdp):
         analysis = analyse_policy(mdp, policy)
         values = [analysis.values_at(i) for i in indices]
-        yield TableRow(
+        yield FractionRow(
             policy=policy,
             key=key(mdp, policy),
             V=tuple(v for v, _ in values),
@@ -78,10 +136,10 @@ def rows(mdp: Mdp, indices: list[int]) -> Iterator[TableRow]:
 
 
 def best(
-    rows: Iterable[TableRow], k: int, slack: tuple[Fraction, ...] | None = None
+    rows: Iterable[FractionRow], k: int, slack: tuple[Fraction, ...] | None = None
 ) -> SolveResult:
     """The first row with the largest V[k] among those with W[k] - slack >= 0."""
-    found: TableRow | None = None
+    found: FractionRow | None = None
     found_w: tuple[Fraction, ...] | None = None
     feasible = total = 0
     for row in rows:
@@ -195,13 +253,13 @@ def _class_solve(
     )
 
 
-def canonical_rows(mdp: Mdp, indices: list[int]) -> Iterator[TableRow]:
+def canonical_rows(mdp: Mdp, indices: list[int]) -> Iterator[FractionRow]:
     """Every canonical policy, analysed once, in ``enumerate_policies`` order."""
     weighted, policies = itertools.tee(canonical(mdp, indices))
     analyses = analyse_policies(mdp, (policy for policy, _ in policies))
     for (policy, count), analysis in zip(weighted, analyses):
         values = [analysis.values_at(i) for i in indices]
-        yield TableRow(
+        yield FractionRow(
             policy=policy,
             key=key(mdp, policy),
             V=tuple(v for v, _ in values),
@@ -283,7 +341,7 @@ def mix(
     return v, tuple(w)
 
 
-def leaf_rows(mdp: Mdp, indices: list[int]) -> Iterator[TableRow]:
+def leaf_rows(mdp: Mdp, indices: list[int]) -> Iterator[FractionRow]:
     """Every canonical policy in depth-first order, each analysed at its leaf.
 
     The walk reads the embedded rows. It branches on the lowest-index
@@ -324,7 +382,7 @@ def leaf_rows(mdp: Mdp, indices: list[int]) -> Iterator[TableRow]:
         absorption = chains.absorption_map(embedded, decomposition)
         values = [mix(entry, absorption, gains) for entry in entries]
         action = dict(zip(censored.decision, key))
-        yield TableRow(
+        yield FractionRow(
             policy=Policy(choice=tuple(pairs[action.get(s, 0)] for s, pairs in enumerate(options))),
             key=key,
             V=tuple(v for v, _ in values),
@@ -333,7 +391,7 @@ def leaf_rows(mdp: Mdp, indices: list[int]) -> Iterator[TableRow]:
         )
 
 
-def enumerated_rows(mdp: Mdp, indices: list[int]) -> Iterator[TableRow]:
+def enumerated_rows(mdp: Mdp, indices: list[int]) -> Iterator[FractionRow]:
     """Every canonical policy, analysed once, in ``enumerate_policies`` order."""
     censored = fraction_view(mdp)
     decision = len(censored.decision)
@@ -374,13 +432,143 @@ def enumerated_rows(mdp: Mdp, indices: list[int]) -> Iterator[TableRow]:
         previous = current
         absorption = chains.absorption_map(embedded, decomposition)
         values = [mix(entry, absorption, gains) for entry in entries]
-        yield TableRow(
+        yield FractionRow(
             policy=policy,
             key=key(mdp, policy),
             V=tuple(v for v, _ in values),
             W=tuple(w for _, w in values),
             count=math.prod(counts[k] for k in outside),
         )
+
+
+def fraction_mix(start: dict[int, int], gains: dict[int, list[int]], denominator: int) -> chains.Gain:
+    """V and W of a start equation whose open columns are all classes.
+
+    ``gains[c]`` is class column c's ``[reward, *constraint, steps]`` sums,
+    whose ratios to the last entry are the gains; the start reaches class c
+    with probability -start[c] / ``denominator``, and its totals columns
+    are skipped. The sums are brought over one lcm of the step sums, so
+    each value is one ``Fraction``.
+    """
+    classes = [(-p, gains[c]) for c, p in start.items() if c in gains]
+    scale = lcm(*(sums[-1] for _, sums in classes))
+    mixed = [0] * (len(classes[0][1]) - 1)
+    for p, (*sums, steps) in classes:
+        weight = p * (scale // steps)
+        mixed = [total + weight * x for total, x in zip(mixed, sums)]
+    denominator *= scale
+    return Fraction(mixed[0], denominator), tuple(Fraction(x, denominator) for x in mixed[1:])
+
+
+def fraction_rows(mdp: Mdp, indices: list[int]) -> Iterator[FractionRow]:
+    """Every canonical policy, analysed once, in depth-first order.
+
+    The walk runs on the censored chain (``chains.censor``), built once per
+    pass, and carries, at each of its nodes, the integer equations that are
+    still open: every action row of each decision node not yet fixed, and
+    one row per start state, each over the open nodes and the classes with
+    the totals collected on the way (``_equation``; a start row's
+    denominator is the coefficient of one pseudo column after the totals).
+    It branches on the lowest-index open decision node that a start row
+    puts mass on. Fixing action a there takes its equation as the pivot: if
+    its own column is present (self-mass below 1), ``lp.eliminate`` clears
+    that column from the start rows and, unless that completes the policy,
+    from every other open node's rows. If its own column has cleared
+    (self-mass 1), the node closes a class: its gains are the ratios of its
+    negated reward and constraint totals to its negated step total, and it
+    stays an absorbing column. A policy is complete when no start row
+    reaches an open node, with action 0 elsewhere; each start row is then a
+    distribution over the classes (the fixed classes and the closed nodes),
+    and V and W are its mix of their gains.
+    """
+    _check_cap(mdp)
+    censored = chains.censor(mdp)
+    decision = len(censored.decision)
+    nodes = decision + len(censored.fixed)
+    totals = range(nodes, nodes + 2 + mdp.constraint_dim)
+    pseudo = totals.stop
+    counts = [len(mdp.actions[s]) for s in censored.decision]
+    options = _options(mdp)
+    # Each stack item: a walk node, as the actions fixed so far by decision
+    # node, the action equations by node (read only for open nodes), the
+    # start equations and the class sums by class column; then the open
+    # node to fix and its action, or -1 at the root.
+    root = ({}, [tuple(_equation(row, k) for row in actions)
+                 for k, actions in enumerate(censored.rows)],
+            [_equation(censored.entry[i], pseudo) for i in indices],
+            dict(enumerate(censored.fixed_gains, decision)))
+    stack = [(root, -1, 0)]
+    while stack:
+        (fixed, rows, starts, gains), k, a = stack.pop()
+        pivot = None
+        if k >= 0:
+            fixed = {**fixed, k: a}
+            if k in rows[k][a]:
+                pivot = rows[k][a]
+                starts = [_eliminated(start, pivot, k) if k in start else start
+                          for start in starts]
+            else:
+                gains = {**gains, k: [-rows[k][a].get(c, 0) for c in totals]}
+        reached = [c for start in starts for c in start if c < decision and c not in gains]
+        if not reached:
+            key = tuple(fixed.get(j, 0) for j in range(decision))
+            action = dict(zip(censored.decision, key))
+            values = [fraction_mix(start, gains, start[pseudo]) for start in starts]
+            yield FractionRow(
+                policy=Policy(choice=tuple(
+                    pairs[action.get(s, 0)] for s, pairs in enumerate(options)
+                )),
+                key=key,
+                V=tuple(v for v, _ in values),
+                W=tuple(w for _, w in values),
+                count=math.prod(counts[j] for j in range(decision) if j not in fixed),
+            )
+            continue
+        if pivot is not None:
+            rows = [
+                actions if j in fixed else tuple(
+                    _eliminated(r, pivot, k) if k in r else r for r in actions
+                )
+                for j, actions in enumerate(rows)
+            ]
+        walk = (fixed, rows, starts, gains)
+        branch = min(reached)
+        for b in reversed(range(counts[branch])):
+            stack.append((walk, branch, b))
+
+
+def fraction_best(
+    rows: Iterable[FractionRow], k: int, slack: tuple[Fraction, ...] | None = None
+) -> tuple[SolveResult, FractionRow | None]:
+    """The row with the largest V[k], then the smallest key, of W[k] - slack >= 0.
+
+    Returns the result and that row (None when no row is feasible). The
+    counts add every policy a row stands for. A canonical row has the V
+    and W of the policies it stands for and the smallest key among them,
+    so the best row holds the smallest best action tuple.
+    """
+    best: FractionRow | None = None
+    best_w: tuple[Fraction, ...] | None = None
+    feasible = total = 0
+    for row in rows:
+        total += row.count
+        w = row.W[k]
+        if slack is not None:
+            w = tuple(c - d for c, d in zip(w, slack))
+        if any(c < 0 for c in w):
+            continue
+        feasible += row.count
+        if best is None or (-row.V[k], row.key) < (-best.V[k], best.key):
+            best, best_w = row, w
+    if best is None:
+        return SolveResult(
+            status="infeasible", policy=None, value=None, W_at_optimum=None,
+            feasible_count=0, total_count=total,
+        ), None
+    return SolveResult(
+        status="optimal", policy=best.policy, value=best.V[k],
+        W_at_optimum=best_w, feasible_count=feasible, total_count=total,
+    ), best
 
 
 def fraction_excursions(censored: FractionCensoredChain) -> FractionCensoredChain:

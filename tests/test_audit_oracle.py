@@ -9,13 +9,14 @@ field, with every analytic value a ``Fraction``.
 import random
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import audit_oracle
-from cmdpkit import instances
+from cmdpkit import instances, solver
 from cmdpkit.residual import InfeasibleStartError, ResidualSpec, audit_time_consistency
 from cmdpkit.solver import PolicyTable, solve
 from randmdp import random_decomposable, random_mdp
@@ -77,6 +78,32 @@ def test_haviv_audit_equals_oracle_including_infeasible_entry(all_times):
     report = check_audit(instances.haviv(), all_times)
     infeasible = [e.state for e in report.entries if e.unmodified_status == "infeasible"]
     assert "c1_0" in infeasible
+
+
+def test_haviv_all_times_audit_asks_each_unmodified_answer_once():
+    # 75 entries over 27 states: the unmodified answer does not depend on
+    # the time, so it is asked once per state, and each row that answers
+    # builds its Policy once.
+    unmodified, built = [], []
+    solve_at, policy_of = PolicyTable.solve, solver._policy
+
+    def counted_solve(table, x, slack=None):
+        if slack is None:
+            unmodified.append(x)
+        return solve_at(table, x, slack)
+
+    def counted_policy(options, key):
+        built.append(key)
+        return policy_of(options, key)
+
+    with mock.patch.object(PolicyTable, "solve", counted_solve), \
+            mock.patch.object(solver, "_policy", counted_policy):
+        report = audit_time_consistency(instances.haviv(), all_times=True)
+    states = [entry.state for entry in report.entries]
+    assert (len(states), len(set(states))) == (75, 27)
+    assert sorted(unmodified) == sorted(set(states))
+    assert len(built) == len(set(built))
+    assert report == audit_oracle.audit_time_consistency(instances.haviv(), all_times=True)
 
 
 def test_decomposable_models_reach_the_infeasible_branch():

@@ -3,9 +3,10 @@
 ``solver._rows`` eliminates the decision states of the chain censored onto
 them one at a time along its walk; ``solver_oracle.canonical_rows`` is the
 pass that finds the canonical policies by a reach search over the full
-chain and analyses each one's full induced chain. Sorted by key, the rows
-must be equal one by one (policy, key, V, W, count), with every value a
-``Fraction``. In walk order, the rows must equal
+chain and analyses each one's full induced chain. The solver's rows hold
+integers; materialised (``solver_oracle.materialise``) and sorted by key,
+they must be equal one by one (policy, key, V, W, count), with every value
+a ``Fraction``. In walk order, the rows must equal
 ``solver_oracle.leaf_rows``, the same walk analysing each leaf's embedded
 chain on its own, with every row update of the walk checked against the
 rational one (``lp_oracle.checked_eliminate``). Every ``solve`` and ``PolicyTable.solve`` must also
@@ -84,7 +85,7 @@ def draw_starts(rng: random.Random, mdp: model.Mdp) -> list[int]:
 
 
 def assert_rows_equal(mdp: model.Mdp, starts: list[int]) -> None:
-    got = sorted(_rows(mdp, starts), key=lambda row: row.key)
+    got = sorted(solver_oracle.materialise(mdp, _rows(mdp, starts)), key=lambda row: row.key)
     assert got == list(solver_oracle.canonical_rows(mdp, starts))
     for row in got:
         assert all(type(v) is Fraction for v in row.V)
@@ -122,7 +123,8 @@ def test_walk_rows_equal_the_per_leaf_rows_in_walk_order(stratum, dim, seed, laz
     # Every row update of the walk is checked against the rational one.
     with mock.patch.object(solver, "eliminate", lp_oracle.checked_eliminate):
         for starts in ([rng.randrange(mdp.num_states)], draw_starts(rng, mdp)):
-            assert list(_rows(mdp, starts)) == list(solver_oracle.leaf_rows(mdp, starts))
+            got = solver_oracle.materialise(mdp, _rows(mdp, starts))
+            assert got == list(solver_oracle.leaf_rows(mdp, starts))
 
 
 def assert_solves_equal_the_enumerated_pass(
@@ -307,4 +309,5 @@ def test_tables_on_scaled_models_equal_the_full_chain_rows():
         mdp = nested_model(decisions)
         for starts in ([0], list(range(0, mdp.num_states, 2))):
             table = PolicyTable(mdp, tuple(mdp.states[i] for i in starts))
-            assert list(table.rows) == list(solver_oracle.canonical_rows(mdp, starts))
+            got = solver_oracle.materialise(mdp, table.rows)
+            assert got == list(solver_oracle.canonical_rows(mdp, starts))

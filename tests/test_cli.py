@@ -8,7 +8,7 @@ import pytest
 
 from cmdpkit import certificate, chains, lp, model, residual, samplepath, solver
 from cmdpkit.chains import max_denominator_bits
-from cmdpkit.cli import run
+from cmdpkit.cli import main, run
 from cmdpkit.model import InputError, Mdp, instance_to_json
 from cmdpkit.samplepath import MAX_STEPS
 from dense_oracle import sparse_kernel
@@ -581,6 +581,44 @@ def test_help_is_the_report(command, capsys):
         assert out.report.startswith("usage: cmdpkit ")
         for name in HELP_NAMES[command] + ["--help"]:
             assert name in out.report
+
+
+# ``cmdpkit --help`` stdout, byte for byte; the module docstring is free to change.
+TOP_HELP = """\
+usage: cmdpkit [-h] {validate,solve,evaluate,residual,certify,audit,samplepath,decompose,simulate} ...
+
+Command-line front end.
+
+Every subcommand reads an instance file, runs the corresponding module API
+and prints a single deterministic JSON document (sorted keys, exact rationals
+as "p/q"). Exit codes: 0 success / positive verdict, 1 declared negative
+result (infeasible, certificate UNSAT, failed check, time inconsistency,
+sample-path infeasible, non-decomposable), 2 usage or input error,
+3 any other failure (a defect, reported without a traceback).
+Identical inputs, including the seed, produce byte-identical reports.
+
+commands:
+  validate    check instance invariants
+  solve       best feasible policy
+  evaluate    V and W of a policy
+  residual    residual slackness at a reachable state
+  certify     check or search an optimality certificate
+  audit       time-consistency audit of the optimal policy
+  samplepath  almost-sure feasibility of a policy
+  decompose   per-subchain expected-constraint conversion
+  simulate    seeded Monte Carlo trajectory
+
+options:
+  -h, --help  show this help message and exit
+"""
+
+
+def test_top_level_help_stdout_is_pinned(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["cmdpkit", "--help"])
+    with pytest.raises(SystemExit) as exited:
+        main()
+    assert exited.value.code == 0
+    assert capsys.readouterr() == (TOP_HELP, "")
 
 
 def test_help_names_exit_three_as_any_other_failure():

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 import tracemalloc
@@ -14,7 +15,6 @@ from cmdpkit.solver import (
     EnumerationCapExceeded,
     PolicyTable,
     enumerate_policies,
-    policy_count,
     solve,
 )
 from dense_oracle import sparse_kernel
@@ -192,7 +192,8 @@ def test_ties_go_to_the_smallest_action_tuple_not_the_first_walked():
     assert validate(mdp).ok
     assert [row.key for row in solver._rows(mdp, [1])] == [(0, 0), (1, 0), (0, 1)]
     table = PolicyTable(mdp, ("s1",))
-    assert [(row.key, row.V[0], row.count) for row in table.rows] == [
+    rows = solver_oracle.materialise(mdp, table.rows)
+    assert [(row.key, row.V[0], row.count) for row in rows] == [
         ((0, 0), 0, 1), ((0, 1), 2, 2), ((1, 0), 2, 1),
     ]
     first = Policy.from_mapping(mdp, {"s0": "a", "s1": "b"})
@@ -202,22 +203,29 @@ def test_ties_go_to_the_smallest_action_tuple_not_the_first_walked():
     assert solve(mdp) == solver_oracle.solve(mdp)
 
 
-def test_solve_builds_one_policy_per_canonical_row_and_enumerates_none(monkeypatch):
+def test_solve_builds_one_policy_per_answer_and_enumerates_none(monkeypatch):
+    # The walk's leaves stay integers: an optimal solve builds only its
+    # answer's Policy and its V and W Fractions, and an infeasible one
+    # builds neither.
     rng = random.Random(8)
-    pruned = 0
+    statuses = collections.Counter()
     for _ in range(20):
         mdp = random_mdp(rng, max_states=7, max_policies=32)
-        start = [mdp.state_index(mdp.initial_state)]
-        canonical = len(list(solver_oracle.canonical(mdp, start)))
-        expected = solver_oracle.solve(mdp)
-        built = []
-        with monkeypatch.context() as patch:
-            patch.setattr(solver, "enumerate_policies", lambda mdp: pytest.fail("enumerated"))
-            patch.setattr(solver, "Policy", lambda **kw: built.append(kw) or Policy(**kw))
-            assert solve(mdp) == expected
-        assert len(built) == canonical
-        pruned += canonical < policy_count(mdp)
-    assert pruned >= 5
+        for y in mdp.states:
+            expected = solver_oracle.solve(mdp, y)
+            policies, fractions = [], []
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "enumerate_policies", lambda mdp: pytest.fail("enumerated"))
+                patch.setattr(solver, "Policy", lambda **kw: policies.append(kw) or Policy(**kw))
+                patch.setattr(
+                    solver, "Fraction", lambda *args: fractions.append(args) or Fraction(*args)
+                )
+                assert solve(mdp, y) == expected
+            optimal = expected.status == "optimal"
+            assert len(policies) == optimal
+            assert len(fractions) == optimal * (1 + mdp.constraint_dim)
+            statuses[expected.status] += 1
+    assert statuses["optimal"] >= 20 and statuses["infeasible"] >= 5
 
 
 def test_unknown_start_is_reported_before_the_cap(monkeypatch, haviv):
@@ -236,6 +244,18 @@ def test_table_solve_rejects_a_slack_of_the_wrong_length(haviv):
             table.solve("x", slack)
         assert str(raised.value) == f"slack has {len(slack)} components, but constraint_dim is 1"
     assert table.solve("x", (F(0),)).value == table.solve("x").value == 5
+
+
+def test_table_solve_rejects_a_slack_that_is_not_rational(haviv):
+    # A float slack once gave a binary float W and a str one a TypeError.
+    table = PolicyTable(haviv, ("x", "y"))
+    for component in (0.05, "1/20", None, 1j):
+        with pytest.raises(InputError) as raised:
+            table.solve("y", (component,))
+        assert str(raised.value) == f"slack component {component!r} is not rational"
+    exact = table.solve("y", (F(1, 20),))
+    assert all(type(w) is Fraction for w in exact.W_at_optimum)
+    assert table.solve("y", (0,)) == table.solve("y", (F(0),)) == table.solve("y")
 
 
 def test_table_rejects_a_state_outside_it_as_an_input_error(haviv):
@@ -269,7 +289,7 @@ def tabled_model(initial: str, table: dict) -> Mdp:
 def walked_values(mdp: Mdp, start: str) -> dict[tuple[int, ...], tuple]:
     """V and W by key from the walk at one start, each checked against the full chain."""
     values = {}
-    for row in solver._rows(mdp, [mdp.state_index(start)]):
+    for row in solver_oracle.materialise(mdp, solver._rows(mdp, [mdp.state_index(start)])):
         report = evaluate(mdp, row.policy, start)
         assert (row.V[0], row.W[0]) == (report.V, report.W)
         values[row.key] = (row.V[0], row.W[0][0])

@@ -47,7 +47,7 @@ def counted_stationary_solves():
 def class_pairs(mdp, table):
     """(canonical policy, recurrent class) pairs behind a table's rows."""
     return sum(
-        len(chains.decompose(induced_chain(mdp, row.policy)).recurrent_classes)
+        len(chains.decompose(induced_chain(mdp, table.policy(row.key))).recurrent_classes)
         for row in table.rows
     )
 
@@ -103,7 +103,8 @@ def test_unchanged_classes_are_solved_once():
         with counted_stationary_solves() as counted:
             result = solve(mdp)
         table = PolicyTable(mdp, (mdp.initial_state,))
-        classes = len(chains.decompose(induced_chain(mdp, table.rows[0].policy)).recurrent_classes)
+        first = table.policy(table.rows[0].key)
+        classes = len(chains.decompose(induced_chain(mdp, first)).recurrent_classes)
         assert result == solver_oracle.solve(mdp)
         assert counted.call_count == classes
         if len(table.rows) > 1:
