@@ -6,12 +6,14 @@ constraint vector per (state, action). Every numeric quantity is a
 ``fractions.Fraction``; instance documents carry numbers as strings
 ("0.125" or "1/8") so that no binary float is ever involved.
 
-``Mdp`` and ``Policy`` are frozen dataclasses built from tuples. Each
-builds its label lookup map once, at construction, in a field that
-equality and hashing ignore; no analysis is keyed by hashing a model.
-Every other record of the package, here and in the other modules, is a
-``typing.NamedTuple``: immutable, and much cheaper than a dataclass to
-define at import, which every cold command pays.
+``Mdp`` and ``Policy`` are frozen records built from tuples: plain
+classes with ``__slots__``, because ``dataclasses`` would load
+``inspect``, ``ast``, ``dis`` and ``tokenize`` on every cold command.
+Each builds its label lookup map once, at construction, in a slot that
+equality, hashing, ``repr`` and pickling ignore; no analysis is keyed by
+hashing a model. Both have the surface of every other record of the
+package, here and in the other modules, each a ``typing.NamedTuple``:
+``_fields``, ``_asdict()`` and ``_replace(**changes)``.
 
 The kernel is held only as sparse successor rows (``Successors``), built
 straight from each document's ``transitions`` object: parsing,
@@ -22,7 +24,6 @@ rows, and no dense transition row is ever built.
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import lcm
@@ -132,8 +133,49 @@ Successors = tuple[tuple[int, Fraction], ...]
 Chain = tuple[Successors, ...]
 
 
-@dataclass(frozen=True)
-class Mdp:
+class _Record:
+    """A frozen record of ``_fields`` and one lookup map derived from them.
+
+    Equality (same class, equal fields), hashing, ``repr`` and pickling see
+    the fields only, as a frozen dataclass's do, and ``repr`` prints the
+    same bytes. ``_replace`` goes through ``__init__``, which rebuilds the
+    map.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def _asdict(self) -> dict:
+        return dict(zip(self._fields, self._values()))
+
+    def _replace(self, **changes):
+        return type(self)(**{**self._asdict(), **changes})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Mdp(_Record):
     """Finite constrained MDP with exact rational data.
 
     Fields are index-aligned: ``actions[i]`` lists the action labels of
@@ -142,7 +184,7 @@ class Mdp:
     every probability nonzero; ``rewards[i][j]`` and ``constraints[i][j]``
     the stagewise reward and constraint vector. Construction checks
     nothing: ``validate`` reports every violation, negative probabilities
-    included.
+    included. ``mdp._replace(field=value)`` returns an edited copy.
     """
 
     states: tuple[str, ...]
@@ -152,12 +194,26 @@ class Mdp:
     constraints: tuple[tuple[tuple[Fraction, ...], ...], ...]
     constraint_dim: int
     initial_state: str
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_index", {label: i for i, label in enumerate(self.states)}
-        )
+    _fields = ("states", "actions", "successors", "rewards", "constraints",
+               "constraint_dim", "initial_state")
+    __slots__ = (*_fields, "_index")
+
+    def __init__(
+        self,
+        states: tuple[str, ...],
+        actions: tuple[tuple[str, ...], ...],
+        successors: tuple[tuple[Successors, ...], ...],
+        rewards: tuple[tuple[Fraction, ...], ...],
+        constraints: tuple[tuple[tuple[Fraction, ...], ...], ...],
+        constraint_dim: int,
+        initial_state: str,
+    ) -> None:
+        values = (states, actions, successors, rewards, constraints,
+                  constraint_dim, initial_state)
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_index", {label: i for i, label in enumerate(states)})
 
     def state_index(self, label: str) -> int:
         try:
@@ -170,18 +226,21 @@ class Mdp:
         return len(self.states)
 
 
-@dataclass(frozen=True)
-class Policy:
+class Policy(_Record):
     """Deterministic stationary policy: one action label per state.
 
-    ``choice`` holds (state, action) pairs in model state order.
+    ``choice`` holds (state, action) pairs in model state order;
+    ``validate_policy`` checks it against a model.
     """
 
     choice: tuple[tuple[str, str], ...]
-    _action: dict[str, str] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_action", dict(self.choice))
+    _fields = ("choice",)
+    __slots__ = ("choice", "_action")
+
+    def __init__(self, choice: tuple[tuple[str, str], ...]) -> None:
+        object.__setattr__(self, "choice", choice)
+        object.__setattr__(self, "_action", dict(choice))
 
     def action_for(self, state: str) -> str:
         try:
@@ -217,7 +276,11 @@ class Policy:
 
 def validate_policy(mdp: Mdp, policy: Policy) -> None:
     """Raise PolicyError unless policy is a total valid choice map."""
-    seen = dict(policy.choice)
+    seen: dict[str, str] = {}
+    for state, action in policy.choice:
+        if state in seen:
+            raise PolicyError(f"policy names state {state!r} more than once")
+        seen[state] = action
     for i, state in enumerate(mdp.states):
         if state not in seen:
             raise PolicyError(f"policy does not cover state {state!r}")

@@ -18,7 +18,6 @@ absorption rows each sum to 1) and leaves V unchanged. So a policy is
 feasible in the shifted problem at y exactly when W(y) - slack >= 0.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -130,7 +129,7 @@ def build_residual_problem(mdp: Mdp, spec: ResidualSpec) -> Mdp:
         )
         for per_action in mdp.constraints
     )
-    return replace(mdp, constraints=shifted, initial_state=spec.target)
+    return mdp._replace(constraints=shifted, initial_state=spec.target)
 
 
 class AuditEntry(NamedTuple):

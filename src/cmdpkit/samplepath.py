@@ -20,7 +20,6 @@ instead of step by step.
 
 import itertools
 from bisect import bisect_right
-from dataclasses import replace
 from fractions import Fraction
 from random import Random
 from typing import Iterable, NamedTuple
@@ -109,7 +108,7 @@ def convert_classes(mdp: Mdp, classes: tuple[tuple[int, ...], ...]) -> Mdp:
         )
         for i, per_action in enumerate(mdp.constraints)
     )
-    return replace(mdp, constraints=constraints, constraint_dim=n * len(classes))
+    return mdp._replace(constraints=constraints, constraint_dim=n * len(classes))
 
 
 def convert_to_expected(mdp: Mdp, x: str) -> Mdp:

@@ -6,7 +6,6 @@ frozen seeds in the tests pin down the exact family being checked.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -96,7 +95,7 @@ def lazy_variant(mdp: Mdp, alpha: Fraction) -> Mdp:
         )
         for i, rows in enumerate(dense_kernel(mdp))
     )
-    return dataclasses.replace(mdp, successors=sparse_kernel(kernel))
+    return mdp._replace(successors=sparse_kernel(kernel))
 
 
 def random_policy(rng: random.Random, mdp: Mdp) -> Policy:

@@ -7,7 +7,6 @@ field, with every analytic value a ``Fraction``.
 """
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -26,7 +25,7 @@ F = Fraction
 
 def shifted(mdp, amount):
     """Every constraint component lowered by ``amount``."""
-    return replace(mdp, constraints=tuple(
+    return mdp._replace(constraints=tuple(
         tuple(tuple(c - amount for c in cvec) for cvec in per_action)
         for per_action in mdp.constraints
     ))

@@ -20,7 +20,6 @@ single-action transient states and fixed-class states; and each model may
 be replaced by a lazy variant at alpha = k/1009 or k/(2**61 - 1).
 """
 
-import dataclasses
 import random
 from fractions import Fraction
 from unittest import mock
@@ -51,8 +50,8 @@ def with_fixed_class(rng: random.Random, mdp: model.Mdp) -> model.Mdp:
         support = rng.sample(block, rng.randint(1, len(block)))
         kernel[s] = (random_row(rng, n, support=support),)
         actions[s], rewards[s], constraints[s] = actions[s][:1], rewards[s][:1], constraints[s][:1]
-    return dataclasses.replace(
-        mdp, actions=tuple(actions), successors=sparse_kernel(kernel),
+    return mdp._replace(
+        actions=tuple(actions), successors=sparse_kernel(kernel),
         rewards=tuple(rewards), constraints=tuple(constraints),
     )
 

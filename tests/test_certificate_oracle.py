@@ -10,7 +10,6 @@ self-loop has mass 1, and every bundled instance at every start state and
 policy.
 """
 
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -44,7 +43,7 @@ def absorbing(mdp, picks):
     successors = [list(rows) for rows in mdp.successors]
     for i, j in picks:
         successors[i][j] = ((i, F(1)),)
-    return dataclasses.replace(mdp, successors=tuple(map(tuple, successors)))
+    return mdp._replace(successors=tuple(map(tuple, successors)))
 
 
 @settings(max_examples=60, deadline=None)

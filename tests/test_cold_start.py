@@ -12,7 +12,6 @@ interpreter limit are run through ``main()`` in a fresh interpreter too.
 """
 
 import ast
-import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -48,30 +47,52 @@ def test_no_import_inside_a_function():
     assert nested == []
 
 
-def test_only_mdp_and_policy_are_dataclasses():
-    # Defining a dataclass costs about ten times a NamedTuple at import,
-    # which every cold command pays; Mdp and Policy keep a lookup map that
-    # equality ignores, which a NamedTuple cannot hold.
-    decorated = []
+def test_no_module_uses_dataclasses():
+    # Importing dataclasses loads inspect, ast, dis and tokenize, which
+    # every cold command would pay; Mdp and Policy are slotted classes.
+    found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in ast.walk(tree):
-            if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(node, ast.Import):
+                found += [f"{path.name}:{node.lineno} import {alias.name}"
+                          for alias in node.names if alias.name.split(".")[0] == "dataclasses"]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses":
+                found.append(f"{path.name}:{node.lineno} from {node.module}")
+            elif isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 for decorator in node.decorator_list:
                     target = decorator.func if isinstance(decorator, ast.Call) else decorator
                     if getattr(target, "attr", getattr(target, "id", None)) == "dataclass":
-                        decorated.append(f"{path.name}:{node.name}")
-    assert decorated == ["model.py:Mdp", "model.py:Policy"]
+                        found.append(f"{path.name}:{node.name} @dataclass")
+    assert found == []
+
+
+# Standard-library modules that importing dataclasses loads; the package
+# needs none of them.
+NOT_LOADED_BY_THE_CLI = {"dataclasses", "inspect", "ast", "dis", "tokenize", "copy"}
+
+
+def test_importing_the_cli_loads_no_dataclass_machinery():
+    # -S keeps site hooks out, so the set is what the package itself loads.
+    loaded = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+         "import cmdpkit.cli; print('\\n'.join(sorted(set(sys.modules) - before)))",
+         str(SRC)],
+        capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert "cmdpkit.model" in loaded
+    assert NOT_LOADED_BY_THE_CLI & set(loaded) == set()
 
 
 def records():
-    """Every NamedTuple and dataclass the package defines, by qualified name."""
+    """Every record class (one with ``_fields``) the package defines, by qualified name."""
     for path in sorted(PACKAGE.glob("*.py")):
         name = "cmdpkit" if path.stem == "__init__" else f"cmdpkit.{path.stem}"
         module = importlib.import_module(name)
         for value in vars(module).values():
             if (isinstance(value, type) and value.__module__ == name
-                    and (hasattr(value, "_fields") or dataclasses.is_dataclass(value))):
+                    and hasattr(value, "_fields")):
                 yield f"{name}.{value.__qualname__}", value
 
 

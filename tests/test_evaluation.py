@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -84,8 +83,8 @@ def test_transient_rewards_and_constraints_do_not_matter(haviv, haviv_a):
         bumped_constraints[i] = tuple(
             tuple(c - 77 for c in cvec) for cvec in haviv.constraints[i]
         )
-    bumped = replace(
-        haviv, rewards=tuple(bumped_rewards), constraints=tuple(bumped_constraints)
+    bumped = haviv._replace(
+        rewards=tuple(bumped_rewards), constraints=tuple(bumped_constraints)
     )
     after = evaluate(bumped, haviv_a, "x")
     assert (after.V, after.W) == (before.V, before.W)

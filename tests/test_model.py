@@ -1,6 +1,5 @@
 import json
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -209,7 +208,7 @@ def test_validate_reports_fewer_entries_than_actions_and_checks_on():
     assert violations[1].message == "state 'b' has 2 actions but 1 rewards"
     assert violations[2].message == "state 'b' has 2 actions but 1 constraint vectors"
     # a state with no entries at all is reported too, not indexed into
-    short = replace(mdp, actions=mdp.actions[:2], rewards=mdp.rewards[:1])
+    short = mdp._replace(actions=mdp.actions[:2], rewards=mdp.rewards[:1])
     assert [(v.kind, v.message) for v in validate(short).violations] == [
         ("state-shape", "actions has 2 entries for 3 states"),
         ("state-shape", "rewards has 1 entries for 3 states"),

@@ -8,8 +8,9 @@ budget before either.
 
 import pytest
 
-from cmdpkit.certificate import find_certificate
-from cmdpkit.model import InputError, Policy, PolicyError
+from cmdpkit.certificate import check_certificate, find_certificate
+from cmdpkit.evaluation import evaluate
+from cmdpkit.model import InputError, Policy, PolicyError, validate_policy
 from cmdpkit.residual import residual_slack
 from cmdpkit.samplepath import MAX_STEPS, samplepath_feasible, simulate, simulation_report
 
@@ -39,3 +40,21 @@ def test_simulation_report_checks_steps_first(haviv, bad_policy, steps):
     with pytest.raises(InputError, match="steps") as raised:
         simulation_report(haviv, bad_policy, "nowhere", steps, 1)
     assert not isinstance(raised.value, PolicyError)
+
+
+def test_a_policy_naming_a_state_twice_is_rejected(haviv, haviv_a, haviv_b):
+    # A dict of the choice keeps the last entry, so without the check this
+    # policy would be analysed as y=b while it compares unequal to haviv_b.
+    y = haviv_a.choice.index(("y", "a"))
+    twice = Policy(choice=(*haviv_a.choice[:y + 1], ("y", "b"), *haviv_a.choice[y + 1:]))
+    assert twice.action_for("y") == "b" and twice != haviv_b
+    certificate = find_certificate(haviv, "x", haviv_b)
+    calls = [
+        lambda: validate_policy(haviv, twice),
+        lambda: evaluate(haviv, twice, "x"),
+        lambda: find_certificate(haviv, "x", twice),
+        lambda: check_certificate(haviv, "x", twice, certificate),
+    ]
+    for call in calls:
+        with pytest.raises(PolicyError, match="^policy names state 'y' more than once$"):
+            call()

@@ -10,7 +10,6 @@ the same message.
 """
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -88,7 +87,7 @@ def oracle_convert(mdp, classes):
                 vec += [cvec[j] if i in cls else ZERO for j in range(n)]
             per_action.append(tuple(vec))
         constraints.append(tuple(per_action))
-    return replace(mdp, constraints=tuple(constraints), constraint_dim=n * len(classes))
+    return mdp._replace(constraints=tuple(constraints), constraint_dim=n * len(classes))
 
 
 def outcome(question, *args):

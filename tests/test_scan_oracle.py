@@ -12,7 +12,6 @@ values all tie, in constraint dimensions 0, 1 and 2, and on lazy variants
 at alpha = k/1009 and k/(2**61 - 1). Every value must be a ``Fraction``.
 """
 
-import dataclasses
 import random
 from fractions import Fraction
 from unittest import mock
@@ -34,8 +33,8 @@ STRATA = ["random", "fixed", "decomposable", "no-decision"]
 def with_tied_values(rng: random.Random, mdp: model.Mdp) -> model.Mdp:
     """The model with one reward everywhere, so every policy has the same V."""
     reward = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-    return dataclasses.replace(
-        mdp, rewards=tuple(tuple(reward for _ in acts) for acts in mdp.rewards)
+    return mdp._replace(
+        rewards=tuple(tuple(reward for _ in acts) for acts in mdp.rewards)
     )
 
 
