@@ -2,8 +2,8 @@
 
 A chain is a tuple of sparse successor rows (``model.Chain``), one per
 state: the ``(index, probability)`` pairs with positive probability, as
-``model.induced_chain`` hands them out from the model's compiled rows.
-Nothing here scans a dense transition row.
+``model.induced_chain`` shares them from the model's own rows
+(``Mdp.successors``). Nothing here scans a dense transition row.
 
 Recurrent classes are the closed strongly connected components of the
 support graph; everything else is transient. Stationary distributions and
@@ -14,20 +14,22 @@ absorption probabilities are exact rationals from sparse elimination:
   invariant (Cesaro frequency) vector with no aperiodicity requirement;
 - absorption probabilities are solved along the DAG of strongly connected
   transient components, sink components first (Tarjan order), so each
-  component is a small system of its own and a singleton needs only back
-  substitution. One decomposition feeds that solve: ``closed_classes``
-  keeps the transient components its one Tarjan pass finds, and the DAG
-  solve runs no search of its own;
-- ``censor`` eliminates a model's single-action states once, for every
-  policy: the same DAG solve (``_solve_along_dag``, shared with
-  ``absorption_map``) gives each eliminated state and each decision
-  state's action its integer row over the decision states and the fixed
-  classes (closed classes made only of single-action states): the hitting
-  distribution, then the expected reward, constraint and step totals until
-  the hit. The solver's walk turns each row into one integer equation and
-  eliminates its decision states from them by ``lp.eliminate``, one at a
-  time (the stochastic complement; Meyer 1989, SIAM Review 31(2)); a fixed
-  class is an absorbing column with its gain solved once;
+  component is a small system of its own and a singleton is one back
+  substitution, with no system built. One decomposition feeds that solve:
+  ``closed_classes`` keeps the transient components its one Tarjan pass
+  finds, and the DAG solve runs no search of its own;
+- ``censor`` eliminates the single-action states that the start states
+  reach under some policy once, for every policy: the same DAG solve
+  (``_solve_along_dag``, shared with ``absorption_map``) gives each
+  eliminated state and each reached decision state's action its integer
+  row over those decision states and the fixed classes (closed classes
+  made only of single-action states): the hitting distribution, then the
+  expected reward, constraint and step totals until the hit. The solver's
+  walk turns each row into one integer equation and eliminates its
+  decision states from them by ``lp.eliminate``, one at a time (the
+  stochastic complement; Meyer 1989, SIAM Review 31(2)); a fixed class is
+  an absorbing column with its gain solved once. States that no start
+  reaches are not solved at all;
 - one gain formula serves the full chains and the fixed classes:
   ``class_sums`` weighs a class's members' integer totals by its
   stationary vector, and ``ratio_gain`` divides the reward and constraint
@@ -49,7 +51,7 @@ calls; callers that need a chain's analysis more than once hold on to it.
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterator, NamedTuple, Sequence
+from typing import Container, Iterable, Iterator, NamedTuple, Sequence
 
 from cmdpkit.lp import eliminate
 from cmdpkit.model import (
@@ -82,12 +84,16 @@ class ChainDecomposition(NamedTuple):
     transient_components: tuple[tuple[int, ...], ...]
 
 
-def _strongly_connected_components(adjacency: tuple[tuple[int, ...], ...]) -> list[list[int]]:
+def _strongly_connected_components(
+    adjacency: Sequence[Sequence[int]], sources: Iterable[int] | None = None
+) -> list[list[int]]:
     """Iterative Tarjan on an adjacency list, deterministic output order.
 
-    Components come in the order they close, each sorted. Every frame of
-    the depth-first search holds an iterator over its node's successors,
-    so each edge is read once.
+    Components come in the order they close, each sorted. The search
+    starts from ``sources`` in order (every node when None), so only the
+    nodes they reach get a component and only their adjacency is read.
+    Every frame of the depth-first search holds an iterator over its
+    node's successors, so each edge is read once.
     """
     n = len(adjacency)
     preorder = [0] * n  # 0: not reached yet
@@ -96,7 +102,7 @@ def _strongly_connected_components(adjacency: tuple[tuple[int, ...], ...]) -> li
     scc_queue: list[int] = []  # reached, left and not yet in a component
     components: list[list[int]] = []
     counter = 0
-    for source in range(n):
+    for source in range(n) if sources is None else sources:
         if preorder[source]:
             continue
         counter += 1
@@ -141,11 +147,16 @@ def union_adjacency(mdp: Mdp) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def closed_classes(adjacency: tuple[tuple[int, ...], ...]) -> ChainDecomposition:
-    """Closed SCCs of an adjacency structure, rest transient."""
+def closed_classes(
+    adjacency: Sequence[Sequence[int]], sources: Iterable[int] | None = None
+) -> ChainDecomposition:
+    """Closed SCCs of an adjacency structure, rest transient.
+
+    With ``sources``, only the nodes they reach are partitioned.
+    """
     recurrent: list[tuple[int, ...]] = []
     transient: list[tuple[int, ...]] = []
-    for component in _strongly_connected_components(adjacency):
+    for component in _strongly_connected_components(adjacency, sources):
         members = set(component)
         closed = all(
             target in members for v in component for target in adjacency[v]
@@ -285,6 +296,39 @@ def stationary_distribution(chain: Chain, cls: tuple[int, ...]) -> tuple[Fractio
     return tuple(Fraction(w, total) for w in weights)
 
 
+def _first_step(
+    entries: Successors,
+    constant: tuple[list[int], int] | None,
+    inside: Container[int],
+    solved: list[tuple[list[int], int]],
+    width: int,
+) -> tuple[int, list[int], list[tuple[int, int]]]:
+    """One first-step equation, scaled by the lcm d of its row's denominators.
+
+    Returns d, the constant plus the one-step mass into the solved states,
+    as ``width`` integers over d, and the integer weights p d of the
+    states in ``inside``, as ``(state, weight)`` pairs.
+    """
+    d = lcm(constant[1] if constant else 1, *(
+        p.denominator if j in inside else p.denominator * solved[j][1] for j, p in entries
+    ))
+    if constant:
+        mass = [x * (d // constant[1]) for x in constant[0]]
+    else:
+        mass = [0] * width
+    within = []
+    for j, p in entries:
+        if j in inside:
+            within.append((j, p.numerator * (d // p.denominator)))
+            continue
+        numerators, denominator = solved[j]
+        weight = p.numerator * (d // (p.denominator * denominator))
+        for k, h in enumerate(numerators):
+            if h:
+                mass[k] += weight * h
+    return d, mass, within
+
+
 def _solve_along_dag(
     chain: Sequence[Successors],
     components: Sequence[tuple[int, ...]],
@@ -301,47 +345,33 @@ def _solve_along_dag(
     holds h(j) for every other state that a transient row reaches, and
     ``constants`` the constant term of the states that have one (zero for
     the others). Each first-step equation is scaled by the lcm of the
-    denominators in its row, so the right-hand sides are integers; a
-    singleton component needs only back substitution, a larger one is a
-    sparse solve of its own size. ``solved`` receives every transient
-    state's h in lowest terms.
+    denominators in its row (``_first_step``), so the right-hand sides are
+    integers. A singleton component is one back substitution, h =
+    (constant + sum over j != s of p_j h_j) / (1 - p_self) over that lcm;
+    a larger one is a sparse solve of its own size. ``solved`` receives
+    every transient state's h in lowest terms.
     """
     for component in components:
+        if len(component) == 1:
+            s = component[0]
+            d, mass, loop = _first_step(chain[s], constants.get(s), component, solved, width)
+            own = d - sum(x for _, x in loop)
+            g = gcd(own, *mass)
+            solved[s] = ([h // g for h in mass], own // g)
+            continue
         members = {s: m for m, s in enumerate(component)}
-        # (I - Q) h = constant + one-step mass into solved states, each
-        # equation scaled by the lcm of the denominators in its row.
+        # (I - Q) h = constant + one-step mass into solved states.
         coefficients: list[dict[int, int]] = []
         rhs: list[list[int]] = []
         for m, s in enumerate(component):
-            entries = chain[s]
-            constant = constants.get(s)
-            d = lcm(constant[1] if constant else 1, *(
-                p.denominator if j in members else p.denominator * solved[j][1]
-                for j, p in entries
-            ))
+            d, mass, within = _first_step(chain[s], constants.get(s), members, solved, width)
             coefficient = {m: d}
-            if constant:
-                mass = [x * (d // constant[1]) for x in constant[0]]
-            else:
-                mass = [0] * width
-            for j, p in entries:
-                if j in members:
-                    other = members[j]
-                    coefficient[other] = (
-                        coefficient.get(other, 0) - p.numerator * (d // p.denominator)
-                    )
-                else:
-                    numerators, denominator = solved[j]
-                    weight = p.numerator * (d // (p.denominator * denominator))
-                    for k, h in enumerate(numerators):
-                        if h:
-                            mass[k] += weight * h
+            for j, x in within:
+                other = members[j]
+                coefficient[other] = coefficient.get(other, 0) - x
             coefficients.append(coefficient)
             rhs.append(mass)
-        if len(component) == 1:
-            numerators, denominator = rhs, coefficients[0][0]
-        else:
-            numerators, denominator = _sparse_solve(coefficients, rhs)
+        numerators, denominator = _sparse_solve(coefficients, rhs)
         for s, row in zip(component, numerators):
             g = gcd(denominator, *row)
             solved[s] = ([h // g for h in row], denominator // g)
@@ -426,13 +456,16 @@ def ratio_gain(pi: Sequence[Fraction], totals: Sequence[Totals]) -> Gain:
 class CensoredChain(NamedTuple):
     """A model's chain censored onto its decision states, for every policy.
 
-    States with one action have the same row under every policy, so they
-    are eliminated once per model (the stochastic complement; Meyer 1989).
-    Nodes ``0 .. len(decision) - 1`` are the decision states, the states
+    Only the states some policy reaches from the start states are kept:
+    their closure over every action (``_closure``). States with one action
+    have the same row under every policy, so they are eliminated once per
+    pass (the stochastic complement; Meyer 1989). Nodes ``0 ..
+    len(decision) - 1`` are the decision states of the closure, the states
     with at least two actions, ascending; node ``len(decision) + f`` stands
-    for ``fixed[f]``, a closed class made only of single-action states,
-    which every policy has. Every other single-action state is left, almost
-    surely, for a decision state or a fixed class.
+    for ``fixed[f]``, a closed class of the closure made only of
+    single-action states, which every policy has. Every other single-action
+    state of the closure is left, almost surely, for a decision state or a
+    fixed class.
 
     Every row is a ``Row``: integer numerators by column over one positive
     denominator, in lowest terms, zero entries absent, never mutated.
@@ -441,11 +474,11 @@ class CensoredChain(NamedTuple):
     ``nodes = len(decision) + len(fixed)``. ``rows[k][a]`` is action a at
     ``decision[k]``: the distribution of the first node entered after the
     step, passing only through eliminated states, then the expected totals
-    up to that entry, the step itself included. ``entry[s]`` is the same
-    for every state s, from s itself: a decision state or a fixed-class
-    state enters its own node at once, with zero totals. ``fixed_gains[f]``
-    is ``class_sums`` of ``fixed[f]``: its reward and constraint gains are
-    the ratios of the first entries to the last.
+    up to that entry, the step itself included. ``entry[i]`` is the same
+    for the i-th start state, from that state itself: a decision state or
+    a fixed-class state enters its own node at once, with zero totals.
+    ``fixed_gains[f]`` is ``class_sums`` of ``fixed[f]``: its reward and
+    constraint gains are the ratios of the first entries to the last.
     """
 
     decision: tuple[int, ...]
@@ -455,24 +488,51 @@ class CensoredChain(NamedTuple):
     entry: tuple[Row, ...]
 
 
-def censor(mdp: Mdp) -> CensoredChain:
-    """Eliminate every single-action state once: one pass for all policies.
+def _closure(successors: Sequence[Sequence[Successors]], starts: Iterable[int]) -> list[int]:
+    """The states reachable from ``starts`` along any of the rows, ascending.
 
-    One graph holds the single-action states with their rows, the decision
-    states with no successors, and one more state per decision state's
-    action with that action's row. Its one decomposition gives the fixed
-    classes, its recurrent classes of single-action states, each with one
-    stationary solve and ``class_sums``, and the DAG of its transient
-    components: the other single-action states and the actions, which are
-    sources and so solved last. One ``_solve_along_dag`` over
-    ``len(decision) + len(fixed) + 2 + constraint_dim`` columns gives each
-    its row: a node is a unit vector with zero totals, and a transient
-    state adds its reward, its constraint vector and one step as the
-    constant term.
+    ``successors[s]`` holds state s's rows: every action's in a model, or
+    the one row of a policy's chain. The starts are in their own closure.
     """
+    seen = set(starts)
+    frontier = list(seen)
+    while frontier:
+        for row in successors[frontier.pop()]:
+            for j, _ in row:
+                if j not in seen:
+                    seen.add(j)
+                    frontier.append(j)
+    return sorted(seen)
+
+
+def censor(mdp: Mdp, starts: Sequence[int]) -> CensoredChain:
+    """Eliminate the single-action states the starts reach: one pass for all policies.
+
+    Only the closure of ``starts`` over every action is censored; no policy
+    reaches a state outside it from a start, so nothing outside is solved.
+    One graph holds the closure's single-action states with their rows, its
+    decision states with no successors, and one more node per decision
+    state's action with that action's row. One decomposition, searched from
+    those nodes only, gives the fixed classes, its recurrent classes of
+    single-action states, each with one stationary solve and
+    ``class_sums``, and the DAG of its transient components: the other
+    single-action states and the actions, which are sources and so solved
+    last. One ``_solve_along_dag`` over ``len(decision) + len(fixed) + 2 +
+    constraint_dim`` columns gives each its row: a node is a unit vector
+    with zero totals, and a transient state adds its reward, its constraint
+    vector and one step as the constant term. ``entry`` holds one row per
+    start, in the order of ``starts``.
+    """
+    closure = _closure(mdp.successors, starts)
     n = mdp.num_states
-    decision = tuple(s for s in range(n) if len(mdp.actions[s]) > 1)
-    chain = [rows[0] if len(rows) == 1 else () for rows in mdp.successors]
+    chain: list[Successors] = [()] * n
+    decision = []
+    for s in closure:
+        rows = mdp.successors[s]
+        if len(rows) == 1:
+            chain[s] = rows[0]
+        else:
+            decision.append(s)
     # The (state, action) whose row and totals each graph state carries.
     origin = [(s, 0) for s in range(n)]
     actions: list[range] = []
@@ -480,7 +540,11 @@ def censor(mdp: Mdp) -> CensoredChain:
         actions.append(range(len(chain), len(chain) + len(mdp.successors[s])))
         chain.extend(mdp.successors[s])
         origin.extend((s, a) for a in range(len(mdp.successors[s])))
-    decomposition = closed_classes(support_adjacency(chain))
+    # A state outside the closure has an empty row, so only the closure's
+    # rows are read, and the search starts from the closure only.
+    decomposition = closed_classes(
+        support_adjacency(chain), closure + list(range(n, len(chain)))
+    )
     fixed = tuple(
         cls for cls in decomposition.recurrent_classes if len(mdp.actions[cls[0]]) == 1
     )
@@ -503,7 +567,7 @@ def censor(mdp: Mdp) -> CensoredChain:
         return {c: x for c, x in enumerate(numerators) if x}, denominator
 
     return CensoredChain(
-        decision=decision,
+        decision=tuple(decision),
         fixed=fixed,
         rows=tuple(tuple(row(t) for t in ts) for ts in actions),
         fixed_gains=tuple(
@@ -512,7 +576,7 @@ def censor(mdp: Mdp) -> CensoredChain:
             )
             for cls in fixed
         ),
-        entry=tuple(row(s) for s in range(n)),
+        entry=tuple(row(s) for s in starts),
     )
 
 
@@ -589,17 +653,7 @@ def reachable_states(mdp: Mdp, policy: Policy | None, x: str) -> tuple[str, ...]
     """
     start = mdp.state_index(x)
     if policy is None:
-        adjacency = union_adjacency(mdp)
+        successors = mdp.successors
     else:
-        adjacency = support_adjacency(induced_chain(mdp, policy))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for j in adjacency[s]:
-                if j not in seen:
-                    seen.add(j)
-                    nxt.append(j)
-        frontier = nxt
-    return tuple(mdp.states[i] for i in sorted(seen))
+        successors = [(row,) for row in induced_chain(mdp, policy)]
+    return tuple(mdp.states[i] for i in _closure(successors, (start,)))

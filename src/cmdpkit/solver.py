@@ -13,24 +13,26 @@ and each row carries that multiplicity, so ``feasible_count`` and
 their full product).
 
 Each pass first censors the model onto its decision states, the states
-with a choice (``chains.censor``): the single-action states are
-eliminated once, leaving integer rows over the decision states and the
-fixed classes (closed classes of single-action states, whose gain is
-solved once), each with the reward, constraint and step totals it
-collects until the next node. The walk holds each row as one integer
-equation and eliminates each decision state as it fixes its action (the
-stochastic complement taken one state at a time; Meyer 1989, SIAM Review
-31(2); Grassmann, Taksar & Heyman 1985, Oper. Res. 33(5)): the node's
-equation is the pivot, and ``lp.eliminate``, the package's one exact row
-update, clears the node's column from the equations still open, totals
-included. A node whose own column has cleared (its self-loop has mass 1)
-closes a recurrent class of the policy's chain; its gain is the
-semi-Markov ratio of the summed reward to the summed steps (Puterman
-1994, ch. 11), W the same with the constraint, and the node stays as an
-absorbing column. When no open node is left to reach, each start
-equation is a distribution over the classes, and V and W are its mix of
-the class gains. These are exactly the V and W of the policy's full
-chain, with no decomposition, stationary or absorption solve per policy.
+with a choice (``chains.censor``), over only the closure of its start
+states under every action: the single-action states there are eliminated
+once, leaving integer rows over the closure's decision states and fixed
+classes (closed classes of single-action states, whose gain is solved
+once), each with the reward, constraint and step totals it collects until
+the next node. A decision state outside the closure is never reached: it
+takes its first action and multiplies every count. The walk holds each row
+as one integer equation and eliminates each decision state as it fixes its
+action (the stochastic complement taken one state at a time; Meyer 1989,
+SIAM Review 31(2); Grassmann, Taksar & Heyman 1985, Oper. Res. 33(5)): the
+node's equation is the pivot, and ``lp.eliminate``, the package's one
+exact row update, clears the node's column from the equations still open,
+totals included. A node whose own column has cleared (its self-loop has
+mass 1) closes a recurrent class of the policy's chain; its gain is the
+semi-Markov ratio of the summed reward to the summed steps (Puterman 1994,
+ch. 11), W the same with the constraint, and the node stays as an
+absorbing column. When no open node is left to reach, each start equation
+is a distribution over the classes, and V and W are its mix of the class
+gains. These are exactly the V and W of the policy's full chain, with no
+decomposition, stationary or absorption solve per policy.
 
 Each leaf stays in integers: at each start it keeps V and W as one
 integer mix ``(V, *W, d)`` over a positive denominator d, and builds no
@@ -221,21 +223,31 @@ def _rows(mdp: Mdp, indices: list[int]) -> Iterator[TableRow]:
     distribution over the classes (the fixed classes and the closed nodes),
     and V and W are its mix of their gains, kept as integers (``_mix``).
     The leaf yields its key, its count and those mixes, and nothing else.
+    The censored chain covers only the closure of the start states, so the
+    key has action 0 at every decision state outside it, and the count
+    multiplies their action counts.
     """
     _check_cap(mdp)
-    censored = chains.censor(mdp)
+    censored = chains.censor(mdp, indices)
     decision = len(censored.decision)
     nodes = decision + len(censored.fixed)
     totals = range(nodes, nodes + 2 + mdp.constraint_dim)
     pseudo = totals.stop
     counts = [len(mdp.actions[s]) for s in censored.decision]
+    # The key runs over every decision state of the model, by its node in
+    # the censored chain, or -1 outside the closure, which is never fixed.
+    node = {s: k for k, s in enumerate(censored.decision)}
+    slots = [node.get(s, -1) for s, acts in enumerate(mdp.actions) if len(acts) > 1]
+    unreached = math.prod(
+        len(acts) for s, acts in enumerate(mdp.actions) if len(acts) > 1 and s not in node
+    )
     # Each stack item: a walk node, as the actions fixed so far by decision
     # node, the action equations by node (read only for open nodes), the
     # start equations and the class sums by class column; then the open
     # node to fix and its action, or -1 at the root.
     root = ({}, [tuple(_equation(row, k) for row in actions)
                  for k, actions in enumerate(censored.rows)],
-            [_equation(censored.entry[i], pseudo) for i in indices],
+            [_equation(row, pseudo) for row in censored.entry],
             dict(enumerate(censored.fixed_gains, decision)))
     stack = [(root, -1, 0)]
     while stack:
@@ -252,9 +264,9 @@ def _rows(mdp: Mdp, indices: list[int]) -> Iterator[TableRow]:
         reached = [c for start in starts for c in start if c < decision and c not in gains]
         if not reached:
             yield TableRow(
-                tuple(fixed.get(j, 0) for j in range(decision)),
+                tuple(fixed.get(j, 0) for j in slots),
                 tuple(_mix(start, gains, start[pseudo]) for start in starts),
-                math.prod(counts[j] for j in range(decision) if j not in fixed),
+                unreached * math.prod(counts[j] for j in range(decision) if j not in fixed),
             )
             continue
         if pivot is not None:

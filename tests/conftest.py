@@ -1,13 +1,21 @@
 import json
+import os
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from cmdpkit import instances
 from cmdpkit.model import Policy
 
 INSTANCES_DIR = Path(__file__).resolve().parent.parent / "instances"
+
+# HYPOTHESIS_PROFILE=deep runs every property test at 5x its examples: the
+# profile's own max_examples for tests that set none, and through
+# ``randmdp.examples`` for those that do.
+settings.register_profile("deep", max_examples=5 * settings.get_profile("default").max_examples)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

@@ -9,8 +9,16 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from hypothesis import settings
+
 from cmdpkit.model import Mdp, Policy
 from dense_oracle import dense_kernel, sparse_kernel
+
+
+def examples(n: int) -> int:
+    """``max_examples`` for a property test that runs n under the default
+    Hypothesis profile, scaled as the loaded profile scales the default's."""
+    return n * settings.default.max_examples // settings.get_profile("default").max_examples
 
 
 def random_row(rng: random.Random, size: int, support: list[int] | None = None,

@@ -289,8 +289,12 @@ class FractionCensoredChain:
 
 
 def fraction_view(mdp: Mdp) -> FractionCensoredChain:
-    """``chains.censor(mdp)`` as ``Fraction`` rows."""
-    censored = chains.censor(mdp)
+    """``chains.censor`` from every state as ``Fraction`` rows.
+
+    Every state is a start, so ``entry[s]`` is state s's row and the
+    decision nodes are every decision state of the model.
+    """
+    censored = chains.censor(mdp, range(mdp.num_states))
     decision = len(censored.decision)
     nodes = decision + len(censored.fixed)
     totals = range(nodes, nodes + 2 + mdp.constraint_dim)
@@ -482,7 +486,8 @@ def fraction_rows(mdp: Mdp, indices: list[int]) -> Iterator[FractionRow]:
     and V and W are its mix of their gains.
     """
     _check_cap(mdp)
-    censored = chains.censor(mdp)
+    # Censored from every state, so entry[i] is state i's row.
+    censored = chains.censor(mdp, range(mdp.num_states))
     decision = len(censored.decision)
     nodes = decision + len(censored.fixed)
     totals = range(nodes, nodes + 2 + mdp.constraint_dim)

@@ -13,6 +13,13 @@ rational one (``lp_oracle.checked_eliminate``). Every ``solve`` and ``PolicyTabl
 equal ``solver_oracle.best`` over ``solver_oracle.enumerated_rows``, the
 pass that kept the first best row in ``enumerate_policies`` order.
 
+``chains.censor`` keeps only the closure of its start states over every
+action. From any start set it must equal the censor from every state
+restricted to that closure: the same decision states, action rows, fixed
+classes and gains, and each start's entry row, once the node columns are
+renumbered. States no start reaches keep their place in the key, with
+action 0, and multiply every row's count.
+
 Each stratum is drawn by its own generator, so every run covers it: fixed
 closed classes of single-action states, no decision state at all, and
 constraint dimensions 0, 1 and 2; start sets mix decision states,
@@ -28,12 +35,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_oracle
 import lp_oracle
 import solver_oracle
 from cmdpkit import chains, evaluation, instances, model, solver
 from cmdpkit.solver import PolicyTable, _rows, solve
 from dense_oracle import dense_kernel, sparse_kernel
-from randmdp import lazy_variant, random_decomposable, random_mdp, random_row
+from randmdp import examples, lazy_variant, random_decomposable, random_mdp, random_row
 from test_solver import nested_model
 
 MERSENNE_61 = 2**61 - 1
@@ -71,7 +79,7 @@ def draw_model(rng: random.Random, stratum: str, dim: int) -> model.Mdp:
 
 def draw_starts(rng: random.Random, mdp: model.Mdp) -> list[int]:
     """A start set with one state of each kind the model has, plus a few more."""
-    censored = chains.censor(mdp)
+    censored = chains.censor(mdp, range(mdp.num_states))
     fixed = {s for cls in censored.fixed for s in cls}
     kinds = [
         list(censored.decision),
@@ -95,14 +103,14 @@ def assert_rows_equal(mdp: model.Mdp, starts: list[int]) -> None:
 
 @pytest.mark.parametrize("dim", [0, 1, 2])
 @pytest.mark.parametrize("stratum", ["random", "fixed", "decomposable", "no-decision"])
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=examples(50), deadline=None)
 @given(seed=st.integers(0, 10**9), lazy=st.sampled_from([None, 1009, MERSENNE_61]))
 def test_censored_rows_equal_the_full_chain_rows(stratum, dim, seed, lazy):
     rng = random.Random(seed)
     mdp = draw_model(rng, stratum, dim)
     if lazy is not None:
         mdp = lazy_variant(mdp, Fraction(rng.randint(1, lazy // 2), lazy))
-    censored = chains.censor(mdp)
+    censored = chains.censor(mdp, range(mdp.num_states))
     if stratum in ("fixed", "decomposable"):
         assert censored.fixed
     if stratum == "no-decision":
@@ -112,7 +120,7 @@ def test_censored_rows_equal_the_full_chain_rows(stratum, dim, seed, lazy):
 
 @pytest.mark.parametrize("dim", [0, 1, 2])
 @pytest.mark.parametrize("stratum", ["random", "fixed", "decomposable", "no-decision"])
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=examples(50), deadline=None)
 @given(seed=st.integers(0, 10**9), lazy=st.sampled_from([None, 1009, MERSENNE_61]))
 def test_walk_rows_equal_the_per_leaf_rows_in_walk_order(stratum, dim, seed, lazy):
     rng = random.Random(seed)
@@ -162,7 +170,7 @@ def assert_solves_equal_the_enumerated_pass(
 
 @pytest.mark.parametrize("dim", [0, 1, 2])
 @pytest.mark.parametrize("stratum", ["random", "fixed", "decomposable", "no-decision"])
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=examples(20), deadline=None)
 @given(seed=st.integers(0, 10**9), lazy=st.sampled_from([None, 1009, MERSENNE_61]))
 def test_solves_equal_the_enumerated_pass_at_every_start(stratum, dim, seed, lazy):
     rng = random.Random(seed)
@@ -189,7 +197,7 @@ def test_the_strata_reach_every_kind_of_start():
     mixed = 0
     for _ in range(40):
         mdp = draw_model(rng, "fixed", rng.randint(0, 2))
-        censored = chains.censor(mdp)
+        censored = chains.censor(mdp, range(mdp.num_states))
         starts = draw_starts(rng, mdp)
         fixed = {s for cls in censored.fixed for s in cls}
         transient = set(range(mdp.num_states)) - fixed - set(censored.decision)
@@ -217,12 +225,12 @@ def test_embedded_chains_have_a_row_per_node_and_the_precompute_runs_once():
     for _ in range(30):
         mdp = draw_model(rng, rng.choice(["random", "fixed"]), 1)
         starts = draw_starts(rng, mdp)
-        censored = chains.censor(mdp)
+        censored = chains.censor(mdp, starts)
         nodes = len(censored.decision) + len(censored.fixed)
         assert [len(rows) for rows in censored.rows] == [
             len(mdp.actions[s]) for s in censored.decision
         ]
-        assert len(censored.entry) == mdp.num_states
+        assert len(censored.entry) == len(starts)
         with mock.patch.object(chains, "censor", wraps=chains.censor) as censor, \
                 mock.patch.object(chains, "_solve_along_dag", wraps=chains._solve_along_dag) as dag, \
                 mock.patch.object(
@@ -252,10 +260,10 @@ def test_the_dag_and_stationary_solves_run_inside_censor():
         inside = []
         original = chains.censor
 
-        def censor(mdp):
+        def censor(mdp, starts):
             inside.append(True)
             try:
-                return original(mdp)
+                return original(mdp, starts)
             finally:
                 inside.append(False)
 
@@ -278,7 +286,7 @@ def test_censoring_keeps_only_decision_states_and_fixed_classes():
     rng = random.Random(3)
     for _ in range(30):
         mdp = draw_model(rng, "fixed", 1)
-        censored = chains.censor(mdp)
+        censored = chains.censor(mdp, range(mdp.num_states))
         assert censored.decision == tuple(
             s for s in range(mdp.num_states) if len(mdp.actions[s]) > 1
         )
@@ -310,3 +318,125 @@ def test_tables_on_scaled_models_equal_the_full_chain_rows():
             table = PolicyTable(mdp, tuple(mdp.states[i] for i in starts))
             got = solver_oracle.materialise(mdp, table.rows)
             assert got == list(solver_oracle.canonical_rows(mdp, starts))
+
+
+def assert_restricted_equals_full(mdp: model.Mdp, starts: list[int]) -> bool:
+    """``censor(mdp, starts)`` against ``censor(mdp, range(n))`` on the closure.
+
+    Returns whether the closure leaves some state of the model out.
+    """
+    full = chains.censor(mdp, range(mdp.num_states))
+    part = chains.censor(mdp, starts)
+    closure = {
+        mdp.state_index(y) for s in starts
+        for y in dense_oracle.reachable_states(mdp, None, mdp.states[s])
+    }
+    assert part.decision == tuple(s for s in full.decision if s in closure)
+    # A fixed class is closed, so the closure holds all of it or none.
+    assert all(set(cls) <= closure or not set(cls) & closure for cls in full.fixed)
+    kept = [f for f, cls in enumerate(full.fixed) if set(cls) <= closure]
+    assert part.fixed == tuple(full.fixed[f] for f in kept)
+    assert part.fixed_gains == tuple(full.fixed_gains[f] for f in kept)
+    # The full censor's column of each restricted column: the nodes, then
+    # the totals, which follow the nodes in both.
+    full_nodes = len(full.decision) + len(full.fixed)
+    column = [full.decision.index(s) for s in part.decision]
+    column += [len(full.decision) + f for f in kept]
+    column += range(full_nodes, full_nodes + 2 + mdp.constraint_dim)
+
+    def renumbered(row):
+        numerators, denominator = row
+        return {column[c]: x for c, x in numerators.items()}, denominator
+
+    for k, s in enumerate(part.decision):
+        assert [renumbered(row) for row in part.rows[k]] == list(
+            full.rows[full.decision.index(s)]
+        )
+    assert [renumbered(row) for row in part.entry] == [full.entry[s] for s in starts]
+    return len(closure) < mdp.num_states
+
+
+def draw_start_set(rng: random.Random, mdp: model.Mdp) -> list[int]:
+    """One to three start states, in any order, possibly repeated."""
+    return [rng.randrange(mdp.num_states) for _ in range(rng.randint(1, 3))]
+
+
+@pytest.mark.parametrize("dim", [0, 1, 2])
+@pytest.mark.parametrize("stratum", ["random", "fixed", "decomposable", "no-decision"])
+@settings(max_examples=examples(30), deadline=None)
+@given(seed=st.integers(0, 10**9), lazy=st.sampled_from([None, 1009, MERSENNE_61]))
+def test_restricted_censor_equals_the_full_one(stratum, dim, seed, lazy):
+    rng = random.Random(seed)
+    mdp = draw_model(rng, stratum, dim)
+    if lazy is not None:
+        mdp = lazy_variant(mdp, Fraction(rng.randint(1, lazy // 2), lazy))
+    assert_restricted_equals_full(mdp, draw_start_set(rng, mdp))
+
+
+def test_start_sets_often_leave_states_out():
+    rng = random.Random(37)
+    restricted = 0
+    for _ in range(60):
+        mdp = draw_model(rng, rng.choice(["random", "fixed", "decomposable"]), rng.randint(0, 2))
+        restricted += assert_restricted_equals_full(mdp, draw_start_set(rng, mdp))
+    assert restricted >= 15
+
+
+def unreached_parts_model() -> model.Mdp:
+    """A start with a binary choice, and a 3-action state and a closed cycle it never reaches.
+
+    From s0, "stay" loops (V 2, W -1, infeasible) and "go" passes through
+    s1 and back (V 1/2, W 1/2). Nothing reaches u, which moves into the
+    single-action cycle c0 -> c1 -> c0 or stays, and no path leads from
+    the cycle to s0 or s1.
+    """
+    one = Fraction(1)
+    index = {name: i for i, name in enumerate(("s0", "u", "s1", "c0", "c1"))}
+
+    def to(name):
+        return ((index[name], one),)
+
+    return model.Mdp(
+        states=tuple(index),
+        actions=(("stay", "go"), ("x", "y", "z"), ("only",), ("only",), ("only",)),
+        successors=(
+            (to("s0"), to("s1")), (to("c0"), to("c1"), to("u")), (to("s0"),), (to("c1"),),
+            (to("c0"),),
+        ),
+        rewards=((Fraction(2), Fraction(0)), (Fraction(5), Fraction(6), Fraction(7)),
+                 (one,), (Fraction(3),), (one,)),
+        constraints=(((Fraction(-1),), (one,)), ((Fraction(0),),) * 3, ((Fraction(0),),),
+                     ((Fraction(0),),), ((Fraction(0),),)),
+        constraint_dim=1,
+        initial_state="s0",
+    )
+
+
+def test_states_no_start_reaches_keep_their_key_slot_and_multiply_the_counts():
+    mdp = unreached_parts_model()
+    assert model.validate(mdp).ok
+    assert chains.censor(mdp, range(mdp.num_states)).fixed == ((3, 4),)
+    # The model without u and the cycle: the closure of s0 on its own.
+    closure = mdp._replace(
+        states=("s0", "s1"), actions=(mdp.actions[0], mdp.actions[2]),
+        successors=((((0, Fraction(1)),), ((1, Fraction(1)),)), (((0, Fraction(1)),),)),
+        rewards=(mdp.rewards[0], mdp.rewards[2]),
+        constraints=(mdp.constraints[0], mdp.constraints[2]),
+    )
+    alone = solve(closure)
+    assert (alone.feasible_count, alone.total_count) == (1, 2)
+    with mock.patch.object(
+        chains, "stationary_distribution", wraps=chains.stationary_distribution
+    ) as stationary:
+        result = solve(mdp)
+        rows = list(_rows(mdp, [0]))
+    assert result.total_count == solver.policy_count(mdp) == 6
+    assert result.feasible_count == 3 * alone.feasible_count
+    assert result.policy.choice == (
+        ("s0", "go"), ("u", "x"), ("s1", "only"), ("c0", "only"), ("c1", "only")
+    )
+    assert (result.value, result.W_at_optimum) == (Fraction(1, 2), (Fraction(1, 2),))
+    assert result == solver_oracle.best(list(solver_oracle.enumerated_rows(mdp, [0])), 0)
+    # The key covers u, at action 0, and each row stands for its 3 actions.
+    assert [(row.key, row.count) for row in rows] == [((0, 0), 3), ((1, 0), 3)]
+    assert not any(set(call.args[1]) & {3, 4} for call in stationary.call_args_list)

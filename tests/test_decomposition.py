@@ -52,7 +52,7 @@ def random_models(seed: int, count: int):
 def test_the_solver_pass_searches_each_chain_once():
     for rng, mdp in random_models(11, 30):
         starts = draw_starts(rng, mdp)
-        fixed = len(chains.censor(mdp).fixed)
+        fixed = len(chains.censor(mdp, starts).fixed)
         calls = search_counts(lambda: list(_rows(mdp, starts)))
         assert calls == {
             "_strongly_connected_components": 1 + fixed,

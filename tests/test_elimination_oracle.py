@@ -3,7 +3,9 @@
 Chains mix random rows with lazy self-loops, which keeps states transient
 while they cycle among themselves, so transient components with several
 states occur alongside singletons. They are drawn as dense matrices for
-the reference and handed to the code under test as successor rows.
+the reference and handed to the code under test as successor rows. A
+singleton transient component is solved by back substitution alone, so
+``_sparse_solve`` runs once per larger component and never on a DAG.
 """
 
 import random
@@ -24,7 +26,7 @@ from cmdpkit.chains import (
     decompose,
     stationary_distribution,
 )
-from randmdp import random_row
+from randmdp import examples, random_row
 
 
 def lazy_chain(rng, size):
@@ -66,7 +68,7 @@ def test_lazy_chains_have_multi_state_transient_components():
     assert max(sizes) > 1
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 @given(lazy_chains())
 def test_stationary_and_absorption_equal_dense(drawn):
     chain, _ = drawn
@@ -87,7 +89,7 @@ def class_check_outcome(solve, chain, cls):
         return str(exc)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 @given(lazy_chains())
 def test_class_checks_equal_dense(drawn):
     chain, rng = drawn
@@ -109,7 +111,7 @@ def test_class_checks_equal_dense(drawn):
 coefficients = st.one_of(st.integers(-2, 2), st.integers(-10**6, 10**6))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(
     st.tuples(st.integers(1, 8), st.integers(0, 3)).flatmap(lambda size: st.tuples(
         st.lists(st.lists(coefficients, min_size=size[0], max_size=size[0]),
@@ -174,7 +176,7 @@ def prime_lazy_chain(rng, size, prime):
 primes = st.sampled_from([1009, MERSENNE_61])
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(st.integers(0, 10**9), st.integers(1, 24), primes)
 def test_large_prime_denominators_equal_dense(seed, size, prime):
     chain = prime_lazy_chain(random.Random(seed), size, prime)
@@ -188,7 +190,7 @@ def test_large_prime_denominators_equal_dense(seed, size, prime):
     assert all(all_fractions(row) for row in probs)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(st.integers(0, 10**9), st.integers(1, 24), primes, st.data())
 def test_lazy_variant_keeps_stationary_vectors_and_absorption(seed, size, prime, data):
     base = sparse_chain(random.Random(seed), size)
@@ -204,3 +206,47 @@ def test_lazy_variant_keeps_stationary_vectors_and_absorption(seed, size, prime,
     probs = absorption_map(lazy_rows)
     assert probs == absorption_map(base_rows)
     assert all(all_fractions(row) for row in probs)
+
+
+def dag_chain(rng, size, prime):
+    """Rows that move only to later states, each mixed with a self-loop of its
+    own weight k / prime; a state with no later state, and some others,
+    absorb. Every transient component is a singleton."""
+    rows = []
+    for i in range(size):
+        later = list(range(i + 1, size))
+        if not later or rng.random() < 0.15:
+            rows.append(tuple(Fraction(j == i) for j in range(size)))
+            continue
+        row = random_row(rng, size, support=rng.sample(later, rng.randint(1, min(4, len(later)))))
+        rows.append(mix(row, i, Fraction(rng.randint(1, prime - 1), prime)))
+    return tuple(rows)
+
+
+@settings(max_examples=examples(60), deadline=None)
+@given(st.integers(0, 10**9), st.integers(1, 24), primes)
+def test_dag_chains_are_solved_by_back_substitution_alone(seed, size, prime):
+    chain = dag_chain(random.Random(seed), size, prime)
+    rows = dense_oracle.sparse(chain)
+    decomposition = decompose(rows)
+    assert all(len(component) == 1 for component in decomposition.transient_components)
+    with mock.patch.object(chains, "_sparse_solve", wraps=_sparse_solve) as solve:
+        probs = absorption_map(rows, decomposition)
+    assert solve.call_count == 0
+    assert probs == dense_oracle.absorption_probs(chain)
+    assert all(all_fractions(row) for row in probs)
+
+
+@settings(max_examples=examples(100), deadline=None)
+@given(lazy_chains())
+def test_sparse_solve_runs_once_per_larger_transient_component(drawn):
+    chain, _ = drawn
+    rows = dense_oracle.sparse(chain)
+    decomposition = decompose(rows)
+    with mock.patch.object(chains, "_sparse_solve", wraps=_sparse_solve) as solve:
+        probs = absorption_map(rows, decomposition)
+    assert [len(call.args[0]) for call in solve.call_args_list] == [
+        len(component) for component in decomposition.transient_components
+        if len(component) > 1
+    ]
+    assert probs == dense_oracle.absorption_probs(chain)

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 import solver_oracle
 from cmdpkit import model, solver
 from cmdpkit.solver import PolicyTable, _rows, solve
-from randmdp import lazy_variant
+from randmdp import examples, lazy_variant
 from test_censor_oracle import MERSENNE_61, draw_model, draw_starts
 from test_solver_oracle import assert_exact
 
@@ -48,7 +48,7 @@ def slacks(rng: random.Random, rows: list, k: int, dim: int) -> list:
 
 
 @pytest.mark.parametrize("dim", [0, 1, 2])
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 @given(
     seed=st.integers(0, 10**9),
     stratum=st.sampled_from(STRATA),
