@@ -12,6 +12,7 @@ absorption probabilities are exact rationals from sparse elimination:
 - the invariant vector of a class comes from one sparse solve of the
   class's size, so periodic classes are handled through their unique
   invariant (Cesaro frequency) vector with no aperiodicity requirement;
+  the same solve checks that the class is strongly connected;
 - absorption probabilities are solved along the DAG of strongly connected
   transient components, sink components first (Tarjan order), so each
   component is a small system of its own and a singleton is one back
@@ -246,7 +247,15 @@ def stationary_distribution(chain: Chain, cls: tuple[int, ...]) -> tuple[Fractio
     """Unique invariant vector of a recurrent class, aligned with ``cls``.
 
     The class must be closed and strongly connected under the chain;
-    all returned entries are positive and sum to exactly 1.
+    all returned entries are positive and sum to exactly 1. Closure is
+    checked on the rows, strong connectivity by the solve itself, with no
+    search: with p[0] fixed, the system is I - Q over the other members, Q
+    the chain among them. On a closed set their rows leak only to member
+    0, so the system is nonsingular iff every member reaches member 0, and
+    its solution is then the expected number of visits to each member in
+    one excursion from member 0 (Puterman 1994, App. A), which is 0
+    exactly at the members that member 0 does not reach. A singular
+    system or a zero weight therefore raises.
     """
     position = {s: i for i, s in enumerate(cls)}
     support = [chain[s] for s in cls]
@@ -254,11 +263,6 @@ def stationary_distribution(chain: Chain, cls: tuple[int, ...]) -> tuple[Fractio
         for j, _ in row:
             if j not in position:
                 raise ValueError(f"class is not closed: state {s} leaks to {j}")
-    decomposition = closed_classes(
-        tuple(tuple(position[j] for j, _ in row) for row in support)
-    )
-    if len(decomposition.recurrent_classes) != 1 or decomposition.transient_states:
-        raise ValueError("class is not strongly connected")
 
     k = len(cls)
     if k == 1:
@@ -288,10 +292,15 @@ def stationary_distribution(chain: Chain, cls: tuple[int, ...]) -> tuple[Fractio
             row[i] = diagonal
         else:
             del row[i]
-    numerators, denominator = _sparse_solve(rows, rhs)
+    try:
+        numerators, denominator = _sparse_solve(rows, rhs)
+    except ValueError:
+        raise ValueError("class is not strongly connected") from None
     weights = [scales[0] * denominator] + [
         d * x[0] for d, x in zip(scales[1:], numerators)
     ]
+    if not all(weights):
+        raise ValueError("class is not strongly connected")
     total = sum(weights)
     return tuple(Fraction(w, total) for w in weights)
 

@@ -13,20 +13,21 @@ can influence, and the selective conversion keeps exactly those.
 
 Each question makes one pass of its own over the policies and keeps
 nothing per policy; ``convert_classes`` converts any choice of classes.
-``simulate`` walks at most ``MAX_STEPS`` steps. Once the rest of a walk
-can draw nothing, it goes round its deterministic cycle in closed form
-instead of step by step.
+``simulate`` walks at most ``MAX_STEPS`` steps. Once a walk enters a
+recurrent class whose members each have one successor, a cycle the
+policy's decomposition already lists, it goes round that cycle in closed
+form instead of step by step.
 """
 
 import itertools
 from bisect import bisect_right
 from fractions import Fraction
 from random import Random
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from cmdpkit import chains
 from cmdpkit.evaluation import analyse_policy
-from cmdpkit.model import InputError, Mdp, Policy, Trajectory, induced_chain
+from cmdpkit.model import Chain, InputError, Mdp, Policy, Trajectory, induced_chain
 from cmdpkit.solver import enumerate_policies
 
 ZERO = Fraction(0)
@@ -63,17 +64,27 @@ def samplepath_feasible(mdp: Mdp, policy: Policy, x: str) -> SamplePathVerdict:
     return SamplePathVerdict(feasible=True, witness_class=None, witness_gain=None)
 
 
-def _require_shared(
-    mdp: Mdp, union: chains.ChainDecomposition, classes: tuple[tuple[int, ...], ...]
-) -> None:
-    """Raise NotDecomposableError unless a policy's classes are the union's."""
-    if classes != union.recurrent_classes:
-        differing = sorted(set().union(*(set(union.recurrent_classes) ^ set(classes))))
-        offenders = [mdp.states[s] for s in differing]
-        raise NotDecomposableError(
-            "recurrent-class structure varies with the policy; "
-            f"offending states: {offenders}"
-        )
+def _shared_chains(
+    mdp: Mdp, union: chains.ChainDecomposition
+) -> Iterator[tuple[Chain, chains.ChainDecomposition]]:
+    """Each policy's chain and decomposition, in enumeration order.
+
+    A policy is yielded once its recurrent classes are checked to be the
+    union's; the first that differs raises NotDecomposableError naming the
+    states in which they differ.
+    """
+    for policy in enumerate_policies(mdp):
+        chain = induced_chain(mdp, policy)
+        decomposition = chains.decompose(chain)
+        classes = decomposition.recurrent_classes
+        if classes != union.recurrent_classes:
+            differing = sorted(set().union(*(set(union.recurrent_classes) ^ set(classes))))
+            offenders = [mdp.states[s] for s in differing]
+            raise NotDecomposableError(
+                "recurrent-class structure varies with the policy; "
+                f"offending states: {offenders}"
+            )
+        yield chain, decomposition
 
 
 def trans_policy_decomposition(mdp: Mdp) -> chains.ChainDecomposition:
@@ -85,10 +96,8 @@ def trans_policy_decomposition(mdp: Mdp) -> chains.ChainDecomposition:
     Only each policy's chain is decomposed; nothing is solved.
     """
     union = chains.closed_classes(chains.union_adjacency(mdp))
-    for policy in enumerate_policies(mdp):
-        _require_shared(
-            mdp, union, chains.decompose(induced_chain(mdp, policy)).recurrent_classes
-        )
+    for _ in _shared_chains(mdp, union):
+        pass
     return union
 
 
@@ -165,10 +174,7 @@ def controllable_classes(mdp: Mdp, x: str) -> ClassControllability:
     union = chains.closed_classes(chains.union_adjacency(mdp))
     lo: tuple[Fraction, ...] | None = None
     hi: tuple[Fraction, ...] | None = None
-    for policy in enumerate_policies(mdp):
-        chain = induced_chain(mdp, policy)
-        decomposition = chains.decompose(chain)
-        _require_shared(mdp, union, decomposition.recurrent_classes)
+    for chain, decomposition in _shared_chains(mdp, union):
         row = chains.absorption_map(chain, decomposition)[start]
         lo = row if lo is None else tuple(map(min, lo, row))
         hi = row if hi is None else tuple(map(max, hi, row))
@@ -238,9 +244,10 @@ def simulate(
     floor(cumulative * 2**64) thresholds (quantization below 2**-64);
     deterministic transitions consume no randomness. Identical seeds
     therefore reproduce identical trajectories on every platform. Once the
-    rest of the walk can draw nothing, its deterministic cycle is gone
-    round in closed form. Raises StepLimitError above ``MAX_STEPS``, before
-    walking.
+    walk enters a recurrent class whose members each have one successor,
+    that cycle is gone round in closed form; the deterministic steps
+    before it are walked one by one and draw nothing either. Raises
+    StepLimitError above ``MAX_STEPS``, before walking.
     """
     path, report = _walk(mdp, policy, x, steps, seed, record=True)
     trajectory = Trajectory(
@@ -260,38 +267,16 @@ def simulation_report(
     return _walk(mdp, policy, x, steps, seed, record=False)[1]
 
 
-def _settled(succ: list[int | None]) -> list[bool]:
-    """Where following ``succ`` closes a cycle before reaching a state that draws.
-
-    ``succ[s]`` is the one successor of s, or None where s draws. From a
-    settled state the rest of the walk draws nothing. Each state is
-    followed once.
-    """
-    settled = [False] * len(succ)
-    reached_from: list[int | None] = [None] * len(succ)
-    for first in range(len(succ)):
-        chain = []
-        s = first
-        while succ[s] is not None and reached_from[s] is None:
-            reached_from[s] = first
-            chain.append(s)
-            s = succ[s]
-        # s draws, closes a cycle in this chain, or was decided by an earlier one
-        if succ[s] is not None and (reached_from[s] == first or settled[s]):
-            for t in chain:
-                settled[t] = True
-    return settled
-
-
 def _walk(
     mdp: Mdp, policy: Policy, x: str, steps: int, seed: int, record: bool
 ) -> tuple[Iterable[int] | None, SimulationReport]:
     """The walk behind ``simulate``; the state path is kept only if ``record``.
 
-    The walk goes one step at a time until it reaches a settled state,
-    from which it draws nothing more. From there it is walked until the
-    budget runs out or a state repeats, and the cycle that closes is gone
-    round in closed form.
+    The walk goes one step at a time until it enters a recurrent class of
+    the policy's decomposition whose members each have one successor, or
+    until one state is left to visit. Such a class is a cycle that draws
+    nothing; it is read off by following the rows from the entry state and
+    gone round in closed form for the rest of the budget.
     """
     if steps < 1:
         raise InputError("steps must be >= 1")
@@ -308,14 +293,16 @@ def _walk(
             cumulative += p
             thresholds.append((cumulative.numerator * _SCALE) // cumulative.denominator)
         samplers.append((tuple(j for j, _ in row), thresholds))
-    succ = [row[0][0] if len(row) == 1 else None for row in analysis.chain]
-    settled = _settled(succ)
+    classes = analysis.decomposition.recurrent_classes
+    cyclic = {
+        s for cls in classes if all(len(analysis.chain[t]) == 1 for t in cls) for s in cls
+    }
 
     rng = Random(seed)
     counts = [0] * mdp.num_states
     path = [] if record else None
     remaining = steps  # states still to visit, this one included
-    while remaining > 1 and not settled[state]:
+    while remaining > 1 and state not in cyclic:
         if record:
             path.append(state)
         counts[state] += 1
@@ -326,24 +313,18 @@ def _walk(
         else:
             state = targets[bisect_right(thresholds, rng.getrandbits(_SCALE_BITS))]
 
-    # The rest draws nothing: walk it until the budget runs out or a state repeats.
-    position: dict[int, int] = {}
-    while state not in position:
-        position[state] = len(position)
-        counts[state] += 1
-        remaining -= 1
-        if not remaining:
-            break
-        state = succ[state]
-    if record:
-        path.extend(position)
-    if remaining:  # state closed a cycle; the walk ends on it, in its class
-        cycle = list(position)[position[state]:]
-        laps, extra = divmod(remaining, len(cycle))
-        for i, s in enumerate(cycle):
-            counts[s] += laps + (i < extra)
-        if record:  # the laps are chained lazily; simulate reads them once
-            path = itertools.chain(path, itertools.islice(itertools.cycle(cycle), remaining))
+    # The rest goes round a cycle that draws nothing, or is this one state.
+    cycle = [state]
+    if state in cyclic:
+        s = samplers[state][0][0]
+        while s != state:
+            cycle.append(s)
+            s = samplers[s][0][0]
+    laps, extra = divmod(remaining, len(cycle))
+    for i, s in enumerate(cycle):
+        counts[s] += laps + (i < extra)
+    if record:  # the laps are chained lazily; simulate reads them once
+        path = itertools.chain(path, itertools.islice(itertools.cycle(cycle), remaining))
 
     total_r = ZERO
     total_c = [ZERO] * mdp.constraint_dim
@@ -355,7 +336,6 @@ def _walk(
         for k in range(mdp.constraint_dim):
             total_c[k] += count * mdp.constraints[i][j][k]
 
-    classes = analysis.decomposition.recurrent_classes
     absorbed = next((c for c, cls in enumerate(classes) if state in cls), None)
     if absorbed is None:
         absorbed_class = stationary = reward_gain = constraint_gain = None

@@ -82,6 +82,18 @@ def test_stationary_and_absorption_equal_dense(drawn):
     assert all(all_fractions(row) for row in probs)
 
 
+def closures(rows):
+    """The closure of each state under the chain, once each.
+
+    Each is closed, and strongly connected only when it is one class. A
+    member that does not reach the first makes the class check's solve
+    singular; when every member does, the members the first does not reach
+    get weight 0.
+    """
+    successors = [(row,) for row in rows]
+    return sorted({tuple(chains._closure(successors, (s,))) for s in range(len(rows))})
+
+
 def class_check_outcome(solve, chain, cls):
     try:
         return solve(chain, cls)
@@ -96,7 +108,7 @@ def test_class_checks_equal_dense(drawn):
     rows = dense_oracle.sparse(chain)
     classes = decompose(rows).recurrent_classes
     subset = tuple(sorted(rng.sample(range(len(chain)), rng.randint(1, len(chain)))))
-    candidates = [subset]
+    candidates = [subset, *closures(rows)]
     if len(classes) >= 2:
         union = tuple(sorted(classes[0] + classes[1]))
         candidates.append(union)

@@ -2,11 +2,12 @@
 
 ``simulation_oracle`` visits every step and takes one ``getrandbits(64)``
 call per stochastic transition. The walk under test switches to a closed
-form once the rest of the walk can draw nothing and goes round the
-deterministic cycle it ends in. Both ``simulation_report``'s report and
+form once it enters a recurrent class whose members each have one
+successor, and goes round that cycle; a deterministic stretch before it
+is walked step by step. Both ``simulation_report``'s report and
 ``simulate``'s trajectory must equal the reference's. Step counts are
-drawn around the stretch and cycle lengths of the drawn model, where the
-walk switches from one form to the other.
+drawn around the stretch, entry and cycle lengths of the drawn model,
+where the walk switches from one form to the other.
 """
 
 import random
@@ -22,7 +23,7 @@ from cmdpkit.evaluation import analyse_policy
 from cmdpkit.model import induced_chain
 from cmdpkit.samplepath import simulate, simulation_report
 from cmdpkit.solver import enumerate_policies
-from randmdp import lazy_variant, random_decomposable, random_mdp, random_policy
+from randmdp import examples, lazy_variant, random_decomposable, random_mdp, random_policy
 
 
 def boundary_steps(mdp, policy):
@@ -31,8 +32,10 @@ def boundary_steps(mdp, policy):
     From each state, the states with one successor are followed until one
     draws or one repeats. The count of states passed (the stretch, or the
     tail and one lap of the cycle) gives counts one below, at and one above
-    it; each cycle gives its first three multiples and those plus the
-    stretch.
+    it. A repeat closes a cycle that draws nothing, a recurrent class; the
+    steps until the walk enters it (the tail) give counts one below, at and
+    one above them too, and each cycle gives its first three multiples and
+    those plus the stretch.
     """
     chain = induced_chain(mdp, policy)
     steps = {1, 2}
@@ -44,7 +47,9 @@ def boundary_steps(mdp, policy):
         stretch = len(position)
         steps.update(stretch + d for d in (-1, 0, 1))
         if s in position:
-            lap = stretch - position[s]
+            tail = position[s]
+            steps.update(tail + d for d in (-1, 0, 1))
+            lap = stretch - tail
             steps.update(k * lap + e for k in (1, 2, 3) for e in (0, stretch))
     return sorted(n for n in steps if n >= 1)
 
@@ -68,7 +73,7 @@ def walks(draw):
     return mdp, policy, start, steps, seed
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(walk=walks())
 def test_walk_equals_the_per_step_walk(walk):
     expected_trajectory, expected_report = oracle.simulate(*walk)
