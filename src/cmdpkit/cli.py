@@ -47,15 +47,17 @@ class _UsageError(Exception):
 # documents as they are; render_json prints each Fraction as "p/q".
 
 
-def _policy_doc(mdp: Mdp, policy: Policy | None) -> dict[str, str] | None:
-    """Policy restricted to decision states (two or more actions)."""
+def _decision_states(mdp: Mdp) -> list[str]:
+    """The states with two or more actions, in model order; a command finds
+    them once and builds each of its policy documents from them."""
+    return [state for state, acts in zip(mdp.states, mdp.actions) if len(acts) > 1]
+
+
+def _policy_doc(decisions: list[str], policy: Policy | None) -> dict[str, str] | None:
+    """Policy restricted to the decision states."""
     if policy is None:
         return None
-    return {
-        state: policy.action_for(state)
-        for i, state in enumerate(mdp.states)
-        if len(mdp.actions[i]) > 1
-    }
+    return {state: policy.action_for(state) for state in decisions}
 
 
 def _parse_policy(mdp: Mdp, text: str | None) -> Policy:
@@ -73,7 +75,7 @@ def _parse_policy(mdp: Mdp, text: str | None) -> Policy:
     return Policy.from_mapping(mdp, mapping)
 
 
-def _solve_doc(mdp: Mdp, result: SolveResult) -> dict:
+def _solve_doc(decisions: list[str], result: SolveResult) -> dict:
     if result.status != "optimal":
         return {
             "status": "infeasible",
@@ -82,7 +84,7 @@ def _solve_doc(mdp: Mdp, result: SolveResult) -> dict:
         }
     return {
         "status": "optimal",
-        "policy": _policy_doc(mdp, result.policy),
+        "policy": _policy_doc(decisions, result.policy),
         "value": result.value,
         "W": result.W_at_optimum,
     }
@@ -101,7 +103,8 @@ def _cmd_solve(args) -> CommandOutcome:
     mdp = load_instance(args.file)
     result = solve(mdp, args.start)
     return CommandOutcome(
-        0 if result.status == "optimal" else 1, render_json(_solve_doc(mdp, result))
+        0 if result.status == "optimal" else 1,
+        render_json(_solve_doc(_decision_states(mdp), result)),
     )
 
 
@@ -112,7 +115,7 @@ def _cmd_evaluate(args) -> CommandOutcome:
     report = evaluate(mdp, policy, start)
     doc = {
         "start": start,
-        "policy": _policy_doc(mdp, policy),
+        "policy": _policy_doc(_decision_states(mdp), policy),
         "V": report.V,
         "W": report.W,
         "class_gains": [
@@ -126,9 +129,10 @@ def _cmd_evaluate(args) -> CommandOutcome:
 
 def _cmd_residual(args) -> CommandOutcome:
     mdp = load_instance(args.file)
+    decisions = _decision_states(mdp)
     base = solve(mdp)
     if base.status != "optimal":
-        return CommandOutcome(1, render_json(_solve_doc(mdp, base)))
+        return CommandOutcome(1, render_json(_solve_doc(decisions, base)))
     spec = residual_mod.residual_slack(
         mdp, base.policy, mdp.initial_state, args.to, args.time
     )
@@ -141,7 +145,7 @@ def _cmd_residual(args) -> CommandOutcome:
         "prob": spec.prob_to,
         "slack": spec.slack,
         "residual_constraint": dict(zip(mdp.actions[i], shifted.constraints[i])),
-        "residual_solve": _solve_doc(mdp, solve(shifted, spec.target)),
+        "residual_solve": _solve_doc(decisions, solve(shifted, spec.target)),
     }
     return CommandOutcome(0, render_json(doc))
 
@@ -194,10 +198,11 @@ def _cmd_certify(args) -> CommandOutcome:
 
 def _cmd_audit(args) -> CommandOutcome:
     mdp = load_instance(args.file)
+    decisions = _decision_states(mdp)
     try:
         report = residual_mod.audit_time_consistency(mdp, all_times=args.all_times)
     except residual_mod.InfeasibleStartError as exc:
-        return CommandOutcome(1, render_json(_solve_doc(mdp, exc.result)))
+        return CommandOutcome(1, render_json(_solve_doc(decisions, exc.result)))
     entries = []
     for e in report.entries:
         entries.append({
@@ -211,12 +216,12 @@ def _cmd_audit(args) -> CommandOutcome:
             "unmodified": {
                 "status": e.unmodified_status,
                 "value": e.unmodified_value,
-                "policy": _policy_doc(mdp, e.unmodified_policy),
+                "policy": _policy_doc(decisions, e.unmodified_policy),
             },
             "residual": {
                 "status": e.residual_status,
                 "value": e.residual_value,
-                "policy": _policy_doc(mdp, e.residual_policy),
+                "policy": _policy_doc(decisions, e.residual_policy),
                 "policy_feasible": e.policy_feasible_residual,
                 "policy_optimal": e.policy_optimal_residual,
             },
@@ -224,7 +229,7 @@ def _cmd_audit(args) -> CommandOutcome:
         })
     doc = {
         "start": report.start,
-        "policy": _policy_doc(mdp, report.policy),
+        "policy": _policy_doc(decisions, report.policy),
         "value": report.value,
         "certificate": {"status": report.certificate_status, "mu": report.mu},
         "consistent": report.consistent,
@@ -289,7 +294,7 @@ def _cmd_simulate(args) -> CommandOutcome:
         "seed": report.seed,
         "steps": report.steps,
         "start": report.start,
-        "policy": _policy_doc(mdp, policy),
+        "policy": _policy_doc(_decision_states(mdp), policy),
         "visit_frequency": dict(zip(mdp.states, report.visit_frequency)),
         "empirical_V": report.empirical_V,
         "empirical_W": report.empirical_W,

@@ -19,6 +19,16 @@ The kernel is held only as sparse successor rows (``Successors``), built
 straight from each document's ``transitions`` object: parsing,
 ``validate``, ``serialize_instance`` and every chain analysis read those
 rows, and no dense transition row is ever built.
+
+Every command loads, validates and renders once, in a cold process, so
+that path keeps off standard-library routines whose first call costs as
+much as a whole warm load: ``read_json`` reads bytes and decodes them
+itself rather than through the text-mode file stack, ``parse_rational``
+reads a canonical "p/q" literal with two ``int`` parses rather than
+``Fraction``'s regular-expression parser, ``validate`` and the loader test
+zero and sign on numerators rather than through ``Fraction``'s comparison
+and truth dunders, and ``render_json`` picks its branch by exact type.
+Every result, message and rendered byte is what the general routines give.
 """
 
 import json
@@ -68,6 +78,18 @@ def parse_rational(text: str) -> Fraction:
         raise InstanceFormatError(
             f"numbers must be strings to stay exact, got {type(text).__name__}: {text!r}"
         )
+    # The canonical form -?[0-9]+/[0-9]+ is two int parses; every other
+    # literal goes through Fraction's parser, and so does one with a zero
+    # denominator or past the int-to-str digit limit, which it reports.
+    p, slash, q = text.partition("/")
+    if (slash and len(text) <= MAX_LITERAL_LENGTH and text.isascii()
+            and p.removeprefix("-").isdigit() and q.isdigit()):
+        try:
+            denominator = int(q)
+            if denominator:
+                return Fraction(int(p), denominator)
+        except ValueError:
+            pass
     literal = text.strip()
     if len(literal) > MAX_LITERAL_LENGTH:
         raise InstanceFormatError(
@@ -342,11 +364,13 @@ def validate(mdp: Mdp) -> ValidationReport:
     def add(kind: str, state: str | None, action: str | None, message: str) -> None:
         violations.append(Violation(kind, state, action, message))
 
-    labels = list(mdp.states)
-    if len(set(labels)) != len(labels):
+    labels = mdp.states
+    num_states = len(labels)
+    known = set(labels)
+    if len(known) != num_states:
         dupes = sorted({s for s in labels if labels.count(s) > 1})
         add("duplicate-state", None, None, f"duplicate state labels: {dupes}")
-    if mdp.initial_state not in set(labels):
+    if mdp.initial_state not in known:
         add("initial-state", None, None,
             f"initial state {mdp.initial_state!r} is not a model state")
 
@@ -359,49 +383,59 @@ def validate(mdp: Mdp) -> ValidationReport:
         ("rewards", mdp.rewards), ("constraints", mdp.constraints),
     )
     for name, entries in per_state:
-        if len(entries) != len(mdp.states):
+        if len(entries) != num_states:
             add("state-shape", None, None,
-                f"{name} has {len(entries)} entries for {len(mdp.states)} states")
+                f"{name} has {len(entries)} entries for {num_states} states")
     aligned = min(len(entries) for _, entries in per_state)
 
-    for i, state in enumerate(mdp.states[:aligned]):
-        acts = mdp.actions[i]
-        if not acts:
+    for i in range(aligned):
+        state, acts = labels[i], mdp.actions[i]
+        rows, rewards, constraints = mdp.successors[i], mdp.rewards[i], mdp.constraints[i]
+        width = len(acts)
+        if not width:
             add("no-actions", state, None, f"state {state!r} has no actions")
-        if len(set(acts)) != len(acts):
+        elif width > 1 and len(set(acts)) != width:
             add("duplicate-action", state, None,
                 f"state {state!r} has duplicate action labels")
-        rows, constraints = mdp.successors[i], mdp.constraints[i]
-        for name, entries in (
-            ("kernel rows", rows), ("rewards", mdp.rewards[i]),
-            ("constraint vectors", constraints),
-        ):
-            if len(entries) != len(acts):
-                add("action-shape", state, None,
-                    f"state {state!r} has {len(acts)} actions but "
-                    f"{len(entries)} {name}")
-        for j, action in enumerate(acts):
-            row = rows[j] if j < len(rows) else None
-            if row is not None and not (
-                all(p != 0 and 0 <= k < len(mdp.states) for k, p in row)
-                and all(k < m for (k, _), (m, _) in zip(row, row[1:]))
+        if not len(rows) == len(rewards) == len(constraints) == width:
+            for name, entries in (
+                ("kernel rows", rows), ("rewards", rewards),
+                ("constraint vectors", constraints),
             ):
-                add("row-shape", state, action,
-                    f"kernel row of ({state!r}, {action!r}) is not ascending "
-                    f"(index, nonzero probability) pairs over {len(mdp.states)} states")
-            elif row is not None:
-                negatives = [mdp.states[k] for k, p in row if p < 0]
-                if negatives:
-                    add("row-negative", state, action,
-                        f"negative transition probability at ({state!r}, {action!r}) "
-                        f"towards {negatives}")
-                # the row sums to 1 when its numerators over one lcm sum to it
-                scale = lcm(*(p.denominator for _, p in row))
-                total = sum(p.numerator * (scale // p.denominator) for _, p in row)
-                if total != scale:
-                    add("row-sum", state, action,
-                        f"kernel row of ({state!r}, {action!r}) sums to "
-                        f"{format_rational(Fraction(total, scale))}, not 1")
+                if len(entries) != width:
+                    add("action-shape", state, None,
+                        f"state {state!r} has {width} actions but "
+                        f"{len(entries)} {name}")
+        for j, action in enumerate(acts):
+            if j < len(rows):
+                # One pass reads each entry's numerator and denominator: the
+                # shape, the signs, and the sum as an integer over one lcm.
+                row = rows[j]
+                previous, negative, scale, total = -1, False, 1, 0
+                for k, p in row:
+                    numerator, denominator = p.numerator, p.denominator
+                    if not (numerator and previous < k < num_states):
+                        add("row-shape", state, action,
+                            f"kernel row of ({state!r}, {action!r}) is not ascending "
+                            f"(index, nonzero probability) pairs over {num_states} states")
+                        break
+                    previous = k
+                    negative = negative or numerator < 0
+                    if scale % denominator:
+                        grown = lcm(scale, denominator)
+                        total *= grown // scale
+                        scale = grown
+                    total += numerator * (scale // denominator)
+                else:
+                    if negative:
+                        negatives = [labels[k] for k, p in row if p.numerator < 0]
+                        add("row-negative", state, action,
+                            f"negative transition probability at ({state!r}, {action!r}) "
+                            f"towards {negatives}")
+                    if total != scale:
+                        add("row-sum", state, action,
+                            f"kernel row of ({state!r}, {action!r}) sums to "
+                            f"{format_rational(Fraction(total, scale))}, not 1")
             if j < len(constraints) and len(constraints[j]) != n:
                 add("constraint-length", state, action,
                     f"constraint vector of ({state!r}, {action!r}) has length "
@@ -435,13 +469,17 @@ def read_json(path: str | os.PathLike, build):
     message that starts with the path (InstanceFormatError if not UTF-8 JSON).
     """
     try:
-        with open(path, encoding="utf-8") as file:
-            text = file.read()
+        with open(path, "rb") as file:
+            data = file.read()
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from None
+    try:
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InstanceFormatError(
             f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    if "\r" in text:  # the newlines a text-mode read translates
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     doc = _decode(text, f"{path}: ")
     try:
         return build(doc)
@@ -541,7 +579,7 @@ def _mdp_from_document(doc) -> Mdp:
                     )
                 row.append((index[target], rational(prob)))
             # object keys are unique, so pairs sort by index alone
-            state_rows.append(tuple(sorted(pair for pair in row if pair[1])))
+            state_rows.append(tuple(sorted(pair for pair in row if pair[1].numerator)))
         actions.append(tuple(state_actions))
         successors.append(tuple(state_rows))
         rewards.append(tuple(state_rewards))
@@ -599,52 +637,76 @@ def render_json(value) -> str:
     ``json``'s own ASCII escaper.
     """
     parts: list[str] = []
-    _render(value, "\n", parts.append)
+    _render(value, "\n", parts)
     parts.append("\n")
     return "".join(parts)
 
 
-def _render(value, newline: str, emit) -> None:
-    """Emit ``value``'s JSON text, its nested lines starting with ``newline``."""
-    if isinstance(value, str):
-        emit(encode_basestring_ascii(value))
+def _render(value, newline: str, parts: list[str]) -> None:
+    """Append ``value``'s JSON text, its nested lines starting with ``newline``.
+
+    The exact type picks the branch, so a report's plain values never reach
+    ``isinstance`` (through ``Fraction``'s ABC machinery); a subclass, such
+    as a NamedTuple, falls through to the ``isinstance`` chain.
+    """
+    kind = type(value)
+    if kind is str:
+        parts.append(encode_basestring_ascii(value))
+    elif kind is Fraction:
+        parts.append(f'"{format_rational(value)}"')
+    elif kind is dict:
+        _render_dict(value, newline, parts)
+    elif kind is list or kind is tuple:
+        _render_list(value, newline, parts)
     elif value is None:
-        emit("null")
+        parts.append("null")
     elif value is True:
-        emit("true")
+        parts.append("true")
     elif value is False:
-        emit("false")
+        parts.append("false")
+    elif kind is int:
+        parts.append(int.__repr__(value))
+    elif isinstance(value, str):
+        parts.append(encode_basestring_ascii(value))
     elif isinstance(value, int):
-        emit(int.__repr__(value))
+        parts.append(int.__repr__(value))
     elif isinstance(value, Fraction):
-        emit(f'"{format_rational(value)}"')
+        parts.append(f'"{format_rational(value)}"')
     elif isinstance(value, (list, tuple)):
-        if not value:
-            emit("[]")
-            return
-        inner = newline + "  "
-        separator = "[" + inner
-        for item in value:
-            emit(separator)
-            _render(item, inner, emit)
-            separator = "," + inner
-        emit(newline + "]")
+        _render_list(value, newline, parts)
     elif isinstance(value, dict):
-        if not value:
-            emit("{}")
-            return
-        for key in value:
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-        inner = newline + "  "
-        separator = "{" + inner
-        for key in sorted(value):
-            emit(separator + encode_basestring_ascii(key) + ": ")
-            _render(value[key], inner, emit)
-            separator = "," + inner
-        emit(newline + "}")
+        _render_dict(value, newline, parts)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _render_list(value, newline: str, parts: list[str]) -> None:
+    if not value:
+        parts.append("[]")
+        return
+    inner = newline + "  "
+    separator = "[" + inner
+    for item in value:
+        parts.append(separator)
+        _render(item, inner, parts)
+        separator = "," + inner
+    parts.append(newline + "]")
+
+
+def _render_dict(value, newline: str, parts: list[str]) -> None:
+    if not value:
+        parts.append("{}")
+        return
+    for key in value:
+        if not isinstance(key, str):
+            raise TypeError(f"keys must be str, not {type(key).__name__}")
+    inner = newline + "  "
+    separator = "{" + inner
+    for key in sorted(value):
+        parts.append(separator + encode_basestring_ascii(key) + ": ")
+        _render(value[key], inner, parts)
+        separator = "," + inner
+    parts.append(newline + "}")
 
 
 def induced_chain(mdp: Mdp, policy: Policy) -> Chain:

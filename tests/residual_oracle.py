@@ -8,18 +8,19 @@ itself. ``cli._cmd_residual`` now builds the residual problem with
 
 from cmdpkit import residual as residual_mod
 from cmdpkit.chains import reachable_states
-from cmdpkit.cli import CommandOutcome, _solve_doc
+from cmdpkit.cli import CommandOutcome, _decision_states, _solve_doc
 from cmdpkit.model import load_instance, render_json
 from cmdpkit.solver import PolicyTable
 
 
 def _cmd_residual(args) -> CommandOutcome:
     mdp = load_instance(args.file)
+    decisions = _decision_states(mdp)
     # A target reached under the optimum lies in the start's closure.
     table = PolicyTable(mdp, reachable_states(mdp, None, mdp.initial_state))
     base = table.solve(mdp.initial_state)
     if base.status != "optimal":
-        return CommandOutcome(1, render_json(_solve_doc(mdp, base)))
+        return CommandOutcome(1, render_json(_solve_doc(decisions, base)))
     spec = residual_mod.residual_slack(
         mdp, base.policy, mdp.initial_state, args.to, args.time
     )
@@ -34,6 +35,6 @@ def _cmd_residual(args) -> CommandOutcome:
             action: [c - d for c, d in zip(cvec, spec.slack)]
             for action, cvec in zip(mdp.actions[i], mdp.constraints[i])
         },
-        "residual_solve": _solve_doc(mdp, table.solve(spec.target, spec.slack)),
+        "residual_solve": _solve_doc(decisions, table.solve(spec.target, spec.slack)),
     }
     return CommandOutcome(0, render_json(doc))

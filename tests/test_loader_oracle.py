@@ -6,7 +6,10 @@ and reads a literal's decimal exponent without a regular expression;
 regular expression. On ``tests/randmdp.py`` documents whose every literal
 is respelled as a random equal form ("1/2", "2/4", "0.5", " 1/2 ", "5e-1",
 "1_0/20"), duplicates included, the two must return equal models. With one
-bad literal injected, they must raise the same message.
+bad literal injected, they must raise the same message. A canonical
+"p/q" literal takes ``model.parse_rational``'s two int parses instead of
+``Fraction``'s parser; literals at the edge of that form must still parse
+as ``Fraction`` and the oracle parse them.
 """
 
 import json
@@ -15,6 +18,7 @@ import re
 import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -124,6 +128,42 @@ def exponent_literal(draw):
 @given(text=st.one_of(exponent_literal(), st.text("0123456789eE+-_./ \t\u0663x", max_size=12)))
 def test_parse_rational_matches_the_regular_expression(text):
     assert outcome(model.parse_rational, text) == outcome(loader_oracle.parse_rational, text)
+
+
+# Literals at the edge of the canonical "p/q" form, which model.parse_rational
+# reads with two int parses; Fraction reads the Arabic-Indic digits too.
+EDGE_LITERALS = ["-0/1", "007/010", "+1/2", "1/0", "-1/-2", "1/2 ", "\u0661/\u0662",
+                 "1_0/20", "1/" + "1" * 999]
+
+
+@pytest.mark.parametrize("literal", EDGE_LITERALS)
+def test_edge_literals_parse_as_fraction_and_the_oracle_do(literal):
+    kind, value = outcome(model.parse_rational, literal)
+    assert (kind, value) == outcome(loader_oracle.parse_rational, literal)
+    if len(literal) > model.MAX_LITERAL_LENGTH:
+        assert kind == "error" and "longer than 1000 characters" in value
+        return
+    try:
+        expected = Fraction(literal)
+    except (ValueError, ZeroDivisionError):
+        assert kind == "error"
+    else:
+        assert kind == "ok" and type(value) is Fraction and value == expected
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="Python 3.10 has no int-to-str digit limit")
+@pytest.mark.parametrize("literal", ["7" * 700 + "/3", "-3/" + "7" * 700])
+def test_a_canonical_literal_past_a_low_digit_limit_fails_as_the_oracle_does(literal):
+    # Under PYTHONINTMAXSTRDIGITS=640 a 700-digit part is an input error, not a crash.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        kind, message = outcome(model.parse_rational, literal)
+        assert (kind, message) == outcome(loader_oracle.parse_rational, literal)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert kind == "error" and "640" in message
 
 
 def test_haviv_parses_each_distinct_literal_once(instances_dir, monkeypatch):
