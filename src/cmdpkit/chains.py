@@ -60,6 +60,7 @@ from typing import Container, Iterable, Iterator, NamedTuple, Sequence
 
 from cmdpkit.lp import eliminate
 from cmdpkit.model import (
+    MAX_TIME,
     Chain,
     InputError,
     Mdp,
@@ -595,9 +596,6 @@ def censor(mdp: Mdp, starts: Sequence[int]) -> CensoredChain:
         ),
         entry=tuple(row(s) for s in starts),
     )
-
-
-MAX_TIME = 10_000
 
 
 class TimeLimitError(InputError):

@@ -3,6 +3,13 @@
 Each subcommand parses its arguments, loads the instance, calls the module
 API and renders one JSON document; ``_ABOUT`` is the text ``--help``
 prints about the whole CLI, with the exit-code contract.
+
+Every command runs in a fresh interpreter, so it pays for each module it
+imports. This module imports only ``cmdpkit.model`` (loading, validation,
+rendering and the limits the help text names); each ``_cmd_*`` handler
+imports the modules it runs as its first statements. ``validate``, help
+and usage errors load nothing more, ``solve`` loads the solver and
+``audit`` the certificate and residual code.
 """
 
 import re
@@ -11,13 +18,9 @@ from fractions import Fraction
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
-from cmdpkit import certificate as certificate_mod
-from cmdpkit import residual as residual_mod
-from cmdpkit import samplepath as samplepath_mod
-from cmdpkit.certificate import Certificate, CertificateUnsat
-from cmdpkit.chains import MAX_TIME
-from cmdpkit.evaluation import evaluate
 from cmdpkit.model import (
+    MAX_STEPS,
+    MAX_TIME,
     InputError,
     InstanceFormatError,
     Mdp,
@@ -30,7 +33,6 @@ from cmdpkit.model import (
     render_json,
     serialize_instance,
 )
-from cmdpkit.solver import SolveResult, solve
 
 
 class CommandOutcome(NamedTuple):
@@ -75,7 +77,8 @@ def _parse_policy(mdp: Mdp, text: str | None) -> Policy:
     return Policy.from_mapping(mdp, mapping)
 
 
-def _solve_doc(decisions: list[str], result: SolveResult) -> dict:
+def _solve_doc(decisions: list[str], result) -> dict:
+    """The document of a ``solver.SolveResult``."""
     if result.status != "optimal":
         return {
             "status": "infeasible",
@@ -100,6 +103,8 @@ def _cmd_validate(args) -> CommandOutcome:
 
 
 def _cmd_solve(args) -> CommandOutcome:
+    from cmdpkit.solver import solve
+
     mdp = load_instance(args.file)
     result = solve(mdp, args.start)
     return CommandOutcome(
@@ -109,6 +114,8 @@ def _cmd_solve(args) -> CommandOutcome:
 
 
 def _cmd_evaluate(args) -> CommandOutcome:
+    from cmdpkit.evaluation import evaluate
+
     mdp = load_instance(args.file)
     policy = _parse_policy(mdp, args.policy)
     start = mdp.initial_state if args.start is None else args.start
@@ -128,15 +135,16 @@ def _cmd_evaluate(args) -> CommandOutcome:
 
 
 def _cmd_residual(args) -> CommandOutcome:
+    from cmdpkit.residual import build_residual_problem, residual_slack
+    from cmdpkit.solver import solve
+
     mdp = load_instance(args.file)
     decisions = _decision_states(mdp)
     base = solve(mdp)
     if base.status != "optimal":
         return CommandOutcome(1, render_json(_solve_doc(decisions, base)))
-    spec = residual_mod.residual_slack(
-        mdp, base.policy, mdp.initial_state, args.to, args.time
-    )
-    shifted = residual_mod.build_residual_problem(mdp, spec)
+    spec = residual_slack(mdp, base.policy, mdp.initial_state, args.to, args.time)
+    shifted = build_residual_problem(mdp, spec)
     i = mdp.state_index(spec.target)
     doc = {
         "from": spec.source,
@@ -150,18 +158,6 @@ def _cmd_residual(args) -> CommandOutcome:
     return CommandOutcome(0, render_json(doc))
 
 
-def _certificate_doc(cert: Certificate) -> dict:
-    return {"status": "certificate", **cert._asdict()}
-
-
-def _unsat_doc(unsat: CertificateUnsat) -> dict:
-    return {
-        "status": "unsat",
-        **unsat._asdict(),
-        "class_equations": [eq._asdict() for eq in unsat.class_equations],
-    }
-
-
 def _potential(raw) -> dict[str, Fraction]:
     if not isinstance(raw, dict):
         raise InstanceFormatError(
@@ -170,13 +166,19 @@ def _potential(raw) -> dict[str, Fraction]:
 
 
 def _cmd_certify(args) -> CommandOutcome:
+    from cmdpkit.certificate import Certificate, check_certificate, find_certificate
+
     mdp = load_instance(args.file)
     policy = _parse_policy(mdp, args.policy)
     if args.search:
-        found = certificate_mod.find_certificate(mdp, mdp.initial_state, policy)
+        found = find_certificate(mdp, mdp.initial_state, policy)
         if isinstance(found, Certificate):
-            return CommandOutcome(0, render_json(_certificate_doc(found)))
-        return CommandOutcome(1, render_json(_unsat_doc(found)))
+            return CommandOutcome(0, render_json({"status": "certificate", **found._asdict()}))
+        return CommandOutcome(1, render_json({
+            "status": "unsat",
+            **found._asdict(),
+            "class_equations": [eq._asdict() for eq in found.class_equations],
+        }))
 
     if args.gain is None:
         raise _command_error("certify", "--gain is required in check mode (or pass --search)")
@@ -188,7 +190,7 @@ def _cmd_certify(args) -> CommandOutcome:
     else:
         potential = dict.fromkeys(mdp.states, Fraction(0))
     cert = Certificate(mu=mu, gain=parse_rational(args.gain), potential=potential)
-    report = certificate_mod.check_certificate(mdp, mdp.initial_state, policy, cert)
+    report = check_certificate(mdp, mdp.initial_state, policy, cert)
     residuals: dict[str, dict[str, Fraction]] = {}
     for (state, action), gap in report.bellman_residuals.items():
         residuals.setdefault(state, {})[action] = gap
@@ -197,11 +199,13 @@ def _cmd_certify(args) -> CommandOutcome:
 
 
 def _cmd_audit(args) -> CommandOutcome:
+    from cmdpkit.residual import InfeasibleStartError, audit_time_consistency
+
     mdp = load_instance(args.file)
     decisions = _decision_states(mdp)
     try:
-        report = residual_mod.audit_time_consistency(mdp, all_times=args.all_times)
-    except residual_mod.InfeasibleStartError as exc:
+        report = audit_time_consistency(mdp, all_times=args.all_times)
+    except InfeasibleStartError as exc:
         return CommandOutcome(1, render_json(_solve_doc(decisions, exc.result)))
     entries = []
     for e in report.entries:
@@ -239,9 +243,11 @@ def _cmd_audit(args) -> CommandOutcome:
 
 
 def _cmd_samplepath(args) -> CommandOutcome:
+    from cmdpkit.samplepath import samplepath_feasible
+
     mdp = load_instance(args.file)
     policy = _parse_policy(mdp, args.policy)
-    verdict = samplepath_mod.samplepath_feasible(mdp, policy, mdp.initial_state)
+    verdict = samplepath_feasible(mdp, policy, mdp.initial_state)
     doc = {
         "feasible": verdict.feasible,
         "witness": None if verdict.feasible else {
@@ -252,13 +258,15 @@ def _cmd_samplepath(args) -> CommandOutcome:
 
 
 def _cmd_decompose(args) -> CommandOutcome:
+    from cmdpkit.samplepath import NotDecomposableError, controllable_classes, convert_classes
+
     mdp = load_instance(args.file)
     try:
-        control = samplepath_mod.controllable_classes(mdp, mdp.initial_state)
-    except samplepath_mod.NotDecomposableError as exc:
+        control = controllable_classes(mdp, mdp.initial_state)
+    except NotDecomposableError as exc:
         return CommandOutcome(1, render_json({"decomposable": False, "error": str(exc)}))
     structure = control.structure
-    converted = samplepath_mod.convert_classes(
+    converted = convert_classes(
         mdp,
         control.controllable_members if args.selective else structure.recurrent_classes,
     )
@@ -285,9 +293,11 @@ def _cmd_decompose(args) -> CommandOutcome:
 
 
 def _cmd_simulate(args) -> CommandOutcome:
+    from cmdpkit.samplepath import simulation_report
+
     mdp = load_instance(args.file)
     policy = _parse_policy(mdp, args.policy)
-    report = samplepath_mod.simulation_report(
+    report = simulation_report(
         mdp, policy, mdp.initial_state, args.steps, args.seed
     )
     doc = {
@@ -380,7 +390,7 @@ _COMMANDS = {
     "simulate": _Command(_cmd_simulate, "seeded Monte Carlo trajectory", (
         _POLICY,
         _Option("--steps", int, required=True,
-                help=f"walk length (at most {samplepath_mod.MAX_STEPS})"),
+                help=f"walk length (at most {MAX_STEPS})"),
         _Option("--seed", int, required=True, help="random seed"),
     )),
 }

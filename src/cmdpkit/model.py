@@ -64,6 +64,11 @@ class PolicyError(InputError):
 # power of ten with millions of digits.
 MAX_LITERAL_LENGTH = 1000
 MAX_DECIMAL_EXPONENT = 1000
+# Bounds on a time-t distribution (``chains.state_distribution_at``) and on
+# a simulated walk (``samplepath.simulate``); they live here, with the other
+# input limits, because the command line's help text names them.
+MAX_TIME = 10_000
+MAX_STEPS = 10**7
 
 
 def parse_rational(text: str) -> Fraction:
@@ -631,8 +636,8 @@ def render_json(value) -> str:
 
     The standard library indents through its pure-Python encoder; this one
     recursion is the whole of that for the types a report holds: str, int,
-    bool, None, list, tuple, dict with str keys and Fraction, whose
-    ``format_rational`` raises InputError past the digit limit. Any other
+    bool, None, list, tuple, dict with str keys and Fraction; an int or a
+    Fraction past the int-to-str digit limit raises InputError. Any other
     type, a float included, raises TypeError. Strings are escaped by
     ``json``'s own ASCII escaper.
     """
@@ -640,6 +645,14 @@ def render_json(value) -> str:
     _render(value, "\n", parts)
     parts.append("\n")
     return "".join(parts)
+
+
+def _format_int(value: int) -> str:
+    """The decimal text of an int; InputError past the digit limit."""
+    try:
+        return int.__repr__(value)
+    except ValueError:
+        raise InputError(f"a number to print has {_over_digit_limit()}") from None
 
 
 def _render(value, newline: str, parts: list[str]) -> None:
@@ -665,11 +678,11 @@ def _render(value, newline: str, parts: list[str]) -> None:
     elif value is False:
         parts.append("false")
     elif kind is int:
-        parts.append(int.__repr__(value))
+        parts.append(_format_int(value))
     elif isinstance(value, str):
         parts.append(encode_basestring_ascii(value))
     elif isinstance(value, int):
-        parts.append(int.__repr__(value))
+        parts.append(_format_int(value))
     elif isinstance(value, Fraction):
         parts.append(f'"{format_rational(value)}"')
     elif isinstance(value, (list, tuple)):

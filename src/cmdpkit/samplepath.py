@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from cmdpkit import chains
 from cmdpkit.evaluation import analyse_policy
-from cmdpkit.model import Chain, InputError, Mdp, Policy, Trajectory, induced_chain
+from cmdpkit.model import MAX_STEPS, Chain, InputError, Mdp, Policy, Trajectory, induced_chain
 from cmdpkit.solver import enumerate_policies
 
 ZERO = Fraction(0)
@@ -220,9 +220,6 @@ class SimulationReport(NamedTuple):
     absorbed_reward_gain: Fraction | None
     absorbed_constraint_gain: tuple[Fraction, ...] | None
     analytic_absorption: tuple[Fraction, ...]
-
-
-MAX_STEPS = 10**7
 
 
 class StepLimitError(InputError):

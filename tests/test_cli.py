@@ -277,7 +277,7 @@ def test_oversized_inputs_are_input_errors(oversized_inputs):
     for argv, code, error in oversized_inputs:
         out = invoke(*argv)
         assert (out.exit_code, out.error) == (code, error)
-        assert bool(out.report) == (code == 0)
+        assert bool(out.report) == (code != 2)
 
 
 def test_certify_check_mode(tmp_path, instances_dir):

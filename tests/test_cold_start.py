@@ -1,9 +1,12 @@
-"""Every module import happens when ``cmdpkit.cli`` is imported.
+"""Each command of the command line loads only the modules it runs.
 
 The command line runs each command in a fresh interpreter (or a cold
-forked child), so an import deferred into a function is paid on the call
-path of every command that reaches it. Imports stay at module level, and
-importing the CLI loads every module it can reach.
+forked child), so every module a command loads is paid on every call of
+it. ``import cmdpkit.cli`` loads only the package and ``cmdpkit.model``
+(the package resolves its public names on first use), and each
+``cli._cmd_*`` handler imports the ``cmdpkit`` modules it runs as its first
+statements. Nowhere else does a function import, so an import never hides
+deep in a call path, and the modules each command loads are pinned here.
 
 Leftovers of a refactor are caught here too: every function the benchmark
 tracer (``perfbench/tracer.py``) wraps still exists with the parameters it
@@ -12,6 +15,7 @@ interpreter limit are run through ``main()`` in a fresh interpreter too.
 """
 
 import ast
+import functools
 import importlib
 import importlib.util
 import inspect
@@ -29,20 +33,43 @@ import cmdpkit.solver
 SRC = Path(__file__).resolve().parent.parent / "src"
 PACKAGE = SRC / "cmdpkit"
 
-# Builds the bundled instance files (``python -m cmdpkit.instances``); the
-# command line never reads it, and a package import of it would make that
-# ``-m`` run warn that the module was imported before it ran.
-NOT_ON_THE_CLI_PATH = {"cmdpkit.instances"}
+
+def _imports_a_package_module(node: ast.Import | ast.ImportFrom) -> bool:
+    """Whether ``node`` imports only modules of the package (or names from one)."""
+    modules = {f"cmdpkit.{path.stem}" for path in PACKAGE.glob("*.py")} - {"cmdpkit.__init__"}
+    if isinstance(node, ast.Import):
+        return all(alias.name in modules for alias in node.names)
+    if node.module == "cmdpkit":
+        return all(f"cmdpkit.{alias.name}" in modules for alias in node.names)
+    return node.level == 0 and node.module in modules
+
+
+def _handler_heads(tree: ast.Module) -> set[ast.AST]:
+    """The imports of package modules that open each ``_cmd_*`` handler."""
+    heads = set()
+    for function in tree.body:
+        if isinstance(function, ast.FunctionDef) and function.name.startswith("_cmd_"):
+            for statement in function.body:
+                if not (isinstance(statement, (ast.Import, ast.ImportFrom))
+                        and _imports_a_package_module(statement)):
+                    break
+                heads.add(statement)
+    return heads
 
 
 def test_no_import_inside_a_function():
+    # But for the package modules a ``_cmd_*`` handler imports as its first
+    # statements: which modules a command loads reads off its handler, and
+    # any other import in a function would be paid deep in the call path of
+    # whatever reaches it.
     nested = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        allowed = _handler_heads(tree) if path.name == "cli.py" else set()
         for scope in ast.walk(tree):
             if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 for node in ast.walk(scope):
-                    if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in allowed:
                         nested.append(f"{path.name}:{node.lineno} in {getattr(scope, 'name', 'lambda')}")
     assert nested == []
 
@@ -73,16 +100,11 @@ NOT_LOADED_BY_THE_CLI = {"dataclasses", "inspect", "ast", "dis", "tokenize", "co
 
 
 def test_importing_the_cli_loads_no_dataclass_machinery():
-    # -S keeps site hooks out, so the set is what the package itself loads.
-    loaded = subprocess.run(
-        [sys.executable, "-S", "-c",
-         "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
-         "import cmdpkit.cli; print('\\n'.join(sorted(set(sys.modules) - before)))",
-         str(SRC)],
-        capture_output=True, text=True, check=True,
-    ).stdout.split()
-    assert "cmdpkit.model" in loaded
-    assert NOT_LOADED_BY_THE_CLI & set(loaded) == set()
+    # Every command, since each loads modules the import of the CLI does not.
+    for argv, run in zip(COMMANDS_ON_HAVIV, cold_runs()):
+        loaded = set(run["imported"]) | set(run["loaded"])
+        assert "cmdpkit.model" in loaded
+        assert NOT_LOADED_BY_THE_CLI & loaded == set(), argv
 
 
 def records():
@@ -114,19 +136,9 @@ def test_no_record_annotation_is_a_string_or_forward_ref():
     ] == []
 
 
-def test_importing_the_cli_loads_every_module():
-    expected = {
-        "cmdpkit" if path.stem == "__init__" else f"cmdpkit.{path.stem}"
-        for path in PACKAGE.glob("*.py")
-    } - NOT_ON_THE_CLI_PATH
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    loaded = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, cmdpkit.cli; "
-         "print('\\n'.join(m for m in sys.modules if m.split('.')[0] == 'cmdpkit'))"],
-        env=env, capture_output=True, text=True, check=True,
-    ).stdout.split()
-    assert set(loaded) == expected
+def test_importing_the_cli_loads_only_the_model():
+    for run in cold_runs():
+        assert package_modules(run["imported"]) == {"cmdpkit", "cmdpkit.model", "cmdpkit.cli"}
 
 
 def _tracer_functions() -> tuple[str, ...]:
@@ -165,12 +177,9 @@ def test_no_unused_module_level_import():
                 for alias in node.names:
                     imported[alias.asname or alias.name] = node.lineno
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        exported = {
-            element.value
-            for node in tree.body if isinstance(node, ast.Assign)
-            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
-            for element in node.value.elts
-        }
+        # __all__ as the module computes it; the package's is built from a table.
+        module = "cmdpkit" if path.stem == "__init__" else f"cmdpkit.{path.stem}"
+        exported = set(getattr(importlib.import_module(module), "__all__", ()))
         unused += [
             f"{path.name}:{line} {name}"
             for name, line in imported.items() if name not in used | exported
@@ -178,46 +187,64 @@ def test_no_unused_module_level_import():
     assert unused == []
 
 
-# Each subcommand on haviv, plus help and a usage error.
+# Each subcommand on haviv, plus help and a usage error, with its exit code
+# and the package modules it loads beyond those the import of the CLI did.
+SOLVER = {"cmdpkit.chains", "cmdpkit.lp", "cmdpkit.solver"}
+CERTIFICATE = SOLVER | {"cmdpkit.certificate", "cmdpkit.evaluation"}
+SAMPLEPATH = SOLVER | {"cmdpkit.evaluation", "cmdpkit.samplepath"}
 COMMANDS_ON_HAVIV = [
-    ["validate"],
-    ["solve"],
-    ["evaluate", "--policy", "y=a"],
-    ["residual", "--to", "y"],
-    ["certify", "--policy", "y=a", "--search"],
-    ["certify", "--policy", "y=a", "--mu", "1/2", "--gain", "5"],
-    ["audit"],
-    ["samplepath", "--policy", "y=a"],
-    ["decompose", "--selective"],
-    ["simulate", "--policy", "y=a", "--steps", "50", "--seed", "1"],
-    ["--help"],
-    ["certify", "--help"],
-    ["certify", "--po", "y=a"],
+    (["validate"], 0, set()),
+    (["solve"], 0, SOLVER),
+    (["evaluate", "--policy", "y=a"], 0, {"cmdpkit.chains", "cmdpkit.lp", "cmdpkit.evaluation"}),
+    (["residual", "--to", "y"], 0, CERTIFICATE | {"cmdpkit.residual"}),
+    (["certify", "--policy", "y=a", "--search"], 1, CERTIFICATE),
+    (["certify", "--policy", "y=a", "--mu", "1/2", "--gain", "5"], 1, CERTIFICATE),
+    (["audit"], 1, CERTIFICATE | {"cmdpkit.residual"}),
+    (["samplepath", "--policy", "y=a"], 1, SAMPLEPATH),
+    (["decompose", "--selective"], 0, SAMPLEPATH),
+    (["simulate", "--policy", "y=a", "--steps", "50", "--seed", "1"], 0, SAMPLEPATH),
+    (["--help"], 0, set()),
+    (["certify", "--help"], 0, set()),
+    (["certify", "--po", "y=a"], 2, set()),
 ]
 
 
-def test_commands_load_no_module_the_import_did_not():
-    # A module a command loads is paid on every cold call of that command.
+def package_modules(names) -> set[str]:
+    return {name for name in names if name.split(".")[0] == "cmdpkit"}
+
+
+@functools.cache
+def cold_runs() -> tuple[dict, ...]:
+    """Each of COMMANDS_ON_HAVIV run by ``cli.run`` in a fresh interpreter:
+    its exit code, the modules loaded once ``import cmdpkit.cli`` is done and
+    those the command loaded after it. -S keeps site hooks out, so the
+    interpreter alone loads nothing beyond its start-up modules."""
     haviv = str(SRC.parent / "instances" / "haviv.json")
-    argvs = [[argv[0], haviv, *argv[1:]] if argv[0] != "--help" else argv
-             for argv in COMMANDS_ON_HAVIV]
-    env = dict(os.environ, PYTHONPATH=str(SRC))
     script = (
         "import json, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
         "import cmdpkit.cli\n"
         "imported = set(sys.modules)\n"
-        "codes = [cmdpkit.cli.run(argv).exit_code for argv in json.loads(sys.argv[1])]\n"
-        "print(json.dumps({'codes': codes,\n"
-        "                  'loaded': sorted(set(sys.modules) - imported),\n"
-        "                  'imported': sorted(imported)}))\n"
+        "code = cmdpkit.cli.run(json.loads(sys.argv[2])).exit_code\n"
+        "print(json.dumps({'code': code,\n"
+        "                  'imported': sorted(imported),\n"
+        "                  'loaded': sorted(set(sys.modules) - imported)}))\n"
     )
-    result = json.loads(subprocess.run(
-        [sys.executable, "-c", script, json.dumps(argvs)],
-        env=env, capture_output=True, text=True, check=True,
-    ).stdout)
-    assert result["codes"] == [0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 0, 0, 2]
-    assert result["loaded"] == []
-    assert not {"argparse", "gettext", "locale"} & set(result["imported"])
+    runs = []
+    for argv, _, _ in COMMANDS_ON_HAVIV:
+        argv = argv if argv[0] == "--help" else [argv[0], haviv, *argv[1:]]
+        runs.append(json.loads(subprocess.run(
+            [sys.executable, "-S", "-c", script, str(SRC), json.dumps(argv)],
+            capture_output=True, text=True, check=True,
+        ).stdout))
+    return tuple(runs)
+
+
+def test_each_command_loads_exactly_its_modules():
+    # A module a command loads is paid on every cold call of that command.
+    for (argv, code, modules), run in zip(COMMANDS_ON_HAVIV, cold_runs()):
+        assert (run["code"], package_modules(run["loaded"])) == (code, modules), argv
+        assert not {"argparse", "gettext", "locale"} & {*run["imported"], *run["loaded"]}, argv
 
 
 def test_oversized_inputs_exit_two_without_a_traceback(oversized_inputs):
@@ -229,4 +256,4 @@ def test_oversized_inputs_exit_two_without_a_traceback(oversized_inputs):
         )
         assert "Traceback" not in proc.stderr
         assert (proc.returncode, proc.stderr) == (code, error)
-        assert bool(proc.stdout) == (code == 0)
+        assert bool(proc.stdout) == (code != 2)

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from cmdpkit import instances
 from cmdpkit.certificate import Certificate, find_certificate
@@ -15,7 +17,7 @@ from cmdpkit.residual import (
     residual_slack,
 )
 from cmdpkit.solver import solve
-from randmdp import random_mdp, random_policy
+from randmdp import examples, lazy_variant, random_decomposable, random_mdp, random_policy
 
 F = Fraction
 
@@ -289,23 +291,77 @@ def test_audit_requires_feasibility():
         audit_time_consistency(tight)
 
 
-def test_certified_audits_verify_identity_and_residual_optimality():
-    # whenever a certificate exists at the start, the value identity
-    # V(y) = gain - mu . C_y(x) holds at every audited entry and the
-    # audited policy is optimal for its own residual problem
-    rng = random.Random(777)
-    certified = 0
-    for _ in range(80):
-        mdp = random_mdp(rng, max_states=5, constraint_dims=(1,), max_policies=8)
-        result = solve(mdp, "s0")
-        if result.status != "optimal":
-            continue
-        cert = find_certificate(mdp, "s0", result.policy)
-        if not isinstance(cert, Certificate):
-            continue
-        certified += 1
-        report = audit_time_consistency(mdp, "s0")
-        assert report.certificate_status == "found"
+def draw_model(rng: random.Random, kind: str, dim: int, lazy: bool, tight: bool) -> Mdp:
+    """A random or a decomposable model; ``tight`` lowers every constraint by one random
+    policy's W at the start, which that policy then meets with equality, so
+    certificates with a nonzero multiplier turn up; ``lazy`` mixes every row
+    with the identity at k/1009."""
+    if kind == "decomposable":
+        mdp = random_decomposable(rng, constraint_dims=(dim,))
+    else:
+        mdp = random_mdp(rng, max_states=5, constraint_dims=(dim,), max_policies=8)
+    if tight:
+        w = evaluate(mdp, random_policy(rng, mdp), mdp.initial_state).W
+        mdp = mdp._replace(constraints=tuple(
+            tuple(tuple(c - wk for c, wk in zip(cvec, w)) for cvec in per_action)
+            for per_action in mdp.constraints
+        ))
+    if lazy:
+        mdp = lazy_variant(mdp, F(rng.randint(1, 1008), 1009))
+    return mdp
+
+
+def first_model(seed: int, kind: str, dim: int, lazy: bool, tight: bool, accept):
+    """The first model of the seed's stream that ``accept`` maps to
+    something true, with that; the example is rejected if 40 hold none."""
+    rng = random.Random(seed)
+    for _ in range(40):
+        mdp = draw_model(rng, kind, dim, lazy, tight)
+        found = accept(mdp)
+        if found:
+            return mdp, found
+    reject()
+
+
+def optimum(mdp: Mdp):
+    result = solve(mdp, mdp.initial_state)
+    return result if result.status == "optimal" else None
+
+
+def certificate(mdp: Mdp) -> Certificate | None:
+    result = optimum(mdp)
+    found = result and find_certificate(mdp, mdp.initial_state, result.policy)
+    return found if isinstance(found, Certificate) else None
+
+
+def audits(mdp: Mdp):
+    """The plain audit and the --all-times one."""
+    return [audit_time_consistency(mdp, all_times=all_times) for all_times in (False, True)]
+
+
+STRATA = st.sampled_from([("random", 1), ("random", 2), ("decomposable", 1), ("decomposable", 2)])
+
+
+@settings(max_examples=examples(120), deadline=None)
+@given(stratum=STRATA, seed=st.integers(0, 10**9), lazy=st.booleans(), tight=st.booleans())
+def test_certified_audits_verify_identity_and_residual_optimality(stratum, seed, lazy, tight):
+    # The paper's claim: whenever a certificate exists at the start, the
+    # value identity V(y) = gain - mu . C_y(x) holds at every audited entry
+    # and the audited policy is optimal for its own residual problem.
+    mdp, cert = first_model(seed, *stratum, lazy, tight, certificate)
+    for report in audits(mdp):
+        assert (report.certificate_status, report.mu) == ("found", cert.mu)
+        assert report.entries
         assert all(e.identity == "verified" for e in report.entries)
         assert all(e.policy_optimal_residual for e in report.entries)
-    assert certified > 15
+
+
+@settings(max_examples=examples(120), deadline=None)
+@given(stratum=STRATA, seed=st.integers(0, 10**9), lazy=st.booleans(), tight=st.booleans())
+def test_audited_policy_is_feasible_for_every_residual_problem(stratum, seed, lazy, tight):
+    # Certificate or not, the slack keeps the optimal policy feasible in the
+    # residual problem at every reachable (state, time).
+    mdp, _ = first_model(seed, *stratum, lazy, tight, optimum)
+    for report in audits(mdp):
+        assert report.entries
+        assert all(e.policy_feasible_residual for e in report.entries)
