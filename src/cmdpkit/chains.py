@@ -34,12 +34,16 @@ elimination:
   stochastic complement; Meyer 1989, SIAM Review 31(2)); a fixed class is
   an absorbing column with its gain solved once. States that no start
   reaches are not solved at all;
-- one gain formula serves the full chains and the fixed classes:
-  ``class_sums`` weighs a class's members' integer totals by its integer
-  visit counts, and a gain is the ratio of a reward or constraint sum to
-  the step sum (renewal-reward: what one excursion collects over its
+- one gain formula serves the full chains, the fixed classes, the
+  solver walk's leaves and ``simulate``'s averages: ``class_sums`` weighs
+  integer ``[reward, *constraint, steps]`` totals by integer weights (a
+  class's members' totals by its visit counts, the classes' sums by a
+  start's absorption distribution, the visited states' one-step totals
+  by their visits), and a gain is the ratio of a reward or constraint sum
+  to the step sum (renewal-reward: what one excursion collects over its
   length). On a full chain every step has T = 1, and the ratio is the
-  stationary average.
+  stationary average. ``gain`` is the formula's one reader: the only code
+  that turns such sums into ``Fraction``s.
 
 The elimination runs on integers only. Each equation is scaled by the
 lcm of the denominators in its row, so every coefficient is an integer;
@@ -47,8 +51,9 @@ lcm of the denominators in its row, so every coefficient is an integer;
 step the simplex and the solver's walk use too, and returns numerators
 over one common denominator. Each system has a unique solution, so the values do not
 depend on the pivot order. ``Fraction``s appear only at the boundary:
-reading the chain's probabilities and building the returned vectors;
-``censor`` builds none and returns its rows and class sums as integers.
+reading the chain's probabilities, building the returned vectors and
+``gain``; ``censor`` builds none and returns its rows and class sums as
+integers.
 
 All functions are pure over immutable inputs and keep no state between
 calls; callers that need a chain's analysis more than once hold on to it.
@@ -358,26 +363,34 @@ def _first_step(
 
 def _solve_along_dag(
     chain: Sequence[Successors],
+    groups: Iterable[Iterable[int]],
     components: Sequence[tuple[int, ...]],
-    solved: list[tuple[list[int], int]],
     width: int,
     constants: dict[int, tuple[list[int], int]],
-) -> None:
+) -> list[tuple[list[int], int]]:
     """Solve h(s) = constant(s) + sum_j p(s, j) h(j) for every transient s.
 
     Every vector is ``width`` integer numerators over one positive
-    denominator. ``components`` are the transient strongly connected
-    components, sink first (``ChainDecomposition.transient_components``),
-    so the states a component leaks to are solved before it. ``solved[j]``
-    holds h(j) for every other state that a transient row reaches, and
-    ``constants`` the constant term of the states that have one (zero for
-    the others). Each first-step equation is scaled by the lcm of the
-    denominators in its row (``_first_step``), so the right-hand sides are
-    integers. A singleton component is one back substitution, h =
-    (constant + sum over j != s of p_j h_j) / (1 - p_self) over that lcm;
-    a larger one is a sparse solve of its own size. ``solved`` receives
-    every transient state's h in lowest terms.
+    denominator. Column k is a node: every state of ``groups[k]`` has the
+    unit vector of column k as its h, and no other state outside the
+    transient components is read. ``components`` are the transient
+    strongly connected components, sink first
+    (``ChainDecomposition.transient_components``), so the states a
+    component leaks to are solved before it, and ``constants`` holds the
+    constant term of the states that have one (zero for the others). Each
+    first-step equation is scaled by the lcm of the denominators in its row
+    (``_first_step``), so the right-hand sides are integers. A singleton
+    component is one back substitution, h = (constant + sum over j != s of
+    p_j h_j) / (1 - p_self) over that lcm; a larger one is a sparse solve
+    of its own size. Returns h by state index: the node states' unit
+    vectors, shared by the members of a group, and every transient state's
+    h in lowest terms.
     """
+    solved: list[tuple[list[int], int]] = [([], 1)] * len(chain)
+    for column, members in enumerate(groups):
+        unit = ([1 if k == column else 0 for k in range(width)], 1)
+        for s in members:
+            solved[s] = unit
     for component in components:
         if len(component) == 1:
             s = component[0]
@@ -402,6 +415,7 @@ def _solve_along_dag(
         for s, row in zip(component, numerators):
             g = gcd(denominator, *row)
             solved[s] = ([h // g for h in row], denominator // g)
+    return solved
 
 
 def absorption_map(
@@ -412,28 +426,23 @@ def absorption_map(
     The rows are dense over the classes, which are in the order of
     ``decompose(chain)``, computed here unless the caller passes it.
     Transient states are solved along the DAG of the decomposition's
-    transient components, sink first (``_solve_along_dag`` with no
-    constant term). Solved rows are held as integer numerators over a
-    denominator and become Fractions on return. Every row sums to exactly 1.
+    transient components, sink first (``_solve_along_dag`` with the classes
+    as its columns and no constant term). Solved rows are held as integer
+    numerators over a denominator and become Fractions on return, the
+    classes' unit rows shared by their members. Every row sums to exactly 1.
     """
     if decomposition is None:
         decomposition = decompose(chain)
     classes = decomposition.recurrent_classes
-    transient = decomposition.transient_states
     width = len(classes)
-    solved: list[tuple[list[int], int]] = [([], 1)] * len(chain)
-    for c, cls in enumerate(classes):
-        unit = ([1 if k == c else 0 for k in range(width)], 1)
-        for s in cls:
-            solved[s] = unit
-    _solve_along_dag(chain, decomposition.transient_components, solved, width, {})
+    solved = _solve_along_dag(chain, classes, decomposition.transient_components, width, {})
 
     rows: list[tuple[Fraction, ...]] = [()] * len(chain)
     for c, cls in enumerate(classes):
-        unit = tuple(Fraction(1) if k == c else ZERO for k in range(width))
+        unit = tuple(ONE if k == c else ZERO for k in range(width))
         for s in cls:
             rows[s] = unit
-    for s in transient:
+    for s in decomposition.transient_states:
         numerators, denominator = solved[s]
         rows[s] = tuple(Fraction(h, denominator) for h in numerators)
     return tuple(rows)
@@ -468,6 +477,17 @@ def class_sums(visits: Sequence[int], totals: Sequence[Totals]) -> list[int]:
         weight = v * (scale // d)
         sums = [total + weight * x for total, x in zip(sums, numerators)]
     return sums
+
+
+def gain(sums: Sequence[int]) -> Gain:
+    """The reward and constraint gains of integer ``[reward, *constraint, steps]`` sums.
+
+    Each gain is the ratio of its sum to the positive step sum: a class's
+    ``class_sums``, a mix of them, or a ``solver.TableRow``'s ``(V, *W,
+    d)``. This is the one place such sums become ``Fraction``s.
+    """
+    reward, *constraint, steps = sums
+    return Fraction(reward, steps), tuple(Fraction(c, steps) for c in constraint)
 
 
 class CensoredChain(NamedTuple):
@@ -570,17 +590,14 @@ def censor(mdp: Mdp, starts: Sequence[int]) -> CensoredChain:
     )
 
     nodes = len(decision) + len(fixed)
-    width = nodes + 2 + mdp.constraint_dim
-    solved: list[tuple[list[int], int]] = [([], 1)] * len(chain)
-    for node, members in enumerate([(s,) for s in decision] + list(fixed)):
-        unit = ([1 if k == node else 0 for k in range(width)], 1)
-        for s in members:
-            solved[s] = unit
     constants: dict[int, tuple[list[int], int]] = {}
     for t in decomposition.transient_states:
         numerators, d = step_totals(mdp, *origin[t])
         constants[t] = ([0] * nodes + numerators, d)
-    _solve_along_dag(chain, decomposition.transient_components, solved, width, constants)
+    solved = _solve_along_dag(
+        chain, [(s,) for s in decision] + list(fixed), decomposition.transient_components,
+        nodes + 2 + mdp.constraint_dim, constants,
+    )
 
     def row(t: int) -> Row:
         numerators, denominator = solved[t]

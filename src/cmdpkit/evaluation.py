@@ -13,9 +13,10 @@ audit's entries) read it. The solver's enumeration does not: it
 eliminates the decision states of the censored chain (``chains.censor``)
 one at a time along its walk, and reads a class's gain as the ratio of the
 reward its eliminated row collects to its steps. Here a class's gains are
-the ratios of ``chains.class_sums`` of its members' one-step totals,
-weighed by the class's integer visit counts (``chains.class_visits``), to
-the step sum: the stationary averages, with no stationary vector built.
+``chains.gain`` of ``chains.class_sums`` of its members' one-step totals,
+weighed by the class's integer visit counts (``chains.class_visits``): the
+ratios to the step sum, which are the stationary averages, with no
+stationary vector built.
 A chain is decomposed once, the absorption solve reading the
 decomposition's transient components.
 """
@@ -102,11 +103,9 @@ def _class_gain(mdp: Mdp, chain: Chain, cls: tuple[int, ...], policy: Policy) ->
         chains.step_totals(mdp, s, mdp.actions[s].index(policy.action_for(mdp.states[s])))
         for s in cls
     ]
-    reward, *constraint, steps = chains.class_sums(chains.class_visits(chain, cls), totals)
     return ClassGain(
-        states=tuple(mdp.states[s] for s in cls),
-        reward_gain=Fraction(reward, steps),
-        constraint_gain=tuple(Fraction(c, steps) for c in constraint),
+        tuple(mdp.states[s] for s in cls),
+        *chains.gain(chains.class_sums(chains.class_visits(chain, cls), totals)),
     )
 
 

@@ -25,7 +25,7 @@ from cmdpkit import chains
 from cmdpkit.certificate import Certificate, find_certificate
 from cmdpkit.evaluation import analyse_policy
 from cmdpkit.model import InputError, Mdp, Policy, induced_chain
-from cmdpkit.solver import PolicyTable, SolveResult, _best, _fractions
+from cmdpkit.solver import PolicyTable, SolveResult, _best
 
 ZERO = Fraction(0)
 
@@ -193,7 +193,7 @@ def audit_time_consistency(
     if row is None:
         raise InfeasibleStartError(start_label, base)
     policy = base.policy
-    values = [_fractions(mix) for mix in row.values]
+    values = [chains.gain(mix) for mix in row.values]
 
     def w_at(s: int) -> tuple[Fraction, ...]:
         return values[table.column(mdp.states[s])][1]

@@ -11,8 +11,9 @@ expected constraints, one block per subchain; constraints are meaningfully
 imposable only on classes whose absorption probability the decision maker
 can influence, and the selective conversion keeps exactly those.
 
-Each question makes one pass of its own over the policies and keeps
-nothing per policy; ``convert_classes`` converts any choice of classes.
+Each question makes one pass of its own over the policies, as the product
+of the states' successor rows, and keeps nothing per policy;
+``convert_classes`` converts any choice of classes.
 ``simulate`` walks at most ``MAX_STEPS`` steps. Once a walk enters a
 recurrent class whose members each have one successor, a cycle the
 policy's decomposition already lists, it goes round that cycle in closed
@@ -27,8 +28,8 @@ from typing import Iterable, Iterator, NamedTuple
 
 from cmdpkit import chains
 from cmdpkit.evaluation import analyse_policy
-from cmdpkit.model import MAX_STEPS, Chain, InputError, Mdp, Policy, Trajectory, induced_chain
-from cmdpkit.solver import enumerate_policies
+from cmdpkit.model import MAX_STEPS, Chain, InputError, Mdp, Policy, Trajectory
+from cmdpkit.solver import _check_cap
 
 ZERO = Fraction(0)
 
@@ -69,12 +70,15 @@ def _shared_chains(
 ) -> Iterator[tuple[Chain, chains.ChainDecomposition]]:
     """Each policy's chain and decomposition, in enumeration order.
 
-    A policy is yielded once its recurrent classes are checked to be the
-    union's; the first that differs raises NotDecomposableError naming the
-    states in which they differ.
+    The chains are the product of the states' successor rows, in the order
+    ``solver.enumerate_policies`` yields their policies, under the same cap
+    on the full product; no ``Policy`` is built. A chain is yielded once
+    its recurrent classes are checked to be the union's; the first that
+    differs raises NotDecomposableError naming the states in which they
+    differ.
     """
-    for policy in enumerate_policies(mdp):
-        chain = induced_chain(mdp, policy)
+    _check_cap(map(len, mdp.actions))
+    for chain in itertools.product(*mdp.successors):
         decomposition = chains.decompose(chain)
         classes = decomposition.recurrent_classes
         if classes != union.recurrent_classes:
@@ -203,7 +207,9 @@ def selective_convert(mdp: Mdp, x: str) -> Mdp:
 class SimulationReport(NamedTuple):
     """Empirical averages and frequencies with their analytic counterparts.
 
-    Frequencies are exact rationals count/steps; the analytic comparison
+    Frequencies are exact rationals count/steps, and the empirical V and W
+    the run's averages: ``chains.gain`` of the visited states' one-step
+    totals weighed by their visit counts. The analytic comparison
     gives the stationary distribution and gains of the class the run was
     absorbed into, plus the absorption probabilities from the start state.
     """
@@ -273,8 +279,11 @@ def _walk(
     the policy's decomposition whose members each have one successor, or
     until one state is left to visit. Such a class is a cycle that draws
     nothing; it is read off by following the rows from the entry state and
-    gone round in closed form for the rest of the budget. The analysis
-    holds no stationary vectors: only the class the walk ends in gets one
+    gone round in closed form for the rest of the budget. The empirical V
+    and W are ``chains.gain`` of ``chains.class_sums`` over the visited
+    states, weighed by their visit counts: each step has T = 1, so the step
+    sum is ``steps`` times the sums' scale. The analysis holds no
+    stationary vectors: only the class the walk ends in gets one
     (``chains.stationary_distribution``), for the report.
     """
     if steps < 1:
@@ -325,15 +334,12 @@ def _walk(
     if record:  # the laps are chained lazily; simulate reads them once
         path = itertools.chain(path, itertools.islice(itertools.cycle(cycle), remaining))
 
-    total_r = ZERO
-    total_c = [ZERO] * mdp.constraint_dim
-    for i, count in enumerate(counts):
-        if count == 0:
-            continue
-        j = mdp.actions[i].index(policy.action_for(mdp.states[i]))
-        total_r += count * mdp.rewards[i][j]
-        for k in range(mdp.constraint_dim):
-            total_c[k] += count * mdp.constraints[i][j][k]
+    visited = [s for s, count in enumerate(counts) if count]
+    empirical_v, empirical_w = chains.gain(chains.class_sums(
+        [counts[s] for s in visited],
+        [chains.step_totals(mdp, s, mdp.actions[s].index(policy.action_for(mdp.states[s])))
+         for s in visited],
+    ))
 
     absorbed = next((c for c, cls in enumerate(classes) if state in cls), None)
     if absorbed is None:
@@ -350,8 +356,8 @@ def _walk(
         start=x,
         visit_counts=tuple(counts),
         visit_frequency=tuple(Fraction(c, steps) for c in counts),
-        empirical_V=total_r / steps,
-        empirical_W=tuple(c / steps for c in total_c),
+        empirical_V=empirical_v,
+        empirical_W=empirical_w,
         absorbed_class=absorbed_class,
         absorbed_stationary=stationary,
         absorbed_reward_gain=reward_gain,

@@ -37,11 +37,14 @@ gains. These are exactly the V and W of the policy's full chain, with no
 decomposition, stationary or absorption solve per policy.
 
 Each leaf stays in integers: at each start it keeps V and W as one
-integer mix ``(V, *W, d)`` over a positive denominator d, and builds no
-``Policy`` and no ``Fraction``. ``solve`` streams one pass over the
-canonical policies, analysing each once and keeping only the best so far;
-the filter compares values crosswise and tests feasibility on numerators,
-and only the row that answers gets its ``Policy`` and ``Fraction``s. A
+integer mix ``(V, *W, d)``, the ``chains.class_sums`` of the class sums
+weighed by the start's absorption distribution, so d, the class mass
+weighted by the step sums, is positive; the start rows need no column of
+their own to carry it. A leaf builds no ``Policy`` and no ``Fraction``.
+``solve`` streams one pass over the canonical policies, analysing each
+once and keeping only the best so far; the filter compares values
+crosswise and tests feasibility on numerators, and only the row that
+answers gets its ``Policy`` and, by ``chains.gain``, its ``Fraction``s. A
 question that filters the policies more than once (the audit) keeps the
 pass in one ``PolicyTable``, with V and W at every start state it needs;
 both filter the rows with the same ``_best``.
@@ -52,7 +55,6 @@ import itertools
 import math
 import os
 from fractions import Fraction
-from math import lcm
 from numbers import Rational
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -138,7 +140,10 @@ class TableRow(NamedTuple):
     ``key`` is the policy's action index at each decision state, in state
     order; the policy takes the first action everywhere else. ``values[k]``
     belongs to the k-th start state asked for: the integers ``(V, *W, d)``,
-    whose ratios to the positive d are V and W there. ``count`` is the
+    whose ratios to the positive d are V and W there (``chains.gain``).
+    They are ``chains.class_sums`` over the classes the start is absorbed
+    into, so d is the class mass weighted by the classes' step sums, up to
+    a positive factor: only the ratios are promised. ``count`` is the
     number of policies the row stands for: those that agree with the row's
     policy on every state it reaches from the start states.
     """
@@ -154,12 +159,6 @@ def _policy(options: list[tuple[tuple[str, str], ...]], key: tuple[int, ...]) ->
     return Policy(choice=tuple(
         pairs[next(actions)] if len(pairs) > 1 else pairs[0] for pairs in options
     ))
-
-
-def _fractions(values: tuple[int, ...]) -> chains.Gain:
-    """V and W of a row's integer ``(V, *W, d)`` at one start."""
-    v, *w, d = values
-    return Fraction(v, d), tuple(Fraction(c, d) for c in w)
 
 
 def _equation(row: chains.Row, column: int) -> dict[int, int]:
@@ -184,26 +183,6 @@ def _eliminated(row: dict[int, int], pivot: dict[int, int], k: int) -> dict[int,
     return row
 
 
-def _mix(start: dict[int, int], gains: dict[int, list[int]], denominator: int) -> tuple[int, ...]:
-    """V and W of a start equation whose open columns are all classes.
-
-    ``gains[c]`` is class column c's ``[reward, *constraint, steps]`` sums,
-    whose ratios to the last entry are the gains; the start reaches class c
-    with probability -start[c] / ``denominator``, and its totals columns
-    are skipped. The sums are brought over one lcm of the step sums, and
-    returned as ``(V, *W, d)`` integers over that one denominator. Every
-    step sum and ``denominator`` is positive, because ``lp.eliminate``
-    keeps each row a positive multiple of its rational row, so d is too.
-    """
-    classes = [(-p, gains[c]) for c, p in start.items() if c in gains]
-    scale = lcm(*(sums[-1] for _, sums in classes))
-    mixed = [0] * (len(classes[0][1]) - 1)
-    for p, (*sums, steps) in classes:
-        weight = p * (scale // steps)
-        mixed = [total + weight * x for total, x in zip(mixed, sums)]
-    return (*mixed, denominator * scale)
-
-
 def _rows(mdp: Mdp, indices: list[int]) -> Iterator[TableRow]:
     """Every canonical policy, analysed once, in depth-first order.
 
@@ -211,8 +190,8 @@ def _rows(mdp: Mdp, indices: list[int]) -> Iterator[TableRow]:
     pass, and carries, at each of its nodes, the integer equations that are
     still open: every action row of each decision node not yet fixed, and
     one row per start state, each over the open nodes and the classes with
-    the totals collected on the way (``_equation``; a start row's
-    denominator is the coefficient of one pseudo column after the totals).
+    the totals collected on the way (``_equation``; a start row is its
+    entry row negated, with no column of its own).
     It branches on the lowest-index open decision node that a start row
     puts mass on. Fixing action a there takes its equation as the pivot: if
     its own column is present (self-mass below 1), ``lp.eliminate`` clears
@@ -221,9 +200,12 @@ def _rows(mdp: Mdp, indices: list[int]) -> Iterator[TableRow]:
     (self-mass 1), the node closes a class: its gains are the ratios of its
     negated reward and constraint totals to its negated step total, and it
     stays an absorbing column. A policy is complete when no start row
-    reaches an open node, with action 0 elsewhere; each start row is then a
-    distribution over the classes (the fixed classes and the closed nodes),
-    and V and W are its mix of their gains, kept as integers (``_mix``).
+    reaches an open node, with action 0 elsewhere. Each start row's class
+    entries (the fixed classes and the closed nodes) are then minus a
+    positive multiple of its absorption distribution, because
+    ``lp.eliminate`` keeps every row a positive multiple of its rational
+    row; so V and W are ``chains.class_sums`` of the class sums weighed by
+    those negated entries, kept as integers, whose step sum d is positive.
     The leaf yields its key, its count and those mixes, and nothing else.
     The censored chain covers only the closure of the start states, so the
     key has action 0 at every decision state outside it, and the count
@@ -237,7 +219,6 @@ def _rows(mdp: Mdp, indices: list[int]) -> Iterator[TableRow]:
     decision = len(censored.decision)
     nodes = decision + len(censored.fixed)
     totals = range(nodes, nodes + 2 + mdp.constraint_dim)
-    pseudo = totals.stop
     # The key runs over every decision state of the model, by its node in
     # the censored chain, or -1 outside the closure, which is never fixed.
     node = {s: k for k, s in enumerate(censored.decision)}
@@ -251,7 +232,7 @@ def _rows(mdp: Mdp, indices: list[int]) -> Iterator[TableRow]:
     # node to fix and its action, or -1 at the root.
     root = ({}, [tuple(_equation(row, k) for row in actions)
                  for k, actions in enumerate(censored.rows)],
-            [_equation(row, pseudo) for row in censored.entry],
+            [{c: -x for c, x in row[0].items()} for row in censored.entry],
             dict(enumerate(censored.fixed_gains, decision)))
     stack = [(root, -1, 0)]
     while stack:
@@ -269,7 +250,10 @@ def _rows(mdp: Mdp, indices: list[int]) -> Iterator[TableRow]:
         if not reached:
             yield TableRow(
                 tuple(fixed.get(j, 0) for j in slots),
-                tuple(_mix(start, gains, start[pseudo]) for start in starts),
+                tuple(tuple(chains.class_sums(
+                    [-start[c] for c in start if c in gains],
+                    [(gains[c], gains[c][-1]) for c in start if c in gains],
+                )) for start in starts),
                 unreached * math.prod(counts[j] for j in range(decision) if j not in fixed),
             )
             continue
@@ -322,7 +306,7 @@ def _best(
             status="infeasible", policy=None, value=None, W_at_optimum=None,
             feasible_count=0, total_count=total,
         ), None
-    value, w = _fractions(best.values[k])
+    value, w = chains.gain(best.values[k])
     if slack is not None:
         w = tuple(c - s for c, s in zip(w, slack))
     return SolveResult(

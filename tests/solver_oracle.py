@@ -34,6 +34,10 @@ the policy's embedded chain from ``fraction_view``, the censored chain as
 stationary vector and the absorption map, and mixes the class gains at
 each start with ``mix``.
 
+``integer_mix`` is the leaf's mixing step after the leaves stayed integers
+and before ``chains.class_sums`` took its place: the start rows carried a
+pseudo column whose coefficient gave the mix its denominator.
+
 ``fraction_rows``, ``fraction_mix`` and ``fraction_best`` are the walk,
 its leaf's mixing step and its filter before the leaves stayed integers:
 each leaf built its ``Policy`` and the ``Fraction``s of V and W at every
@@ -468,6 +472,26 @@ def fraction_mix(start: dict[int, int], gains: dict[int, list[int]], denominator
         mixed = [total + weight * x for total, x in zip(mixed, sums)]
     denominator *= scale
     return Fraction(mixed[0], denominator), tuple(Fraction(x, denominator) for x in mixed[1:])
+
+
+def integer_mix(start: dict[int, int], gains: dict[int, list[int]], denominator: int) -> tuple[int, ...]:
+    """V and W of a start equation whose open columns are all classes.
+
+    ``gains[c]`` is class column c's ``[reward, *constraint, steps]`` sums,
+    whose ratios to the last entry are the gains; the start reaches class c
+    with probability -start[c] / ``denominator``, and its totals columns
+    are skipped. The sums are brought over one lcm of the step sums, and
+    returned as ``(V, *W, d)`` integers over that one denominator. Every
+    step sum and ``denominator`` is positive, because ``lp.eliminate``
+    keeps each row a positive multiple of its rational row, so d is too.
+    """
+    classes = [(-p, gains[c]) for c, p in start.items() if c in gains]
+    scale = lcm(*(sums[-1] for _, sums in classes))
+    mixed = [0] * (len(classes[0][1]) - 1)
+    for p, (*sums, steps) in classes:
+        weight = p * (scale // steps)
+        mixed = [total + weight * x for total, x in zip(mixed, sums)]
+    return (*mixed, denominator * scale)
 
 
 def fraction_rows(mdp: Mdp, indices: list[int]) -> Iterator[FractionRow]:

@@ -12,6 +12,7 @@ from cmdpkit.chains import (
     absorption_map,
     decompose,
     forward_distributions,
+    gain,
     max_denominator_bits,
     reachable_states,
     state_distribution_at,
@@ -28,6 +29,17 @@ def chain_of(rows):
 
 
 CYCLE2 = chain_of([[0, 1], [1, 0]])
+
+
+def test_gain_is_the_ratio_to_the_step_sum_in_fractions():
+    for sums, expected in (
+        ([3, 6], (Fraction(1, 2), ())),
+        ([4, -2, 0, 8], (Fraction(1, 2), (Fraction(-1, 4), Fraction(0)))),
+    ):
+        reward, constraint = got = gain(sums)
+        assert got == expected
+        assert all(type(x) is Fraction for x in (reward, *constraint))
+        assert type(constraint) is tuple
 
 
 def test_decompose_haviv_structure(haviv, haviv_a):

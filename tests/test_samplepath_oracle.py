@@ -13,11 +13,12 @@ import random
 from fractions import Fraction
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_oracle
-from cmdpkit import chains
+from cmdpkit import chains, instances, samplepath
 from cmdpkit.samplepath import (
     ClassControl,
     ClassControllability,
@@ -28,7 +29,7 @@ from cmdpkit.samplepath import (
     trans_policy_decomposition,
 )
 from cmdpkit.solver import enumerate_policies
-from randmdp import random_decomposable, random_mdp
+from randmdp import examples, random_decomposable, random_mdp
 
 ZERO = Fraction(0)
 
@@ -112,7 +113,7 @@ def models(draw):
     return random_mdp(rng, max_states=6, constraint_dims=(1, 2), max_policies=12)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=examples(80), deadline=None)
 @given(models())
 def test_one_pass_questions_equal_brute_force(mdp):
     x = mdp.initial_state
@@ -140,7 +141,7 @@ def test_one_pass_questions_equal_brute_force(mdp):
     assert_exact_model(selective)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 @given(models())
 def test_subchain_questions_solve_no_stationary_vector(mdp):
     x = mdp.initial_state
@@ -154,6 +155,35 @@ def test_subchain_questions_solve_no_stationary_vector(mdp):
     with mock.patch.object(chains, "class_visits", side_effect=unused):
         got = (outcome(controllable_classes, mdp, x), outcome(selective_convert, mdp, x))
     assert got == expected
+
+
+def test_subchain_questions_build_no_policy_and_induce_no_chain(monkeypatch):
+    # Each policy's chain is a tuple of the model's successor rows, taken
+    # from their product in enumeration order: no Policy is enumerated and
+    # no chain is induced from one.
+    rng = random.Random(23)
+    mdps = [build() for build in instances.BUNDLED.values()]
+    mdps += [random_decomposable(rng) for _ in range(20)]
+    mdps += [random_mdp(rng, max_states=6, constraint_dims=(1, 2), max_policies=12)
+             for _ in range(10)]
+
+    def answers(mdp):
+        x = mdp.initial_state
+        return (
+            outcome(controllable_classes, mdp, x),
+            outcome(trans_policy_decomposition, mdp),
+            outcome(convert_to_expected, mdp, x),
+        )
+
+    for mdp in mdps:
+        expected = answers(mdp)
+        with monkeypatch.context() as patch:
+            for name in ("enumerate_policies", "induced_chain"):
+                patch.setattr(
+                    samplepath, name, lambda *args: pytest.fail("a Policy's chain was built"),
+                    raising=False,
+                )
+            assert answers(mdp) == expected
 
 
 def test_both_branches_occur():

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import solver_oracle
-from cmdpkit import model, solver
+from cmdpkit import chains, model, solver
 from cmdpkit.solver import PolicyTable, _rows, solve
 from randmdp import examples, lazy_variant
 from test_censor_oracle import MERSENNE_61, draw_model, draw_starts
@@ -105,7 +105,8 @@ def test_the_walk_builds_no_policy_and_no_fraction():
         mdp = draw_model(rng, rng.choice(STRATA), rng.randint(0, 2))
         starts = draw_starts(rng, mdp)
         with mock.patch.object(solver, "Policy", side_effect=AssertionError("Policy")), \
-                mock.patch.object(solver, "Fraction", side_effect=AssertionError("Fraction")):
+                mock.patch.object(solver, "Fraction", side_effect=AssertionError("Fraction")), \
+                mock.patch.object(chains, "Fraction", side_effect=AssertionError("Fraction")):
             rows = list(_rows(mdp, starts))
         leaves += len(rows)
         for row in rows:

@@ -263,7 +263,8 @@ def test_ties_go_to_the_smallest_action_tuple_not_the_first_walked():
 def test_solve_builds_one_policy_per_answer_and_enumerates_none(monkeypatch):
     # The walk's leaves stay integers: an optimal solve builds only its
     # answer's Policy and its V and W Fractions, and an infeasible one
-    # builds neither.
+    # builds neither. The Fractions are built by chains.gain, so both
+    # modules' Fraction is counted.
     rng = random.Random(8)
     statuses = collections.Counter()
     for _ in range(20):
@@ -274,9 +275,10 @@ def test_solve_builds_one_policy_per_answer_and_enumerates_none(monkeypatch):
             with monkeypatch.context() as patch:
                 patch.setattr(solver, "enumerate_policies", lambda mdp: pytest.fail("enumerated"))
                 patch.setattr(solver, "Policy", lambda **kw: policies.append(kw) or Policy(**kw))
-                patch.setattr(
-                    solver, "Fraction", lambda *args: fractions.append(args) or Fraction(*args)
-                )
+                for module in (solver, chains):
+                    patch.setattr(
+                        module, "Fraction", lambda *args: fractions.append(args) or Fraction(*args)
+                    )
                 assert solve(mdp, y) == expected
             optimal = expected.status == "optimal"
             assert len(policies) == optimal

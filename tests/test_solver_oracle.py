@@ -18,7 +18,7 @@ import solver_oracle
 from cmdpkit import chains
 from cmdpkit.model import induced_chain
 from cmdpkit.solver import PolicyTable, solve
-from randmdp import random_decomposable, random_mdp
+from randmdp import examples, random_decomposable, random_mdp
 
 F = Fraction
 
@@ -50,7 +50,7 @@ def class_pairs(mdp, table):
     )
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=examples(80), deadline=None)
 @given(models())
 def test_solve_equals_every_policy_oracle_at_every_state(mdp):
     for y in mdp.states:
@@ -60,7 +60,7 @@ def test_solve_equals_every_policy_oracle_at_every_state(mdp):
         assert_exact(got)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=examples(80), deadline=None)
 @given(models(), st.integers(0, 10**9))
 def test_table_solves_equal_oracle_with_a_random_slack(mdp, seed):
     rng = random.Random(seed)
@@ -78,6 +78,36 @@ def test_table_solves_equal_oracle_with_a_random_slack(mdp, seed):
             got = table.solve(y, shift)
             assert got == solver_oracle.best(reference, k, shift)
             assert_exact(got)
+
+
+@st.composite
+def class_mixes(draw):
+    """Positive integer weights and ``[reward, *constraint, steps]`` sums by class column."""
+    dim = draw(st.sampled_from([0, 1, 2]))
+    columns = draw(st.lists(st.integers(0, 40), min_size=1, max_size=6, unique=True))
+    weights = {c: draw(st.integers(1, 10**6)) for c in columns}
+    gains = {
+        c: [*(draw(st.integers(-10**6, 10**6)) for _ in range(1 + dim)),
+            draw(st.integers(1, 2**61 - 1))]
+        for c in columns
+    }
+    return weights, gains
+
+
+@settings(max_examples=examples(80), deadline=None)
+@given(class_mixes())
+def test_class_sums_equal_the_deleted_integer_mix(mix):
+    # A leaf's start row holds minus its weights on the class columns; the
+    # pseudo column the walk once carried held their sum.
+    weights, gains = mix
+    got = tuple(chains.class_sums(
+        list(weights.values()), [(gains[c], gains[c][-1]) for c in weights]
+    ))
+    assert got == solver_oracle.integer_mix(
+        {c: -w for c, w in weights.items()}, gains, sum(weights.values())
+    )
+    assert all(type(x) is int for x in got)
+    assert got[-1] > 0
 
 
 def test_multiplicities_and_reused_class_solves_occur():
