@@ -12,10 +12,14 @@ fixed start state through five conditions:
 
 The search solves an exact feasibility program: multipliers are forced to
 zero on strictly slack components (which linearizes A3 exactly), the gain
-and the potential are free, and the Bellman rows, read off the model with
-no Fraction arithmetic, are imposed over the whole all-policies reachable
-closure of the start state, with equality at the chosen action of states
-the policy itself reaches and as inequalities everywhere else. The
+and the potential are free, and the Bellman rows are imposed over the
+whole all-policies reachable closure of the start state, with equality at
+the chosen action of states the policy itself reaches and as inequalities
+everywhere else. Each row is read off the model's numerators and
+denominators as integers over one scale, the form ``lp.find_feasible_point``
+takes, so no Fraction is built before the simplex returns its point; the
+policy is evaluated over the start's reach alone (``evaluation._at_start``),
+which gives W, the class equations and the states the policy reaches. The
 closure-wide inequalities are what make a found certificate a genuine
 optimality proof: every competing feasible policy walks inside the
 closure, so its Lagrangian value telescopes below the certified gain.
@@ -29,7 +33,7 @@ from numbers import Rational
 from typing import NamedTuple
 
 from cmdpkit import chains, lp
-from cmdpkit.evaluation import ClassGain, analyse_policy, evaluate
+from cmdpkit.evaluation import ClassGain, _at_start
 from cmdpkit.model import InputError, Mdp, Policy, validate_policy
 from cmdpkit.solver import EnumerationCapExceeded
 
@@ -135,10 +139,8 @@ def check_certificate(
         for value in values:
             if not isinstance(value, Rational):
                 raise InputError(f"certificate {field} value {value!r} is not rational")
-    return _check(
-        mdp, policy, cert, evaluate(mdp, policy, x).W,
-        chains.reachable_states(mdp, policy, x),
-    )
+    w, _, reachable = _at_start(mdp, policy, x)
+    return _check(mdp, policy, cert, w, reachable)
 
 
 def _check(
@@ -190,7 +192,7 @@ def _class_system_feasible(
     # Variables: mu components that A3 leaves free, then the shared gain.
     gain_var = len(free_mu)
     constraints = [
-        (
+        lp.from_rationals(
             {gain_var: ONE} | {k: -eq.constraint_gain[i] for k, i in enumerate(free_mu)},
             lp.EQ,
             eq.reward_gain,
@@ -211,7 +213,9 @@ def _bellman_rows(
     """Rows gain + L(s) - sum_t p(t) L(t) - mu . c(s, a) >= r(s, a); = at reached choices.
 
     Columns: free mu, gain, then L on the closure, which every action keeps
-    within. Entries are read off the model: -p, -c, and 1 - p at a self-loop.
+    within. Entries are read off the model: -p, -c, and 1 - p at a self-loop,
+    as integers over the lcm d of the row's p, c and r denominators (the
+    ``lp.Constraint`` form); a zero entry is not stored.
     """
     gain_var = len(free_mu)
     column = {mdp.state_index(s): gain_var + 1 + k for k, s in enumerate(closure)}
@@ -219,12 +223,23 @@ def _bellman_rows(
     for i, own in column.items():
         chosen = policy.action_for(mdp.states[i]) if mdp.states[i] in reached else None
         for j, action in enumerate(mdp.actions[i]):
-            coeffs = {k: -mdp.constraints[i][j][comp] for k, comp in enumerate(free_mu)}
-            coeffs[gain_var] = coeffs[own] = ONE
-            for target, p in mdp.successors[i][j]:
-                coeffs[column[target]] = ONE - p if target == i else -p
+            successors = mdp.successors[i][j]
+            costs = [mdp.constraints[i][j][comp] for comp in free_mu]
+            reward = mdp.rewards[i][j]
+            d = lcm(reward.denominator, *(p.denominator for _, p in successors),
+                    *(c.denominator for c in costs))
+            coeffs = {k: -c.numerator * (d // c.denominator) for k, c in enumerate(costs) if c}
+            coeffs[gain_var] = coeffs[own] = d
+            for target, p in successors:
+                x = p.numerator * (d // p.denominator)
+                if target != i:
+                    coeffs[column[target]] = -x
+                elif x == d:
+                    del coeffs[own]
+                else:
+                    coeffs[own] = d - x
             sense = lp.EQ if action == chosen else lp.GE
-            rows.append((coeffs, sense, mdp.rewards[i][j]))
+            rows.append((coeffs, sense, reward.numerator * (d // reward.denominator), d))
     return rows
 
 
@@ -239,14 +254,7 @@ def find_certificate(
     program has no solution. Raises CertificateSearchError if a found
     certificate fails the check, which only a defect in the search can cause.
     """
-    analysis = analyse_policy(mdp, policy)
-    start = mdp.state_index(x)
-    _, w = analysis.values_at(start)
-    equations = tuple(
-        gain
-        for prob, gain in zip(analysis.absorption[start], analysis.class_gains)
-        if prob > 0
-    )
+    w, equations, reachable = _at_start(mdp, policy, x)
     if any(c < 0 for c in w):
         return CertificateUnsat(
             stage="feasibility",
@@ -285,7 +293,6 @@ def find_certificate(
             conflict=conflict,
         )
 
-    reachable = chains.reachable_states(mdp, policy, x)
     gain_var = len(free_mu)
     point = lp.find_feasible_point(
         num_vars=gain_var + 1 + len(closure),

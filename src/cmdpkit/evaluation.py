@@ -8,8 +8,11 @@ exercised as a testable identity rather than assumed silently. Chains are
 the sparse successor rows of ``model.induced_chain``.
 
 ``analyse_policy`` analyses one policy's full induced chain; the
-single-policy questions (evaluate, certify, the sample-path checks, the
-audit's entries) read it. The solver's enumeration does not: it
+questions that need every class or many states (evaluate, simulate, the
+audit's residual slack) read it. Certificate search and check and the
+sample-path check ask only about one start x, and read ``_at_start``: the
+classes x reaches and W(x), solved over x's reach alone, with x's
+absorption kept in integers. The solver's enumeration does neither: it
 eliminates the decision states of the censored chain (``chains.censor``)
 one at a time along its walk, and reads a class's gain as the ratio of the
 reward its eliminated row collects to its steps. Here a class's gains are
@@ -91,21 +94,55 @@ def analyse_policy(mdp: Mdp, policy: Policy) -> PolicyAnalysis:
         chain=chain,
         decomposition=decomposition,
         class_gains=tuple(
-            _class_gain(mdp, chain, cls, policy) for cls in decomposition.recurrent_classes
+            _class_gain(mdp, cls, _class_sums(mdp, chain, cls, policy))
+            for cls in decomposition.recurrent_classes
         ),
         absorption=chains.absorption_map(chain, decomposition),
     )
 
 
-def _class_gain(mdp: Mdp, chain: Chain, cls: tuple[int, ...], policy: Policy) -> ClassGain:
-    """Reward and constraint gains of a recurrent class: its visit-weighted sums over the steps."""
+def _class_sums(mdp: Mdp, chain: Chain, cls: tuple[int, ...], policy: Policy) -> list[int]:
+    """A recurrent class's ``[reward, *constraint, steps]`` sums, weighed by its visits."""
     totals = [
         chains.step_totals(mdp, s, mdp.actions[s].index(policy.action_for(mdp.states[s])))
         for s in cls
     ]
-    return ClassGain(
-        tuple(mdp.states[s] for s in cls),
-        *chains.gain(chains.class_sums(chains.class_visits(chain, cls), totals)),
+    return chains.class_sums(chains.class_visits(chain, cls), totals)
+
+
+def _class_gain(mdp: Mdp, cls: tuple[int, ...], sums: list[int]) -> ClassGain:
+    """Reward and constraint gains of a recurrent class: its sums over the steps."""
+    return ClassGain(tuple(mdp.states[s] for s in cls), *chains.gain(sums))
+
+
+def _at_start(
+    mdp: Mdp, policy: Policy, x: str
+) -> tuple[tuple[Fraction, ...], tuple[ClassGain, ...], tuple[str, ...]]:
+    """W(x), the gains of the classes x reaches in class order, and x's reach in model order.
+
+    Only x's reach is analysed: one decomposition searched from x
+    (``chains.closed_classes`` with ``sources``), whose classes are the
+    ones x is absorbed into with positive probability, and one integer
+    ``chains._solve_along_dag`` over x's transient components, which gives
+    x's absorption numerators. W is ``chains.gain`` of ``chains.class_sums``
+    of the class sums weighed by those numerators, the solver's leaf
+    formula. Equal to ``analyse_policy``'s ``values_at(x)[1]``, its classes
+    with positive absorption from x and ``chains.reachable_states``.
+    """
+    chain = induced_chain(mdp, policy)
+    start = mdp.state_index(x)
+    decomposition = chains.closed_classes(chains.support_adjacency(chain), (start,))
+    classes = decomposition.recurrent_classes
+    sums = [_class_sums(mdp, chain, cls, policy) for cls in classes]
+    absorption, _ = chains._solve_along_dag(
+        chain, classes, decomposition.transient_components, len(classes), {}
+    )[start]
+    _, w = chains.gain(chains.class_sums(absorption, [(c, c[-1]) for c in sums]))
+    reach = sorted(decomposition.transient_states + sum(classes, ()))
+    return (
+        w,
+        tuple(_class_gain(mdp, cls, c) for cls, c in zip(classes, sums)),
+        tuple(mdp.states[s] for s in reach),
     )
 
 

@@ -22,9 +22,9 @@ stops, and the answer is the full tableau's:
 
 The tableau holds integers only, and each row keeps a positive scale of
 its own: it is stored as the true row times a positive factor. A row
-starts as the constraint times the lcm of its denominators, sign-normalized
-so its right-hand side is >= 0. The reduced-cost row is formed from these
-rows, weighted so that row r's artificial costs 1/scale_r, which amounts
+starts as the constraint's integers, over its scale, sign-normalized so its
+right-hand side is >= 0. The reduced-cost row is formed from these rows,
+weighted so that row r's artificial costs 1/scale_r, which amounts
 to rescaling that artificial's column by the positive row factor; then
 every row, the reduced-cost row included, is divided by the gcd of its
 entries, so that each starts primitive. A pivot updates every row that
@@ -47,11 +47,16 @@ the ratio test read the minus column as the plus column with the sign
 flipped, and the layout and column indices they compare are those of the
 full split.
 
-Each constraint is a ``(coefficients, sense, rhs)`` triple, its
-coefficients a map from variable index to a rational (a ``Fraction`` or an
-int), read as numerator and denominator: no ``Fraction`` arithmetic runs
-before the integer rows, and a zero coefficient is dropped there. The
-returned point is ``Fraction``s. There is no tolerance anywhere.
+Each constraint is a ``(coefficients, sense, rhs, scale)`` tuple, in the
+form of ``chains.Row``: integer coefficients by variable index and an
+integer right-hand side, all over one positive int scale, so the rational
+constraint is sum(coefficients[i] / scale * x[i]) sense rhs / scale. The
+scale is what weighs row r's artificial at 1/scale_r, so any positive
+multiple of a row's integers and scale is the same constraint and takes
+the same pivots. ``from_rationals`` brings a rational constraint to this
+form over the lcm of its denominators. A zero coefficient is dropped, and
+no ``Fraction`` is built before the returned point, which is
+``Fraction``s. There is no tolerance anywhere.
 """
 
 from fractions import Fraction
@@ -68,8 +73,18 @@ GE = ">="
 RHS = -1  # the key of a row's right-hand side
 
 
-# One constraint: sum of coefficients[i] * x[i], sense, right-hand side.
-Constraint = tuple[Mapping[int, Rational], str, Rational]
+# One constraint: sum of coefficients[i] * x[i], sense, right-hand side,
+# the coefficients and the right-hand side integers over the positive scale.
+Constraint = tuple[Mapping[int, int], str, int, int]
+
+
+def from_rationals(coefficients: Mapping[int, Rational], sense: str, rhs: Rational) -> Constraint:
+    """The constraint with rational coefficients and rhs, over the lcm of their denominators."""
+    scale = lcm(rhs.denominator, *(v.denominator for v in coefficients.values()))
+    return (
+        {i: v.numerator * (scale // v.denominator) for i, v in coefficients.items()},
+        sense, rhs.numerator * (scale // rhs.denominator), scale,
+    )
 
 
 def eliminate(row: dict[int, int], pivot_row: dict[int, int], column: int) -> None:
@@ -129,10 +144,12 @@ def find_feasible_point(
 ) -> list[Fraction] | None:
     """A point satisfying all constraints, or None when the system is infeasible.
 
-    Each constraint is a ``(coefficients, sense, rhs)`` triple: a map from
-    variable index to coefficient, one of ``EQ``, ``LE`` and ``GE``, and
-    the right-hand side. A sense outside those three, or an index outside
-    ``range(num_vars)``, raises ValueError.
+    Each constraint is a ``(coefficients, sense, rhs, scale)`` tuple: a
+    map from variable index to integer coefficient, one of ``EQ``, ``LE``
+    and ``GE``, the integer right-hand side and the positive int scale that
+    all of them are over. A sense outside those three, an index outside
+    ``range(num_vars)`` or a scale that is not a positive int raises
+    ValueError.
     """
     nonneg = frozenset(nonnegative)
     if not nonneg.issubset(range(num_vars)):
@@ -151,32 +168,32 @@ def find_feasible_point(
             free.add(n_struct)
             n_struct += 2
 
-    # Integer rows over structural and slack / surplus columns, and the rhs.
-    # Each row is scaled by the lcm of its denominators and sign-normalized
-    # so every rhs is >= 0. Row r's artificial, index artificial_start + r,
-    # is never stored; ``basis`` holds that index while it is basic.
+    # Integer rows over structural and slack / surplus columns, and the rhs,
+    # each over its constraint's scale and sign-normalized so every rhs is
+    # >= 0; a slack or surplus of the rational row is 1, so the scale here.
+    # Row r's artificial, index artificial_start + r, is never stored;
+    # ``basis`` holds that index while it is basic.
     m = len(constraints)
-    artificial_start = n_struct + sum(1 for _, sense, _ in constraints if sense != EQ)
+    artificial_start = n_struct + sum(1 for _, sense, _, _ in constraints if sense != EQ)
     rows: list[dict[int, int]] = []
     scales: list[int] = []
     slack = n_struct
-    for coefficients, sense, rhs in constraints:
+    for coefficients, sense, rhs, scale in constraints:
         if sense not in (EQ, LE, GE):
             raise ValueError(f"unknown sense {sense!r}")
-        values: dict[int, Rational] = {}
-        for i, coeff in coefficients.items():
+        if type(scale) is not int or scale < 1:
+            raise ValueError(f"row scale {scale!r} is not a positive int")
+        for i in coefficients:
             if not 0 <= i < num_vars:
                 raise ValueError(f"variable index {i} out of range")
-            values[col_of[i]] = coeff
-        if sense != EQ:
-            values[slack] = 1 if sense == LE else -1
-            slack += 1
-        values[RHS] = rhs
-        scale = lcm(*[v.denominator for v in values.values()])
         sign = -1 if rhs < 0 else 1
-        rows.append({
-            c: sign * v.numerator * (scale // v.denominator) for c, v in values.items() if v
-        })
+        row = {col_of[i]: sign * v for i, v in coefficients.items() if v}
+        if sense != EQ:
+            row[slack] = sign * scale if sense == LE else -sign * scale
+            slack += 1
+        if rhs:
+            row[RHS] = sign * rhs
+        rows.append(row)
         scales.append(scale)
     basis = list(range(artificial_start, artificial_start + m))
 
@@ -185,9 +202,10 @@ def find_feasible_point(
     # negated objective under RHS: lcm(scales) times the true row. The
     # reduced-cost row is the last row and is never a pivot row. Only then
     # is each row divided by its content, so that every row starts primitive.
-    weights = [lcm(*scales) // s for s in scales]
+    common = lcm(*scales)
     red: dict[int, int] = {}
-    for w, row in zip(weights, rows):
+    for scale, row in zip(scales, rows):
+        w = common // scale
         for c, v in row.items():
             red[c] = red.get(c, 0) - w * v
     rows.append({c: v for c, v in red.items() if v})

@@ -27,7 +27,7 @@ from random import Random
 from typing import Iterable, Iterator, NamedTuple
 
 from cmdpkit import chains
-from cmdpkit.evaluation import analyse_policy
+from cmdpkit.evaluation import _at_start, analyse_policy
 from cmdpkit.model import MAX_STEPS, Chain, InputError, Mdp, Policy, Trajectory
 from cmdpkit.solver import _check_cap
 
@@ -53,10 +53,8 @@ def samplepath_feasible(mdp: Mdp, policy: Policy, x: str) -> SamplePathVerdict:
     has a constraint-gain component below zero; the first such class (in
     model order) is returned as witness.
     """
-    analysis = analyse_policy(mdp, policy)
-    row = analysis.absorption[mdp.state_index(x)]
-    for prob, gain in zip(row, analysis.class_gains):
-        if prob > 0 and any(g < 0 for g in gain.constraint_gain):
+    for gain in _at_start(mdp, policy, x)[1]:
+        if any(g < 0 for g in gain.constraint_gain):
             return SamplePathVerdict(
                 feasible=False,
                 witness_class=gain.states,

@@ -1,8 +1,10 @@
 """The Fraction builder of the certificate search's Bellman rows, kept as an oracle.
 
-``certificate._bellman_rows`` reads each coefficient straight off the model;
-this builder sums every entry into ``Fraction`` maps, as the search once did.
-Both must give equal constraint lists, value for value.
+``certificate._bellman_rows`` reads each coefficient off the model's
+numerators and denominators, as integers over one scale per row; this
+builder sums every entry into ``Fraction`` maps, as the search once did.
+Row for row, each integer over its row's scale must equal the rational
+here, and a zero here must be absent there.
 """
 
 from fractions import Fraction

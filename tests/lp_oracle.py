@@ -22,7 +22,11 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from cmdpkit import lp
-from cmdpkit.lp import EQ, LE, Constraint
+from cmdpkit.lp import EQ, LE
+
+# One rational constraint: a map from variable index to coefficient, the
+# sense and the right-hand side, the form ``lp.from_rationals`` converts.
+Constraint = tuple[dict[int, Fraction], str, Fraction]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)

@@ -1,10 +1,13 @@
 """The certificate search's Bellman rows against the Fraction builder they replaced.
 
-``certificate._bellman_rows`` reads each coefficient off the model;
-``certificate_oracle.bellman_rows`` sums them into ``Fraction`` maps. The
-two constraint lists must be equal, and every coefficient and right-hand
-side must be a ``Fraction``, so the simplex takes the same pivots on both.
-The strata: random models at their solver optimum, their lazy variants
+``certificate._bellman_rows`` reads each coefficient off the model's
+numerators and denominators, as integers over one scale per row, the lcm of
+the row's p, c and r denominators; ``certificate_oracle.bellman_rows`` sums
+them into ``Fraction`` maps. Row for row, the senses must be equal and
+every integer over the scale must equal the oracle's rational, with the
+oracle's zero coefficients absent, so the simplex takes the same pivots on
+both. Neither the rows nor the simplex's setup builds a ``Fraction``; only
+the point the simplex returns is made of them. The strata: random models at their solver optimum, their lazy variants
 (a self-loop on every row) at k/1009 and k/(2^61 - 1), rows whose
 self-loop has mass 1, and every bundled instance at every start state and
 policy.
@@ -13,16 +16,19 @@ policy.
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import certificate_oracle
-from cmdpkit import certificate
+from cmdpkit import certificate, lp
 from cmdpkit.chains import reachable_states
 from cmdpkit.model import Policy, load_instance
 from cmdpkit.solver import solve
-from randmdp import lazy_variant, random_mdp
+from randmdp import examples, lazy_variant, random_mdp, random_policy
+from test_censor_oracle import MERSENNE_61, recording_fractions
 
 F = Fraction
 
@@ -31,10 +37,17 @@ def assert_rows_equal_oracle(mdp, policy, x, free_mu):
     closure = reachable_states(mdp, None, x)
     reached = set(reachable_states(mdp, policy, x))
     rows = certificate._bellman_rows(mdp, policy, closure, reached, free_mu)
-    assert rows == certificate_oracle.bellman_rows(mdp, policy, closure, reached, free_mu)
-    for coefficients, _, rhs in rows:
-        assert type(rhs) is Fraction
-        assert all(type(value) is Fraction for value in coefficients.values())
+    expected = certificate_oracle.bellman_rows(mdp, policy, closure, reached, free_mu)
+    assert len(rows) == len(expected)
+    for (coefficients, sense, rhs, scale), (rational, want_sense, want_rhs) in zip(rows, expected):
+        assert sense == want_sense
+        assert type(scale) is int
+        assert scale == lcm(want_rhs.denominator, *(v.denominator for v in rational.values()))
+        assert type(rhs) is int and F(rhs, scale) == want_rhs
+        assert all(type(v) is int and v for v in coefficients.values())
+        assert {i: F(v, scale) for i, v in coefficients.items()} == {
+            i: v for i, v in rational.items() if v
+        }
 
 
 def absorbing(mdp, picks):
@@ -46,7 +59,7 @@ def absorbing(mdp, picks):
     return mdp._replace(successors=tuple(map(tuple, successors)))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     dim=st.integers(0, 2),
@@ -82,3 +95,45 @@ def test_rows_equal_oracle_on_every_bundled_instance_state_and_policy(instances_
             for x in mdp.states:
                 for free_mu in free_mus:
                     assert_rows_equal_oracle(mdp, policy, x, free_mu)
+
+
+def test_rows_and_simplex_setup_build_no_fraction(instances_dir):
+    # Every pivot sees no Fraction built yet, so the rows, the setup and
+    # Bland's scans build none; only a returned point holds Fractions.
+    rng = random.Random(43)
+    cases = []
+    for path in sorted(instances_dir.glob("*.json")):
+        mdp = load_instance(str(path))
+        cases += [(mdp, random_policy(rng, mdp), x) for x in mdp.states]
+    for k in range(12):
+        mdp = random_mdp(rng, max_states=12, min_states=6, constraint_dims=(k % 3,))
+        mdp = lazy_variant(mdp, F(rng.randint(1, 1008), 1009) if k % 2 else
+                           F(rng.randint(1, MERSENNE_61 - 1), MERSENNE_61))
+        cases.append((mdp, random_policy(rng, mdp), mdp.initial_state))
+    original = lp._pivot
+    pivots = points = 0
+
+    for mdp, policy, x in cases:
+        closure = reachable_states(mdp, None, x)
+        reached = set(reachable_states(mdp, policy, x))
+        free_mu = list(range(mdp.constraint_dim))
+        with recording_fractions() as built:
+            rows = certificate._bellman_rows(mdp, policy, closure, reached, free_mu)
+            assert built == []
+
+            def pivot(*args):
+                nonlocal pivots
+                assert built == []
+                pivots += 1
+                original(*args)
+
+            with mock.patch.object(lp, "_pivot", pivot):
+                point = lp.find_feasible_point(
+                    len(free_mu) + 1 + len(closure), rows, set(range(len(free_mu)))
+                )
+        if point is None:
+            assert built == []
+        else:
+            points += 1
+            assert all(type(v) is Fraction for v in point)
+    assert pivots > 100 and points > 10

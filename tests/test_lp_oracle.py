@@ -4,8 +4,12 @@
 ``lp_oracle.bareiss_find_feasible_point`` one Bareiss scale for a dense
 integer tableau; ``cmdpkit.lp`` keeps sparse rows, each with its own
 positive scale, and must take the same Bland pivots, so all three return
-the same point, or ``None``, on every system. Certificate searches must not
-tell them apart either. The pivot itself is checked row by row, through
+the same point, or ``None``, on every system. ``cmdpkit.lp`` reads each
+constraint as integers over a positive scale (``lp.from_rationals`` of the
+rational row the oracles read), and any positive multiple of a row's
+integers and scale must give the same point. Certificate searches must not
+tell them apart either: their integer rows are brought back to rationals
+for the oracles. The pivot itself is checked row by row, through
 ``lp_oracle.checked_eliminate``, against the rational row update: each
 touched row becomes a positive multiple of it with no common factor, or
 empty when the update is all zero, and every other row is left as it is.
@@ -28,7 +32,7 @@ from cmdpkit import lp
 from cmdpkit.certificate import find_certificate
 from cmdpkit.lp import EQ, GE, LE, find_feasible_point
 from cmdpkit.solver import solve
-from randmdp import lazy_variant, random_decomposable, random_mdp, random_policy
+from randmdp import examples, lazy_variant, random_decomposable, random_mdp, random_policy
 
 ORACLES = (lp_oracle.find_feasible_point, lp_oracle.bareiss_find_feasible_point)
 
@@ -78,8 +82,12 @@ def systems(draw):
     return num_vars, constraints, nonneg
 
 
+def integer_rows(constraints):
+    return [lp.from_rationals(*constraint) for constraint in constraints]
+
+
 def assert_same_point(num_vars, constraints, nonneg):
-    point = find_feasible_point(num_vars, constraints, nonneg)
+    point = find_feasible_point(num_vars, integer_rows(constraints), nonneg)
     for oracle in ORACLES:
         assert point == oracle(num_vars, constraints, nonneg)
     if point is not None:
@@ -87,10 +95,27 @@ def assert_same_point(num_vars, constraints, nonneg):
     return point
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=examples(400), deadline=None)
 @given(systems())
 def test_point_equals_rational_oracle(system):
     assert_same_point(*system)
+
+
+@settings(max_examples=examples(150), deadline=None)
+@given(systems(), st.data())
+def test_rows_at_any_positive_multiple_give_the_oracle_point(system, data):
+    # The scale weighs each row's artificial, so it must travel with the
+    # row: a multiple of the integers alone would change the constraint,
+    # and of the integers and the scale together nothing at all.
+    num_vars, constraints, nonneg = system
+    multiples = st.one_of(st.integers(1, 12), st.integers(1, 2**64))
+    rows = []
+    for coefficients, sense, rhs, scale in integer_rows(constraints):
+        k = data.draw(multiples)
+        rows.append(({i: k * v for i, v in coefficients.items()}, sense, k * rhs, k * scale))
+    assert find_feasible_point(num_vars, rows, nonneg) == lp_oracle.find_feasible_point(
+        num_vars, constraints, nonneg
+    )
 
 
 lp_pivot = lp._pivot
@@ -109,13 +134,14 @@ def checked_pivot(rows, leave, column):
             assert column not in new
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 @given(systems())
 @example((1, [({}, LE, F(0))], set()))  # empties the reduced costs
 def test_pivot_keeps_rows_primitive_and_leaves_untouched_rows(system):
+    num_vars, constraints, nonneg = system
     with mock.patch.object(lp, "_pivot", checked_pivot), \
             mock.patch.object(lp, "eliminate", lp_oracle.checked_eliminate):
-        find_feasible_point(*system)
+        find_feasible_point(num_vars, integer_rows(constraints), nonneg)
 
 
 @pytest.mark.parametrize("sense", [EQ, LE, GE])
@@ -190,20 +216,30 @@ def certificate_cases(draw):
     return mdp, random_policy(rng, mdp)
 
 
+def on_rationals(oracle):
+    """``oracle`` on ``lp.Constraint`` rows, each brought back to its rational triple."""
+    def find(num_vars, constraints, nonnegative):
+        return oracle(num_vars, [
+            ({i: F(v, scale) for i, v in coefficients.items()}, sense, F(rhs, scale))
+            for coefficients, sense, rhs, scale in constraints
+        ], nonnegative)
+    return find
+
+
 def assert_same_certificate(mdp, policy):
     found = find_certificate(mdp, mdp.initial_state, policy)
     for oracle in ORACLES:
-        with mock.patch.object(lp, "find_feasible_point", oracle):
+        with mock.patch.object(lp, "find_feasible_point", on_rationals(oracle)):
             assert find_certificate(mdp, mdp.initial_state, policy) == found
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=examples(100), deadline=None)
 @given(certificate_cases())
 def test_certificate_search_equals_search_on_oracle(case):
     assert_same_certificate(*case)
 
 
-@settings(max_examples=8, deadline=None)
+@settings(max_examples=examples(8), deadline=None)
 @given(st.integers(0, 10**9), st.integers(1, 1008))
 def test_lazy_variant_certificate_search_equals_search_on_oracles(seed, k):
     # 16-24 states: one Bellman row per state and action of the closure.
