@@ -18,8 +18,10 @@ the chosen action of states the policy itself reaches and as inequalities
 everywhere else. Each row is read off the model's numerators and
 denominators as integers over one scale, the form ``lp.find_feasible_point``
 takes, so no Fraction is built before the simplex returns its point; the
-policy is evaluated over the start's reach alone (``evaluation._at_start``),
-which gives W, the class equations and the states the policy reaches. The
+policy is analysed over the start's reach alone (``evaluation.analyse_policy``
+with x), which gives W, the class equations and the states the policy
+reaches. The check evaluates the same rows, built over the policy's reach,
+at the certificate's point brought over one integer scale. The
 closure-wide inequalities are what make a found certificate a genuine
 optimality proof: every competing feasible policy walks inside the
 closure, so its Lagrangian value telescopes below the certified gain.
@@ -30,10 +32,10 @@ gain value and residuals.
 from fractions import Fraction
 from math import lcm
 from numbers import Rational
-from typing import NamedTuple
+from typing import Container, Iterable, NamedTuple, Sequence
 
 from cmdpkit import chains, lp
-from cmdpkit.evaluation import ClassGain, _at_start
+from cmdpkit.evaluation import ClassGain, analyse_policy
 from cmdpkit.model import InputError, Mdp, Policy, validate_policy
 from cmdpkit.solver import EnumerationCapExceeded
 
@@ -112,17 +114,6 @@ def _required_states(mdp: Mdp, reachable: tuple[str, ...]) -> list[str]:
     return list(seen)
 
 
-def _one_step_gap(mdp: Mdp, cert: Certificate, state: str, action_index: int) -> Fraction:
-    """gain + L(s) - r - mu . c - sum_t p(t) L(t), summed over one common denominator."""
-    i = mdp.state_index(state)
-    minus = [(mdp.rewards[i][action_index], 1), *zip(cert.mu, mdp.constraints[i][action_index])]
-    minus += [(p, cert.potential[mdp.states[j]]) for j, p in mdp.successors[i][action_index]]
-    terms = [(v.numerator, v.denominator) for v in (cert.gain, cert.potential[state])]
-    terms += [(-a.numerator * b.numerator, a.denominator * b.denominator) for a, b in minus]
-    scale = lcm(*[d for _, d in terms])
-    return Fraction(sum(n * (scale // d) for n, d in terms), scale)
-
-
 def check_certificate(
     mdp: Mdp, x: str, policy: Policy, cert: Certificate
 ) -> CertificateReport:
@@ -139,8 +130,9 @@ def check_certificate(
         for value in values:
             if not isinstance(value, Rational):
                 raise InputError(f"certificate {field} value {value!r} is not rational")
-    w, _, reachable = _at_start(mdp, policy, x)
-    return _check(mdp, policy, cert, w, reachable)
+    analysis = analyse_policy(mdp, policy, x)
+    w = analysis.values_at(mdp.state_index(x))[1]
+    return _check(mdp, policy, cert, w, tuple(mdp.states[s] for s in analysis.reach))
 
 
 def _check(
@@ -150,31 +142,37 @@ def _check(
     w: tuple[Fraction, ...],
     reachable: tuple[str, ...],
 ) -> CertificateReport:
-    """check_certificate given the policy's W(x) and its states reachable from x."""
+    """check_certificate given the policy's W(x) and its states reachable from x.
+
+    Each residual is the Bellman row ``_bellman_rows`` builds at a
+    reachable state, evaluated at the point (mu, gain, L) brought over the
+    lcm of its denominators: one ``Fraction`` per residual.
+    """
     a1 = all(c >= 0 for c in w)
     a2 = all(m >= 0 for m in cert.mu)
     a3 = sum((m * c for m, c in zip(cert.mu, w)), ZERO) == 0
 
-    missing = [s for s in _required_states(mdp, reachable) if s not in cert.potential]
+    required = _required_states(mdp, reachable)
+    missing = [s for s in required if s not in cert.potential]
     if missing:
         raise MissingPotentialError(
             f"potential missing required states: {missing}"
         )
 
-    residuals: dict[tuple[str, str], Fraction] = {}
-    a4 = True
-    a5 = True
-    for state in reachable:
-        i = mdp.state_index(state)
-        gaps = []
-        for j, action in enumerate(mdp.actions[i]):
-            gap = _one_step_gap(mdp, cert, state, j)
-            residuals[(state, action)] = gap
-            gaps.append(gap)
-        if min(gaps) != 0:
-            a4 = False
-        if residuals[(state, policy.action_for(state))] != 0:
-            a5 = False
+    point = [*cert.mu, cert.gain, *(cert.potential[s] for s in required)]
+    scale = lcm(*(v.denominator for v in point))
+    scaled = [v.numerator * (scale // v.denominator) for v in point]
+    rows = _bellman_rows(
+        mdp, policy, required, reachable, set(reachable), range(mdp.constraint_dim)
+    )
+    actions = {state: mdp.actions[mdp.state_index(state)] for state in reachable}
+    pairs = [(state, action) for state in reachable for action in actions[state]]
+    residuals = {
+        pair: Fraction(sum(c * scaled[k] for k, c in coeffs.items()) - rhs * scale, d * scale)
+        for pair, (coeffs, _, rhs, d) in zip(pairs, rows)
+    }
+    a4 = all(min(residuals[(s, a)] for a in actions[s]) == 0 for s in reachable)
+    a5 = all(residuals[(s, policy.action_for(s))] == 0 for s in reachable)
 
     flags = {"A1": a1, "A2": a2, "A3": a3, "A4": a4, "A5": a5}
     first_failure = next((name for name, ok in flags.items() if not ok), None)
@@ -208,23 +206,32 @@ def _class_system_feasible(
 
 
 def _bellman_rows(
-    mdp: Mdp, policy: Policy, closure: tuple[str, ...], reached: set[str], free_mu: list[int]
+    mdp: Mdp,
+    policy: Policy,
+    potential: Sequence[str],
+    states: Iterable[str],
+    reached: Container[str],
+    mu: Sequence[int],
 ) -> list[lp.Constraint]:
     """Rows gain + L(s) - sum_t p(t) L(t) - mu . c(s, a) >= r(s, a); = at reached choices.
 
-    Columns: free mu, gain, then L on the closure, which every action keeps
-    within. Entries are read off the model: -p, -c, and 1 - p at a self-loop,
-    as integers over the lcm d of the row's p, c and r denominators (the
-    ``lp.Constraint`` form); a zero entry is not stored.
+    One row per action of each of ``states``, in order. Columns: the
+    components ``mu`` of the multiplier, gain, then L on ``potential``,
+    which must hold every state those actions reach. Entries are read off
+    the model: -p, -c, and 1 - p at a self-loop, as integers over the lcm d
+    of the row's p, c and r denominators (the ``lp.Constraint`` form); a
+    zero entry is not stored.
     """
-    gain_var = len(free_mu)
-    column = {mdp.state_index(s): gain_var + 1 + k for k, s in enumerate(closure)}
+    gain_var = len(mu)
+    column = {mdp.state_index(s): gain_var + 1 + k for k, s in enumerate(potential)}
     rows = []
-    for i, own in column.items():
-        chosen = policy.action_for(mdp.states[i]) if mdp.states[i] in reached else None
+    for state in states:
+        i = mdp.state_index(state)
+        own = column[i]
+        chosen = policy.action_for(state) if state in reached else None
         for j, action in enumerate(mdp.actions[i]):
             successors = mdp.successors[i][j]
-            costs = [mdp.constraints[i][j][comp] for comp in free_mu]
+            costs = [mdp.constraints[i][j][comp] for comp in mu]
             reward = mdp.rewards[i][j]
             d = lcm(reward.denominator, *(p.denominator for _, p in successors),
                     *(c.denominator for c in costs))
@@ -254,7 +261,9 @@ def find_certificate(
     program has no solution. Raises CertificateSearchError if a found
     certificate fails the check, which only a defect in the search can cause.
     """
-    w, equations, reachable = _at_start(mdp, policy, x)
+    analysis = analyse_policy(mdp, policy, x)
+    w = analysis.values_at(mdp.state_index(x))[1]
+    equations = analysis.class_gains
     if any(c < 0 for c in w):
         return CertificateUnsat(
             stage="feasibility",
@@ -293,10 +302,11 @@ def find_certificate(
             conflict=conflict,
         )
 
+    reachable = tuple(mdp.states[s] for s in analysis.reach)
     gain_var = len(free_mu)
     point = lp.find_feasible_point(
         num_vars=gain_var + 1 + len(closure),
-        constraints=_bellman_rows(mdp, policy, closure, set(reachable), free_mu),
+        constraints=_bellman_rows(mdp, policy, closure, closure, set(reachable), free_mu),
         nonnegative=set(range(gain_var)),
     )
     if point is None:

@@ -24,11 +24,12 @@ elimination:
   finds, and the DAG solve runs no search of its own;
 - ``censor`` eliminates the single-action states that the start states
   reach under some policy once, for every policy: the same DAG solve
-  (``_solve_along_dag``, shared with ``absorption_map``) gives each
-  eliminated state and each reached decision state's action its integer
-  row over those decision states and the fixed classes (closed classes
-  made only of single-action states): the hitting distribution, then the
-  expected reward, constraint and step totals until the hit. The solver's
+  (``_solve_along_dag``, shared with ``absorption_map`` and
+  ``evaluation.analyse_policy``) gives each eliminated state and each
+  reached decision state's action its integer row over those decision
+  states and the fixed classes (closed classes made only of
+  single-action states): the hitting distribution, then the expected
+  reward, constraint and step totals until the hit. The solver's
   walk turns each row into one integer equation and eliminates its
   decision states from them by ``lp.eliminate``, one at a time (the
   stochastic complement; Meyer 1989, SIAM Review 31(2)); a fixed class is
@@ -181,9 +182,12 @@ def closed_classes(
     )
 
 
-def decompose(chain: Chain) -> ChainDecomposition:
-    """Recurrent classes and transient states of a chain."""
-    return closed_classes(support_adjacency(chain))
+def decompose(chain: Chain, sources: Iterable[int] | None = None) -> ChainDecomposition:
+    """Recurrent classes and transient states of a chain.
+
+    With ``sources``, only the states they reach are partitioned.
+    """
+    return closed_classes(support_adjacency(chain), sources)
 
 
 def _sparse_solve(

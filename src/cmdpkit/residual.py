@@ -83,7 +83,7 @@ def residual_slack(
     used. Raises UnreachableStateError when that probability is zero; the
     computation never divides by zero.
     """
-    analysis = analyse_policy(mdp, policy)
+    analysis = analyse_policy(mdp, policy, x)
     chain = analysis.chain
     start = mdp.state_index(x)
     target = mdp.state_index(y)

@@ -27,7 +27,7 @@ from random import Random
 from typing import Iterable, Iterator, NamedTuple
 
 from cmdpkit import chains
-from cmdpkit.evaluation import _at_start, analyse_policy
+from cmdpkit.evaluation import analyse_policy
 from cmdpkit.model import MAX_STEPS, Chain, InputError, Mdp, Policy, Trajectory
 from cmdpkit.solver import _check_cap
 
@@ -53,7 +53,7 @@ def samplepath_feasible(mdp: Mdp, policy: Policy, x: str) -> SamplePathVerdict:
     has a constraint-gain component below zero; the first such class (in
     model order) is returned as witness.
     """
-    for gain in _at_start(mdp, policy, x)[1]:
+    for gain in analyse_policy(mdp, policy, x).class_gains:
         if any(g < 0 for g in gain.constraint_gain):
             return SamplePathVerdict(
                 feasible=False,
@@ -170,14 +170,19 @@ def controllable_classes(mdp: Mdp, x: str) -> ClassControllability:
     policies checks the shared structure (NotDecomposableError as in
     ``trans_policy_decomposition``) and takes the ranges; each policy's
     absorption row is in structure order. Only decompositions and
-    absorption are solved: no stationary vector is needed.
+    absorption are solved: no stationary vector is needed. The absorption
+    is solved in integers, and only x's row becomes ``Fraction``s.
     """
     start = mdp.state_index(x)
     union = chains.closed_classes(chains.union_adjacency(mdp))
+    classes = union.recurrent_classes
     lo: tuple[Fraction, ...] | None = None
     hi: tuple[Fraction, ...] | None = None
     for chain, decomposition in _shared_chains(mdp, union):
-        row = chains.absorption_map(chain, decomposition)[start]
+        numerators, d = chains._solve_along_dag(
+            chain, classes, decomposition.transient_components, len(classes), {}
+        )[start]
+        row = tuple(Fraction(h, d) for h in numerators)
         lo = row if lo is None else tuple(map(min, lo, row))
         hi = row if hi is None else tuple(map(max, hi, row))
     return ClassControllability(
@@ -185,7 +190,7 @@ def controllable_classes(mdp: Mdp, x: str) -> ClassControllability:
             ClassControl(
                 states=tuple(mdp.states[s] for s in cls), min_prob=low, max_prob=high,
             )
-            for cls, low, high in zip(union.recurrent_classes, lo, hi)
+            for cls, low, high in zip(classes, lo, hi)
         ),
         structure=union,
     )
@@ -360,6 +365,6 @@ def _walk(
         absorbed_stationary=stationary,
         absorbed_reward_gain=reward_gain,
         absorbed_constraint_gain=constraint_gain,
-        analytic_absorption=analysis.absorption[start],
+        analytic_absorption=analysis.absorption_at(start),
     )
     return path, report

@@ -1,10 +1,14 @@
-"""The Fraction builder of the certificate search's Bellman rows, kept as an oracle.
+"""The Fraction builders of the certificate's Bellman rows and residuals, kept as oracles.
 
 ``certificate._bellman_rows`` reads each coefficient off the model's
 numerators and denominators, as integers over one scale per row; this
 builder sums every entry into ``Fraction`` maps, as the search once did.
 Row for row, each integer over its row's scale must equal the rational
 here, and a zero here must be absent there.
+
+``one_step_gap`` is the check's residual before the check evaluated those
+rows at the certificate's point over one integer scale: one ``Fraction``
+sum per (state, action). ``check_certificate``'s residuals must equal it.
 """
 
 from fractions import Fraction
@@ -34,3 +38,12 @@ def bellman_rows(mdp, policy, closure, reached, free_mu):
             sense = lp.EQ if (state in reached and action == chosen) else lp.GE
             constraints.append((coeffs, sense, mdp.rewards[i][j]))
     return constraints
+
+
+def one_step_gap(mdp, cert, state, action_index):
+    """gain + L(s) - r - mu . c - sum_t p(t) L(t) at one state and action."""
+    i = mdp.state_index(state)
+    gap = cert.gain + cert.potential[state] - mdp.rewards[i][action_index]
+    gap -= sum((m * c for m, c in zip(cert.mu, mdp.constraints[i][action_index])), ZERO)
+    gap -= sum((p * cert.potential[mdp.states[j]] for j, p in mdp.successors[i][action_index]), ZERO)
+    return Fraction(gap)

@@ -3,8 +3,10 @@
 This is the walk the package used before it went round a final
 deterministic cycle in closed form. It runs a Python loop over
 every step, takes one ``getrandbits(64)`` call per stochastic transition
-and counts each visit as it happens. Property tests require the walk under
-test to return an equal ``SimulationReport`` and an equal ``Trajectory``.
+and counts each visit as it happens; its analytic side is the ``Fraction``
+route, ``analysis_oracle.analyse_policy``. Property tests require the walk
+under test to return an equal ``SimulationReport`` and an equal
+``Trajectory``.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ import random
 from bisect import bisect_right
 from fractions import Fraction
 
+from analysis_oracle import analyse_policy
 from cmdpkit import chains
-from cmdpkit.evaluation import analyse_policy
 from cmdpkit.model import InputError, Mdp, Policy, Trajectory, validate_policy
 from cmdpkit.samplepath import MAX_STEPS, SimulationReport, StepLimitError
 

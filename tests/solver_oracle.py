@@ -2,16 +2,16 @@
 
 ``rows`` is the pass the solver made before it analysed only canonical
 policies: every policy ``enumerate_policies`` yields gets its own
-``analyse_policy``, no class solve is reused from the policy before, and
-each row counts once. ``best`` filters the rows the way the solver's
-``_best`` did then.
+``analysis_oracle.analyse_policy``, no class solve is reused from the
+policy before, and each row counts once. ``best`` filters the rows the way
+the solver's ``_best`` did then.
 
 ``canonical_rows`` is the pass the solver made before it censored each
 policy's chain onto its decision states: ``canonical`` finds the canonical
 policies by a reach search over the full chain, and ``analyse_policies``
-analyses each one's full induced chain, reusing the class solves of the
-policy before. ``class_gain`` is the stationary average of a per-state
-value over a recurrent class.
+analyses each one's full induced chain the ``analysis_oracle`` way,
+reusing the class solves of the policy before. ``class_gain`` is the
+stationary average of a per-state value over a recurrent class.
 
 ``_ratio_gain`` and ``_mix`` are the solver's gain and mixing steps before
 ``gain_oracle.ratio_gain`` and ``mix`` replaced them: ``Fraction`` sums over a
@@ -61,8 +61,9 @@ from math import lcm
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import gain_oracle
+from analysis_oracle import FractionAnalysis, analyse_policy, class_solve, taken
 from cmdpkit import chains
-from cmdpkit.evaluation import ClassGain, PolicyAnalysis, analyse_policy
+from cmdpkit.evaluation import ClassGain
 from cmdpkit.model import Chain, Mdp, Policy, Successors, Trajectory, induced_chain
 from cmdpkit.solver import (
     SolveResult,
@@ -211,7 +212,7 @@ def canonical(mdp: Mdp, indices: list[int]) -> Iterator[tuple[Policy, int]]:
             yield policy, math.prod(len(mdp.actions[s]) for s in outside)
 
 
-def analyse_policies(mdp: Mdp, policies: Iterable[Policy]) -> Iterator[PolicyAnalysis]:
+def analyse_policies(mdp: Mdp, policies: Iterable[Policy]) -> Iterator[FractionAnalysis]:
     """Induced chain, decomposition, class gains and absorption of each policy.
 
     Yields one analysis per policy, in order. Each recurrent class gets one
@@ -227,39 +228,18 @@ def analyse_policies(mdp: Mdp, policies: Iterable[Policy]) -> Iterator[PolicyAna
         decomposition = chains.decompose(chain)
         current: dict[tuple, tuple[tuple[Fraction, ...], ClassGain]] = {}
         for cls in decomposition.recurrent_classes:
-            taken = tuple(
-                mdp.actions[s].index(policy.action_for(mdp.states[s])) for s in cls
-            )
-            key = (cls, taken)
+            key = (cls, taken(mdp, policy, cls))
             solved = previous.get(key)
             if solved is None:
-                solved = _class_solve(mdp, chain, cls, taken)
+                solved = class_solve(mdp, chain, *key)
             current[key] = solved
         previous = current
-        yield PolicyAnalysis(
+        yield FractionAnalysis(
             chain=chain,
             decomposition=decomposition,
             class_gains=tuple(gain for _, gain in current.values()),
             absorption=chains.absorption_map(chain, decomposition),
         )
-
-
-def _class_solve(
-    mdp: Mdp, chain: Chain, cls: tuple[int, ...], taken: tuple[int, ...]
-) -> tuple[tuple[Fraction, ...], ClassGain]:
-    """Stationary vector of a recurrent class and the gains under it."""
-    pi = chains.stationary_distribution(chain, cls)
-    reward = ZERO
-    constraint = [ZERO] * mdp.constraint_dim
-    for p, s, j in zip(pi, cls, taken):
-        reward += p * mdp.rewards[s][j]
-        for k, c in enumerate(mdp.constraints[s][j]):
-            constraint[k] += p * c
-    return pi, ClassGain(
-        states=tuple(mdp.states[s] for s in cls),
-        reward_gain=reward,
-        constraint_gain=tuple(constraint),
-    )
 
 
 def canonical_rows(mdp: Mdp, indices: list[int]) -> Iterator[FractionRow]:

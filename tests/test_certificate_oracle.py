@@ -11,6 +11,11 @@ the point the simplex returns is made of them. The strata: random models at thei
 (a self-loop on every row) at k/1009 and k/(2^61 - 1), rows whose
 self-loop has mass 1, and every bundled instance at every start state and
 policy.
+
+``check_certificate`` evaluates the same rows over the policy's reach at
+the certificate's point; its residuals, their order and its A4 and A5
+verdicts must equal ``certificate_oracle.one_step_gap``'s ``Fraction``
+sums, for arbitrary certificates with ``Fraction`` or ``int`` values.
 """
 
 import itertools
@@ -36,7 +41,7 @@ F = Fraction
 def assert_rows_equal_oracle(mdp, policy, x, free_mu):
     closure = reachable_states(mdp, None, x)
     reached = set(reachable_states(mdp, policy, x))
-    rows = certificate._bellman_rows(mdp, policy, closure, reached, free_mu)
+    rows = certificate._bellman_rows(mdp, policy, closure, closure, reached, free_mu)
     expected = certificate_oracle.bellman_rows(mdp, policy, closure, reached, free_mu)
     assert len(rows) == len(expected)
     for (coefficients, sense, rhs, scale), (rational, want_sense, want_rhs) in zip(rows, expected):
@@ -97,6 +102,42 @@ def test_rows_equal_oracle_on_every_bundled_instance_state_and_policy(instances_
                     assert_rows_equal_oracle(mdp, policy, x, free_mu)
 
 
+@settings(max_examples=examples(60), deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(0, 2), whole=st.booleans())
+def test_check_residuals_equal_the_fraction_gaps(seed, dim, whole):
+    # Arbitrary certificates, so residuals are mostly nonzero; ``whole``
+    # gives int values, which are rational without being Fractions.
+    rng = random.Random(seed)
+    mdp = random_mdp(rng, constraint_dims=(dim,))
+    if rng.random() < 0.5:
+        mdp = lazy_variant(mdp, F(rng.randint(1, 1008), 1009))
+    policy = random_policy(rng, mdp)
+    x = rng.choice(mdp.states)
+
+    def value():
+        v = rng.randint(-6, 6)
+        return v if whole else F(v, rng.randint(1, 5))
+
+    cert = certificate.Certificate(
+        mu=tuple(abs(value()) for _ in range(dim)),
+        gain=value(),
+        potential={s: value() for s in mdp.states},
+    )
+    report = certificate.check_certificate(mdp, x, policy, cert)
+    reach = reachable_states(mdp, policy, x)
+    expected = {
+        (s, a): certificate_oracle.one_step_gap(mdp, cert, s, j)
+        for s in reach for j, a in enumerate(mdp.actions[mdp.state_index(s)])
+    }
+    assert report.bellman_residuals == expected
+    assert list(report.bellman_residuals) == list(expected)
+    assert all(type(gap) is Fraction for gap in report.bellman_residuals.values())
+    assert report.a4 == all(
+        min(expected[(s, a)] for a in mdp.actions[mdp.state_index(s)]) == 0 for s in reach
+    )
+    assert report.a5 == all(expected[(s, policy.action_for(s))] == 0 for s in reach)
+
+
 def test_rows_and_simplex_setup_build_no_fraction(instances_dir):
     # Every pivot sees no Fraction built yet, so the rows, the setup and
     # Bland's scans build none; only a returned point holds Fractions.
@@ -118,7 +159,7 @@ def test_rows_and_simplex_setup_build_no_fraction(instances_dir):
         reached = set(reachable_states(mdp, policy, x))
         free_mu = list(range(mdp.constraint_dim))
         with recording_fractions() as built:
-            rows = certificate._bellman_rows(mdp, policy, closure, reached, free_mu)
+            rows = certificate._bellman_rows(mdp, policy, closure, closure, reached, free_mu)
             assert built == []
 
             def pivot(*args):

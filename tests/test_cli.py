@@ -210,7 +210,7 @@ def test_other_failures_are_internal_errors(instances_dir, monkeypatch):
     def bare_value_error(chain, cls):
         raise ValueError("class is not strongly connected")
 
-    def bare_key_error(chain):
+    def bare_key_error(chain, sources=None):
         raise KeyError(7)
 
     haviv = haviv_path(instances_dir)

@@ -5,7 +5,9 @@ finds, sink first, and the DAG solve behind ``absorption_map`` and
 ``censor`` reads them instead of running a search of its own.
 ``class_visits`` searches nothing either: its solve is the check that its
 class is strongly connected. So the component search runs
-once per ``decompose`` and once per ``censor`` pass, and nowhere else. The
+once per ``decompose`` and once per ``censor`` pass, and nowhere else; a
+policy analysis from a start decomposes and solves that start's reach
+alone. The
 solver's pass searches only inside its one ``censor``: the walk
 eliminates states and decomposes no policy's chain.
 """
@@ -63,10 +65,25 @@ def test_the_solver_pass_searches_each_chain_once():
 
 
 def test_a_policy_analysis_searches_its_chain_once():
+    # From a start x, no class or transient state outside x's reach is solved.
+    restricted = 0
     for rng, mdp in random_models(12, 30):
         policy = random_policy(rng, mdp)
-        calls = search_counts(lambda: evaluation.analyse_policy(mdp, policy))
-        assert calls["decompose"] == 1 and calls["censor"] == 0
+        for x in (None, *mdp.states):
+            states = range(mdp.num_states) if x is None else [
+                mdp.state_index(y) for y in chains.reachable_states(mdp, policy, x)
+            ]
+            dag = mock.MagicMock(wraps=chains._solve_along_dag)
+            with mock.patch.object(chains, "_solve_along_dag", dag):
+                calls = search_counts(lambda: evaluation.analyse_policy(mdp, policy, x))
+            assert calls["decompose"] == 1 and calls["censor"] == 0
+            assert dag.call_count == 1
+            _, classes, components, width, _ = dag.call_args.args
+            assert calls["class_visits"] == width == len(classes)
+            solved = [s for group in (*classes, *components) for s in group]
+            assert sorted(solved) == list(states)
+            restricted += len(solved) < mdp.num_states
+    assert restricted >= 20
 
 
 def test_absorption_searches_only_through_decompose():

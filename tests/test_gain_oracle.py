@@ -6,17 +6,12 @@ excursion from its first member as integers over one scale, and
 ratio of a sum to the step sum. The references build the stationary
 vector as ``Fraction``s: ``gain_oracle.ratio_gain`` takes it apart again
 over one lcm, as the package once did, and ``solver_oracle._ratio_gain``,
-``solver_oracle._mix`` and ``solver_oracle._class_solve`` sum ``Fraction``
+``solver_oracle._mix`` and ``analysis_oracle.class_solve`` sum ``Fraction``
 products. The gains must be equal at every recurrent class of a censored
 chain (decision-state classes and fixed classes) and of a full induced
 chain, and the one mixing step at every start state, with every value a
 ``Fraction``. The visits normalised, ``chains.stationary_distribution``,
 must equal ``dense_oracle``'s dense solve.
-
-``evaluation._at_start`` solves only a start's reach: its W, the gains of
-the classes it reaches and the reach itself must equal ``analyse_policy``'s
-mix at that start, its classes of positive absorption, in class order, and
-``chains.reachable_states``, from every start, inside a class or not.
 
 Each model is also compared with its lazy variant at alpha = k/1009 or
 k/(2**61 - 1): P' - I = (1 - alpha)(P - I) keeps every class and gain, while
@@ -30,12 +25,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import analysis_oracle
 import dense_oracle
 import gain_oracle
 import solver_oracle
 from cmdpkit import chains, evaluation
 from cmdpkit.model import induced_chain
-from randmdp import examples, lazy_variant, random_decomposable, random_policy
+from randmdp import lazy_variant, random_decomposable, random_policy
 from test_censor_oracle import MERSENNE_61, draw_model
 
 ONE = Fraction(1)
@@ -76,7 +72,7 @@ def censored_gains(rng: random.Random, mdp) -> list[chains.Gain]:
         if cls[0] >= decision:
             fixed = censored.fixed[cls[0] - decision]
             gain = censored.fixed_gains[cls[0] - decision]
-            _, expected = solver_oracle._class_solve(mdp, first, fixed, (0,) * len(fixed))
+            _, expected = analysis_oracle.class_solve(mdp, first, fixed, (0,) * len(fixed))
             assert gain == (expected.reward_gain, expected.constraint_gain)
             assert gain == gain_oracle.ratio_gain(
                 chains.stationary_distribution(first, fixed),
@@ -114,13 +110,14 @@ def full_chain_gains(mdp, policy) -> list[chains.Gain]:
         assert pi == dense_oracle.stationary_distribution(matrix, cls)
         gain = (got.reward_gain, got.constraint_gain)
         assert gain == visit_gain(chain, cls, totals) == gain_oracle.ratio_gain(pi, totals)
-        _, expected = solver_oracle._class_solve(mdp, chain, cls, taken)
+        _, expected = analysis_oracle.class_solve(mdp, chain, cls, taken)
         assert gain == (expected.reward_gain, expected.constraint_gain)
         assert_exact(gain, dim)
         gains.append(gain)
     for s in range(mdp.num_states):
         value = analysis.values_at(s)
-        assert value == solver_oracle._mix(((s, ONE),), analysis.absorption, gains, dim)
+        absorption = {s: analysis.absorption_at(s)}
+        assert value == solver_oracle._mix(((s, ONE),), absorption, gains, dim)
         assert_exact(value, dim)
     return gains
 
@@ -185,29 +182,3 @@ def test_ratio_gain_divides_by_the_steps():
     ):
         assert ratios(chains.class_sums([1, 2], totals)) == gain
         assert gain_oracle.ratio_gain(pi, totals) == gain
-
-
-@pytest.mark.parametrize("dim", [0, 1, 2])
-@pytest.mark.parametrize("stratum", ["random", "decomposable"])
-@settings(max_examples=examples(25), deadline=None)
-@given(seed=st.integers(0, 10**9), lazy=st.sampled_from([None, 1009, MERSENNE_61]))
-def test_start_values_equal_the_full_analysis(stratum, dim, seed, lazy):
-    rng = random.Random(seed)
-    mdp = draw_model(rng, stratum, dim)
-    if lazy is not None:
-        mdp = lazy_variant(mdp, Fraction(rng.randint(1, lazy - 1), lazy))
-    policy = random_policy(rng, mdp)
-    analysis = evaluation.analyse_policy(mdp, policy)
-    recurrent = {s for cls in analysis.decomposition.recurrent_classes for s in cls}
-    transient_starts = 0
-    for s, x in enumerate(mdp.states):
-        w, gains, reach = evaluation._at_start(mdp, policy, x)
-        assert w == analysis.values_at(s)[1]
-        assert_exact((ONE, w), dim)
-        assert gains == tuple(
-            gain for p, gain in zip(analysis.absorption[s], analysis.class_gains) if p > 0
-        )
-        assert reach == chains.reachable_states(mdp, policy, x)
-        transient_starts += s not in recurrent
-    if stratum == "decomposable":
-        assert transient_starts

@@ -17,6 +17,7 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import analysis_oracle
 import simulation_oracle as oracle
 from cmdpkit import instances, samplepath
 from cmdpkit.evaluation import analyse_policy
@@ -86,10 +87,11 @@ def test_every_bundled_instance_policy_and_start_equals_the_per_step_walk():
         mdp = builder()
         for policy in enumerate_policies(mdp):
             steps = boundary_steps(mdp, policy)
-            # both walks analyse this one policy; solve it once for all its walks
+            # each walk analyses this one policy its own way; solve each once for all its walks
             analysis = analyse_policy(mdp, policy)
+            reference = analysis_oracle.analyse_policy(mdp, policy)
             with mock.patch.object(samplepath, "analyse_policy", return_value=analysis), \
-                    mock.patch.object(oracle, "analyse_policy", return_value=analysis):
+                    mock.patch.object(oracle, "analyse_policy", return_value=reference):
                 for start in mdp.states:
                     for n in steps:
                         walk = (mdp, policy, start, n, n)
