@@ -1,12 +1,21 @@
 """Residual constraint slackness and time-consistency audits.
 
 Moving from the start state x to a reachable state y consumes (or gains)
-part of the constraint budget. The residual slackness quantifies that
-exactly: it is the negated expected constraint value over the complementary
-time-t event, rescaled by the odds of reaching y. The residual problem
-starts at y with every constraint vector shifted by -slack
-(``build_residual_problem``); the original policy is feasible in it, and
-optimal under certificate hypotheses.
+part of the constraint budget. The residual slackness C_y(x) quantifies
+that exactly, and has a closed form: C_y(x) = W(y) - W(x) / Pr{X_t = y}.
+It holds because a stationary policy's gain is harmonic. The Cesaro limit
+P* of a stochastic matrix P satisfies P P* = P*, so W = P* c satisfies
+P^t W = W: the time-t distribution from x mixes W back to W(x). The
+slack is the part of that mix outside y, negated and divided by
+Pr{X_t = y}.
+So two states' W and one reaching probability give C_y(x); the forward
+sweep supplies only the probability and the support.
+
+The residual problem starts at y with every constraint vector shifted by
+-slack (``build_residual_problem``). The audited policy's W there is
+W(y) - C_y(x) = W(x) / Pr{X_t = y}, so it is feasible in the residual
+problem exactly when it is feasible at x; it is optimal there under
+certificate hypotheses.
 
 The audit answers, at every reachable state y, both the unmodified problem
 started at y and the shifted one, and reports where plain optimality
@@ -19,7 +28,7 @@ feasible in the shifted problem at y exactly when W(y) - slack >= 0.
 """
 
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from cmdpkit import chains
 from cmdpkit.certificate import Certificate, find_certificate
@@ -45,8 +54,7 @@ class InfeasibleStartError(ValueError):
 class ResidualSpec(NamedTuple):
     """Slack C consumed in moving from ``source`` to ``target`` at ``time``.
 
-    Invariant (exact): W(source) = (W(target) - slack) * prob_to plus the
-    contribution of the complementary time-t event.
+    Invariant (exact): (W(target) - slack) * prob_to = W(source).
     """
 
     source: str
@@ -57,21 +65,10 @@ class ResidualSpec(NamedTuple):
 
 
 def _slack(
-    distribution: dict[int, Fraction],
-    target: int,
-    w_at: Callable[[int], tuple[Fraction, ...]],
-    dim: int,
+    w_target: tuple[Fraction, ...], w_start: tuple[Fraction, ...], prob: Fraction
 ) -> tuple[Fraction, ...]:
-    """-(sum over s != target of Pr{X_t = s} W(s)) / Pr{X_t = target}."""
-    slack = [ZERO] * dim
-    for s, mass in distribution.items():
-        if s == target:
-            continue
-        w = w_at(s)
-        for k in range(dim):
-            slack[k] -= mass * w[k]
-    prob = distribution[target]
-    return tuple(component / prob for component in slack)
+    """C_y(x) = W(y) - W(x) / Pr{X_t = y}, from W at y and at x."""
+    return tuple(w - c / prob for w, c in zip(w_target, w_start))
 
 
 def residual_slack(
@@ -91,27 +88,22 @@ def residual_slack(
     if t is None:
         sweep = chains.forward_distributions(chain, start, mdp.num_states)
         found = next(
-            ((step, d) for step, d in enumerate(sweep) if target in d), None
+            ((step, d[target]) for step, d in enumerate(sweep) if target in d), None
         )
         if found is None:
             raise UnreachableStateError(
                 f"state {y!r} is not reachable from {x!r} under the policy"
             )
-        t, distribution = found
+        t, prob = found
     else:
-        dense = chains.state_distribution_at(chain, start, t)
-        distribution = {s: mass for s, mass in enumerate(dense) if mass}
-        if target not in distribution:
+        prob = chains.state_distribution_at(chain, start, t)[target]
+        if not prob:
             raise UnreachableStateError(
                 f"state {y!r} has probability zero at time {t} from {x!r}"
             )
 
-    slack = _slack(
-        distribution, target, lambda s: analysis.values_at(s)[1], mdp.constraint_dim
-    )
-    return ResidualSpec(
-        source=x, target=y, time=t, prob_to=distribution[target], slack=slack
-    )
+    slack = _slack(analysis.values_at(target)[1], analysis.values_at(start)[1], prob)
+    return ResidualSpec(source=x, target=y, time=t, prob_to=prob, slack=slack)
 
 
 def build_residual_problem(mdp: Mdp, spec: ResidualSpec) -> Mdp:
@@ -194,9 +186,7 @@ def audit_time_consistency(
         raise InfeasibleStartError(start_label, base)
     policy = base.policy
     values = [chains.gain(mix) for mix in row.values]
-
-    def w_at(s: int) -> tuple[Fraction, ...]:
-        return values[table.column(mdp.states[s])][1]
+    w_start = values[table.column(start_label)][1]
 
     cert = find_certificate(mdp, start_label, policy)
     cert_found = isinstance(cert, Certificate)
@@ -218,10 +208,9 @@ def audit_time_consistency(
                 continue
             seen.add(s)
             y = mdp.states[s]
-            slack = _slack(distribution, s, w_at, mdp.constraint_dim)
-
-            value_here = values[table.column(y)][0]
-            feasible_here = all(w >= 0 for w in w_at(s))
+            value_here, w_here = values[table.column(y)]
+            slack = _slack(w_here, w_start, distribution[s])
+            feasible_here = all(w >= 0 for w in w_here)
             if s not in unmodified_at:
                 unmodified_at[s] = table.solve(y)
             unmodified = unmodified_at[s]
@@ -230,7 +219,7 @@ def audit_time_consistency(
             )
 
             residual = table.solve(y, slack)
-            feasible_residual = all(w >= c for w, c in zip(w_at(s), slack))
+            feasible_residual = all(w >= c for w, c in zip(w_here, slack))
             optimal_residual = (
                 feasible_residual
                 and residual.status == "optimal"

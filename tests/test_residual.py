@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+import audit_oracle
 from cmdpkit import instances
 from cmdpkit.certificate import Certificate, find_certificate
 from cmdpkit.chains import state_distribution_at
-from cmdpkit.evaluation import evaluate
+from cmdpkit.evaluation import PolicyAnalysis, evaluate
 from cmdpkit.model import Mdp, Policy, induced_chain
 from cmdpkit.residual import (
     UnreachableStateError,
@@ -94,26 +95,22 @@ def test_residual_solve_haviv_admits_only_action_a(haviv, haviv_a):
 
 
 def decomposition_check(mdp, policy, x, t):
-    """W(x) = sum_y Pr{X_t=y} W(y), and (W(y) - C_y(x)) Pr{X_t=y} = W(x)."""
-    chain = induced_chain(mdp, policy)
-    start = mdp.state_index(x)
-    d = state_distribution_at(chain, start, t)
+    """W(x) = sum_y Pr{X_t=y} W(y), and at every y of the support the slack is
+    the summing oracle's and (W(y) - C_y(x)) Pr{X_t=y} = W(x)."""
+    d = state_distribution_at(induced_chain(mdp, policy), mdp.state_index(x), t)
     w_x = evaluate(mdp, policy, x).W
+    support = {s: evaluate(mdp, policy, mdp.states[s]).W for s, mass in enumerate(d) if mass}
 
-    mixed = [F(0)] * mdp.constraint_dim
-    for s, mass in enumerate(d):
-        if mass == 0:
-            continue
-        w_s = evaluate(mdp, policy, mdp.states[s]).W
-        for k in range(mdp.constraint_dim):
-            mixed[k] += mass * w_s[k]
-    assert tuple(mixed) == w_x
+    mixed = tuple(
+        sum((d[s] * w_s[k] for s, w_s in support.items()), F(0))
+        for k in range(mdp.constraint_dim)
+    )
+    assert mixed == w_x
 
-    for target, mass in enumerate(d):
-        if mass == 0:
-            continue
-        spec = residual_slack(mdp, policy, x, mdp.states[target], t)
-        w_y = evaluate(mdp, policy, mdp.states[target]).W
+    for target, w_y in support.items():
+        y = mdp.states[target]
+        spec = residual_slack(mdp, policy, x, y, t)
+        assert spec == audit_oracle.residual_slack(mdp, policy, x, y, t)
         for k in range(mdp.constraint_dim):
             assert (w_y[k] - spec.slack[k]) * spec.prob_to == w_x[k]
 
@@ -122,15 +119,6 @@ def test_exact_decomposition_identity_haviv(haviv, haviv_a, haviv_b):
     for policy in (haviv_a, haviv_b):
         for t in (1, 2, 3):
             decomposition_check(haviv, policy, "x", t)
-
-
-def test_exact_decomposition_identity_random():
-    rng = random.Random(2024)
-    for _ in range(25):
-        mdp = random_mdp(rng, max_states=7, constraint_dims=(1, 2), max_policies=8)
-        policy = random_policy(rng, mdp)
-        for t in (1, 2):
-            decomposition_check(mdp, policy, "s0", t)
 
 
 def test_feasibility_transfer():
@@ -274,6 +262,24 @@ def wide_cycle(states: int = 80) -> Mdp:
     )
 
 
+def test_residual_slack_reads_w_at_two_states(monkeypatch):
+    # The closed form needs W at x and at y alone, however wide the support.
+    mdp = wide_cycle()
+    policy = Policy.from_mapping(mdp, {})
+    d = state_distribution_at(induced_chain(mdp, policy), 0, 3)
+    assert sum(1 for mass in d if mass) >= 4
+    target = max(range(len(d)), key=d.__getitem__)
+    read = []
+    values_at = PolicyAnalysis.values_at
+    monkeypatch.setattr(
+        PolicyAnalysis, "values_at", lambda self, s: read.append(s) or values_at(self, s)
+    )
+    spec = residual_slack(mdp, policy, "x", mdp.states[target], 3)
+    assert sorted(read) == [0, target]
+    monkeypatch.undo()
+    assert spec == audit_oracle.residual_slack(mdp, policy, "x", mdp.states[target], 3)
+
+
 def test_plain_audit_stops_once_no_state_is_new():
     # the sweep to the state count would pass the denominator limit
     mdp = wide_cycle()
@@ -340,6 +346,20 @@ def audits(mdp: Mdp):
 
 
 STRATA = st.sampled_from([("random", 1), ("random", 2), ("decomposable", 1), ("decomposable", 2)])
+
+
+@settings(max_examples=examples(20), deadline=None)
+@given(stratum=STRATA, seed=st.integers(0, 10**9), lazy=st.booleans(), tight=st.booleans())
+def test_exact_decomposition_identity_random(stratum, seed, lazy, tight):
+    # The gain is harmonic: under a random policy, from every x, at every t
+    # up to the state count, the time-t distribution mixes W back to W(x),
+    # and the closed-form slack is the summing oracle's.
+    rng = random.Random(seed)
+    mdp = draw_model(rng, *stratum, lazy, tight)
+    policy = random_policy(rng, mdp)
+    for x in mdp.states:
+        for t in range(mdp.num_states + 1):
+            decomposition_check(mdp, policy, x, t)
 
 
 @settings(max_examples=examples(120), deadline=None)
