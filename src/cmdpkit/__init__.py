@@ -17,8 +17,8 @@ __version__ = "0.1.0"
 # ``cmdpkit.<module>`` without an import of its own.
 _EXPORTS = {
     "model": (
-        "InputError", "InstanceFormatError", "Mdp", "Policy", "PolicyError",
-        "Trajectory", "ValidationError", "ValidationReport", "format_rational",
+        "EnumerationCapExceeded", "InputError", "InstanceFormatError", "Mdp", "Policy",
+        "PolicyError", "Trajectory", "ValidationError", "ValidationReport", "format_rational",
         "induced_chain", "instance_to_json", "load_instance", "parse_instance",
         "parse_rational", "serialize_instance", "validate",
     ),
@@ -28,9 +28,7 @@ _EXPORTS = {
     ),
     "lp": (),
     "evaluation": ("EvaluationReport", "PolicyAnalysis", "analyse_policy", "evaluate"),
-    "solver": (
-        "EnumerationCapExceeded", "PolicyTable", "SolveResult", "enumerate_policies", "solve",
-    ),
+    "solver": ("PolicyTable", "SolveResult", "enumerate_policies", "solve"),
     "certificate": (
         "Certificate", "CertificateReport", "CertificateSearchError", "CertificateUnsat",
         "check_certificate", "find_certificate",

@@ -15,13 +15,20 @@ zero on strictly slack components (which linearizes A3 exactly), the gain
 and the potential are free, and the Bellman rows are imposed over the
 whole all-policies reachable closure of the start state, with equality at
 the chosen action of states the policy itself reaches and as inequalities
-everywhere else. Each row is read off the model's numerators and
-denominators as integers over one scale, the form ``lp.find_feasible_point``
-takes, so no Fraction is built before the simplex returns its point; the
-policy is analysed over the start's reach alone (``evaluation.analyse_policy``
-with x), which gives W, the class equations and the states the policy
-reaches. The check evaluates the same rows, built over the policy's reach,
-at the certificate's point brought over one integer scale. The
+everywhere else. The policy is analysed over the start's reach alone
+(``evaluation.analyse_policy`` with x), which gives W, the class sums and
+the states the policy reaches. The closure (``chains._closure``) and the
+reach stay state indices; labels appear only as the keys of the returned
+potential. Every row is integers over one positive scale, the form
+``lp.find_feasible_point`` takes: a class's gain row is T gain - C . mu = R
+over the class's integer ``[R, *C, T]`` sums, and a Bellman row is read off
+the model's numerators and denominators. The program is built once, and
+no Fraction is built for it. The search then evaluates that same row list
+at the point the simplex returned, in integers, and raises
+CertificateSearchError unless mu >= 0 (A2), mu is 0 wherever W is not
+(A3), every inequality row is >= 0 (A4) and every equality row is 0 (A5).
+``check_certificate`` evaluates the rows built over the policy's reach at
+the certificate's point the same way, with one Fraction per residual. The
 closure-wide inequalities are what make a found certificate a genuine
 optimality proof: every competing feasible policy walks inside the
 closure, so its Lagrangian value telescopes below the certified gain.
@@ -29,6 +36,7 @@ Certificates are not unique; callers should only rely on verdicts, the
 gain value and residuals.
 """
 
+import itertools
 from fractions import Fraction
 from math import lcm
 from numbers import Rational
@@ -36,11 +44,9 @@ from typing import Container, Iterable, NamedTuple, Sequence
 
 from cmdpkit import chains, lp
 from cmdpkit.evaluation import ClassGain, analyse_policy
-from cmdpkit.model import InputError, Mdp, Policy, validate_policy
-from cmdpkit.solver import EnumerationCapExceeded
+from cmdpkit.model import EnumerationCapExceeded, InputError, Mdp, Policy, validate_policy
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 # Largest all-policies closure the search builds a Bellman program over.
 CLOSURE_CAP = 10_000
@@ -103,21 +109,16 @@ class CertificateUnsat(NamedTuple):
     conflict: tuple[int, int] | None
 
 
-def _required_states(mdp: Mdp, reachable: tuple[str, ...]) -> list[str]:
-    """Reachable states plus every one-step target under any of their actions."""
-    seen = dict.fromkeys(reachable)
-    for state in reachable:
-        i = mdp.state_index(state)
-        for row in mdp.successors[i]:
-            for j, _ in row:
-                seen.setdefault(mdp.states[j])
-    return list(seen)
-
-
 def check_certificate(
     mdp: Mdp, x: str, policy: Policy, cert: Certificate
 ) -> CertificateReport:
-    """Verify A1-A5 exactly, for rational values only, and report every Bellman residual."""
+    """Verify A1-A5 exactly, for rational values only, and report every Bellman residual.
+
+    Each residual is the Bellman row ``_bellman_rows`` builds at a state of
+    the policy's reach, with L on the reach and every one-step target of
+    its actions, evaluated at the certificate's point by ``_values``: one
+    ``Fraction`` per residual.
+    """
     validate_policy(mdp, policy)
     if len(cert.mu) != mdp.constraint_dim:
         raise InputError(
@@ -132,47 +133,30 @@ def check_certificate(
                 raise InputError(f"certificate {field} value {value!r} is not rational")
     analysis = analyse_policy(mdp, policy, x)
     w = analysis.values_at(mdp.state_index(x))[1]
-    return _check(mdp, policy, cert, w, tuple(mdp.states[s] for s in analysis.reach))
-
-
-def _check(
-    mdp: Mdp,
-    policy: Policy,
-    cert: Certificate,
-    w: tuple[Fraction, ...],
-    reachable: tuple[str, ...],
-) -> CertificateReport:
-    """check_certificate given the policy's W(x) and its states reachable from x.
-
-    Each residual is the Bellman row ``_bellman_rows`` builds at a
-    reachable state, evaluated at the point (mu, gain, L) brought over the
-    lcm of its denominators: one ``Fraction`` per residual.
-    """
-    a1 = all(c >= 0 for c in w)
-    a2 = all(m >= 0 for m in cert.mu)
-    a3 = sum((m * c for m, c in zip(cert.mu, w)), ZERO) == 0
-
-    required = _required_states(mdp, reachable)
-    missing = [s for s in required if s not in cert.potential]
+    reach = analysis.reach
+    required = list(dict.fromkeys(
+        [*reach, *(j for i in reach for row in mdp.successors[i] for j, _ in row)]
+    ))
+    missing = [mdp.states[s] for s in required if mdp.states[s] not in cert.potential]
     if missing:
         raise MissingPotentialError(
             f"potential missing required states: {missing}"
         )
 
-    point = [*cert.mu, cert.gain, *(cert.potential[s] for s in required)]
-    scale = lcm(*(v.denominator for v in point))
-    scaled = [v.numerator * (scale // v.denominator) for v in point]
-    rows = _bellman_rows(
-        mdp, policy, required, reachable, set(reachable), range(mdp.constraint_dim)
+    rows = _bellman_rows(mdp, policy, required, reach, set(reach), range(mdp.constraint_dim))
+    scale, values = _values(
+        rows, [*cert.mu, cert.gain, *(cert.potential[mdp.states[s]] for s in required)]
     )
-    actions = {state: mdp.actions[mdp.state_index(state)] for state in reachable}
-    pairs = [(state, action) for state in reachable for action in actions[state]]
+    pairs = [(mdp.states[i], action) for i in reach for action in mdp.actions[i]]
     residuals = {
-        pair: Fraction(sum(c * scaled[k] for k, c in coeffs.items()) - rhs * scale, d * scale)
-        for pair, (coeffs, _, rhs, d) in zip(pairs, rows)
+        pair: Fraction(value, d * scale)
+        for pair, value, (_, _, _, d) in zip(pairs, values, rows)
     }
-    a4 = all(min(residuals[(s, a)] for a in actions[s]) == 0 for s in reachable)
-    a5 = all(residuals[(s, policy.action_for(s))] == 0 for s in reachable)
+    a1 = all(c >= 0 for c in w)
+    a2 = all(m >= 0 for m in cert.mu)
+    a3 = sum((m * c for m, c in zip(cert.mu, w)), ZERO) == 0
+    a4 = all(min(residuals[(mdp.states[i], a)] for a in mdp.actions[i]) == 0 for i in reach)
+    a5 = all(value == 0 for value, (_, sense, _, _) in zip(values, rows) if sense == lp.EQ)
 
     flags = {"A1": a1, "A2": a2, "A3": a3, "A4": a4, "A5": a5}
     first_failure = next((name for name, ok in flags.items() if not ok), None)
@@ -184,51 +168,59 @@ def _check(
     )
 
 
-def _class_system_feasible(
-    equations: tuple[ClassGain, ...], free_mu: list[int]
-) -> bool:
+def _values(rows: Sequence[lp.Constraint], point: Sequence[Rational]) -> tuple[int, list[int]]:
+    """The scale s the point is brought over, and each row's integer residual at it.
+
+    s is the lcm of the point's denominators; row r's residual, its left
+    side minus its right, is the integer here over d_r * s, where d_r is
+    the row's own scale. No ``Fraction`` is built.
+    """
+    scale = lcm(*(v.denominator for v in point))
+    scaled = [v.numerator * (scale // v.denominator) for v in point]
+    return scale, [
+        sum(c * scaled[k] for k, c in coeffs.items()) - rhs * scale for coeffs, _, rhs, _ in rows
+    ]
+
+
+def _class_system_feasible(sums: Sequence[Sequence[int]], free_mu: list[int]) -> bool:
+    """Whether one gain and mu >= 0 on ``free_mu`` meet every class's gain equation.
+
+    ``sums`` are classes' integer ``[R, *C, T]`` ``class_sums``. The row of
+    one class is T gain - C . mu = R over the scale T: gain = R/T + mu . C/T,
+    its Lagrangian gain.
+    """
     # Variables: mu components that A3 leaves free, then the shared gain.
     gain_var = len(free_mu)
-    constraints = [
-        lp.from_rationals(
-            {gain_var: ONE} | {k: -eq.constraint_gain[i] for k, i in enumerate(free_mu)},
-            lp.EQ,
-            eq.reward_gain,
-        )
-        for eq in equations
+    rows = [
+        ({gain_var: s[-1]} | {k: -s[1 + i] for k, i in enumerate(free_mu)}, lp.EQ, s[0], s[-1])
+        for s in sums
     ]
-    point = lp.find_feasible_point(
-        num_vars=len(free_mu) + 1,
-        constraints=constraints,
-        nonnegative=set(range(len(free_mu))),
-    )
-    return point is not None
+    return lp.find_feasible_point(gain_var + 1, rows, set(range(gain_var))) is not None
 
 
 def _bellman_rows(
     mdp: Mdp,
     policy: Policy,
-    potential: Sequence[str],
-    states: Iterable[str],
-    reached: Container[str],
+    potential: Sequence[int],
+    states: Iterable[int],
+    reached: Container[int],
     mu: Sequence[int],
 ) -> list[lp.Constraint]:
     """Rows gain + L(s) - sum_t p(t) L(t) - mu . c(s, a) >= r(s, a); = at reached choices.
 
     One row per action of each of ``states``, in order. Columns: the
     components ``mu`` of the multiplier, gain, then L on ``potential``,
-    which must hold every state those actions reach. Entries are read off
-    the model: -p, -c, and 1 - p at a self-loop, as integers over the lcm d
-    of the row's p, c and r denominators (the ``lp.Constraint`` form); a
-    zero entry is not stored.
+    which must hold every state those actions reach. States are indices.
+    Entries are read off the model: -p, -c, and 1 - p at a self-loop, as
+    integers over the lcm d of the row's p, c and r denominators (the
+    ``lp.Constraint`` form); a zero entry is not stored.
     """
     gain_var = len(mu)
-    column = {mdp.state_index(s): gain_var + 1 + k for k, s in enumerate(potential)}
+    column = {s: gain_var + 1 + k for k, s in enumerate(potential)}
     rows = []
-    for state in states:
-        i = mdp.state_index(state)
+    for i in states:
         own = column[i]
-        chosen = policy.action_for(state) if state in reached else None
+        chosen = policy.action_for(mdp.states[i]) if i in reached else None
         for j, action in enumerate(mdp.actions[i]):
             successors = mdp.successors[i][j]
             costs = [mdp.constraints[i][j][comp] for comp in mu]
@@ -258,75 +250,62 @@ def find_certificate(
     Returns CertificateUnsat when the program has no witness: either the
     policy is infeasible at x, or the classes it reaches would need
     distinct Lagrangian gains, or the closure-wide Bellman feasibility
-    program has no solution. Raises CertificateSearchError if a found
-    certificate fails the check, which only a defect in the search can cause.
+    program has no solution. Raises CertificateSearchError if the point the
+    simplex returns fails the program's own check, which only a defect in
+    the search can cause.
     """
     analysis = analyse_policy(mdp, policy, x)
-    w = analysis.values_at(mdp.state_index(x))[1]
-    equations = analysis.class_gains
-    if any(c < 0 for c in w):
-        return CertificateUnsat(
-            stage="feasibility",
-            reason="policy violates the constraint at the start state (A1)",
-            W=w,
-            class_equations=equations,
-            conflict=None,
-        )
+    start = mdp.state_index(x)
+    w = analysis.values_at(start)[1]
 
-    closure = chains.reachable_states(mdp, None, x)
+    def unsat(stage: str, reason: str, conflict: tuple[int, int] | None = None) -> CertificateUnsat:
+        return CertificateUnsat(stage, reason, w, analysis.class_gains, conflict)
+
+    if any(c < 0 for c in w):
+        return unsat("feasibility", "policy violates the constraint at the start state (A1)")
+
+    closure = chains._closure(mdp.successors, (start,))
     if len(closure) > CLOSURE_CAP:
         raise EnumerationCapExceeded(
             f"reachable closure has {len(closure)} states, cap is {CLOSURE_CAP}"
         )
 
     free_mu = [i for i, c in enumerate(w) if c == 0]
-    if not _class_system_feasible(equations, free_mu):
-        conflict = None
-        for a in range(len(equations)):
-            for b in range(a + 1, len(equations)):
-                if not _class_system_feasible(
-                    (equations[a], equations[b]), free_mu
-                ):
-                    conflict = (a, b)
-                    break
-            if conflict:
-                break
-        return CertificateUnsat(
-            stage="class-gains",
-            reason=(
-                "reachable recurrent classes admit no common Lagrangian gain "
-                "with nonnegative multipliers"
-            ),
-            W=w,
-            class_equations=equations,
-            conflict=conflict,
+    sums = analysis.class_sums
+    if not _class_system_feasible(sums, free_mu):
+        conflict = next((
+            pair for pair in itertools.combinations(range(len(sums)), 2)
+            if not _class_system_feasible([sums[k] for k in pair], free_mu)
+        ), None)
+        return unsat(
+            "class-gains",
+            "reachable recurrent classes admit no common Lagrangian gain "
+            "with nonnegative multipliers",
+            conflict,
         )
 
-    reachable = tuple(mdp.states[s] for s in analysis.reach)
     gain_var = len(free_mu)
+    rows = _bellman_rows(mdp, policy, closure, closure, set(analysis.reach), free_mu)
     point = lp.find_feasible_point(
         num_vars=gain_var + 1 + len(closure),
-        constraints=_bellman_rows(mdp, policy, closure, closure, set(reachable), free_mu),
+        constraints=rows,
         nonnegative=set(range(gain_var)),
     )
     if point is None:
-        return CertificateUnsat(
-            stage="bellman",
-            reason="the closure-wide Bellman feasibility program is infeasible",
-            W=w,
-            class_equations=equations,
-            conflict=None,
-        )
+        return unsat("bellman", "the closure-wide Bellman feasibility program is infeasible")
 
     mu = [ZERO] * mdp.constraint_dim
     for k, comp in enumerate(free_mu):
         mu[comp] = point[k]
-    potential = dict(zip(closure, point[gain_var + 1:]))
-    cert = Certificate(mu=tuple(mu), gain=point[gain_var], potential=potential)
-
-    verification = _check(mdp, policy, cert, w, reachable)
-    if verification.verdict != "pass":
-        raise CertificateSearchError(
-            f"searched certificate fails {verification.first_failure}"
-        )
-    return cert
+    values = _values(rows, point)[1]
+    failure = (
+        "A2" if any(m < 0 for m in mu)
+        else "A3" if any(m and c for m, c in zip(mu, w))
+        else "A4" if any(value < 0 for value in values)
+        else "A5" if any(value for value, (_, sense, _, _) in zip(values, rows) if sense == lp.EQ)
+        else None
+    )
+    if failure:
+        raise CertificateSearchError(f"searched certificate fails {failure}")
+    potential = dict(zip((mdp.states[s] for s in closure), point[gain_var + 1:]))
+    return Certificate(mu=tuple(mu), gain=point[gain_var], potential=potential)

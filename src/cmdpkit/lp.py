@@ -53,15 +53,15 @@ integer right-hand side, all over one positive int scale, so the rational
 constraint is sum(coefficients[i] / scale * x[i]) sense rhs / scale. The
 scale is what weighs row r's artificial at 1/scale_r, so any positive
 multiple of a row's integers and scale is the same constraint and takes
-the same pivots. ``from_rationals`` brings a rational constraint to this
-form over the lcm of its denominators. A zero coefficient is dropped, and
-no ``Fraction`` is built before the returned point, which is
+the same pivots. Callers build their rows in this form from the integers
+they hold: the certificate search from a model's numerators and
+denominators and from integer class sums. A zero coefficient is dropped,
+and no ``Fraction`` is built before the returned point, which is
 ``Fraction``s. There is no tolerance anywhere.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
-from numbers import Rational
 from typing import Mapping
 
 ZERO = Fraction(0)
@@ -76,15 +76,6 @@ RHS = -1  # the key of a row's right-hand side
 # One constraint: sum of coefficients[i] * x[i], sense, right-hand side,
 # the coefficients and the right-hand side integers over the positive scale.
 Constraint = tuple[Mapping[int, int], str, int, int]
-
-
-def from_rationals(coefficients: Mapping[int, Rational], sense: str, rhs: Rational) -> Constraint:
-    """The constraint with rational coefficients and rhs, over the lcm of their denominators."""
-    scale = lcm(rhs.denominator, *(v.denominator for v in coefficients.values()))
-    return (
-        {i: v.numerator * (scale // v.denominator) for i, v in coefficients.items()},
-        sense, rhs.numerator * (scale // rhs.denominator), scale,
-    )
 
 
 def eliminate(row: dict[int, int], pivot_row: dict[int, int], column: int) -> None:

@@ -34,10 +34,11 @@ Every result, message and rendered byte is what the general routines give.
 import json
 import os
 import sys
+from collections import Counter
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from math import lcm
-from typing import NamedTuple
+from math import lcm, prod
+from typing import Iterable, NamedTuple
 
 
 class InputError(ValueError):
@@ -69,6 +70,49 @@ MAX_DECIMAL_EXPONENT = 1000
 # input limits, because the command line's help text names them.
 MAX_TIME = 10_000
 MAX_STEPS = 10**7
+# Bound on the policies one question enumerates (the solver's walk, the
+# sample-path passes) and, through its exception, on the closure a
+# certificate search builds its program over.
+ENUM_CAP_ENV = "CMDPKIT_ENUM_CAP"
+DEFAULT_ENUM_CAP = 1 << 20
+
+
+class EnumerationCapExceeded(InputError, RuntimeError):
+    """Raised when the policy space is larger than the configured cap."""
+
+
+def enumeration_cap() -> int:
+    raw = os.environ.get(ENUM_CAP_ENV)
+    if raw is None:
+        return DEFAULT_ENUM_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise EnumerationCapExceeded(
+            f"{ENUM_CAP_ENV} must be an integer, got {raw!r}"
+        ) from None
+    if cap <= 0:
+        raise EnumerationCapExceeded(f"{ENUM_CAP_ENV} must be positive, got {cap}")
+    return cap
+
+
+def _check_cap(action_counts: Iterable[int]) -> None:
+    """Raise EnumerationCapExceeded if the product of ``action_counts`` passes the cap.
+
+    The error names the states with a choice among those counted.
+    """
+    cap = enumeration_cap()
+    counts = [count for count in action_counts if count > 1]
+    total = prod(counts)
+    if total > cap:
+        choices = ", ".join(
+            f"{states} state{'s' if states > 1 else ''} with {count} actions"
+            for count, states in sorted(Counter(counts).items())
+        )
+        raise EnumerationCapExceeded(
+            f"{total} policies ({choices}) exceed the cap of {cap}; "
+            f"raise {ENUM_CAP_ENV} to proceed"
+        )
 
 
 def parse_rational(text: str) -> Fraction:

@@ -28,8 +28,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from cmdpkit import chains
 from cmdpkit.evaluation import analyse_policy
-from cmdpkit.model import MAX_STEPS, Chain, InputError, Mdp, Policy, Trajectory
-from cmdpkit.solver import _check_cap
+from cmdpkit.model import MAX_STEPS, Chain, InputError, Mdp, Policy, Trajectory, _check_cap
 
 ZERO = Fraction(0)
 

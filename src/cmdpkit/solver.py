@@ -50,59 +50,21 @@ pass in one ``PolicyTable``, with V and W at every start state it needs;
 both filter the rows with the same ``_best``.
 """
 
-import collections
 import itertools
 import math
-import os
 from fractions import Fraction
 from numbers import Rational
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from cmdpkit import chains
 from cmdpkit.lp import eliminate
-from cmdpkit.model import InputError, Mdp, Policy, UnknownStateError
+from cmdpkit.model import (
+    EnumerationCapExceeded, InputError, Mdp, Policy, UnknownStateError, _check_cap,
+)
 
-ENUM_CAP_ENV = "CMDPKIT_ENUM_CAP"
-DEFAULT_ENUM_CAP = 1 << 20
-
-
-class EnumerationCapExceeded(InputError, RuntimeError):
-    """Raised when the policy space is larger than the configured cap."""
-
-
-def enumeration_cap() -> int:
-    raw = os.environ.get(ENUM_CAP_ENV)
-    if raw is None:
-        return DEFAULT_ENUM_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise EnumerationCapExceeded(
-            f"{ENUM_CAP_ENV} must be an integer, got {raw!r}"
-        ) from None
-    if cap <= 0:
-        raise EnumerationCapExceeded(f"{ENUM_CAP_ENV} must be positive, got {cap}")
-    return cap
-
-
-def _check_cap(action_counts: Iterable[int]) -> None:
-    """Raise EnumerationCapExceeded if the product of ``action_counts`` passes the cap.
-
-    The error names the states with a choice among those counted.
-    """
-    cap = enumeration_cap()
-    counts = [count for count in action_counts if count > 1]
-    total = math.prod(counts)
-    if total > cap:
-        states_with = collections.Counter(counts)
-        choices = ", ".join(
-            f"{states} state{'s' if states > 1 else ''} with {count} actions"
-            for count, states in sorted(states_with.items())
-        )
-        raise EnumerationCapExceeded(
-            f"{total} policies ({choices}) exceed the cap of {cap}; "
-            f"raise {ENUM_CAP_ENV} to proceed"
-        )
+# The public names, the cap's exception among them: it lives in ``model``
+# with the other input limits, and still resolves here.
+__all__ = ["EnumerationCapExceeded", "PolicyTable", "SolveResult", "enumerate_policies", "solve"]
 
 
 def _options(mdp: Mdp) -> list[tuple[tuple[str, str], ...]]:

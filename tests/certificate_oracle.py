@@ -9,13 +9,19 @@ here, and a zero here must be absent there.
 ``one_step_gap`` is the check's residual before the check evaluated those
 rows at the certificate's point over one integer scale: one ``Fraction``
 sum per (state, action). ``check_certificate``'s residuals must equal it.
+
+``class_system_rows`` are the class-gain rows as the search built them
+before it read them off the integer class sums: gain - mu . C = R with the
+``ClassGain`` fractions, through ``lp_oracle.from_rationals``.
 """
 
 from fractions import Fraction
 
+import lp_oracle
 from cmdpkit import lp
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def bellman_rows(mdp, policy, closure, reached, free_mu):
@@ -47,3 +53,16 @@ def one_step_gap(mdp, cert, state, action_index):
     gap -= sum((m * c for m, c in zip(cert.mu, mdp.constraints[i][action_index])), ZERO)
     gap -= sum((p * cert.potential[mdp.states[j]] for j, p in mdp.successors[i][action_index]), ZERO)
     return Fraction(gap)
+
+
+def class_system_rows(equations, free_mu):
+    """Rows over (free mu, gain): gain - mu . constraint_gain = reward_gain per class."""
+    gain_var = len(free_mu)
+    return [
+        lp_oracle.from_rationals(
+            {gain_var: ONE} | {k: -eq.constraint_gain[i] for k, i in enumerate(free_mu)},
+            lp.EQ,
+            eq.reward_gain,
+        )
+        for eq in equations
+    ]

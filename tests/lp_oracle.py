@@ -14,6 +14,10 @@ Property tests require all three to return the same point, or ``None``.
 ``checked_eliminate`` is ``cmdpkit.lp.eliminate``, the row update of both
 the simplex and the sparse solve, with each update checked against the
 rational one; tests patch it in where a caller looks ``eliminate`` up.
+
+``from_rationals`` brings a rational constraint to the ``lp.Constraint``
+form, integers over the lcm of its denominators, as the certificate
+search once did for its class-gain rows.
 """
 
 from __future__ import annotations
@@ -25,11 +29,20 @@ from cmdpkit import lp
 from cmdpkit.lp import EQ, LE
 
 # One rational constraint: a map from variable index to coefficient, the
-# sense and the right-hand side, the form ``lp.from_rationals`` converts.
+# sense and the right-hand side, the form ``from_rationals`` converts.
 Constraint = tuple[dict[int, Fraction], str, Fraction]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def from_rationals(coefficients, sense: str, rhs) -> lp.Constraint:
+    """The constraint with rational coefficients and rhs, over the lcm of their denominators."""
+    scale = lcm(rhs.denominator, *(v.denominator for v in coefficients.values()))
+    return (
+        {i: v.numerator * (scale // v.denominator) for i, v in coefficients.items()},
+        sense, rhs.numerator * (scale // rhs.denominator), scale,
+    )
 
 _eliminate = lp.eliminate
 

@@ -1,10 +1,12 @@
+import itertools
 import json
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
-from cmdpkit import lp
+from cmdpkit import certificate, lp
 from cmdpkit.certificate import (
     Certificate,
     CertificateSearchError,
@@ -15,9 +17,10 @@ from cmdpkit.certificate import (
 )
 from cmdpkit.chains import reachable_states
 from cmdpkit.evaluation import evaluate
-from cmdpkit.model import InputError, Policy, parse_instance
+from cmdpkit.model import InputError, Policy, load_instance, parse_instance
 from cmdpkit.solver import solve
-from randmdp import random_mdp
+from randmdp import lazy_variant, random_decomposable, random_mdp, random_policy
+from test_censor_oracle import MERSENNE_61, recording_fractions
 
 F = Fraction
 
@@ -94,6 +97,45 @@ def test_failing_found_certificate_raises_search_error(
         find_certificate(twochain, "x", twochain_policy)
 
 
+def test_negative_multiplier_from_the_simplex_fails_a2(twochain, twochain_policy, monkeypatch):
+    def negative_mu(num_vars, constraints, nonnegative):
+        return [F(-1)] + [F(0)] * (num_vars - 1)
+
+    monkeypatch.setattr(lp, "find_feasible_point", negative_mu)
+    with pytest.raises(CertificateSearchError, match="fails A2"):
+        find_certificate(twochain, "x", twochain_policy)
+
+
+def test_point_breaking_one_equality_row_raises(monkeypatch):
+    # x -> u (reward 1 forever) or v (reward 0 forever); the optimum goes up.
+    # Raising L(x) by 1 breaks the one row that holds L(x) as an equality,
+    # x's chosen action, and only raises x's inequality row.
+    mdp = parse_instance(json.dumps(UP_OR_DOWN))
+    policy = solve(mdp, "x").policy
+    original = lp.find_feasible_point
+    broken = []
+
+    def raised_potential(num_vars, constraints, nonnegative):
+        point = original(num_vars, constraints, nonnegative)
+        if num_vars == 1:  # the class-gain system: gain only
+            return point
+        point[1] += 1  # L(x): x is the closure's first state
+        residuals = [
+            (sum(c * point[k] for k, c in coeffs.items()) - rhs) / d
+            for coeffs, _, rhs, d in constraints
+        ]
+        broken.extend(
+            r for (_, sense, _, _), r in zip(constraints, residuals)
+            if (r != 0 if sense == lp.EQ else r < 0)
+        )
+        return point
+
+    monkeypatch.setattr(lp, "find_feasible_point", raised_potential)
+    with pytest.raises(CertificateSearchError, match="fails A5"):
+        find_certificate(mdp, "x", policy)
+    assert broken == [1]
+
+
 def test_potential_shift_invariance(twochain, twochain_policy):
     cert = find_certificate(twochain, "x", twochain_policy)
     shifted = Certificate(
@@ -155,7 +197,7 @@ def test_check_flags_broken_complementary_slackness(haviv, haviv_a):
 
 def test_find_certificate_closure_cap(haviv, haviv_a, monkeypatch):
     from cmdpkit import certificate
-    from cmdpkit.solver import EnumerationCapExceeded
+    from cmdpkit.model import EnumerationCapExceeded
 
     monkeypatch.setattr(certificate, "CLOSURE_CAP", 5)
     with pytest.raises(EnumerationCapExceeded):
@@ -247,28 +289,82 @@ def test_certified_policies_beat_every_feasible_policy():
     assert certified > 20
 
 
+UP_OR_DOWN = {
+    "constraint_dim": 0,
+    "initial_state": "x",
+    "states": [
+        {"id": "x", "actions": [
+            {"id": "up", "reward": "0", "constraint": [], "transitions": {"u": "1"}},
+            {"id": "down", "reward": "0", "constraint": [], "transitions": {"v": "1"}},
+        ]},
+        {"id": "u", "actions": [
+            {"id": "stay", "reward": "1", "constraint": [], "transitions": {"u": "1"}},
+        ]},
+        {"id": "v", "actions": [
+            {"id": "stay", "reward": "0", "constraint": [], "transitions": {"v": "1"}},
+        ]},
+    ],
+}
+
+
 def test_unreached_low_gain_class_does_not_block_certificate():
     # a class only worse policies reach must not force its gain into the
     # program: equality rows stay restricted to policy-reachable states
-    doc = {
-        "constraint_dim": 0,
-        "initial_state": "x",
-        "states": [
-            {"id": "x", "actions": [
-                {"id": "up", "reward": "0", "constraint": [], "transitions": {"u": "1"}},
-                {"id": "down", "reward": "0", "constraint": [], "transitions": {"v": "1"}},
-            ]},
-            {"id": "u", "actions": [
-                {"id": "stay", "reward": "1", "constraint": [], "transitions": {"u": "1"}},
-            ]},
-            {"id": "v", "actions": [
-                {"id": "stay", "reward": "0", "constraint": [], "transitions": {"v": "1"}},
-            ]},
-        ],
-    }
-    mdp = parse_instance(json.dumps(doc))
+    mdp = parse_instance(json.dumps(UP_OR_DOWN))
     result = solve(mdp, "x")
     assert result.value == 1
     cert = find_certificate(mdp, "x", result.policy)
     assert isinstance(cert, Certificate)
     assert cert.gain == 1
+
+
+def search_cases(instances_dir):
+    """Every bundled instance at every start and policy, then random models:
+    their optima and random policies, lazy variants and decomposable ones."""
+    for path in sorted(instances_dir.glob("*.json")):
+        mdp = load_instance(str(path))
+        for actions in itertools.product(*mdp.actions):
+            policy = Policy(choice=tuple(zip(mdp.states, actions)))
+            for x in mdp.states:
+                yield mdp, policy, x
+    rng = random.Random(71)
+    for k in range(45):
+        mdp = random_decomposable(rng) if k % 3 == 2 else random_mdp(rng, max_states=6)
+        if k % 5 == 1:
+            mdp = lazy_variant(mdp, F(rng.randint(1, 1008), 1009))
+        elif k % 5 == 3:
+            mdp = lazy_variant(mdp, F(rng.randint(1, MERSENNE_61 - 1), MERSENNE_61))
+        result = solve(mdp)
+        if result.status == "optimal":
+            yield mdp, result.policy, mdp.initial_state
+        yield mdp, random_policy(rng, mdp), mdp.initial_state
+
+
+def test_search_builds_its_bellman_rows_once_and_no_fraction_after_the_simplex(instances_dir):
+    # A search that reaches the Bellman stage builds its rows once, for the
+    # simplex, and checks the point against them; after the last simplex
+    # returns, nothing builds a Fraction, so the returned certificate holds
+    # only the simplex's own.
+    original = lp.find_feasible_point
+    stages = {}
+    for mdp, policy, x in search_cases(instances_dir):
+        returned = []
+
+        def recording(*args, **kwargs):
+            point = original(*args, **kwargs)
+            returned.append(len(built))
+            return point
+
+        bellman_rows = mock.patch.object(
+            certificate, "_bellman_rows", wraps=certificate._bellman_rows
+        )
+        with recording_fractions() as built, bellman_rows as rows, \
+                mock.patch.object(lp, "find_feasible_point", recording):
+            found = find_certificate(mdp, x, policy)
+        stage = "found" if isinstance(found, Certificate) else found.stage
+        stages[stage] = stages.get(stage, 0) + 1
+        assert rows.call_count == (stage in ("found", "bellman")), (stage, x)
+        if rows.call_count:
+            assert built[returned[-1]:] == []
+    assert stages["found"] > 50 and stages["class-gains"] > 20
+    assert stages["feasibility"] > 20 and stages["bellman"] > 0

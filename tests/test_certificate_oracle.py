@@ -16,6 +16,14 @@ policy.
 the certificate's point; its residuals, their order and its A4 and A5
 verdicts must equal ``certificate_oracle.one_step_gap``'s ``Fraction``
 sums, for arbitrary certificates with ``Fraction`` or ``int`` values.
+
+``certificate._class_system_feasible`` reads each class's gain row off its
+integer ``[R, *C, T]`` class sums, over the scale T. On the same strata,
+the random and decomposable models and their lazy variants, it must give
+the simplex the same point, and so the same verdict, as
+``certificate_oracle.class_system_rows`` built from the ``ClassGain``
+fractions: for the full set of reached classes and for every pair the
+conflict search can try.
 """
 
 import itertools
@@ -30,18 +38,26 @@ from hypothesis import strategies as st
 import certificate_oracle
 from cmdpkit import certificate, lp
 from cmdpkit.chains import reachable_states
+from cmdpkit.evaluation import analyse_policy
 from cmdpkit.model import Policy, load_instance
 from cmdpkit.solver import solve
-from randmdp import examples, lazy_variant, random_mdp, random_policy
+from randmdp import examples, lazy_variant, random_decomposable, random_mdp, random_policy
 from test_censor_oracle import MERSENNE_61, recording_fractions
 
 F = Fraction
 
 
+def indices(mdp, labels):
+    return [mdp.state_index(s) for s in labels]
+
+
 def assert_rows_equal_oracle(mdp, policy, x, free_mu):
     closure = reachable_states(mdp, None, x)
     reached = set(reachable_states(mdp, policy, x))
-    rows = certificate._bellman_rows(mdp, policy, closure, closure, reached, free_mu)
+    columns = indices(mdp, closure)
+    rows = certificate._bellman_rows(
+        mdp, policy, columns, columns, set(indices(mdp, reached)), free_mu
+    )
     expected = certificate_oracle.bellman_rows(mdp, policy, closure, reached, free_mu)
     assert len(rows) == len(expected)
     for (coefficients, sense, rhs, scale), (rational, want_sense, want_rhs) in zip(rows, expected):
@@ -155,8 +171,8 @@ def test_rows_and_simplex_setup_build_no_fraction(instances_dir):
     pivots = points = 0
 
     for mdp, policy, x in cases:
-        closure = reachable_states(mdp, None, x)
-        reached = set(reachable_states(mdp, policy, x))
+        closure = indices(mdp, reachable_states(mdp, None, x))
+        reached = set(indices(mdp, reachable_states(mdp, policy, x)))
         free_mu = list(range(mdp.constraint_dim))
         with recording_fractions() as built:
             rows = certificate._bellman_rows(mdp, policy, closure, closure, reached, free_mu)
@@ -178,3 +194,73 @@ def test_rows_and_simplex_setup_build_no_fraction(instances_dir):
             points += 1
             assert all(type(v) is Fraction for v in point)
     assert pivots > 100 and points > 10
+
+
+def class_verdicts(mdp, policy, x, free_mu):
+    """The search's and the oracle's points on the reached classes and every pair.
+
+    Returns the verdicts of the full set and of each pair, after checking
+    that both row forms give the simplex the same point.
+    """
+    analysis = analyse_policy(mdp, policy, x)
+    sums, equations = analysis.class_sums, analysis.class_gains
+    subsets = [tuple(range(len(sums)))] + list(itertools.combinations(range(len(sums)), 2))
+    original = lp.find_feasible_point
+    verdicts = []
+    for subset in subsets:
+        points = []
+
+        def recording(*args, **kwargs):
+            points.append(original(*args, **kwargs))
+            return points[-1]
+
+        with mock.patch.object(lp, "find_feasible_point", recording):
+            verdict = certificate._class_system_feasible([sums[k] for k in subset], free_mu)
+        expected = original(
+            len(free_mu) + 1,
+            certificate_oracle.class_system_rows([equations[k] for k in subset], free_mu),
+            set(range(len(free_mu))),
+        )
+        assert points == [expected]
+        assert verdict == (expected is not None)
+        verdicts.append(verdict)
+    return verdicts
+
+
+def class_case(rng, decomposable, mix):
+    """A random or decomposable model, lazy by k/mix when mix is set, a policy and a start."""
+    mdp = random_decomposable(rng) if decomposable else random_mdp(rng)
+    if mix is not None:
+        mdp = lazy_variant(mdp, F(rng.randint(1, mix - 1), mix))
+    # A decomposable model's start reaches every class.
+    x = mdp.initial_state if decomposable else rng.choice(mdp.states)
+    return mdp, random_policy(rng, mdp), x
+
+
+@settings(max_examples=examples(60), deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    decomposable=st.booleans(),
+    mix=st.sampled_from([None, 1009, 2**61 - 1]),
+    data=st.data(),
+)
+def test_class_system_on_integer_sums_equals_the_fraction_rows(seed, decomposable, mix, data):
+    mdp, policy, x = class_case(random.Random(seed), decomposable, mix)
+    free_mu = sorted(data.draw(st.sets(st.integers(0, mdp.constraint_dim - 1)))
+                     if mdp.constraint_dim else [])
+    class_verdicts(mdp, policy, x, free_mu)
+
+
+def test_class_system_verdicts_cover_both_outcomes():
+    # The property above means little unless both verdicts occur: every
+    # subset of the multiplier's components on decomposable models, whose
+    # several reached classes often need distinct gains.
+    rng = random.Random(37)
+    counts = {True: 0, False: 0}
+    for k in range(30):
+        mdp, policy, x = class_case(rng, k % 3 != 0, [None, 1009, 2**61 - 1][k % 3])
+        for r in range(mdp.constraint_dim + 1):
+            for free_mu in itertools.combinations(range(mdp.constraint_dim), r):
+                for verdict in class_verdicts(mdp, policy, x, list(free_mu)):
+                    counts[verdict] += 1
+    assert counts[True] > 20 and counts[False] > 20

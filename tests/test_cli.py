@@ -194,16 +194,19 @@ def test_certify_search_haviv_unsat(instances_dir):
 
 
 def test_failing_found_certificate_is_internal_error(instances_dir, monkeypatch):
-    def zero_point(num_vars, constraints, nonnegative):
-        return [Fraction(0)] * num_vars
+    # The search checks the simplex's point: the zero point breaks a
+    # Bellman row, and a negative multiplier is reported before the rows.
+    for first, failure in ((0, "A4"), (-1, "A2")):
+        def bad_point(num_vars, constraints, nonnegative, first=first):
+            return [Fraction(first)] + [Fraction(0)] * (num_vars - 1)
 
-    monkeypatch.setattr(lp, "find_feasible_point", zero_point)
-    twochain = str(instances_dir / "twochain.json")
-    for argv in (["certify", twochain, "--policy", "", "--search"], ["audit", twochain]):
-        out = invoke(*argv)
-        assert out.exit_code == 3
-        assert out.report == ""
-        assert out.error == "cmdpkit: internal error: searched certificate fails A4\n"
+        monkeypatch.setattr(lp, "find_feasible_point", bad_point)
+        twochain = str(instances_dir / "twochain.json")
+        for argv in (["certify", twochain, "--policy", "", "--search"], ["audit", twochain]):
+            out = invoke(*argv)
+            assert out.exit_code == 3
+            assert out.report == ""
+            assert out.error == f"cmdpkit: internal error: searched certificate fails {failure}\n"
 
 
 def test_other_failures_are_internal_errors(instances_dir, monkeypatch):

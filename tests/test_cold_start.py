@@ -190,16 +190,18 @@ def test_no_unused_module_level_import():
 # Each subcommand on haviv, plus help and a usage error, with its exit code
 # and the package modules it loads beyond those the import of the CLI did.
 SOLVER = {"cmdpkit.chains", "cmdpkit.lp", "cmdpkit.solver"}
-CERTIFICATE = SOLVER | {"cmdpkit.certificate", "cmdpkit.evaluation"}
-SAMPLEPATH = SOLVER | {"cmdpkit.evaluation", "cmdpkit.samplepath"}
+EVALUATE = {"cmdpkit.chains", "cmdpkit.lp", "cmdpkit.evaluation"}
+CERTIFICATE = EVALUATE | {"cmdpkit.certificate"}
+RESIDUAL = CERTIFICATE | SOLVER | {"cmdpkit.residual"}
+SAMPLEPATH = EVALUATE | {"cmdpkit.samplepath"}
 COMMANDS_ON_HAVIV = [
     (["validate"], 0, set()),
     (["solve"], 0, SOLVER),
-    (["evaluate", "--policy", "y=a"], 0, {"cmdpkit.chains", "cmdpkit.lp", "cmdpkit.evaluation"}),
-    (["residual", "--to", "y"], 0, CERTIFICATE | {"cmdpkit.residual"}),
+    (["evaluate", "--policy", "y=a"], 0, EVALUATE),
+    (["residual", "--to", "y"], 0, RESIDUAL),
     (["certify", "--policy", "y=a", "--search"], 1, CERTIFICATE),
     (["certify", "--policy", "y=a", "--mu", "1/2", "--gain", "5"], 1, CERTIFICATE),
-    (["audit"], 1, CERTIFICATE | {"cmdpkit.residual"}),
+    (["audit"], 1, RESIDUAL),
     (["samplepath", "--policy", "y=a"], 1, SAMPLEPATH),
     (["decompose", "--selective"], 0, SAMPLEPATH),
     (["simulate", "--policy", "y=a", "--steps", "50", "--seed", "1"], 0, SAMPLEPATH),

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from cmdpkit.lp import EQ, GE, LE, find_feasible_point, from_rationals
+from cmdpkit.lp import EQ, GE, LE, find_feasible_point
+from lp_oracle import from_rationals
 
 F = Fraction
 

@@ -5,7 +5,7 @@
 integer tableau; ``cmdpkit.lp`` keeps sparse rows, each with its own
 positive scale, and must take the same Bland pivots, so all three return
 the same point, or ``None``, on every system. ``cmdpkit.lp`` reads each
-constraint as integers over a positive scale (``lp.from_rationals`` of the
+constraint as integers over a positive scale (``lp_oracle.from_rationals`` of the
 rational row the oracles read), and any positive multiple of a row's
 integers and scale must give the same point. Certificate searches must not
 tell them apart either: their integer rows are brought back to rationals
@@ -83,7 +83,7 @@ def systems(draw):
 
 
 def integer_rows(constraints):
-    return [lp.from_rationals(*constraint) for constraint in constraints]
+    return [lp_oracle.from_rationals(*constraint) for constraint in constraints]
 
 
 def assert_same_point(num_vars, constraints, nonneg):

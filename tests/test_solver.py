@@ -9,14 +9,16 @@ import pytest
 import solver_oracle
 from cmdpkit import chains, instances, solver
 from cmdpkit.evaluation import evaluate
-from cmdpkit.model import InputError, Mdp, Policy, UnknownStateError, validate
-from cmdpkit.solver import (
+from cmdpkit.model import (
     ENUM_CAP_ENV,
     EnumerationCapExceeded,
-    PolicyTable,
-    enumerate_policies,
-    solve,
+    InputError,
+    Mdp,
+    Policy,
+    UnknownStateError,
+    validate,
 )
+from cmdpkit.solver import PolicyTable, enumerate_policies, solve
 from dense_oracle import sparse_kernel
 from randmdp import random_mdp, random_row, random_value
 
