@@ -1,70 +1,65 @@
-"""Exact linear feasibility via an integer-preserving phase-1 simplex.
+"""Exact linear feasibility: free variables solved out, then an integer phase 1.
 
 Finds a point satisfying a mix of equalities and inequalities over
-variables that are either free or sign-constrained. Free variables are
-split into differences of nonnegatives, every row receives an artificial
-variable, and the artificial mass is minimized with Bland's rule, which
-both prevents cycling and makes the returned point deterministic.
+variables that are either free or sign-constrained, in three phases.
+
+- Free phase. Each free variable, in index order, is pivoted in on the
+  open row holding it with the fewest stored entries, ties to the lower
+  row (``chains._sparse_solve``'s rule), and that row leaves. Solving an
+  equation for a variable is an equivalence, so the rows left are
+  feasible exactly when the system is. A free variable no open row holds
+  is 0.
+- Bland phase. The rows left hold only sign-constrained and slack /
+  surplus columns. Each gets an artificial, and the artificial mass is
+  minimized with Bland's rule, which prevents cycling and fixes the point.
+- Back substitution. The free variables, last solved first, from their
+  rows, in integers over one common denominator; one ``Fraction`` is
+  built per returned coordinate.
 
 Artificial columns are never stored. They take the highest column indices,
-row r's artificial starts basic in row r, and ``basis`` keeps the indices
-of those still basic, since the ratio test breaks ties on them. Bland's
-rule enters the least column that prices negative, so until only
-artificials do, the pivots are those of the full tableau. There the loop
-stops, and the answer is the full tableau's:
+row r's starts basic in row r, and ``basis`` keeps those still basic,
+since the ratio test breaks ties on them. Bland's rule enters the least
+column that prices negative, so until only artificials do, the pivots are
+those of the full tableau. There the loop stops, and the answer is the
+full tableau's: at phase-1 objective 0 its further pivots are degenerate,
+so its point is this one; at a positive objective the basis is optimal
+with the nonbasic artificials fixed at 0, so the system is infeasible.
 
-- if the phase-1 objective is 0, every further pivot of the full tableau
-  would be degenerate (a positive step would push the objective below 0),
-  so the basic point it ends on is this one;
-- if it is positive, the basis is optimal for the problem with the
-  nonbasic artificials fixed at 0. Any feasible point would give that
-  problem objective 0, so the system is infeasible and the answer is None.
-
-The tableau holds integers only, and each row keeps a positive scale of
-its own: it is stored as the true row times a positive factor. A row
-starts as the constraint's integers, over its scale, sign-normalized so its
-right-hand side is >= 0. The reduced-cost row is formed from these rows,
-weighted so that row r's artificial costs 1/scale_r, which amounts
-to rescaling that artificial's column by the positive row factor; then
-every row, the reduced-cost row included, is divided by the gcd of its
-entries, so that each starts primitive. A pivot updates every row that
-holds the entering column by ``eliminate``, the fraction-free step it
-shares with ``chains._sparse_solve`` and the solver's canonical walk
-(``solver._rows``): each row stays a primitive positive multiple of the
-rational row, a row without the column is left as it is, and a row can
-clear completely. Positive row factors change neither the
-sign of a reduced cost nor a ratio rhs_r / a_r, in which a row's factor
-cancels, and positive column factors rescale every ratio of one test
-alike. So Bland's rule takes the pivots, with the same ties, that a
-rational tableau would take, and a basic value is rhs_r / a_r read off
-one row; basic artificials are 0 and not read.
+The tableau holds integers only: each row is stored as its true row times
+a positive factor of its own, starting as the constraint's integers,
+sign-normalized so its right-hand side is >= 0 and made primitive. A
+pivot of either phase updates each row holding the entering column by
+``eliminate``, the fraction-free step shared with ``chains._sparse_solve``
+and the solver's walk; a row stays a primitive positive multiple of the
+rational row, and a row can clear completely. A row the free phase
+updated is sign-normalized again, and it enters the Bland phase as its
+primitive integers over scale 1; an untouched row keeps its constraint's
+scale. The reduced costs weigh each row's artificial by one over its
+scale, which amounts to a positive factor on the artificial's column.
+Positive row and column factors change neither the sign of a reduced cost
+nor the order of the ratios rhs_r / a_r, so Bland's rule takes the pivots,
+ties included, of a rational tableau of the rows left. A system with no
+free variable therefore takes the tableau, pivots and point of a phase 1
+on its constraints alone; where free values are left open, the point is
+one of many, fixed by these rules.
 
 Rows are sparse, ``{column: coefficient}`` with the right-hand side under
-the key ``RHS``, so zero entries are never touched. The minus column of a
-free variable is always the negation of its plus column, in every row and
-in the reduced costs, so only the plus column is stored: Bland's scan and
-the ratio test read the minus column as the plus column with the sign
-flipped, and the layout and column indices they compare are those of the
-full split.
+the key ``RHS``. Variable i is column i; slack / surplus columns follow.
 
 Each constraint is a ``(coefficients, sense, rhs, scale)`` tuple, in the
 form of ``chains.Row``: integer coefficients by variable index and an
-integer right-hand side, all over one positive int scale, so the rational
-constraint is sum(coefficients[i] / scale * x[i]) sense rhs / scale. The
-scale is what weighs row r's artificial at 1/scale_r, so any positive
-multiple of a row's integers and scale is the same constraint and takes
-the same pivots. Callers build their rows in this form from the integers
-they hold: the certificate search from a model's numerators and
-denominators and from integer class sums. A zero coefficient is dropped,
-and no ``Fraction`` is built before the returned point, which is
-``Fraction``s. There is no tolerance anywhere.
+integer right-hand side over one positive int scale, so the rational
+constraint is sum(coefficients[i] / scale * x[i]) sense rhs / scale. Any
+positive multiple of a row's integers and scale is the same constraint and
+takes the same pivots. The certificate search builds its rows this way
+from a model's numerators and denominators and from integer class sums.
+No ``Fraction`` is built before the returned point, and there is no
+tolerance anywhere.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping
-
-ZERO = Fraction(0)
 
 EQ = "=="
 LE = "<="
@@ -116,12 +111,7 @@ def eliminate(row: dict[int, int], pivot_row: dict[int, int], column: int) -> No
 
 
 def _pivot(rows: list[dict[int, int]], leave: int, column: int) -> None:
-    """Clear stored ``column`` from every row but ``leave``, in place.
-
-    Pivoting on a free variable's minus column clears its plus column; the
-    pivot entry is then negative, and ``eliminate`` flips both factors'
-    signs.
-    """
+    """Clear stored ``column`` from every row but ``leave``, in place."""
     pivot_row = rows[leave]
     for row in rows:
         if column in row and row is not pivot_row:
@@ -146,29 +136,15 @@ def find_feasible_point(
     if not nonneg.issubset(range(num_vars)):
         raise ValueError("nonnegative indices out of range")
 
-    # Column layout: nonnegative vars get one column, free vars a +/- pair,
-    # of which only the + column is stored.
-    col_of: list[int] = []
-    free: set[int] = set()
-    n_struct = 0
-    for i in range(num_vars):
-        col_of.append(n_struct)
-        if i in nonneg:
-            n_struct += 1
-        else:
-            free.add(n_struct)
-            n_struct += 2
-
-    # Integer rows over structural and slack / surplus columns, and the rhs,
-    # each over its constraint's scale and sign-normalized so every rhs is
-    # >= 0; a slack or surplus of the rational row is 1, so the scale here.
-    # Row r's artificial, index artificial_start + r, is never stored;
-    # ``basis`` holds that index while it is basic.
-    m = len(constraints)
-    artificial_start = n_struct + sum(1 for _, sense, _, _ in constraints if sense != EQ)
+    # Integer rows over the variables' and the slack / surplus columns, and
+    # the rhs, each over its constraint's scale, sign-normalized so every
+    # rhs is >= 0 and divided by its content; a slack or surplus of the
+    # rational row is 1, so the scale here. The true row is the stored one
+    # times content / scale, kept as the pair ``weights``.
+    artificial_start = num_vars + sum(1 for _, sense, _, _ in constraints if sense != EQ)
     rows: list[dict[int, int]] = []
-    scales: list[int] = []
-    slack = n_struct
+    weights: list[tuple[int, int]] = []
+    slack = num_vars
     for coefficients, sense, rhs, scale in constraints:
         if sense not in (EQ, LE, GE):
             raise ValueError(f"unknown sense {sense!r}")
@@ -178,49 +154,68 @@ def find_feasible_point(
             if not 0 <= i < num_vars:
                 raise ValueError(f"variable index {i} out of range")
         sign = -1 if rhs < 0 else 1
-        row = {col_of[i]: sign * v for i, v in coefficients.items() if v}
+        row = {i: sign * v for i, v in coefficients.items() if v}
         if sense != EQ:
             row[slack] = sign * scale if sense == LE else -sign * scale
             slack += 1
         if rhs:
             row[RHS] = sign * rhs
-        rows.append(row)
-        scales.append(scale)
-    basis = list(range(artificial_start, artificial_start + m))
-
-    # Reduced costs of the phase-1 objective, the artificials' sum in the
-    # unscaled rows (so row r's artificial costs 1/scale_r), with the
-    # negated objective under RHS: lcm(scales) times the true row. The
-    # reduced-cost row is the last row and is never a pivot row. Only then
-    # is each row divided by its content, so that every row starts primitive.
-    common = lcm(*scales)
-    red: dict[int, int] = {}
-    for scale, row in zip(scales, rows):
-        w = common // scale
-        for c, v in row.items():
-            red[c] = red.get(c, 0) - w * v
-    rows.append({c: v for c, v in red.items() if v})
-    for row in rows:
         content = gcd(*row.values())
         if content > 1:
             for c in row:
                 row[c] //= content
-    red = rows[m]
+        rows.append(row)
+        weights.append((content, scale))
+
+    # Free phase: each free variable leaves with the open row that holds it
+    # with the fewest entries, kept in ``solved`` for back substitution. A
+    # row it updates enters the Bland phase over scale 1.
+    solved: list[tuple[int, dict[int, int]]] = []
+    for column in (i for i in range(num_vars) if i not in nonneg):
+        holding = [r for r, row in enumerate(rows) if column in row]
+        if not holding:
+            continue
+        leave = min(holding, key=lambda r: (len(rows[r]), r))
+        _pivot(rows, leave, column)
+        for r in holding:
+            weights[r] = (1, 1)
+        solved.append((column, rows.pop(leave)))
+        del weights[leave]
+    for row in rows:
+        if row.get(RHS, 0) < 0:
+            for c in row:
+                row[c] = -row[c]
+
+    # Reduced costs of the phase-1 objective, the artificials' sum in the
+    # true rows (each stored row times its content / scale), with the
+    # negated objective under RHS: a positive multiple of the true row,
+    # divided by its content. It is the last row and is never a pivot row.
+    # Row r's artificial, index artificial_start + r, is never stored;
+    # ``basis`` holds that index while it is basic.
+    m = len(rows)
+    common = lcm(*(scale for _, scale in weights))
+    red: dict[int, int] = {}
+    for (content, scale), row in zip(weights, rows):
+        w = common // scale * content
+        for c, v in row.items():
+            red[c] = red.get(c, 0) - w * v
+    red = {c: v for c, v in red.items() if v}
+    content = gcd(*red.values())
+    if content > 1:
+        for c in red:
+            red[c] //= content
+    rows.append(red)
+    basis = list(range(artificial_start, artificial_start + m))
 
     while True:
-        # Bland: the least stored column with a negative reduced cost, a
-        # free variable's minus column when its plus column's is positive.
-        # None left means the phase-1 optimum (see the module docstring).
-        enter = min(
-            (c if v < 0 else c + 1 for c, v in red.items() if c != RHS and (v < 0 or c in free)),
-            default=None,
-        )
+        # Bland: the least column with a negative reduced cost. None left
+        # means the phase-1 optimum (see the module docstring).
+        enter = min((c for c, v in red.items() if v < 0 and c != RHS), default=None)
         if enter is None:
             break
-        column, sign = (enter - 1, -1) if enter - 1 in free else (enter, 1)
         leave = None
         for r in range(m):
-            a = sign * rows[r].get(column, 0)
+            a = rows[r].get(enter, 0)
             if a <= 0:
                 continue
             # Least rhs / coefficient, compared crosswise; ties go to the
@@ -235,22 +230,32 @@ def find_feasible_point(
             # Phase-1 objective is bounded below by zero, so this is unreachable
             # for well-formed input; guard against it anyway.
             raise ArithmeticError("phase-1 simplex detected an unbounded direction")
-        _pivot(rows, leave, column)
+        _pivot(rows, leave, enter)
         basis[leave] = enter
 
     if red.get(RHS):  # a positive phase-1 objective
         return None
 
-    column_values: dict[int, Fraction] = {}
-    for r, b in enumerate(basis):
-        if b >= artificial_start:
-            continue
-        if b - 1 in free:
-            column_values[b] = Fraction(rows[r].get(RHS, 0), -rows[r][b - 1])
-        else:
-            column_values[b] = Fraction(rows[r].get(RHS, 0), rows[r][b])
-    return [
-        column_values.get(c, ZERO) - column_values.get(c + 1, ZERO)
-        if c in free else column_values.get(c, ZERO)
-        for c in col_of
-    ]
+    # Basic values rhs_r / a_r, a_r > 0, as numerators over the lcm of the
+    # a_r; then each free variable, last solved first, from its row, with
+    # the common denominator widened to the lcm of its own and the new
+    # value's in lowest terms. Neither a row's own column nor RHS has a
+    # numerator yet, so summing over the whole row adds nothing for them.
+    basic = [(b, row) for b, row in zip(basis, rows) if b < artificial_start]
+    denominator = lcm(*(row[b] for b, row in basic))
+    numerators = {b: row.get(RHS, 0) * (denominator // row[b]) for b, row in basic}
+    for column, row in reversed(solved):
+        value = denominator * row.get(RHS, 0) - sum(
+            v * numerators.get(c, 0) for c, v in row.items()
+        )
+        own = denominator * row[column]
+        g = gcd(own, value) if own > 0 else -gcd(own, value)
+        own //= g
+        widened = lcm(denominator, own)
+        if widened != denominator:
+            grow = widened // denominator
+            for c in numerators:
+                numerators[c] *= grow
+            denominator = widened
+        numerators[column] = value // g * (denominator // own)
+    return [Fraction(numerators.get(i, 0), denominator) for i in range(num_vars)]

@@ -21,6 +21,7 @@ from cmdpkit.model import InputError, Policy, load_instance, parse_instance
 from cmdpkit.solver import solve
 from randmdp import lazy_variant, random_decomposable, random_mdp, random_policy
 from test_censor_oracle import MERSENNE_61, recording_fractions
+from test_residual import wide_cycle
 
 F = Fraction
 
@@ -318,15 +319,21 @@ def test_unreached_low_gain_class_does_not_block_certificate():
     assert cert.gain == 1
 
 
-def search_cases(instances_dir):
-    """Every bundled instance at every start and policy, then random models:
-    their optima and random policies, lazy variants and decomposable ones."""
+def bundled_cases(instances_dir):
+    """Every bundled instance at every start and policy."""
     for path in sorted(instances_dir.glob("*.json")):
         mdp = load_instance(str(path))
         for actions in itertools.product(*mdp.actions):
             policy = Policy(choice=tuple(zip(mdp.states, actions)))
             for x in mdp.states:
                 yield mdp, policy, x
+
+
+def search_cases(instances_dir):
+    """``bundled_cases``, then random models: their optima and random
+    policies, lazy variants and decomposable ones; last ``wide_cycle``, an
+    81-state closure with no choice, whose Bellman rows are all equalities."""
+    yield from bundled_cases(instances_dir)
     rng = random.Random(71)
     for k in range(45):
         mdp = random_decomposable(rng) if k % 3 == 2 else random_mdp(rng, max_states=6)
@@ -338,6 +345,26 @@ def search_cases(instances_dir):
         if result.status == "optimal":
             yield mdp, result.policy, mdp.initial_state
         yield mdp, random_policy(rng, mdp), mdp.initial_state
+    mdp = wide_cycle()
+    yield mdp, Policy.from_mapping(mdp, {}), "x"
+
+
+def test_bundled_searches_take_a_pinned_number_of_pivots(instances_dir):
+    # Both phases of the simplex pivot through lp._pivot, so this counts
+    # the free phase's pivots and Bland's alike: 7 of the 2528 are Bland's.
+    # The simplex that split every free column took 2829 here.
+    original = lp._pivot
+    pivots = 0
+
+    def counting(*args):
+        nonlocal pivots
+        pivots += 1
+        original(*args)
+
+    with mock.patch.object(lp, "_pivot", counting):
+        for mdp, policy, x in bundled_cases(instances_dir):
+            find_certificate(mdp, x, policy)
+    assert pivots == 2528
 
 
 def test_search_builds_its_bellman_rows_once_and_no_fraction_after_the_simplex(instances_dir):

@@ -1,10 +1,14 @@
-"""The per-row-scale integer simplex against its two references.
+"""The integer simplex against its references.
 
 ``lp_oracle.find_feasible_point`` keeps a ``Fraction`` tableau and
 ``lp_oracle.bareiss_find_feasible_point`` one Bareiss scale for a dense
-integer tableau; ``cmdpkit.lp`` keeps sparse rows, each with its own
-positive scale, and must take the same Bland pivots, so all three return
-the same point, or ``None``, on every system. ``cmdpkit.lp`` reads each
+integer tableau, each after the free phase in ``Fraction``s; ``cmdpkit.lp``
+keeps sparse rows, each with its own positive scale, and must take the
+same free pivots and the same Bland pivots, so all three return the same
+point, or ``None``, on every system. ``lp_oracle.split_find_feasible_point``,
+the simplex that split every free variable instead, must give the same
+verdict, and the same point where every variable is sign-constrained;
+every returned point satisfies each row exactly. ``cmdpkit.lp`` reads each
 constraint as integers over a positive scale (``lp_oracle.from_rationals`` of the
 rational row the oracles read), and any positive multiple of a row's
 integers and scale must give the same point. Certificate searches must not
@@ -33,6 +37,7 @@ from cmdpkit.certificate import find_certificate
 from cmdpkit.lp import EQ, GE, LE, find_feasible_point
 from cmdpkit.solver import solve
 from randmdp import examples, lazy_variant, random_decomposable, random_mdp, random_policy
+from test_censor_oracle import recording_fractions
 
 ORACLES = (lp_oracle.find_feasible_point, lp_oracle.bareiss_find_feasible_point)
 
@@ -116,6 +121,40 @@ def test_rows_at_any_positive_multiple_give_the_oracle_point(system, data):
     assert find_feasible_point(num_vars, rows, nonneg) == lp_oracle.find_feasible_point(
         num_vars, constraints, nonneg
     )
+
+
+@settings(max_examples=examples(300), deadline=None)
+@given(systems(), st.booleans())
+def test_verdict_equals_the_split_simplex_and_every_point_is_feasible(system, every_nonnegative):
+    # Solving a free variable out by one of its equations is an
+    # equivalence; with no free variable there is nothing to solve out.
+    num_vars, constraints, nonneg = system
+    if every_nonnegative:
+        nonneg = set(range(num_vars))
+    rows = integer_rows(constraints)
+    point = find_feasible_point(num_vars, rows, nonneg)
+    split = lp_oracle.split_find_feasible_point(num_vars, rows, nonneg)
+    assert (point is None) == (split is None)
+    if point is None:
+        return
+    assert all(point[i] >= 0 for i in nonneg)
+    for coefficients, sense, rhs in constraints:
+        value = sum((c * point[i] for i, c in coefficients.items()), F(0)) - rhs
+        assert value == 0 if sense == EQ else value <= 0 if sense == LE else value >= 0
+    if len(nonneg) == num_vars:
+        assert point == split
+
+
+@settings(max_examples=examples(150), deadline=None)
+@given(systems())
+def test_a_point_builds_one_fraction_per_coordinate(system):
+    # Back substitution runs in integers over one common denominator, so
+    # the returned coordinates are the only Fractions built.
+    num_vars, constraints, nonneg = system
+    rows = integer_rows(constraints)
+    with recording_fractions() as built:
+        point = find_feasible_point(num_vars, rows, nonneg)
+    assert len(built) == (0 if point is None else num_vars)
 
 
 lp_pivot = lp._pivot
