@@ -47,10 +47,13 @@ elimination:
   that turns such sums into ``Fraction``s.
 
 The elimination runs on integers only. Each equation is scaled by the
-lcm of the denominators in its row, so every coefficient is an integer;
-``_sparse_solve`` updates rows by ``lp.eliminate``, the fraction-free
-step the simplex and the solver's walk use too, and returns numerators
-over one common denominator. Each system has a unique solution, so the values do not
+lcm of the denominators in its row, so every coefficient is an integer,
+and its right-hand sides are stored in the row as it is built, under
+``~k``, as the simplex stores its own. ``_sparse_solve`` runs the LP's
+free phase on those rows: ``lp._eliminate_forward``, the package's one
+pivot rule, updating rows by the fraction-free ``lp.eliminate``, then
+``lp._back_substitute``, which returns numerators over one common
+denominator. Each system has a unique solution, so the values do not
 depend on the pivot order. ``Fraction``s appear only at the boundary:
 reading the chain's probabilities, building the returned vectors and
 ``gain``; ``censor`` builds none and returns its rows and class sums as
@@ -64,7 +67,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Container, Iterable, Iterator, NamedTuple, Sequence
 
-from cmdpkit.lp import eliminate
+from cmdpkit.lp import _back_substitute, _eliminate_forward
 from cmdpkit.model import (
     MAX_TIME,
     Chain,
@@ -190,71 +193,27 @@ def decompose(chain: Chain, sources: Iterable[int] | None = None) -> ChainDecomp
     return closed_classes(support_adjacency(chain), sources)
 
 
-def _sparse_solve(
-    rows: list[dict[int, int]], rhs: list[list[int]]
-) -> tuple[list[list[int]], int]:
-    """Exact solve of A X = rhs over the integers, A as sparse rows {column: coefficient}.
+def _sparse_solve(rows: list[dict[int, int]], width: int) -> tuple[list[list[int]], int]:
+    """Exact solve of A X = B over the integers, [A B] as sparse rows.
 
     Returns ``(numerators, denominator)``: X[i][k] = numerators[i][k] /
     denominator, with one positive common denominator.
 
-    The unknowns are the columns 0..len(rows)-1; right-hand side k is
-    stored in its row under the key ``~k``. Each column is pivoted on the
-    open row holding it with the fewest stored entries, right-hand sides
-    included, ties to the lower row index, which keeps fill-in low; every
-    other open row holding the column is updated by ``lp.eliminate``. Back
-    substitution keeps one common denominator, the lcm of those of the
-    unknowns solved so far, each in lowest terms, and rescales the
-    numerators already found when it grows. The solution is unique, so the
-    returned values do not depend on the pivot order. ``rows`` is
-    consumed. Raises ValueError on a singular system.
+    The unknowns are the columns 0..len(rows)-1; column k of the ``width``
+    right-hand sides is stored in each row under the key ``~k``, zeros
+    absent. The elimination is the LP's free phase
+    (``lp._eliminate_forward``, then ``lp._back_substitute``), which
+    updates the row dicts but not the list. The solution is unique, so the
+    returned values do not depend on the pivot order. Raises ValueError on
+    a singular system: one whose columns are not all pivoted.
     """
     n = len(rows)
-    width = len(rhs[0]) if rhs else 0
-    for row, targets in zip(rows, rhs):
-        for k, t in enumerate(targets):
-            if t:
-                row[~k] = t
-    open_rows = list(range(n))
-    order: list[tuple[int, int]] = []
-    for col in range(n):
-        candidates = [r for r in open_rows if col in rows[r]]
-        if not candidates:
-            raise ValueError("singular linear system")
-        pivot = min(candidates, key=lambda r: (len(rows[r]), r))
-        open_rows.remove(pivot)
-        for r in candidates:
-            if r != pivot:
-                eliminate(rows[r], rows[pivot], col)
-        order.append((col, pivot))
-
-    numerators: list[list[int]] = [[] for _ in range(n)]
-    denominator = 1
-    for col, pivot in reversed(order):
-        row = rows[pivot]
-        values = [denominator * row.get(~k, 0) for k in range(width)]
-        for c, v in row.items():
-            if c > col:
-                for k, x in enumerate(numerators[c]):
-                    if x:
-                        values[k] -= v * x
-        # X[col] = values / (denominator * head); reduce, then widen the
-        # common denominator to the lcm of the old one and this one's.
-        own = denominator * row[col]
-        g = gcd(own, *values)
-        if own < 0:
-            g = -g
-        own //= g
-        widened = lcm(denominator, own)
-        if widened != denominator:
-            grow = widened // denominator
-            for solved in numerators:
-                for k, x in enumerate(solved):
-                    solved[k] = x * grow
-            denominator = widened
-        spread = denominator // own
-        numerators[col] = [v // g * spread for v in values]
-    return numerators, denominator
+    pivots = _eliminate_forward(rows, range(n))
+    if len(pivots) < n:
+        raise ValueError("singular linear system")
+    numerators: dict[int, list[int]] = {}
+    denominator = _back_substitute(rows, pivots, width, numerators, 1)
+    return [numerators[i] for i in range(n)], denominator
 
 
 def class_visits(chain: Chain, cls: tuple[int, ...]) -> list[int]:
@@ -291,7 +250,6 @@ def class_visits(chain: Chain, cls: tuple[int, ...]) -> list[int]:
     # with q[0] = 1 the visits are D[i] q[i].
     scales = [lcm(*(p.denominator for _, p in entries)) for entries in support]
     rows: list[dict[int, int]] = [{} for _ in range(k - 1)]
-    rhs = [[0] for _ in range(k - 1)]
     for i, entries in enumerate(support):
         d = scales[i]
         for j, p in entries:
@@ -300,7 +258,7 @@ def class_visits(chain: Chain, cls: tuple[int, ...]) -> list[int]:
                 continue
             coefficient = p.numerator * (d // p.denominator)
             if i == 0:
-                rhs[column - 1][0] -= coefficient
+                rows[column - 1][~0] = -coefficient
             else:
                 rows[column - 1][i - 1] = coefficient
     for i, row in enumerate(rows):
@@ -310,7 +268,7 @@ def class_visits(chain: Chain, cls: tuple[int, ...]) -> list[int]:
         else:
             del row[i]
     try:
-        numerators, denominator = _sparse_solve(rows, rhs)
+        numerators, denominator = _sparse_solve(rows, 1)
     except ValueError:
         raise ValueError("class is not strongly connected") from None
     visits = [scales[0] * denominator] + [d * x[0] for d, x in zip(scales[1:], numerators)]
@@ -406,16 +364,17 @@ def _solve_along_dag(
         members = {s: m for m, s in enumerate(component)}
         # (I - Q) h = constant + one-step mass into solved states.
         coefficients: list[dict[int, int]] = []
-        rhs: list[list[int]] = []
         for m, s in enumerate(component):
             d, mass, within = _first_step(chain[s], constants.get(s), members, solved, width)
             coefficient = {m: d}
             for j, x in within:
                 other = members[j]
                 coefficient[other] = coefficient.get(other, 0) - x
+            for k, x in enumerate(mass):
+                if x:
+                    coefficient[~k] = x
             coefficients.append(coefficient)
-            rhs.append(mass)
-        numerators, denominator = _sparse_solve(coefficients, rhs)
+        numerators, denominator = _sparse_solve(coefficients, width)
         for s, row in zip(component, numerators):
             g = gcd(denominator, *row)
             solved[s] = ([h // g for h in row], denominator // g)

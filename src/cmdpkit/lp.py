@@ -3,18 +3,21 @@
 Finds a point satisfying a mix of equalities and inequalities over
 variables that are either free or sign-constrained, in three phases.
 
-- Free phase. Each free variable, in index order, is pivoted in on the
-  open row holding it with the fewest stored entries, ties to the lower
-  row (``chains._sparse_solve``'s rule), and that row leaves. Solving an
-  equation for a variable is an equivalence, so the rows left are
-  feasible exactly when the system is. A free variable no open row holds
-  is 0.
+- Free phase. ``_eliminate_forward``, the package's one sparse
+  elimination, which ``chains._sparse_solve`` runs too: each free
+  variable, in index order, is pivoted in on the open row holding it with
+  the fewest stored entries, ties to the lower row, and that row leaves.
+  Solving an equation for a variable is an equivalence, so the rows left
+  are feasible exactly when the system is. A free variable no open row
+  holds is 0.
 - Bland phase. The rows left hold only sign-constrained and slack /
   surplus columns. Each gets an artificial, and the artificial mass is
   minimized with Bland's rule, which prevents cycling and fixes the point.
-- Back substitution. The free variables, last solved first, from their
-  rows, in integers over one common denominator; one ``Fraction`` is
-  built per returned coordinate.
+- Back substitution. ``_back_substitute``, shared with
+  ``chains._sparse_solve`` as well: the free variables, last solved
+  first, from their rows, with the basic values as known numerators, in
+  integers over one common denominator; one ``Fraction`` is built per
+  returned coordinate.
 
 Artificial columns are never stored. They take the highest column indices,
 row r's starts basic in row r, and ``basis`` keeps those still basic,
@@ -29,19 +32,20 @@ The tableau holds integers only: each row is stored as its true row times
 a positive factor of its own, starting as the constraint's integers,
 sign-normalized so its right-hand side is >= 0 and made primitive. A
 pivot of either phase updates each row holding the entering column by
-``eliminate``, the fraction-free step shared with ``chains._sparse_solve``
-and the solver's walk; a row stays a primitive positive multiple of the
-rational row, and a row can clear completely. A row the free phase
-updated is sign-normalized again, and it enters the Bland phase as its
-primitive integers over scale 1; an untouched row keeps its constraint's
-scale. The reduced costs weigh each row's artificial by one over its
-scale, which amounts to a positive factor on the artificial's column.
-Positive row and column factors change neither the sign of a reduced cost
-nor the order of the ratios rhs_r / a_r, so Bland's rule takes the pivots,
-ties included, of a rational tableau of the rows left. A system with no
-free variable therefore takes the tableau, pivots and point of a phase 1
-on its constraints alone; where free values are left open, the point is
-one of many, fixed by these rules.
+``eliminate``, the fraction-free step shared with the solver's walk; a
+row stays a primitive positive multiple of the rational row, and a row
+can clear completely. The free phase updates exactly the rows that hold
+a free variable, so each row's scale is fixed before it: a row holding
+one is sign-normalized again after the phase, and it enters the Bland
+phase as its primitive integers over scale 1; an untouched row keeps its
+constraint's scale. The reduced costs weigh each row's artificial by one
+over its scale, which amounts to a positive factor on the artificial's
+column. Positive row and column factors change neither the sign of a
+reduced cost nor the order of the ratios rhs_r / a_r, so Bland's rule
+takes the pivots, ties included, of a rational tableau of the rows left.
+A system with no free variable therefore takes the tableau, pivots and
+point of a phase 1 on its constraints alone; where free values are left
+open, the point is one of many, fixed by these rules.
 
 Rows are sparse, ``{column: coefficient}`` with the right-hand side under
 the key ``RHS``. Variable i is column i; slack / surplus columns follow.
@@ -59,7 +63,7 @@ tolerance anywhere.
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Mapping
+from typing import Iterable, Mapping
 
 EQ = "=="
 LE = "<="
@@ -77,9 +81,10 @@ def eliminate(row: dict[int, int], pivot_row: dict[int, int], column: int) -> No
     """Clear ``column`` from ``row`` with ``pivot_row``, fraction-free, in place.
 
     The one exact row update of the package (Edmonds 1967; Bareiss 1968),
-    shared by the simplex, ``chains._sparse_solve`` and the solver's
-    canonical walk, which eliminates each decision state as it fixes its
-    action (``solver._rows``). With p the pivot
+    shared by ``_pivot``, which both phases of the simplex and, through
+    ``_eliminate_forward``, ``chains._sparse_solve`` pivot with, and the
+    solver's canonical walk, which eliminates each decision state as it
+    fixes its action (``solver._rows``). With p the pivot
     entry, f the row's entry in ``column`` and g = gcd(p, f), the row
     becomes (p/g) row - (f/g) pivot_row, the signs taken so that the row's
     factor is positive; ``column`` cancels and its entry is deleted, as is
@@ -116,6 +121,79 @@ def _pivot(rows: list[dict[int, int]], leave: int, column: int) -> None:
     for row in rows:
         if column in row and row is not pivot_row:
             eliminate(row, pivot_row, column)
+
+
+def _eliminate_forward(
+    rows: list[dict[int, int]], columns: Iterable[int]
+) -> list[tuple[int, int]]:
+    """Pivot each of ``columns``, in order, in place; the pivots as ``(column, row)``.
+
+    Each column is pivoted in through ``_pivot`` on the open row holding it
+    with the fewest stored entries, right-hand sides included, ties to the
+    lower row, which keeps fill-in low; that row then leaves. A column no
+    open row holds is skipped. The row dicts are updated, the list is not.
+    """
+    open_rows = list(range(len(rows)))
+    pivots: list[tuple[int, int]] = []
+    for column in columns:
+        holding = [r for r in open_rows if column in rows[r]]
+        if not holding:
+            continue
+        held = [rows[r] for r in holding]
+        sizes = [len(row) for row in held]
+        # ``holding`` ascends, so the first of the fewest is the lower row.
+        at = sizes.index(min(sizes))
+        _pivot(held, at, column)
+        leave = holding[at]
+        open_rows.remove(leave)
+        pivots.append((column, leave))
+    return pivots
+
+
+def _back_substitute(
+    rows: list[dict[int, int]],
+    pivots: list[tuple[int, int]],
+    width: int,
+    numerators: dict[int, list[int]],
+    denominator: int,
+) -> int:
+    """Solve the pivot columns of ``_eliminate_forward``, last first; the new denominator.
+
+    ``numerators`` maps each column known so far to its ``width`` values
+    over the positive ``denominator`` (a column it lacks is 0); right-hand
+    side k is stored in each row under ``~k``. Each pivot column is solved
+    from its row and added, with the common denominator widened to the lcm
+    of its own and the new value's in lowest terms, and every numerator is
+    rescaled in place when it grows.
+    """
+    ks = range(width)
+    for column, r in reversed(pivots):
+        row = rows[r]
+        values = [denominator * row.get(~k, 0) for k in ks]
+        for c, v in row.items():
+            known = numerators.get(c)
+            if known:
+                for k in ks:
+                    x = known[k]
+                    if x:
+                        values[k] -= v * x
+        own = denominator * row[column]
+        g = gcd(own, *values)
+        if own < 0:
+            g = -g
+        own //= g
+        widened = lcm(denominator, own)
+        if widened != denominator:
+            grow = widened // denominator
+            for known in numerators.values():
+                for k in ks:
+                    known[k] *= grow
+            denominator = widened
+        spread = denominator // own
+        for k in ks:
+            values[k] = values[k] // g * spread
+        numerators[column] = values
+    return denominator
 
 
 def find_feasible_point(
@@ -155,6 +233,9 @@ def find_feasible_point(
                 raise ValueError(f"variable index {i} out of range")
         sign = -1 if rhs < 0 else 1
         row = {i: sign * v for i, v in coefficients.items() if v}
+        # The free phase updates a row exactly when it holds a free
+        # variable, and such a row enters the Bland phase over scale 1.
+        holds_free = not nonneg.issuperset(row)
         if sense != EQ:
             row[slack] = sign * scale if sense == LE else -sign * scale
             slack += 1
@@ -165,22 +246,14 @@ def find_feasible_point(
             for c in row:
                 row[c] //= content
         rows.append(row)
-        weights.append((content, scale))
+        weights.append((1, 1) if holds_free else (content, scale))
 
-    # Free phase: each free variable leaves with the open row that holds it
-    # with the fewest entries, kept in ``solved`` for back substitution. A
-    # row it updates enters the Bland phase over scale 1.
-    solved: list[tuple[int, dict[int, int]]] = []
-    for column in (i for i in range(num_vars) if i not in nonneg):
-        holding = [r for r, row in enumerate(rows) if column in row]
-        if not holding:
-            continue
-        leave = min(holding, key=lambda r: (len(rows[r]), r))
-        _pivot(rows, leave, column)
-        for r in holding:
-            weights[r] = (1, 1)
-        solved.append((column, rows.pop(leave)))
-        del weights[leave]
+    # Free phase: each free variable leaves with its pivot row, kept in
+    # ``free_rows`` for back substitution; the rows left, in order, go on.
+    pivots = _eliminate_forward(rows, (i for i in range(num_vars) if i not in nonneg))
+    left = {r for _, r in pivots}
+    weights = [w for r, w in enumerate(weights) if r not in left]
+    free_rows, rows = rows, [row for r, row in enumerate(rows) if r not in left]
     for row in rows:
         if row.get(RHS, 0) < 0:
             for c in row:
@@ -237,25 +310,9 @@ def find_feasible_point(
         return None
 
     # Basic values rhs_r / a_r, a_r > 0, as numerators over the lcm of the
-    # a_r; then each free variable, last solved first, from its row, with
-    # the common denominator widened to the lcm of its own and the new
-    # value's in lowest terms. Neither a row's own column nor RHS has a
-    # numerator yet, so summing over the whole row adds nothing for them.
+    # a_r; then the free variables by back substitution.
     basic = [(b, row) for b, row in zip(basis, rows) if b < artificial_start]
     denominator = lcm(*(row[b] for b, row in basic))
-    numerators = {b: row.get(RHS, 0) * (denominator // row[b]) for b, row in basic}
-    for column, row in reversed(solved):
-        value = denominator * row.get(RHS, 0) - sum(
-            v * numerators.get(c, 0) for c, v in row.items()
-        )
-        own = denominator * row[column]
-        g = gcd(own, value) if own > 0 else -gcd(own, value)
-        own //= g
-        widened = lcm(denominator, own)
-        if widened != denominator:
-            grow = widened // denominator
-            for c in numerators:
-                numerators[c] *= grow
-            denominator = widened
-        numerators[column] = value // g * (denominator // own)
-    return [Fraction(numerators.get(i, 0), denominator) for i in range(num_vars)]
+    numerators = {b: [row.get(RHS, 0) * (denominator // row[b])] for b, row in basic}
+    denominator = _back_substitute(free_rows, pivots, 1, numerators, denominator)
+    return [Fraction(numerators.get(i, (0,))[0], denominator) for i in range(num_vars)]

@@ -19,7 +19,10 @@ way test code turns dense rows into a model's ``successors``.
 
 ``sparse_solve`` is the rational sparse elimination ``chains._sparse_solve``
 used before it became fraction-free over the integers, on ``Fraction``
-rows, kept as a second reference for the integer solve.
+rows, kept as a second reference for the integer solve. The integer solve
+now runs the LP's free phase (``lp._eliminate_forward`` and
+``lp._back_substitute``), so this reference, which keeps its own pivot
+choice and back substitution, checks that shared elimination too.
 """
 
 from __future__ import annotations

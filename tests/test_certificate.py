@@ -352,19 +352,30 @@ def search_cases(instances_dir):
 def test_bundled_searches_take_a_pinned_number_of_pivots(instances_dir):
     # Both phases of the simplex pivot through lp._pivot, so this counts
     # the free phase's pivots and Bland's alike: 7 of the 2528 are Bland's.
-    # The simplex that split every free column took 2829 here.
-    original = lp._pivot
-    pivots = 0
+    # The simplex that split every free column took 2829 here. The policy
+    # analysis' class and DAG solves pivot through lp._pivot too, and are
+    # counted apart.
+    original_pivot, original_point = lp._pivot, lp.find_feasible_point
+    pivots = {"simplex": 0, "analysis": 0}
+    phase = "analysis"
 
     def counting(*args):
-        nonlocal pivots
-        pivots += 1
-        original(*args)
+        pivots[phase] += 1
+        original_pivot(*args)
 
-    with mock.patch.object(lp, "_pivot", counting):
+    def simplex(*args, **kwargs):
+        nonlocal phase
+        phase = "simplex"
+        try:
+            return original_point(*args, **kwargs)
+        finally:
+            phase = "analysis"
+
+    with mock.patch.object(lp, "_pivot", counting), \
+            mock.patch.object(lp, "find_feasible_point", simplex):
         for mdp, policy, x in bundled_cases(instances_dir):
             find_certificate(mdp, x, policy)
-    assert pivots == 2528
+    assert pivots == {"simplex": 2528, "analysis": 2316}
 
 
 def test_search_builds_its_bellman_rows_once_and_no_fraction_after_the_simplex(instances_dir):

@@ -20,7 +20,7 @@ from cmdpkit.chains import (
 )
 from cmdpkit.model import DEFAULT_MAX_STR_DIGITS, induced_chain
 from dense_oracle import sparse
-from randmdp import random_mdp, random_policy, random_row
+from randmdp import examples, random_mdp, random_policy, random_row
 
 
 def chain_of(rows):
@@ -168,7 +168,7 @@ def stochastic_chains(draw):
     return chain_of([random_row(rng, size) for _ in range(size)])
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(stochastic_chains())
 def test_decomposition_partitions_states(chain):
     dec = decompose(chain)
@@ -177,7 +177,7 @@ def test_decomposition_partitions_states(chain):
     assert sorted(seen) == list(range(len(chain)))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(stochastic_chains())
 def test_absorption_rows_sum_to_one(chain):
     for row in absorption_map(chain):
@@ -185,7 +185,7 @@ def test_absorption_rows_sum_to_one(chain):
         assert all(p >= 0 for p in row)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(stochastic_chains())
 def test_stationary_is_invariant(chain):
     dec = decompose(chain)
@@ -200,7 +200,7 @@ def test_stationary_is_invariant(chain):
             )
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 @given(stochastic_chains(), st.integers(0, 3), st.integers(0, 3))
 def test_chapman_kolmogorov(chain, s, t):
     start = 0

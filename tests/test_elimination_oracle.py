@@ -6,6 +6,10 @@ states occur alongside singletons. They are drawn as dense matrices for
 the reference and handed to the code under test as successor rows. A
 singleton transient component is solved by back substitution alone, so
 ``_sparse_solve`` runs once per larger component and never on a DAG.
+
+``_sparse_solve`` is the LP's free phase on rows with their right-hand
+sides under ``~k``, so its square systems are also checked against
+``lp.find_feasible_point`` with every variable free.
 """
 
 import random
@@ -18,7 +22,7 @@ from hypothesis import strategies as st
 
 import dense_oracle
 import lp_oracle
-from cmdpkit import chains
+from cmdpkit import chains, lp
 from cmdpkit.chains import (
     _sparse_solve,
     _strongly_connected_components,
@@ -122,16 +126,27 @@ def test_class_checks_equal_dense(drawn):
 
 coefficients = st.one_of(st.integers(-2, 2), st.integers(-10**6, 10**6))
 
-
-@settings(max_examples=examples(300), deadline=None)
-@given(
-    st.tuples(st.integers(1, 8), st.integers(0, 3)).flatmap(lambda size: st.tuples(
+# Square systems A X = B: n rows of A and of B, with 0 to 3 columns in B.
+square_systems = st.tuples(st.integers(1, 8), st.integers(0, 3)).flatmap(
+    lambda size: st.tuples(
         st.lists(st.lists(coefficients, min_size=size[0], max_size=size[0]),
                  min_size=size[0], max_size=size[0]),
         st.lists(st.lists(coefficients, min_size=size[1], max_size=size[1]),
                  min_size=size[0], max_size=size[0]),
-    ))
+    )
 )
+
+
+def integer_rows(a, b):
+    """``_sparse_solve``'s rows of [A B]: column k of B under ``~k``, zeros absent."""
+    return [
+        {**{c: x for c, x in enumerate(row) if x}, **{~k: t for k, t in enumerate(targets) if t}}
+        for row, targets in zip(a, b)
+    ]
+
+
+@settings(max_examples=examples(300), deadline=None)
+@given(square_systems)
 def test_sparse_solve_equals_dense_or_both_singular(system):
     a, b = system
     dense_a = [[Fraction(x) for x in row] for row in a]
@@ -142,21 +157,42 @@ def test_sparse_solve_equals_dense_or_both_singular(system):
         assert str(exc) == "singular linear system"
         expected = None
     fraction_rows = [{c: Fraction(x) for c, x in enumerate(row) if x} for row in a]
-    rows = [{c: x for c, x in enumerate(row) if x} for row in a]
-    # Every row update of the integer solve is checked against the rational one.
-    checked = mock.patch.object(chains, "eliminate", lp_oracle.checked_eliminate)
+    rows = integer_rows(a, b)
+    # Every row update of the integer solve is checked against the rational
+    # one, patched in where the shared elimination looks ``eliminate`` up.
+    checked = mock.patch.object(lp, "eliminate", lp_oracle.checked_eliminate)
     if expected is None:
         with pytest.raises(ValueError, match="singular linear system"):
             dense_oracle.sparse_solve(fraction_rows, [list(row) for row in rhs])
         with checked, pytest.raises(ValueError, match="singular linear system"):
-            _sparse_solve(rows, [list(row) for row in b])
+            _sparse_solve(rows, len(b[0]))
     else:
         assert dense_oracle.sparse_solve(fraction_rows, [list(row) for row in rhs]) == expected
         with checked:
-            numerators, denominator = _sparse_solve(rows, [list(row) for row in b])
+            numerators, denominator = _sparse_solve(rows, len(b[0]))
         assert type(denominator) is int and denominator > 0
         assert all(type(x) is int for row in numerators for x in row)
         assert [[Fraction(x, denominator) for x in row] for row in numerators] == expected
+
+
+@settings(max_examples=examples(300), deadline=None)
+@given(square_systems)
+def test_sparse_solve_equals_the_lp_free_phase(system):
+    # With every variable free and every row an equality, the LP runs its
+    # free phase alone, so it must give each column of X.
+    a, b = system
+    try:
+        numerators, denominator = _sparse_solve(integer_rows(a, b), len(b[0]))
+    except ValueError as exc:
+        assert str(exc) == "singular linear system"
+        with pytest.raises(ValueError, match="singular linear system"):
+            dense_oracle.solve_linear([[Fraction(x) for x in row] for row in a], [[] for _ in a])
+        return
+    for k, rhs in enumerate(zip(*b)):
+        constraints = [(dict(enumerate(row)), lp.EQ, t, 1) for row, t in zip(a, rhs)]
+        assert lp.find_feasible_point(len(a), constraints, set()) == [
+            Fraction(row[k], denominator) for row in numerators
+        ]
 
 
 MERSENNE_61 = 2**61 - 1

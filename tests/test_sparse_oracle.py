@@ -26,7 +26,7 @@ from cmdpkit.model import (
     parse_instance,
     validate,
 )
-from randmdp import random_mdp, random_policy
+from randmdp import examples, random_mdp, random_policy
 
 
 def all_fractions(values):
@@ -40,7 +40,7 @@ def models_and_policies(draw):
     return mdp, random_policy(rng, mdp)
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=examples(120), deadline=None)
 @given(models_and_policies())
 def test_sparse_analyses_equal_dense(drawn):
     mdp, policy = drawn
@@ -115,7 +115,7 @@ def assert_matches_dense(mdp):
         assert raised.value.report == report
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 @given(models_and_documents())
 def test_load_validate_and_render_equal_dense(drawn):
     mdp, doc = drawn
