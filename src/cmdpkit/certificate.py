@@ -44,7 +44,7 @@ from typing import Container, Iterable, NamedTuple, Sequence
 
 from cmdpkit import chains, lp
 from cmdpkit.evaluation import ClassGain, analyse_policy
-from cmdpkit.model import EnumerationCapExceeded, InputError, Mdp, Policy, validate_policy
+from cmdpkit.model import EnumerationCapExceeded, InputError, Mdp, Policy
 
 ZERO = Fraction(0)
 
@@ -117,9 +117,10 @@ def check_certificate(
     Each residual is the Bellman row ``_bellman_rows`` builds at a state of
     the policy's reach, with L on the reach and every one-step target of
     its actions, evaluated at the certificate's point by ``_values``: one
-    ``Fraction`` per residual.
+    ``Fraction`` per residual. The policy is analysed, and so validated,
+    before the certificate is.
     """
-    validate_policy(mdp, policy)
+    analysis = analyse_policy(mdp, policy, x)
     if len(cert.mu) != mdp.constraint_dim:
         raise InputError(
             f"multiplier has length {len(cert.mu)}, "
@@ -131,7 +132,6 @@ def check_certificate(
         for value in values:
             if not isinstance(value, Rational):
                 raise InputError(f"certificate {field} value {value!r} is not rational")
-    analysis = analyse_policy(mdp, policy, x)
     w = analysis.values_at(mdp.state_index(x))[1]
     reach = analysis.reach
     required = list(dict.fromkeys(
@@ -143,7 +143,9 @@ def check_certificate(
             f"potential missing required states: {missing}"
         )
 
-    rows = _bellman_rows(mdp, policy, required, reach, set(reach), range(mdp.constraint_dim))
+    rows = _bellman_rows(
+        mdp, analysis.actions, required, reach, set(reach), range(mdp.constraint_dim)
+    )
     scale, values = _values(
         rows, [*cert.mu, cert.gain, *(cert.potential[mdp.states[s]] for s in required)]
     )
@@ -200,7 +202,7 @@ def _class_system_feasible(sums: Sequence[Sequence[int]], free_mu: list[int]) ->
 
 def _bellman_rows(
     mdp: Mdp,
-    policy: Policy,
+    actions: Sequence[int],
     potential: Sequence[int],
     states: Iterable[int],
     reached: Container[int],
@@ -208,9 +210,11 @@ def _bellman_rows(
 ) -> list[lp.Constraint]:
     """Rows gain + L(s) - sum_t p(t) L(t) - mu . c(s, a) >= r(s, a); = at reached choices.
 
-    One row per action of each of ``states``, in order. Columns: the
-    components ``mu`` of the multiplier, gain, then L on ``potential``,
-    which must hold every state those actions reach. States are indices.
+    One row per action of each of ``states``, in order; the row of action
+    index j at a ``reached`` state i is an equality where j is the policy's
+    ``actions[i]``. Columns: the components ``mu`` of the multiplier, gain,
+    then L on ``potential``, which must hold every state those actions
+    reach. States are indices.
     Entries are read off the model: -p, -c, and 1 - p at a self-loop, as
     integers over the lcm d of the row's p, c and r denominators (the
     ``lp.Constraint`` form); a zero entry is not stored.
@@ -220,9 +224,8 @@ def _bellman_rows(
     rows = []
     for i in states:
         own = column[i]
-        chosen = policy.action_for(mdp.states[i]) if i in reached else None
-        for j, action in enumerate(mdp.actions[i]):
-            successors = mdp.successors[i][j]
+        chosen = actions[i] if i in reached else None
+        for j, successors in enumerate(mdp.successors[i]):
             costs = [mdp.constraints[i][j][comp] for comp in mu]
             reward = mdp.rewards[i][j]
             d = lcm(reward.denominator, *(p.denominator for _, p in successors),
@@ -237,7 +240,7 @@ def _bellman_rows(
                     del coeffs[own]
                 else:
                     coeffs[own] = d - x
-            sense = lp.EQ if action == chosen else lp.GE
+            sense = lp.EQ if j == chosen else lp.GE
             rows.append((coeffs, sense, reward.numerator * (d // reward.denominator), d))
     return rows
 
@@ -285,7 +288,7 @@ def find_certificate(
         )
 
     gain_var = len(free_mu)
-    rows = _bellman_rows(mdp, policy, closure, closure, set(analysis.reach), free_mu)
+    rows = _bellman_rows(mdp, analysis.actions, closure, closure, set(analysis.reach), free_mu)
     point = lp.find_feasible_point(
         num_vars=gain_var + 1 + len(closure),
         constraints=rows,

@@ -49,17 +49,17 @@ class _UsageError(Exception):
 # documents as they are; render_json prints each Fraction as "p/q".
 
 
-def _decision_states(mdp: Mdp) -> list[str]:
-    """The states with two or more actions, in model order; a command finds
-    them once and builds each of its policy documents from them."""
-    return [state for state, acts in zip(mdp.states, mdp.actions) if len(acts) > 1]
+def _decision_states(mdp: Mdp) -> set[str]:
+    """The states with two or more actions; a command finds them once and
+    builds each of its policy documents from them."""
+    return {state for state, acts in zip(mdp.states, mdp.actions) if len(acts) > 1}
 
 
-def _policy_doc(decisions: list[str], policy: Policy | None) -> dict[str, str] | None:
-    """Policy restricted to the decision states."""
+def _policy_doc(decisions: set[str], policy: Policy | None) -> dict[str, str] | None:
+    """Policy restricted to the decision states, in one pass over its choice."""
     if policy is None:
         return None
-    return {state: policy.action_for(state) for state in decisions}
+    return {state: action for state, action in policy.choice if state in decisions}
 
 
 def _parse_policy(mdp: Mdp, text: str | None) -> Policy:
@@ -77,7 +77,7 @@ def _parse_policy(mdp: Mdp, text: str | None) -> Policy:
     return Policy.from_mapping(mdp, mapping)
 
 
-def _solve_doc(decisions: list[str], result) -> dict:
+def _solve_doc(decisions: set[str], result) -> dict:
     """The document of a ``solver.SolveResult``."""
     if result.status != "optimal":
         return {

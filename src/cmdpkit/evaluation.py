@@ -5,7 +5,8 @@ averages exists almost surely and equals the gain of the recurrent class
 the chain is absorbed into. Evaluation therefore reduces to per-class
 stationary averages mixed by absorption probabilities; that reduction is
 exercised as a testable identity rather than assumed silently. Chains are
-the sparse successor rows of ``model.induced_chain``.
+the model's sparse successor rows at the policy's action indices, which
+``model.validate_policy`` reads once per analysis.
 
 ``analyse_policy`` is the one single-policy analysis. Given a start x it
 covers x's reach alone: one decomposition searched from x, whose classes
@@ -30,7 +31,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from cmdpkit import chains
-from cmdpkit.model import Chain, Mdp, Policy, induced_chain
+from cmdpkit.model import Chain, Mdp, Policy, validate_policy
 
 
 class ClassGain(NamedTuple):
@@ -57,7 +58,9 @@ class EvaluationReport(NamedTuple):
 class PolicyAnalysis(NamedTuple):
     """A policy's induced chain and everything its V and W are mixed from.
 
-    ``chain`` holds the model's shared successor rows; ``decomposition``
+    ``chain`` holds the model's shared successor rows, ``actions[s]`` the
+    policy's action index at state index s (``validate_policy``'s read of
+    the policy, which no later step repeats); ``decomposition``
     covers the states the analysis covers (``reach``): x's reach, or every
     state. ``class_sums[c]`` are the integer ``[reward, *constraint,
     steps]`` sums of ``decomposition.recurrent_classes[c]`` and
@@ -73,6 +76,7 @@ class PolicyAnalysis(NamedTuple):
     class_sums: tuple[tuple[int, ...], ...]
     class_gains: tuple[ClassGain, ...]
     absorption: tuple[tuple[tuple[int, ...], int], ...]
+    actions: tuple[int, ...]
 
     @property
     def reach(self) -> list[int]:
@@ -94,17 +98,25 @@ class PolicyAnalysis(NamedTuple):
 def analyse_policy(mdp: Mdp, policy: Policy, x: str | None = None) -> PolicyAnalysis:
     """Induced chain, decomposition, class sums and gains and absorption of a policy.
 
-    With x only x's reach is analysed: the decomposition is searched from
-    x, and neither classes nor transient states outside the reach are
-    solved. Each recurrent class gets one visit-count solve, shared by the
-    reward and the constraint gains, and one integer DAG solve gives every
-    transient state's absorption. Nothing is cached: callers that need
-    several start states read them all from the one analysis.
+    The policy is validated and read into action indices first, before x
+    is looked up; every later step reads those indices. With x only x's
+    reach is analysed: the decomposition is searched from x, and neither
+    classes nor transient states outside the reach are solved. Each
+    recurrent class gets one visit-count solve, shared by the reward and
+    the constraint gains, and one integer DAG solve gives every transient
+    state's absorption. Nothing is cached: callers that need several start
+    states read them all from the one analysis.
     """
-    chain = induced_chain(mdp, policy)
+    actions = validate_policy(mdp, policy)
+    chain = tuple(rows[a] for rows, a in zip(mdp.successors, actions))
     decomposition = chains.decompose(chain, None if x is None else (mdp.state_index(x),))
     classes = decomposition.recurrent_classes
-    sums = tuple(tuple(_class_sums(mdp, chain, cls, policy)) for cls in classes)
+    sums = tuple(
+        tuple(chains.class_sums(
+            chains.class_visits(chain, cls), [chains.step_totals(mdp, s, actions[s]) for s in cls]
+        ))
+        for cls in classes
+    )
     solved = chains._solve_along_dag(
         chain, classes, decomposition.transient_components, len(classes), {}
     )
@@ -117,16 +129,8 @@ def analyse_policy(mdp: Mdp, policy: Policy, x: str | None = None) -> PolicyAnal
             for cls, c in zip(classes, sums)
         ),
         absorption=tuple((tuple(numerators), d) for numerators, d in solved),
+        actions=actions,
     )
-
-
-def _class_sums(mdp: Mdp, chain: Chain, cls: tuple[int, ...], policy: Policy) -> list[int]:
-    """A recurrent class's ``[reward, *constraint, steps]`` sums, weighed by its visits."""
-    totals = [
-        chains.step_totals(mdp, s, mdp.actions[s].index(policy.action_for(mdp.states[s])))
-        for s in cls
-    ]
-    return chains.class_sums(chains.class_visits(chain, cls), totals)
 
 
 def evaluate(mdp: Mdp, policy: Policy, x: str) -> EvaluationReport:

@@ -6,14 +6,12 @@ constraint vector per (state, action). Every numeric quantity is a
 ``fractions.Fraction``; instance documents carry numbers as strings
 ("0.125" or "1/8") so that no binary float is ever involved.
 
-``Mdp`` and ``Policy`` are frozen records built from tuples: plain
-classes with ``__slots__``, because ``dataclasses`` would load
-``inspect``, ``ast``, ``dis`` and ``tokenize`` on every cold command.
-Each builds its label lookup map once, at construction, in a slot that
-equality, hashing, ``repr`` and pickling ignore; no analysis is keyed by
-hashing a model. Both have the surface of every other record of the
-package, here and in the other modules, each a ``typing.NamedTuple``:
-``_fields``, ``_asdict()`` and ``_replace(**changes)``.
+``Mdp`` and ``Policy`` are ``typing.NamedTuple``s, as is every other
+record of the package (``dataclasses`` would load ``inspect``, ``ast``,
+``dis`` and ``tokenize`` on every cold command). They hold no lookup map:
+``Mdp.state_index`` and ``Policy.action_for`` scan their fields, and
+``validate_policy`` reads a policy's action labels into indices once per
+analysis; no analysis is keyed by hashing a model.
 
 The kernel is held only as sparse successor rows (``Successors``), built
 straight from each document's ``transitions`` object: parsing,
@@ -204,49 +202,7 @@ Successors = tuple[tuple[int, Fraction], ...]
 Chain = tuple[Successors, ...]
 
 
-class _Record:
-    """A frozen record of ``_fields`` and one lookup map derived from them.
-
-    Equality (same class, equal fields), hashing, ``repr`` and pickling see
-    the fields only, as a frozen dataclass's do, and ``repr`` prints the
-    same bytes. ``_replace`` goes through ``__init__``, which rebuilds the
-    map.
-    """
-
-    __slots__ = ()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def _asdict(self) -> dict:
-        return dict(zip(self._fields, self._values()))
-
-    def _replace(self, **changes):
-        return type(self)(**{**self._asdict(), **changes})
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self._values()
-
-
-class Mdp(_Record):
+class Mdp(NamedTuple):
     """Finite constrained MDP with exact rational data.
 
     Fields are index-aligned: ``actions[i]`` lists the action labels of
@@ -266,30 +222,11 @@ class Mdp(_Record):
     constraint_dim: int
     initial_state: str
 
-    _fields = ("states", "actions", "successors", "rewards", "constraints",
-               "constraint_dim", "initial_state")
-    __slots__ = (*_fields, "_index")
-
-    def __init__(
-        self,
-        states: tuple[str, ...],
-        actions: tuple[tuple[str, ...], ...],
-        successors: tuple[tuple[Successors, ...], ...],
-        rewards: tuple[tuple[Fraction, ...], ...],
-        constraints: tuple[tuple[tuple[Fraction, ...], ...], ...],
-        constraint_dim: int,
-        initial_state: str,
-    ) -> None:
-        values = (states, actions, successors, rewards, constraints,
-                  constraint_dim, initial_state)
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "_index", {label: i for i, label in enumerate(states)})
-
     def state_index(self, label: str) -> int:
+        """The index of state ``label``, found by a scan of ``states``."""
         try:
-            return self._index[label]
-        except KeyError:
+            return self.states.index(label)
+        except ValueError:
             raise UnknownStateError(f"unknown state {label!r}") from None
 
     @property
@@ -297,27 +234,22 @@ class Mdp(_Record):
         return len(self.states)
 
 
-class Policy(_Record):
+class Policy(NamedTuple):
     """Deterministic stationary policy: one action label per state.
 
     ``choice`` holds (state, action) pairs in model state order;
-    ``validate_policy`` checks it against a model.
+    ``validate_policy`` checks it against a model and reads each state's
+    action index off it.
     """
 
     choice: tuple[tuple[str, str], ...]
 
-    _fields = ("choice",)
-    __slots__ = ("choice", "_action")
-
-    def __init__(self, choice: tuple[tuple[str, str], ...]) -> None:
-        object.__setattr__(self, "choice", choice)
-        object.__setattr__(self, "_action", dict(choice))
-
     def action_for(self, state: str) -> str:
-        try:
-            return self._action[state]
-        except KeyError:
-            raise PolicyError(f"policy does not cover state {state!r}") from None
+        """The action ``choice`` gives ``state``, found by a scan; the last entry wins."""
+        for label, action in reversed(self.choice):
+            if label == state:
+                return action
+        raise PolicyError(f"policy does not cover state {state!r}")
 
     @staticmethod
     def from_mapping(mdp: Mdp, mapping: dict[str, str]) -> "Policy":
@@ -345,23 +277,32 @@ class Policy(_Record):
         return policy
 
 
-def validate_policy(mdp: Mdp, policy: Policy) -> None:
-    """Raise PolicyError unless policy is a total valid choice map."""
+def validate_policy(mdp: Mdp, policy: Policy) -> tuple[int, ...]:
+    """Each state's action index under ``policy``, in model state order.
+
+    Raises PolicyError unless policy is a total valid choice map. This is
+    the one place a policy's action labels become indices: every analysis
+    reads the policy through it once.
+    """
     seen: dict[str, str] = {}
     for state, action in policy.choice:
         if state in seen:
             raise PolicyError(f"policy names state {state!r} more than once")
         seen[state] = action
+    actions = []
     for i, state in enumerate(mdp.states):
         if state not in seen:
             raise PolicyError(f"policy does not cover state {state!r}")
-        if seen[state] not in mdp.actions[i]:
+        try:
+            actions.append(mdp.actions[i].index(seen[state]))
+        except ValueError:
             raise PolicyError(
                 f"policy selects action {seen[state]!r} absent from state {state!r}"
-            )
+            ) from None
     extra = set(seen) - set(mdp.states)
     if extra:
         raise PolicyError(f"policy names unknown states: {sorted(extra)}")
+    return tuple(actions)
 
 
 class Trajectory(NamedTuple):
@@ -769,11 +710,8 @@ def _render_dict(value, newline: str, parts: list[str]) -> None:
 def induced_chain(mdp: Mdp, policy: Policy) -> Chain:
     """Successor rows of the policy-induced Markov chain, in model state order.
 
-    Row i is ``mdp.successors[i][a]`` for the policy's action a at state i,
-    shared, not copied; its probabilities sum to exactly 1.
+    Row i is ``mdp.successors[i][a]`` for the policy's action index a at
+    state i (``validate_policy``), shared, not copied; its probabilities
+    sum to exactly 1.
     """
-    validate_policy(mdp, policy)
-    return tuple(
-        mdp.successors[i][mdp.actions[i].index(policy.action_for(state))]
-        for i, state in enumerate(mdp.states)
-    )
+    return tuple(rows[a] for rows, a in zip(mdp.successors, validate_policy(mdp, policy)))

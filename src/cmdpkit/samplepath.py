@@ -339,8 +339,7 @@ def _walk(
     visited = [s for s, count in enumerate(counts) if count]
     empirical_v, empirical_w = chains.gain(chains.class_sums(
         [counts[s] for s in visited],
-        [chains.step_totals(mdp, s, mdp.actions[s].index(policy.action_for(mdp.states[s])))
-         for s in visited],
+        [chains.step_totals(mdp, s, analysis.actions[s]) for s in visited],
     ))
 
     absorbed = next((c for c, cls in enumerate(classes) if state in cls), None)

@@ -289,7 +289,7 @@ def test_embedded_chains_have_a_row_per_node_and_the_precompute_runs_once():
                 mock.patch.object(solver_oracle, "mix", wraps=solver_oracle.mix) as mix, \
                 mock.patch.object(model, "induced_chain") as induced, \
                 mock.patch.object(chains, "induced_chain", induced), \
-                mock.patch.object(evaluation, "induced_chain", induced):
+                mock.patch.object(evaluation, "validate_policy", induced):
             rows = list(_rows(mdp, starts))
         assert censor.call_count == 1 and dag.call_count == 1
         assert dag.call_args.args[3] == nodes + 2 + mdp.constraint_dim

@@ -39,7 +39,7 @@ import certificate_oracle
 from cmdpkit import certificate, lp
 from cmdpkit.chains import reachable_states
 from cmdpkit.evaluation import analyse_policy
-from cmdpkit.model import Policy, load_instance
+from cmdpkit.model import Policy, load_instance, validate_policy
 from cmdpkit.solver import solve
 from randmdp import examples, lazy_variant, random_decomposable, random_mdp, random_policy
 from test_censor_oracle import MERSENNE_61, recording_fractions
@@ -56,7 +56,7 @@ def assert_rows_equal_oracle(mdp, policy, x, free_mu):
     reached = set(reachable_states(mdp, policy, x))
     columns = indices(mdp, closure)
     rows = certificate._bellman_rows(
-        mdp, policy, columns, columns, set(indices(mdp, reached)), free_mu
+        mdp, validate_policy(mdp, policy), columns, columns, set(indices(mdp, reached)), free_mu
     )
     expected = certificate_oracle.bellman_rows(mdp, policy, closure, reached, free_mu)
     assert len(rows) == len(expected)
@@ -175,7 +175,9 @@ def test_rows_and_simplex_setup_build_no_fraction(instances_dir):
         reached = set(indices(mdp, reachable_states(mdp, policy, x)))
         free_mu = list(range(mdp.constraint_dim))
         with recording_fractions() as built:
-            rows = certificate._bellman_rows(mdp, policy, closure, closure, reached, free_mu)
+            rows = certificate._bellman_rows(
+                mdp, validate_policy(mdp, policy), closure, closure, reached, free_mu
+            )
             assert built == []
 
             def pivot(*args):

@@ -1,13 +1,14 @@
 """Every public record is immutable, and ``_replace`` edits a copy.
 
-The records are ``typing.NamedTuple``s; ``Mdp`` and ``Policy`` are
-slotted classes with the same ``_fields``, ``_asdict`` and ``_replace``.
-Each record is built here by the call that returns it, so that the
-values are the ones a caller sees.
+The records, ``Mdp`` and ``Policy`` among them, are ``typing.NamedTuple``s:
+each is a tuple of its fields, equal to a plain tuple of the same values
+and unequal to every other record. Each record is built here by the call
+that returns it, so that the values are the ones a caller sees.
 """
 
 import copy
 import hashlib
+import itertools
 import pickle
 
 import pytest
@@ -74,9 +75,7 @@ def _public_records() -> set[str]:
 
 def test_every_public_record_has_an_example(examples):
     assert set(examples) == _public_records()
-    assert {name for name, r in examples.items() if not isinstance(r, tuple)} == {
-        "Mdp", "Policy",
-    }
+    assert {name for name, r in examples.items() if not isinstance(r, tuple)} == set()
 
 
 def test_assigning_to_a_field_raises(examples):
@@ -93,8 +92,8 @@ def test_assigning_to_a_field_raises(examples):
             record.not_a_field = None
 
 
-# Values the constructors accept: ``Mdp`` enumerates its states and
-# ``Policy`` makes a dict of its choice at construction.
+# Well-typed values for the fields ``state_index`` and ``action_for`` scan;
+# the constructors themselves accept any value.
 ACCEPTED = {("Mdp", "states"): ("p", "q"), ("Policy", "choice"): (("p", "a"),)}
 
 
@@ -122,11 +121,12 @@ def test_replacing_the_states_rebuilds_the_lookup(haviv):
     assert relabelled != haviv
 
 
-def test_a_model_equals_only_a_model(haviv, haviv_a):
-    assert haviv != tuple(haviv._asdict().values())
-    assert haviv != haviv_a
+def test_a_record_equals_its_fields_and_no_other_record(examples, haviv, haviv_a):
+    assert haviv == tuple(haviv._asdict().values()) and len(haviv) == len(haviv._fields)
+    assert haviv_a == (haviv_a.choice,)
     assert haviv_a != haviv_a.choice
-    assert haviv_a != (haviv_a.choice,)
+    for (name, record), (other_name, other) in itertools.permutations(examples.items(), 2):
+        assert record != other, (name, other_name)
 
 
 def test_equal_models_hash_equal(haviv, instances_dir):
@@ -152,6 +152,34 @@ def test_pickle_and_copy_keep_the_record_and_its_lookup(haviv, haviv_a):
             assert twin == record and hash(twin) == hash(record)
     assert pickle.loads(pickle.dumps(haviv)).state_index("c3_9") == 36
     assert pickle.loads(pickle.dumps(haviv_a)).action_for("y") == "a"
+
+
+# ``pickle.dumps(record, 4)`` of twochain and of its policy, written when
+# ``Mdp`` and ``Policy`` were slotted classes. Each pickle rebuilds its
+# record by calling the class on the fields, as a NamedTuple still allows.
+TWOCHAIN_PICKLE = (
+    b"\x80\x04\x95\xcf\x00\x00\x00\x00\x00\x00\x00\x8c\rcmdpkit.model\x94\x8c\x03Mdp"
+    b"\x94\x93\x94(\x8c\x01x\x94\x8c\x02a0\x94\x8c\x02b0\x94\x87\x94\x8c\x02go\x94\x85"
+    b"\x94\x8c\x04stay\x94\x85\x94\x8c\x04stay\x94\x85\x94\x87\x94K\x01\x8c\tfractions"
+    b"\x94\x8c\x08Fraction\x94\x93\x94K\x01K\x02\x86\x94R\x94\x86\x94K\x02h\x12\x86\x94"
+    b"\x86\x94\x85\x94K\x01h\x10K\x01K\x01\x86\x94R\x94\x86\x94\x85\x94\x85\x94K\x02"
+    b"h\x18\x86\x94\x85\x94\x85\x94\x87\x94h\x10K\x00K\x01\x86\x94R\x94\x85\x94h\x18"
+    b"\x85\x94h!\x85\x94\x87\x94h!\x85\x94\x85\x94h\x10J\xff\xff\xff\xffK\x01\x86\x94"
+    b"R\x94\x85\x94\x85\x94h\x18\x85\x94\x85\x94\x87\x94K\x01h\x03t\x94R\x94."
+)
+TWOCHAIN_POLICY_PICKLE = (
+    b"\x80\x04\x95I\x00\x00\x00\x00\x00\x00\x00\x8c\rcmdpkit.model\x94\x8c\x06Policy"
+    b"\x94\x93\x94\x8c\x01x\x94\x8c\x02go\x94\x86\x94\x8c\x02a0\x94\x8c\x04stay\x94"
+    b"\x86\x94\x8c\x02b0\x94\x8c\x04stay\x94\x86\x94\x87\x94\x85\x94R\x94."
+)
+
+
+def test_pickles_of_the_slotted_records_still_load(twochain):
+    policy = Policy.from_mapping(twochain, {})
+    for data, record in ((TWOCHAIN_PICKLE, twochain), (TWOCHAIN_POLICY_PICKLE, policy)):
+        loaded = pickle.loads(data)
+        assert type(loaded) is type(record)
+        assert loaded == record and hash(loaded) == hash(record)
 
 
 # The repr a frozen dataclass prints, byte for byte, so printed models do

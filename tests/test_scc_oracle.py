@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import scc_oracle
 from cmdpkit import chains
+from randmdp import examples
 
 
 @st.composite
@@ -24,7 +25,7 @@ def graphs(draw):
     )
 
 
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=examples(500), deadline=None)
 @given(adjacency=graphs())
 def test_components_equal_the_rescanning_search(adjacency):
     assert chains._strongly_connected_components(adjacency) == (
